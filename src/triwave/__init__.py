@@ -55,13 +55,11 @@ from .models import (
 )
 from .operators import (
     CoefficientSeries,
-    EnergyDependentTridiagonal,
     RecursionCoefficients,
     build_morse,
     build_oscillator_dual_hahn,
     build_oscillator_pollaczek,
     build_rosen_morse,
-    diagonalization_scan,
     numeric_jmatrix,
     solve_recursion,
     symmetric_form,

@@ -152,26 +152,21 @@ def cmd_wavefunction(args):
 
 def cmd_jmatrix(args):
     model = _build_model(args)
-    if args.size > 64:
-        raise TriwaveError("size must be <= 64")
+    size = args.size
+    if not 1 <= size <= 64:
+        raise TriwaveError("size must be between 1 and 64")
     rc, spec, cmap = md.recursion_for(model, args.epsilon)
     if args.perturb_alpha:
         spec = spec.perturbed(args.perturb_alpha)
-    sym = op.symmetric_form(rc)
     eps = args.epsilon
-    rows = []
-    for m in range(args.size):
-        for n in range(args.size):
-            if m == n:
-                analytic = rc.jmatrix_scale * (sym.diag(n, eps) - eps)
-            elif abs(m - n) == 1:
-                analytic = rc.jmatrix_scale * sym.offdiag(min(m, n), eps)
-            else:
-                analytic = 0.0
-            numeric = None
-            if args.numeric:
-                numeric = op.numeric_jmatrix(model, spec, cmap, eps, m, n)
-            rows.append([m, n, analytic, numeric])
+    diag, off = op.symmetric_form(rc, eps, size)
+    analytic = np.zeros((size, size))
+    idx = np.arange(size)
+    analytic[idx, idx] = rc.jmatrix_scale * (diag - eps)
+    analytic[idx[:-1], idx[1:]] = analytic[idx[1:], idx[:-1]] = rc.jmatrix_scale * off
+    numeric = op.numeric_jmatrix(model, spec, cmap, eps, size) if args.numeric else None
+    rows = [[m, n, analytic[m, n], None if numeric is None else numeric[m, n]]
+            for m in range(size) for n in range(size)]
     _emit(_JMATRIX_COLUMNS, rows, args)
     return 0
 
@@ -192,12 +187,10 @@ def _suite_tridiagonality(perturb_alpha=0.0):
         rc, spec, cmap = md.recursion_for(model, eps)
         if perturb_alpha:
             spec = spec.perturbed(perturb_alpha)
-        nmax = 12
-        J = np.array([[op.numeric_jmatrix(model, spec, cmap, eps, m, n, n_nodes=32)
-                       for n in range(nmax + 1)] for m in range(nmax + 1)])
+        J = op.numeric_jmatrix(model, spec, cmap, eps, 13, n_nodes=32)
         mx = float(np.max(np.abs(J)))
-        off = max(abs(J[m, n]) for m in range(nmax + 1) for n in range(nmax + 1)
-                  if abs(m - n) >= 2)
+        idx = np.arange(13)
+        off = float(np.max(np.abs(J[np.abs(idx[:, None] - idx) >= 2])))
         checks.append(("tridiagonality/" + name, off / mx, 1e-8))
     return checks
 

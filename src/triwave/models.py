@@ -242,17 +242,12 @@ def rosen_morse_alt_energy(A, B, n):
 
 
 def spectrum(model, n_levels=8):
-    """Closed-form bound spectrum of the model (diagonalization route)."""
-    if isinstance(model, HarmonicOscillator):
-        if model.a != 1.0:
-            raise ParameterDomainError(
-                "the diagonal closed form requires a = 1 (rescale lam otherwise)")
-        nu = model.nu
-        levels = [Level(n=n, epsilon=2.0 * (2 * n + nu + 1.0), basis_params={"nu": nu})
-                  for n in range(n_levels)]
-        return SpectrumResult(levels=levels)
+    """Closed-form bound spectrum of the model (diagonalization route).
 
-    if isinstance(model, OscillatorInverseSquare):
+    The level rules of every case live here: each level is a parameter point
+    where all couplings vanish and the diagonal vanishes at the level index.
+    """
+    if isinstance(model, (HarmonicOscillator, OscillatorInverseSquare)):
         if model.a != 1.0:
             raise ParameterDomainError(
                 "the diagonal closed form requires a = 1 (rescale lam otherwise)")

@@ -5,11 +5,13 @@ to a three-term recursion for polynomial-normalized coefficients d_n,
 
     A_n(eps) d_n + B_n(eps) d_{n-1} + C_n(eps) d_{n+1} = 0,
 
-with d_0 = 1.  Builders return the coefficient generators; a generic engine
-solves the recursion (including the diagonal and terminating limits used by
-bound states); diagonalization conditions produce the discrete spectra; and
-an independent quadrature route integrates <phi_m | (H - eps) | phi_n>
+with d_0 = 1.  Builders return the coefficients as functions of (n, eps)
+vectorized over an index array; a generic engine solves the recursion
+(including the diagonal and terminating limits used by bound states);
+symmetric_form gives the (diag, off) arrays of the symmetric view; and an
+independent quadrature route integrates the block <phi_m | (H - eps) | phi_n>
 directly to verify tridiagonality without using any of the closed forms.
+The level rules of the discrete spectra live in models.spectrum.
 """
 
 from __future__ import annotations
@@ -32,16 +34,13 @@ from .exceptions import (
 
 __all__ = [
     "RecursionCoefficients",
-    "EnergyDependentTridiagonal",
     "CoefficientSeries",
-    "DiagonalLevel",
     "build_oscillator_pollaczek",
     "build_oscillator_dual_hahn",
     "build_morse",
     "build_rosen_morse",
     "symmetric_form",
     "solve_recursion",
-    "diagonalization_scan",
     "numeric_jmatrix",
     "truncated_eigenvalues",
 ]
@@ -53,25 +52,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RecursionCoefficients:
-    """Generators for A_n d_n + B_n d_{n-1} + C_n d_{n+1} = 0.
+    """Coefficients of A_n d_n + B_n d_{n-1} + C_n d_{n+1} = 0 as functions
+    A(n, eps), B(n, eps), C(n, eps), vectorized over an index array n.
 
     B(0) is pinned to zero in every builder: it multiplies d_{-1} = 0 and the
     wave-operator row 0 has no such entry.
 
-    Closure-style generators (functions of n and eps) rather than matrix
-    snapshots: eps can sit inside off-diagonals or inside basis parameters
-    depending on the case, so a plain "matrix minus eps*I" view would
-    misrepresent the structure.
+    Functions of eps rather than matrix snapshots: eps can sit inside
+    off-diagonals or inside basis parameters depending on the case, so a
+    plain "matrix minus eps*I" view would misrepresent the structure.
     """
 
-    A: Callable[[int, float], float]
-    B: Callable[[int, float], float]
-    C: Callable[[int, float], float]
+    A: Callable[[np.ndarray, float], np.ndarray]
+    B: Callable[[np.ndarray, float], np.ndarray]
+    C: Callable[[np.ndarray, float], np.ndarray]
     case: str
-    params: dict
     spec: Optional[BasisSpec] = None
-    epsilon_constraint: Optional[str] = None
-    constrained_epsilon: Optional[Callable[[], float]] = None
     epsilon_on_diagonal: bool = False
     # scaling t_n with f_n = t_n d_n that makes sum f_n phi_n solve the wave
     # equation, fixed per case by testing the d-solutions against the
@@ -82,28 +78,23 @@ class RecursionCoefficients:
     # symmetrized recursion rows (a constant per case, measured and pinned)
     jmatrix_scale: float = 1.0
 
-    def f_scaling(self, n: int) -> float:
-        if self.spec is None:
-            raise UnsupportedStructureError("no basis attached to this recursion")
-        a_n = basis_mod.normalization(self.spec, n)
+    def f_scaling(self, N: int) -> np.ndarray:
+        """t_0..t_{N-1} of the case's f_n = t_n d_n scaling."""
+        a_n = _normalizations(self, N)
         if self.f_transform == "standard":
             return a_n / self.spec.lam
         if self.f_transform == "inverse":
             return 1.0 / a_n
         if self.f_transform == "alternating":
-            return (-1.0) ** n * a_n / self.spec.lam
+            return (-1.0) ** np.arange(N) * a_n / self.spec.lam
         raise UnsupportedStructureError("unknown f transform %r" % self.f_transform)
 
 
-@dataclass(frozen=True)
-class EnergyDependentTridiagonal:
-    """Symmetric view (a_n, b_n) acting on f_n: (a_n - eps) f_n
-    + b_{n-1} f_{n-1} + b_n f_{n+1} = 0, with b_n coupling n and n+1."""
-
-    diag: Callable[[int, float], float]
-    offdiag: Callable[[int, float], float]
-    representation: str
-    epsilon_constraint: Optional[str] = None
+def _normalizations(rc: RecursionCoefficients, N: int) -> np.ndarray:
+    """The basis constants A_0..A_{N-1} of the recursion's basis."""
+    if rc.spec is None:
+        raise UnsupportedStructureError("no basis attached to this recursion")
+    return np.array([basis_mod.normalization(rc.spec, n) for n in range(N)])
 
 
 @dataclass
@@ -115,13 +106,6 @@ class CoefficientSeries:
     f: Optional[np.ndarray]
     truncation: int
     tail_estimate: float
-
-
-@dataclass(frozen=True)
-class DiagonalLevel:
-    n: int
-    epsilon: float
-    basis_params: dict
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +125,9 @@ def build_oscillator_pollaczek(nu, a):
     nu, a = float(nu), float(a)
     return RecursionCoefficients(
         A=lambda n, eps: (a + 1.0) * (2 * n + nu + 1.0) - eps,
-        B=lambda n, eps: 0.0 if n == 0 else -(a - 1.0) * (n + nu),
+        B=lambda n, eps: np.where(n == 0, 0.0, -(a - 1.0) * (n + nu)),
         C=lambda n, eps: -(a - 1.0) * (n + 1.0),
         case="oscillator_pollaczek",
-        params={"nu": nu, "a": a},
         spec=basis_mod.oscillator_pollaczek_basis(nu) if nu >= -0.5 else None,
         epsilon_on_diagonal=True,
     )
@@ -168,7 +151,6 @@ def build_oscillator_dual_hahn(nu, b):
         B=lambda n, eps: -n * (n + nu / 2.0 - eps / 4.0),
         C=lambda n, eps: -(n + nu + 1.0) * (n + nu / 2.0 + 1.0 - eps / 4.0),
         case="oscillator_dual_hahn",
-        params={"nu": nu, "b": b},
         spec=basis_mod.oscillator_dual_hahn_basis(nu),
         f_transform="inverse",
         jmatrix_scale=4.0,
@@ -189,13 +171,10 @@ def build_morse(a, b, nu):
     a, b, nu = float(a), float(b), float(nu)
     return RecursionCoefficients(
         A=lambda n, eps: 2.0 * ((b + 0.25) * (n + (nu + 1.0) / 2.0) + a / 2.0),
-        B=lambda n, eps: 0.0 if n == 0 else -(b - 0.25) * (n + nu),
+        B=lambda n, eps: np.where(n == 0, 0.0, -(b - 0.25) * (n + nu)),
         C=lambda n, eps: -(b - 0.25) * (n + 1.0),
         case="morse",
-        params={"a": a, "b": b, "nu": nu},
         spec=basis_mod.morse_basis(nu) if nu >= 0.0 else None,
-        epsilon_constraint="eps = -nu^2/4",
-        constrained_epsilon=lambda: -nu * nu / 4.0,
     )
 
 
@@ -209,11 +188,13 @@ def build_rosen_morse(A, B, mu, nu):
     A, B, mu, nu = float(A), float(B), float(mu), float(nu)
     s = mu + nu
 
-    def _guard(val, n):
-        if abs(val) < 1e-13:
+    def _guard(t, n):
+        bad = np.atleast_1d(np.abs(t) < 1e-13)
+        if bad.any():
             raise SingularParameterError(
-                "rosen-morse coefficient denominator vanished at n=%d" % n)
-        return val
+                "rosen-morse coefficient denominator vanished at n=%d"
+                % np.atleast_1d(n)[bad.argmax()])
+        return t
 
     def bracket(t):
         # B - 1/4 + (1/4) t^2 with t = 2n+mu+nu (+2 for the upper coupling)
@@ -228,11 +209,9 @@ def build_rosen_morse(A, B, mu, nu):
         return diag - A
 
     def b_fn(n, eps):
-        if n == 0:
-            return 0.0
         t = _guard(2 * n + s, n)
         t1 = _guard(2 * n + s + 1.0, n)
-        return 2.0 * (n + mu) * (n + nu) / (t * t1) * bracket(t)
+        return np.where(n == 0, 0.0, 2.0 * (n + mu) * (n + nu) / (t * t1) * bracket(t))
 
     def c_fn(n, eps):
         t1 = _guard(2 * n + s + 1.0, n)
@@ -245,10 +224,7 @@ def build_rosen_morse(A, B, mu, nu):
     return RecursionCoefficients(
         A=a_fn, B=b_fn, C=c_fn,
         case="rosen_morse",
-        params={"A": A, "B": B, "mu": mu, "nu": nu},
         spec=spec,
-        epsilon_constraint="eps = -mu^2",
-        constrained_epsilon=lambda: -mu * mu,
         f_transform="alternating",
         jmatrix_scale=-1.0,
     )
@@ -258,48 +234,27 @@ def build_rosen_morse(A, B, mu, nu):
 # Symmetric view
 # ---------------------------------------------------------------------------
 
-def _t_ratio(rc: RecursionCoefficients, n: int) -> float:
-    """t_n / t_{n+1} for the case's f_n = t_n d_n scaling."""
-    ratio = (basis_mod.normalization(rc.spec, n)
-             / basis_mod.normalization(rc.spec, n + 1))
-    if rc.f_transform == "inverse":
-        return 1.0 / ratio
-    if rc.f_transform == "alternating":
-        return -ratio
-    return ratio
+def symmetric_form(rc: RecursionCoefficients, epsilon: float, N: int):
+    """(diag, off) of the symmetric f-representation over n < N.
 
-
-def symmetric_form(rc: RecursionCoefficients) -> EnergyDependentTridiagonal:
-    """Symmetric f-representation of the recursion.
-
-    diag(n, eps) returns a_n such that the homogeneous row reads
-    (a_n - eps) f_n + b_{n-1} f_{n-1} + b_n f_{n+1} = 0, i.e. a_n =
-    A_n(eps) + eps; offdiag(n) = C_n t_n/t_{n+1} couples n and n+1.  Both
-    representations share their zero structure, so diagonalization
-    conditions agree between them.
+    Row n reads (a_n - eps) f_n + b_{n-1} f_{n-1} + b_n f_{n+1} = 0 with
+    a_n = diag[n] = A_n(eps) + eps and b_n = off[n] = C_n t_n/t_{n+1}
+    coupling n and n+1 (n < N-1).  Both representations share their zero
+    structure, so diagonalization conditions agree between them.
     """
-    if rc.spec is None:
-        raise UnsupportedStructureError(
-            "no basis attached; the symmetric scaling is undefined")
-
-    def diag(n, eps):
-        return rc.A(n, eps) + eps
-
-    def off(n, eps):
-        return rc.C(n, eps) * _t_ratio(rc, n)
-
-    return EnergyDependentTridiagonal(
-        diag=diag, offdiag=off, representation="symmetric_f",
-        epsilon_constraint=rc.epsilon_constraint)
+    norms = _normalizations(rc, N)
+    ratio = norms[:-1] / norms[1:]
+    if rc.f_transform == "inverse":
+        ratio = 1.0 / ratio
+    elif rc.f_transform == "alternating":
+        ratio = -ratio
+    ns = np.arange(N)
+    return rc.A(ns, epsilon) + epsilon, rc.C(ns[:-1], epsilon) * ratio
 
 
 # ---------------------------------------------------------------------------
 # Recursion engine
 # ---------------------------------------------------------------------------
-
-def _coeff_scale(rc, n, eps):
-    return max(abs(rc.A(n, eps)), abs(rc.B(n, eps)), abs(rc.C(n, eps)), 1.0)
-
 
 def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
                     zero_tol=1e-9) -> CoefficientSeries:
@@ -315,14 +270,13 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
     if N < 1:
         raise ParameterDomainError("truncation order must be >= 1")
     eps = float(epsilon)
-    scales = [_coeff_scale(rc, n, eps) for n in range(N)]
-    diagonal_limit = all(
-        abs(rc.B(n, eps)) <= zero_tol * 1e-3 * scales[n]
-        and abs(rc.C(n, eps)) <= zero_tol * 1e-3 * scales[n]
-        for n in range(N))
+    ns = np.arange(N)
+    A, B, C = rc.A(ns, eps), rc.B(ns, eps), rc.C(ns, eps)
+    scales = np.maximum(np.max(np.abs([A, B, C]), axis=0), 1.0)
     d = np.zeros(N)
-    if diagonal_limit:
-        avals = np.array([abs(rc.A(n, eps)) / scales[n] for n in range(N)])
+    if np.all((np.abs(B) <= zero_tol * 1e-3 * scales)
+              & (np.abs(C) <= zero_tol * 1e-3 * scales)):
+        avals = np.abs(A) / scales
         n0 = int(np.argmin(avals))
         if avals[n0] > zero_tol:
             raise RecursionBreakdownError(
@@ -330,20 +284,21 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
         d[n0] = 1.0
     else:
         d[0] = 1.0
+        running = 1.0  # max(1, max|d[:n+1]|)
+        # A[n] and d[n] stay numpy scalars, so an overflow still warns
         for n in range(N - 1):
-            num = rc.A(n, eps) * d[n] + (rc.B(n, eps) * d[n - 1] if n >= 1 else 0.0)
-            c = rc.C(n, eps)
-            scale = scales[n] * max(1.0, float(np.max(np.abs(d[: n + 1]))))
-            if abs(c) <= zero_tol * scales[n]:
-                if abs(num) <= zero_tol * scale:
+            running = max(running, abs(d[n]))
+            num = A[n] * d[n] + (B[n] * d[n - 1] if n >= 1 else 0.0)
+            if abs(C[n]) <= zero_tol * scales[n]:
+                if abs(num) <= zero_tol * (scales[n] * running):
                     d[n + 1] = 0.0  # the series terminates here
                 else:
                     raise RecursionBreakdownError(n)
             else:
-                d[n + 1] = -num / c
+                d[n + 1] = -num / C[n]
     f = None
     if rc.spec is not None:
-        f = d * np.array([rc.f_scaling(n) for n in range(N)])
+        f = d * rc.f_scaling(N)
     ref = f if f is not None else d
     running_max = float(np.max(np.abs(ref))) or 1.0
     tail = abs(float(ref[-1])) / running_max
@@ -351,65 +306,8 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
 
 
 # ---------------------------------------------------------------------------
-# Diagonalization conditions
+# Rosen-Morse level conditions
 # ---------------------------------------------------------------------------
-
-def diagonalization_scan(rc: RecursionCoefficients, n_levels=8, param_solver=None):
-    """Discrete levels produced by the case's diagonalization conditions
-    (all couplings zero and the diagonal zero at the level index).
-
-    Returns a list of DiagonalLevel; an empty list means the parameter point
-    admits no such levels (not an error).  param_solver may override the
-    per-level parameter solve with a callable n -> basis-parameter dict or
-    None.
-    """
-    out = []
-    if param_solver is not None:
-        for n in range(n_levels):
-            params = param_solver(n)
-            if params is None:
-                continue
-            out.append(DiagonalLevel(n=n, epsilon=params.pop("epsilon"),
-                                     basis_params=params))
-        return out
-
-    if rc.case == "oscillator_pollaczek":
-        a, nu = rc.params["a"], rc.params["nu"]
-        if a != 1.0:
-            return []
-        for n in range(n_levels):
-            out.append(DiagonalLevel(n=n, epsilon=2.0 * (2 * n + nu + 1.0),
-                                     basis_params={"nu": nu}))
-        return out
-
-    if rc.case == "morse":
-        a, b = rc.params["a"], rc.params["b"]
-        if b != 0.25:
-            return []
-        n = 0
-        while n < n_levels:
-            nu_n = -2.0 * (n + a + 0.5)
-            if nu_n <= 0.0:  # normalizability of y^(nu/2) under dy/y
-                break
-            out.append(DiagonalLevel(n=n, epsilon=-(n + a + 0.5) ** 2,
-                                     basis_params={"nu": nu_n}))
-            n += 1
-        return out
-
-    if rc.case == "rosen_morse":
-        A, B = rc.params["A"], rc.params["B"]
-        for n in range(n_levels):
-            sol = rosen_morse_level(A, B, n)
-            if sol is None:
-                break
-            mu_n, nu_n = sol
-            out.append(DiagonalLevel(n=n, epsilon=-mu_n * mu_n,
-                                     basis_params={"mu": mu_n, "nu": nu_n}))
-        return out
-
-    # the dual-Hahn case has no parameter choice killing every coupling
-    return []
-
 
 def rosen_morse_level(A, B, n, mu_floor=1e-12):
     """Solve the two diagonal conditions for (mu, nu) at level n.
@@ -492,60 +390,69 @@ def _u_oscillator(model):
 
 
 def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
-                    m: int, n: int, n_nodes=64):
-    """<phi_m | (H - eps) | phi_n> by direct Gauss quadrature in y.
+                    size: int, n_nodes=None):
+    """The size x size block <phi_m | (H - eps) | phi_n>, m, n < size, by
+    direct Gauss quadrature in y.
 
-    Basis derivatives come from the polynomial differential equations, never
-    from finite differences, and the envelope factors are cancelled against
-    the quadrature weight analytically so no exp(+y) ratios are formed.  For
-    the constrained exponent choices the integrand is weight * polynomial and
-    the result is exact to roundoff; for perturbed exponents (negative
-    controls) the rule still converges well enough to expose the broken
-    structure.
+    One table of basis polynomials at the rule's nodes serves the whole
+    block.  Basis derivatives come from the polynomial differential
+    equations, never from finite differences, and the envelope factors are
+    cancelled against the quadrature weight analytically so no exp(+y)
+    ratios are formed.  For the constrained exponent choices the integrand
+    is weight * polynomial and the result is exact to roundoff; for
+    perturbed exponents (negative controls) the rule still converges well
+    enough to expose the broken structure.  n_nodes defaults to
+    max(64, size + 2); fewer than size + 2 nodes cannot integrate the top
+    entry exactly.
     """
     from . import models  # late import
-    if 2 * n_nodes - 1 < m + n + 4:
+    if n_nodes is None:
+        n_nodes = max(64, size + 2)
+    if n_nodes < size + 2:
         raise ParameterDomainError("n_nodes too small for these indices")
     eps = float(epsilon)
     if cmap.kind == "oscillator":
         u1, um1 = _u_oscillator(model)
-        return _jmatrix_laguerre_oscillator(spec, u1, um1, eps, m, n, n_nodes,
+        return _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes,
                                             cmap.lam)
     if cmap.kind == "morse":
         if not isinstance(model, models.GeneralizedMorse):
             raise UnsupportedStructureError("model does not map to the morse form")
         u1 = model.A / cmap.mu_scale
         u2 = model.B / cmap.mu_scale ** 2
-        return _jmatrix_laguerre_morse(spec, u1, u2, eps, m, n, n_nodes, cmap.lam)
+        return _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes, cmap.lam)
     if cmap.kind == "rosen_morse":
         if not isinstance(model, models.RosenMorse):
             raise UnsupportedStructureError("model does not map to the rosen_morse form")
-        return _jmatrix_jacobi(spec, model.A, model.B, eps, m, n, n_nodes, cmap.lam)
+        return _jmatrix_jacobi(spec, model.A, model.B, eps, size, n_nodes, cmap.lam)
     raise UnsupportedStructureError("unknown coordinate map %r" % cmap.kind)
 
 
-def _laguerre_blocks(spec, m, n, n_nodes, base_expo):
-    """Rule, nodes, polynomial values and yL' values shared by the two
-    laguerre-map assemblies.  base_expo is the exponent of y in
-    phi_m phi_n d(mu); the rule weight drops one power when integrable so
-    residual 1/y pieces stay polynomial."""
+def _lowered(spec, vals):
+    """Rows A_n p_{n-1} from the rows A_n p_n of scaled_polynomials; row 0
+    is zero."""
+    norms = np.array([basis_mod.normalization(spec, n) for n in range(len(vals))])
+    prev = np.zeros_like(vals)
+    prev[1:] = vals[:-1] * (norms[1:] / norms[:-1])[:, None]
+    return prev
+
+
+def _laguerre_blocks(spec, size, n_nodes, base_expo):
+    """Nodes, effective weights, the A_n L_n rows and the A_n y L_n' rows
+    shared by the two laguerre-map assemblies.  base_expo is the exponent of
+    y in phi_m phi_n d(mu); the rule weight drops one power when integrable
+    so residual 1/y pieces stay polynomial."""
     shift = 1 if base_expo - 1.0 > -1.0 else 0
     rule = oracle.gauss_rule(("laguerre", base_expo - shift), n_nodes)
     y = rule.nodes
-    nmax = max(m, n)
-    vals = basis_mod.scaled_polynomials(spec, nmax, y)
-    fam = spec.family()
-    seq = vals  # A_k L_k rows
-    # y * d/dy (A_n L_n) = n (A_n L_n) - (n+nu) (A_n / A_{n-1})^-1 ... computed
-    # directly from the unscaled relation y L_n' = n L_n - (n+nu) L_{n-1}
-    a_n = basis_mod.normalization(spec, n)
-    a_prev = basis_mod.normalization(spec, n - 1) if n >= 1 else 1.0
-    prev = seq[n - 1] * (a_n / a_prev) if n >= 1 else np.zeros_like(y)
-    y_dln = n * seq[n] - (n + fam.nu) * prev  # A_n * y L_n'
-    return rule, y, seq, y_dln, shift
+    vals = basis_mod.scaled_polynomials(spec, size - 1, y)
+    # from the unscaled relation y L_n' = n L_n - (n+nu) L_{n-1}
+    ns = np.arange(size)[:, None]
+    y_dln = ns * vals - (ns + spec.nu) * _lowered(spec, vals)
+    return y, rule.weights * y ** shift, vals, y_dln
 
 
-def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, m, n, n_nodes, lam):
+def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes, lam):
     """Oscillator map: operator -4y d^2/dy^2 - 2 d/dy + U(y) - eps.
 
     With phi = y^alpha u, u = e^{-y/2} L, the action collapses to
@@ -557,20 +464,17 @@ def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, m, n, n_nodes, lam):
     identically when 2*alpha = nu + 1/2 and um1 = nu^2 - 1/4.
     """
     al = spec.alpha
-    base = 2.0 * al - 0.5
-    rule, y, seq, y_dln, shift = _laguerre_blocks(spec, m, n, n_nodes, base)
+    y, w, vals, y_dln = _laguerre_blocks(spec, size, n_nodes, 2.0 * al - 0.5)
+    ns = np.arange(size)[:, None]
     c_inv = um1 - 2.0 * al * (2.0 * al - 1.0)
-    c_l = 4.0 * al + 1.0 + 4.0 * n - eps
+    c_l = 4.0 * al + 1.0 + 4.0 * ns - eps
     c_lp = 4.0 * (spec.nu + 1.0) - (8.0 * al + 2.0)
-    action = (c_inv * seq[n] / y + c_l * seq[n] + c_lp * y_dln / y
-              + (u1 - 1.0) * y * seq[n])
-    integrand = seq[m] * action / lam
-    if shift:
-        integrand = integrand * y
-    return float(np.dot(rule.weights, integrand))
+    action = (c_inv * vals / y + c_l * vals + c_lp * y_dln / y
+              + (u1 - 1.0) * y * vals)
+    return (vals * w) @ action.T / lam
 
 
-def _jmatrix_laguerre_morse(spec, u1, u2, eps, m, n, n_nodes, lam):
+def _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes, lam):
     """Morse map: operator -y^2 d^2/dy^2 - y d/dy + U(y) - eps.
 
     Collapses to -(alpha^2+eps) L + [u1 + alpha + 1/2 + n] y L
@@ -581,18 +485,16 @@ def _jmatrix_laguerre_morse(spec, u1, u2, eps, m, n, n_nodes, lam):
     base = 2.0 * al - 1.0
     if not base > -1.0:
         raise ParameterDomainError("morse overlap needs 2*alpha - 1 > -1 (nu > 0)")
-    rule, y, seq, y_dln, shift = _laguerre_blocks(spec, m, n, n_nodes, base)
-    action = (-(al * al + eps) * seq[n]
-              + (u1 + al + 0.5 + n) * y * seq[n]
-              + (u2 - 0.25) * y * y * seq[n]
+    y, w, vals, y_dln = _laguerre_blocks(spec, size, n_nodes, base)
+    ns = np.arange(size)[:, None]
+    action = (-(al * al + eps) * vals
+              + (u1 + al + 0.5 + ns) * y * vals
+              + (u2 - 0.25) * y * y * vals
               + (spec.nu - 2.0 * al) * y_dln)
-    integrand = seq[m] * action / lam
-    if shift:
-        integrand = integrand * y
-    return float(np.dot(rule.weights, integrand))
+    return (vals * w) @ action.T / lam
 
 
-def _jmatrix_jacobi(spec, A, B, eps, m, n, n_nodes, lam):
+def _jmatrix_jacobi(spec, A, B, eps, size, n_nodes, lam):
     """Rosen-Morse map: operator -(1-y^2) d/dy (1-y^2) d/dy + U(y) - eps,
     U = A(1-y) + B(1-y^2), envelope W = (1+y)^alpha (1-y)^beta.
 
@@ -608,27 +510,24 @@ def _jmatrix_jacobi(spec, A, B, eps, m, n, n_nodes, lam):
         raise ParameterDomainError("rosen-morse overlap needs alpha, beta > 0")
     rule = oracle.gauss_rule(("jacobi", a_w, b_w), n_nodes)
     y = rule.nodes
-    vals = basis_mod.scaled_polynomials(spec, max(m, n), y)
-    p = vals[n]
-    a_n = basis_mod.normalization(spec, n)
-    a_prev = basis_mod.normalization(spec, n - 1) if n >= 1 else 1.0
-    p_prev = vals[n - 1] * (a_n / a_prev) if n >= 1 else np.zeros_like(y)
+    p = basis_mod.scaled_polynomials(spec, size - 1, y)
+    p_prev = _lowered(spec, p)
+    ns = np.arange(size)[:, None]
     s_ab = al + be
     d_ab = al - be
-    if n >= 1:
-        d1 = (-n * (y + (nu - mu) / (2 * n + mu + nu)) * p
-              + 2.0 * (n + mu) * (n + nu) / (2 * n + mu + nu) * p_prev)
-    else:
-        d1 = np.zeros_like(y)
+    # A_n (1-y^2) P_n', zero for n = 0
+    d1 = np.zeros_like(p)
+    n1 = ns[1:]
+    d1[1:] = (-n1 * (y + (nu - mu) / (2 * n1 + mu + nu)) * p[1:]
+              + 2.0 * (n1 + mu) * (n1 + nu) / (2 * n1 + mu + nu) * p_prev[1:])
     one_m_y2 = 1.0 - y * y
     g = (d_ab - s_ab * y) * p + d1
     # (1-y^2)^2 P'' through the Jacobi differential equation
-    p2 = ((mu + nu + 2.0) * y + mu - nu) * d1 - n * (n + mu + nu + 1.0) * one_m_y2 * p
+    p2 = ((mu + nu + 2.0) * y + mu - nu) * d1 - ns * (ns + mu + nu + 1.0) * one_m_y2 * p
     g1 = -s_ab * one_m_y2 * p + (d_ab - s_ab * y - 2.0 * y) * d1 + p2
     u_val = A * (1.0 - y) + B * one_m_y2
     action = -(d_ab - s_ab * y) * g - g1 + (u_val - eps) * p
-    integrand = vals[m] * action / lam
-    return float(np.dot(rule.weights, integrand))
+    return (p * rule.weights) @ action.T / lam
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +547,5 @@ def truncated_eigenvalues(rc: RecursionCoefficients, N: int,
     if not rc.epsilon_on_diagonal:
         raise UnsupportedStructureError(
             "case %r does not embed eps linearly on the diagonal" % rc.case)
-    sym = symmetric_form(rc)
-    diag = np.array([sym.diag(k, 0.0) for k in range(N)])
-    off = np.array([sym.offdiag(k, 0.0) for k in range(N - 1)])
+    diag, off = symmetric_form(rc, 0.0, N)
     return oracle.tridiagonal_eigenvalues(diag, off, k=N)

@@ -5,13 +5,15 @@ Two unrelated work horses live here:
 * a direct three-point finite-difference discretization of the 1D
   Schrodinger equation on the real line (the grid oracle), used to
   arbitrate closed-form spectra, and
-* Gauss quadrature rule generation (Golub-Welsch) from monic recurrence
-  coefficients, plus adaptive Simpson integration for non-classical weights.
+* Gauss quadrature rule generation from monic recurrence coefficients
+  (nodes as the Jacobi-matrix eigenvalues, weights from the Christoffel
+  function of the orthonormal recurrence), plus adaptive Simpson
+  integration for non-classical weights.
 
 Both are built on a dependency-free symmetric-tridiagonal eigensolver:
-eigenvalues by bisection on Sturm sequence counts (vectorized over shifts),
-eigenvectors by inverse iteration with a pivoted tridiagonal solve.  Output
-is deterministic.
+eigenvalues by bisection on Sturm sequence counts (vectorized over shifts);
+the grid oracle adds eigenvectors by inverse iteration with a pivoted
+tridiagonal solve.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ def node_count(vector, rel_floor=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules (Golub-Welsch)
+# Gauss rules (Sturm-bisection nodes, Christoffel weights)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -332,21 +334,28 @@ def _monic_coefficients(weight_id, n):
 @lru_cache(maxsize=256)
 def _gauss_rule_cached(weight_id, n):
     alpha, beta, m0 = _monic_coefficients(weight_id, n)
-    if n == 1:
-        return QuadratureRule(nodes=np.array([alpha[0]]), weights=np.array([m0]),
-                              exactness_degree=1, weight_id=weight_id)
-    off = np.sqrt(beta[1:])
-    nodes = tridiagonal_eigenvalues(alpha, off, k=n)
-    weights = np.empty(n)
-    vecs = []
-    for i in range(n):
-        prev = [vecs[j] for j in range(i)
-                if abs(nodes[i] - nodes[j]) < 1e-10 * max(1.0, abs(nodes[i]))]
-        v = tridiagonal_eigenvector(alpha, off, nodes[i], orthogonalize=prev)
-        vecs.append(v)
-        weights[i] = m0 * v[0] * v[0]
-    order = np.argsort(nodes)
-    return QuadratureRule(nodes=nodes[order], weights=weights[order],
+    root_beta = np.sqrt(beta)
+    nodes = tridiagonal_eigenvalues(alpha, root_beta[1:], k=n)
+    # Christoffel function: w_i = m0 / sum_k p_k(x_i)^2 over the orthonormal
+    # recurrence sqrt(beta_{k+1}) p_{k+1} = (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}.
+    # The p_k overflow at the outer nodes of large rules, so the pair
+    # (p_{k-1}, p_k) and the running sum are rescaled by 1/s (the sum by
+    # 1/s^2) whenever s = max|p| passes 1e100, and log s is carried apart.
+    p_prev = np.zeros(n)
+    p = np.ones(n)
+    total = np.ones(n)
+    log_scale = np.zeros(n)
+    for k in range(n - 1):
+        p_prev, p = p, ((nodes - alpha[k]) * p - root_beta[k] * p_prev) / root_beta[k + 1]
+        total += p * p
+        s = np.maximum(np.abs(p), np.abs(p_prev))
+        big = s > 1e100
+        if big.any():
+            s = np.where(big, s, 1.0)
+            p, p_prev, total = p / s, p_prev / s, total / (s * s)
+            log_scale += 2.0 * np.log(s)
+    weights = m0 / total * np.exp(-log_scale)
+    return QuadratureRule(nodes=nodes, weights=weights,
                           exactness_degree=2 * n - 1, weight_id=weight_id)
 
 

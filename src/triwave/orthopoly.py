@@ -30,7 +30,6 @@ __all__ = [
     "DualHahnFamily",
     "laguerre_eval",
     "laguerre_sequence",
-    "laguerre_derivative",
     "jacobi_eval",
     "jacobi_sequence",
     "jacobi_derivative",
@@ -225,17 +224,6 @@ def laguerre_eval(family: LaguerreFamily, n: int, x):
     """L_n^nu(x) by upward recurrence."""
     seq = laguerre_sequence(family, n, x)
     return seq[n] if seq[n].ndim else float(seq[n])
-
-
-def laguerre_derivative(family: LaguerreFamily, n: int, x):
-    """d/dx L_n^nu(x) from x L' = n L_n - (n+nu) L_{n-1} (x != 0)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0.0):
-        raise DomainError("Laguerre derivative identity needs x != 0")
-    seq = laguerre_sequence(family, max(n, 1), x)
-    prev = seq[n - 1] if n >= 1 else np.zeros_like(x)
-    val = (n * seq[n] - (n + family.nu) * prev) / x
-    return val if val.ndim else float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,7 @@ def test_criterion_5_tridiagonality():
     worst = 0.0
     for name, model, eps in cases:
         rc, spec, cmap = md.recursion_for(model, eps)
-        J = np.array([[op.numeric_jmatrix(model, spec, cmap, eps, m, n, n_nodes=32)
-                       for n in range(13)] for m in range(13)])
+        J = op.numeric_jmatrix(model, spec, cmap, eps, 13, n_nodes=32)
         mx = np.max(np.abs(J))
         off = max(abs(J[m, n]) for m in range(13) for n in range(13)
                   if abs(m - n) >= 2)
@@ -133,9 +132,7 @@ def test_criterion_5_tridiagonality():
     # negative control: a perturbed exponent must be detected loudly
     model = md.OscillatorInverseSquare(a=2.0, b=0.75)
     rc, spec, cmap = md.recursion_for(model, 0.7)
-    J = np.array([[op.numeric_jmatrix(model, spec.perturbed(0.1), cmap, 0.7, m, n,
-                                      n_nodes=32) for n in range(13)]
-                  for m in range(13)])
+    J = op.numeric_jmatrix(model, spec.perturbed(0.1), cmap, 0.7, 13, n_nodes=32)
     mx = np.max(np.abs(J))
     control = max(abs(J[m, n]) for m in range(13) for n in range(13)
                   if abs(m - n) >= 2) / mx

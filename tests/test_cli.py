@@ -108,6 +108,17 @@ def test_jmatrix_numeric_agreement(capsys):
     assert all(abs(a - n) <= 1e-8 * scale for a, n in vals)
 
 
+def test_jmatrix_numeric_largest_size(capsys):
+    for model in (("--model", "ho"), ("--model", "osc-inv-sq", "--a", "2", "--b", "0.75")):
+        code, out, _ = run_cli(capsys, "jmatrix", *model, "--epsilon", "0.7",
+                               "--size", "64", "--numeric")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        analytic = np.array([float(r[2]) for r in rows])
+        numeric = np.array([float(r[3]) for r in rows])
+        assert np.max(np.abs(numeric - analytic)) <= 1e-8 * np.max(np.abs(numeric))
+
+
 def test_jmatrix_size_limit(capsys):
     code, _, err = run_cli(capsys, "jmatrix", "--model", "ho", "--epsilon", "1",
                            "--size", "65")

@@ -152,6 +152,44 @@ def test_gauss_weights_positive_and_normalized():
         assert np.sum(rule.weights) == pytest.approx(m0, rel=1e-12)
 
 
+def _orthonormal_gram(weight_id, n_nodes):
+    """Gram matrix of the orthonormal p_0..p_{n-1} under the n-node rule."""
+    rule = oc.gauss_rule(weight_id, n_nodes)
+    k = np.arange(n_nodes)
+    if weight_id[0] == "laguerre":
+        nu = weight_id[1]
+        seq = orthopoly.laguerre_sequence(orthopoly.LaguerreFamily(nu), n_nodes - 1,
+                                          rule.nodes)
+        log_h = [math.lgamma(j + nu + 1.0) - math.lgamma(j + 1.0) for j in k]
+    else:
+        a, b = weight_id[1], weight_id[2]
+        seq = orthopoly.jacobi_sequence(orthopoly.JacobiFamily(a, b), n_nodes - 1,
+                                        rule.nodes)
+        s = a + b
+        log_h = [(s + 1.0) * math.log(2.0) - math.log(2 * j + s + 1.0)
+                 + math.lgamma(j + a + 1.0) + math.lgamma(j + b + 1.0)
+                 - math.lgamma(j + 1.0) - math.lgamma(j + s + 1.0) for j in k]
+    p = seq * np.exp(-0.5 * np.array(log_h))[:, None]
+    return (p * rule.weights) @ p.T
+
+
+@pytest.mark.parametrize("weight_id,n_nodes", [
+    (("laguerre", -0.5), 64), (("laguerre", -0.5), 96),
+    (("laguerre", 0.7), 64), (("laguerre", 0.7), 96),
+    (("jacobi", 0.3, 1.2), 128)])
+def test_gauss_rule_exact_for_large_rules(weight_id, n_nodes):
+    # every weight matters here: the tail nodes carry the top polynomials
+    gram = _orthonormal_gram(weight_id, n_nodes)
+    assert np.max(np.abs(gram - np.eye(n_nodes))) < 1e-10
+
+
+def test_gauss_weights_finite_at_400_nodes():
+    # the orthonormal values overflow at the outer nodes of this rule
+    rule = oc.gauss_rule(("laguerre", 0.0), 400)
+    assert np.all(np.isfinite(rule.weights))
+    assert np.all(rule.weights >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Overlap integrals
 # ---------------------------------------------------------------------------
