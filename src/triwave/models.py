@@ -17,7 +17,8 @@ separately as cross-checks.  Oscillator presentation uses hbar*omega = 2 E0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,6 +57,15 @@ UNITS_NOTE = "epsilon in units of E0 = hbar^2 lam^2 / (2 m); hbar*omega = 2 E0"
 # Model types
 # ---------------------------------------------------------------------------
 
+def _require_finite(model):
+    """Reject a NaN or infinite numeric field before any rule compares it."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ParameterDomainError("%s parameter %s = %r is not finite"
+                                       % (type(model).__name__, f.name, value))
+
+
 @dataclass(frozen=True)
 class HarmonicOscillator:
     """V = a x^2; the tridiagonal scheme diagonalizes at a = 1.  parity picks
@@ -65,6 +75,7 @@ class HarmonicOscillator:
     parity: str = "even"
 
     def __post_init__(self):
+        _require_finite(self)
         if self.parity not in ("even", "odd"):
             raise ParameterDomainError("parity must be 'even' or 'odd'")
 
@@ -84,6 +95,7 @@ class OscillatorInverseSquare:
     branch: str = "+"
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.b > -0.25 or self.b == 0.0:
             raise ParameterDomainError(
                 "subcritical inverse-square coupling needs b > -1/4 and b != 0")
@@ -107,6 +119,7 @@ class SupercriticalInverseSquare:
     nu: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.b <= -0.25:
             raise ParameterDomainError("supercritical coupling needs b <= -1/4")
         if not self.nu > -1.0:
@@ -123,6 +136,7 @@ class GeneralizedMorse:
     mu_scale: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.mu_scale > 0.0:
             raise ParameterDomainError("mu_scale must be positive")
 
@@ -141,6 +155,9 @@ class RosenMorse:
 
     A: float
     B: float
+
+    def __post_init__(self):
+        _require_finite(self)
 
 
 @dataclass(frozen=True)

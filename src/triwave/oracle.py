@@ -11,9 +11,10 @@ Two unrelated work horses live here:
   integration for non-classical weights.
 
 Both are built on a dependency-free symmetric-tridiagonal eigensolver:
-eigenvalues by bisection on Sturm sequence counts (vectorized over shifts);
-the grid oracle adds eigenvectors by inverse iteration with a pivoted
-tridiagonal solve.  Output is deterministic.
+eigenvalues by multisection on Sturm sequence counts (many shifts per
+bracket counted in each sweep over the rows); the grid oracle adds
+eigenvectors by inverse iteration with a pivoted tridiagonal solve.  Output
+is deterministic.
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigensolver (Sturm bisection + inverse iteration)
+# Symmetric tridiagonal eigensolver (Sturm multisection + inverse iteration)
 # ---------------------------------------------------------------------------
 
 def _sturm_counts(diag, off2, shifts, pivmin):
     """Number of eigenvalues below each shift, via the LDL^T Sturm sequence.
 
     off2 holds the squared off-diagonal entries.  Vectorized over shifts so a
-    whole bisection front advances in one sweep over the matrix.
+    whole multisection front advances in one sweep over the matrix.
     """
     q = diag[0] - shifts
     q = np.where(np.abs(q) < pivmin, -pivmin, q)
@@ -64,9 +65,28 @@ def _sturm_counts(diag, off2, shifts, pivmin):
     return count
 
 
+# Shifts counted per Sturm sweep.  A sweep is a Python loop over the rows, so
+# its cost hardly depends on how many shifts ride along; spending the whole
+# budget in every sweep cuts the sweep count (multisection, as in LAPACK
+# dstebz) instead of halving each bracket once per sweep.
+SHIFT_BUDGET = 512
+
+
 def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     """Lowest k eigenvalues (ascending) of the symmetric tridiagonal matrix
-    with the given diagonal and off-diagonal."""
+    with the given diagonal and off-diagonal.
+
+    Multisection on Sturm counts.  Eigenvalues that share a bracket share its
+    shifts: each sweep places m = SHIFT_BUDGET // (distinct open brackets)
+    equally spaced shifts (at least one) inside every distinct open bracket,
+    counts them all in one pass over the rows, and keeps for each eigenvalue
+    the pair of adjacent shifts whose counts straddle its index, so brackets
+    shrink by m + 1 per sweep.  A bracket whose width is at most
+    rel_tol * max(1, |E|), or whose ends are adjacent floats, gets one more
+    sweep and closes; the extra sweep keeps the returned midpoint well inside
+    the tolerance.  AccuracyError if a bracket is still open after the sweeps
+    that rel_tol needs.
+    """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
     n = d.size
@@ -76,6 +96,10 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
         k = n
     if not 1 <= k <= n:
         raise ParameterDomainError("need 1 <= k <= n")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ParameterDomainError("matrix entries must be finite")
+    if not 0.0 < rel_tol < math.inf:
+        raise ParameterDomainError("rel_tol must be positive and finite")
     if n == 1:
         return d.copy()[:k]
     radius = np.zeros(n)
@@ -84,21 +108,48 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     lo_glob = float(np.min(d - radius))
     hi_glob = float(np.max(d + radius))
     span = max(hi_glob - lo_glob, 1e-30)
-    pivmin = max(1e-290, float(np.max(e * e)) * 1e-28)
-    off2 = e * e
-    lo = np.full(k, lo_glob - 1e-3 * span)
-    hi = np.full(k, hi_glob + 1e-3 * span)
+    with np.errstate(over="ignore"):
+        off2 = e * e
+    pivmin = max(1e-290, float(np.max(off2)) * 1e-28)
+    lo0 = lo_glob - 1e-3 * span
+    hi0 = hi_glob + 1e-3 * span
+    if not (math.isfinite(hi0 - lo0) and math.isfinite(pivmin)):
+        raise ParameterDomainError("matrix entries overflow the Sturm count")
+    lo = np.full(k, lo0)
+    hi = np.full(k, hi0)
     idx = np.arange(k)
-    n_iter = 54 + max(0, int(math.ceil(-math.log2(rel_tol))) - 40)
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        cnt = _sturm_counts(d, off2, mid, pivmin)
-        above = cnt > idx
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.all(hi - lo <= rel_tol * np.maximum(1.0, np.abs(mid))):
-            break
-    return 0.5 * (lo + hi)
+    done = np.zeros(k, dtype=bool)
+    # every sweep divides a width by at least m + 1 for the starting m (m only
+    # grows as brackets close or merge), every target width is at least
+    # rel_tol, and one sweep follows the target; the rest is rounding margin
+    bits = math.log2(hi0 - lo0) - math.log2(rel_tol)
+    max_sweeps = max(0, math.ceil(bits / math.log2(max(1, SHIFT_BUDGET // k) + 1))) + 3
+    for sweep in range(max_sweeps + 1):
+        open_ = np.flatnonzero(~done)
+        if open_.size == 0:
+            return 0.5 * (lo + hi)
+        if sweep == max_sweeps:
+            widest = open_[np.argmax(hi[open_] - lo[open_])]
+            raise AccuracyError(
+                "Sturm multisection left %d brackets open after %d sweeps"
+                % (open_.size, max_sweeps), estimates=(lo[widest], hi[widest]))
+        # eigenvalues that share a bracket share its shifts
+        pairs, owner = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0,
+                                 return_inverse=True)
+        owner = owner.reshape(-1)  # numpy 2.0.0 returns it as a column
+        p_lo, p_hi = pairs[:, 0], pairs[:, 1]
+        width = p_hi - p_lo
+        within = ((width <= rel_tol * np.maximum(1.0, np.abs(p_lo + 0.5 * width)))
+                  | (np.nextafter(p_lo, p_hi) >= p_hi))
+        done[open_] = within[owner]
+        m = max(1, SHIFT_BUDGET // pairs.shape[0])
+        shifts = p_lo[:, None] + width[:, None] * (np.arange(1, m + 1) / (m + 1))
+        cnt = _sturm_counts(d, off2, shifts.ravel(), pivmin).reshape(shifts.shape)
+        p = np.sum(cnt[owner] <= idx[open_, None], axis=1)
+        ends = np.hstack((p_lo[:, None], shifts, p_hi[:, None]))[owner]
+        rows = np.arange(open_.size)
+        lo[open_] = ends[rows, p]
+        hi[open_] = ends[rows, p + 1]
 
 
 def _tridiag_solve_shifted(d, e, lam, rhs):
@@ -225,6 +276,10 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both",
         raise ParameterDomainError("need 1 <= k <= number of interior points")
     x = x_min + h * np.arange(1, n_int + 1)
     ux = np.asarray(u(x), dtype=float)
+    finite = np.isfinite(ux)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError("U(x) = %r is not finite at x = %.15g" % (float(ux[i]), x[i]))
     umax = float(np.max(np.abs(ux)))
     if h * h * umax >= 0.1:
         raise DomainError(
@@ -266,7 +321,7 @@ def node_count(vector, rel_floor=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules (Sturm-bisection nodes, Christoffel weights)
+# Gauss rules (Sturm-multisection nodes, Christoffel weights)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -299,8 +354,8 @@ def _monic_coefficients(weight_id, n):
     kind = weight_id[0]
     if kind == "laguerre":
         nu = weight_id[1]
-        if not nu > -1.0:
-            raise ParameterDomainError("Laguerre weight exponent must exceed -1")
+        if not -1.0 < nu < math.inf:
+            raise ParameterDomainError("Laguerre weight exponent must be finite and exceed -1")
         ks = np.arange(n, dtype=float)
         alpha = 2.0 * ks + nu + 1.0
         beta = ks * (ks + nu)
@@ -308,23 +363,19 @@ def _monic_coefficients(weight_id, n):
         return alpha, beta, m0
     if kind == "jacobi":
         a, b = weight_id[1], weight_id[2]  # weight (1-x)^a (1+x)^b
-        if not (a > -1.0 and b > -1.0):
-            raise ParameterDomainError("Jacobi weight exponents must exceed -1")
-        alpha = np.empty(n)
-        beta = np.empty(n)
+        if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
+            raise ParameterDomainError("Jacobi weight exponents must be finite and exceed -1")
         s = a + b
-        for kk in range(n):
-            k = float(kk)
-            if kk == 0:
-                alpha[kk] = (b - a) / (s + 2.0)
-                beta[kk] = 0.0
-            else:
-                alpha[kk] = (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2.0))
-                if kk == 1:
-                    beta[kk] = 4.0 * (1.0 + a) * (1.0 + b) / ((s + 2.0) ** 2 * (s + 3.0))
-                else:
-                    beta[kk] = (4.0 * k * (k + a) * (k + b) * (k + s)
-                                / ((2 * k + s) ** 2 * (2 * k + s + 1.0) * (2 * k + s - 1.0)))
+        k = np.arange(n, dtype=float)
+        t = 2 * k + s
+        alpha = np.empty(n)
+        alpha[0] = (b - a) / (s + 2.0)
+        alpha[1:] = (b * b - a * a) / (t[1:] * (t[1:] + 2.0))
+        # beta_1 apart: the general form is 0/0 there when a + b = -1
+        beta = np.zeros(n)
+        beta[1:2] = 4.0 * (1.0 + a) * (1.0 + b) / ((s + 2.0) ** 2 * (s + 3.0))
+        k, t = k[2:], t[2:]
+        beta[2:] = 4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t + 1.0) * (t - 1.0))
         m0 = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
                       + math.lgamma(b + 1.0) - math.lgamma(s + 2.0))
         return alpha, beta, m0

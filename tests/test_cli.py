@@ -50,6 +50,20 @@ def test_spectrum_invalid_parameters_exit_1(capsys):
     assert "1/4" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--model", "morse", "--A", "nan", "--B", "1", "--mu-scale", "2"),
+    ("--model", "morse", "--A", "-3", "--B", "1", "--mu-scale", "inf"),
+    ("--model", "rosen-morse", "--A", "inf", "--B", "-2"),
+    ("--model", "ho", "--a", "nan"),
+])
+def test_spectrum_non_finite_parameters_exit_1(capsys, flags):
+    code, out, err = run_cli(capsys, "spectrum", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
+
+
 def test_spectrum_verify_exit_codes(capsys):
     base = ("spectrum", "--model", "rosen-morse", "--A", "1", "--B", "-2",
             "--levels", "1", "--verify")

@@ -42,6 +42,22 @@ def test_model_invariants():
         md.HarmonicOscillator(a=1.0, parity="sideways")
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: md.HarmonicOscillator(a=v),
+    lambda v: md.OscillatorInverseSquare(a=1.0, b=v),
+    lambda v: md.OscillatorInverseSquare(a=v, b=0.75),
+    lambda v: md.SupercriticalInverseSquare(b=-1.0, nu=v),
+    lambda v: md.GeneralizedMorse(A=v, B=1.0, mu_scale=2.0),
+    lambda v: md.GeneralizedMorse(A=-3.0, B=1.0, mu_scale=v),
+    lambda v: md.RosenMorse(A=v, B=-2.0),
+    lambda v: md.RosenMorse(A=1.0, B=v),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_parameters_must_be_finite(make, value):
+    with pytest.raises(ParameterDomainError, match="not finite"):
+        make(value)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form spectra
 # ---------------------------------------------------------------------------
