@@ -13,7 +13,6 @@ from .basis import (
     BasisSpec,
     CoordinateMap,
     basis_eval,
-    coeff_transform,
     measure_factor,
     morse_basis,
     morse_map,
@@ -72,7 +71,6 @@ from .oracle import (
     gauss_rule,
     grid_solve,
     node_count,
-    overlap_integral,
 )
 from .orthopoly import (
     DualHahnFamily,

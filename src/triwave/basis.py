@@ -3,9 +3,9 @@
 The Laguerre basis  phi_n(y) = A_n y^alpha e^{-y/2} L_n^nu(y)  lives on the
 half line; the Jacobi basis  phi_n(y) = A_n (1+y)^alpha (1-y)^beta
 P_n^(mu,nu)(y)  lives on (-1, 1).  Three coordinate maps carry the real line
-onto those intervals: y = (lam*x)^2 (folding), y = mu_scale*e^{-lam*x}, and
-y = tanh(lam*x).  Energies are dimensionless throughout, measured in units of
-E0 = hbar^2 lam^2 / (2 m); all default computations use lam = 1.
+onto those intervals: y = x^2 (folding), y = mu_scale*e^{-x}, and y = tanh x.
+Lengths and energies are dimensionless: x is measured in units of 1/lam and
+energies in units of E0 = hbar^2 lam^2 / (2 m), so lam = 1 throughout.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "measure_factor",
     "overlap",
     "overlap_matrix",
-    "coeff_transform",
 ]
 
 
@@ -47,8 +46,8 @@ class BasisSpec:
 
     kind "laguerre": phi_n(y) = A_n y^alpha e^{-y/2} L_n^nu(y) on (0, inf).
     kind "jacobi":   phi_n(y) = A_n (1+y)^alpha (1-y)^beta P_n^(mu,nu)(y)
-    on (-1, 1).  lam is the inverse-length scale of the coordinate map the
-    basis is paired with; it enters only the normalization constant.
+    on (-1, 1).  y is the image of the dimensionless x under the paired
+    CoordinateMap (lam = 1).
     """
 
     kind: str
@@ -56,11 +55,8 @@ class BasisSpec:
     nu: float
     beta: float = None
     mu: float = None
-    lam: float = 1.0
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ParameterDomainError("lam must be positive")
         if self.kind == "laguerre":
             if not self.nu > -1.0:
                 raise ParameterDomainError("laguerre basis requires nu > -1")
@@ -76,10 +72,6 @@ class BasisSpec:
         else:
             raise ParameterDomainError("unknown basis kind %r" % self.kind)
 
-    @property
-    def support(self):
-        return (0.0, math.inf) if self.kind == "laguerre" else (-1.0, 1.0)
-
     def family(self):
         if self.kind == "laguerre":
             return orthopoly.LaguerreFamily(self.nu)
@@ -91,46 +83,43 @@ class BasisSpec:
         return replace(self, alpha=self.alpha + dalpha)
 
 
-def oscillator_pollaczek_basis(nu, lam=1.0):
+def oscillator_pollaczek_basis(nu):
     """Laguerre basis with 2*alpha = nu + 1/2 (oscillator map, Pollaczek
     coefficient route).  Needs nu >= -1/2 so that alpha >= 0."""
     if nu < -0.5:
         raise ParameterDomainError("this case requires nu >= -1/2")
-    return BasisSpec(kind="laguerre", alpha=0.5 * (nu + 0.5), nu=nu, lam=lam)
+    return BasisSpec(kind="laguerre", alpha=0.5 * (nu + 0.5), nu=nu)
 
 
-def oscillator_dual_hahn_basis(nu, lam=1.0):
+def oscillator_dual_hahn_basis(nu):
     """Laguerre basis with 2*alpha = nu + 3/2 (oscillator map, dual-Hahn
     coefficient route)."""
-    return BasisSpec(kind="laguerre", alpha=0.5 * (nu + 1.5), nu=nu, lam=lam)
+    return BasisSpec(kind="laguerre", alpha=0.5 * (nu + 1.5), nu=nu)
 
 
-def morse_basis(nu, lam=1.0):
+def morse_basis(nu):
     """Laguerre basis with nu = 2*alpha (Morse map)."""
-    return BasisSpec(kind="laguerre", alpha=0.5 * nu, nu=nu, lam=lam)
+    return BasisSpec(kind="laguerre", alpha=0.5 * nu, nu=nu)
 
 
-def rosen_morse_basis(mu, nu, lam=1.0):
+def rosen_morse_basis(mu, nu):
     """Jacobi basis with (alpha, beta) = ((nu+1)/2, mu/2) (Rosen-Morse map)."""
     return BasisSpec(kind="jacobi", alpha=0.5 * (nu + 1.0), beta=0.5 * mu,
-                     nu=nu, mu=mu, lam=lam)
+                     nu=nu, mu=mu)
 
 
 @dataclass(frozen=True)
 class CoordinateMap:
-    """Coordinate transformation y(lam*x) from the real line onto the basis
-    interval: oscillator y = (lam x)^2, morse y = mu_scale e^{-lam x},
-    rosen_morse y = tanh(lam x)."""
+    """Coordinate transformation y(x) from the real line onto the basis
+    interval, x in units of 1/lam (lam = 1): oscillator y = x^2, morse
+    y = mu_scale e^{-x}, rosen_morse y = tanh x."""
 
     kind: str
-    lam: float = 1.0
     mu_scale: float = None
 
     def __post_init__(self):
         if self.kind not in ("oscillator", "morse", "rosen_morse"):
             raise ParameterDomainError("unknown coordinate map %r" % self.kind)
-        if self.lam <= 0.0:
-            raise ParameterDomainError("lam must be positive")
         if self.kind == "morse" and not (self.mu_scale and self.mu_scale > 0.0):
             raise ParameterDomainError("morse map needs mu_scale > 0")
 
@@ -141,43 +130,43 @@ class CoordinateMap:
     def to_y(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "oscillator":
-            out = (self.lam * x) ** 2
+            out = x ** 2
         elif self.kind == "morse":
-            out = self.mu_scale * np.exp(-self.lam * x)
+            out = self.mu_scale * np.exp(-x)
         else:
-            out = np.tanh(self.lam * x)
+            out = np.tanh(x)
         return out if out.ndim else float(out)
 
 
-def oscillator_map(lam=1.0):
-    return CoordinateMap(kind="oscillator", lam=lam)
+def oscillator_map():
+    return CoordinateMap(kind="oscillator")
 
 
-def morse_map(mu_scale, lam=1.0):
-    return CoordinateMap(kind="morse", lam=lam, mu_scale=mu_scale)
+def morse_map(mu_scale):
+    return CoordinateMap(kind="morse", mu_scale=mu_scale)
 
 
-def rosen_morse_map(lam=1.0):
-    return CoordinateMap(kind="rosen_morse", lam=lam)
+def rosen_morse_map():
+    return CoordinateMap(kind="rosen_morse")
 
 
 def measure_factor(cmap: CoordinateMap, y):
     """d(mu)/dy such that integrals over x reduce to integrals over y.
 
-    Oscillator: 1/(lam sqrt(y)) for integrands even in x (the folded map
-    covers the full line only for that parity; odd integrands are rejected
-    by the callers).  Morse: 1/(lam y).  Rosen-Morse: 1/(lam (1-y^2)).
+    Oscillator: 1/sqrt(y) for integrands even in x (the folded map covers
+    the full line only for that parity; odd integrands are rejected by the
+    callers).  Morse: 1/y.  Rosen-Morse: 1/(1-y^2).
     """
     y_arr = np.asarray(y, dtype=float)
     lo, hi = cmap.y_interval
     if np.any(y_arr <= lo) or (np.isfinite(hi) and np.any(y_arr >= hi)):
         raise DomainError("measure is singular at or outside the interval ends")
     if cmap.kind == "oscillator":
-        out = 1.0 / (cmap.lam * np.sqrt(y_arr))
+        out = 1.0 / np.sqrt(y_arr)
     elif cmap.kind == "morse":
-        out = 1.0 / (cmap.lam * y_arr)
+        out = 1.0 / y_arr
     else:
-        out = 1.0 / (cmap.lam * (1.0 - y_arr * y_arr))
+        out = 1.0 / (1.0 - y_arr * y_arr)
     return out if out.ndim else float(out)
 
 
@@ -187,8 +176,7 @@ def measure_factor(cmap: CoordinateMap, y):
 
 def _log_norm(spec: BasisSpec, n: int) -> float:
     if spec.kind == "laguerre":
-        return 0.5 * (math.log(spec.lam) + math.lgamma(n + 1.0)
-                      - math.lgamma(n + spec.nu + 1.0))
+        return 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + spec.nu + 1.0))
     s = spec.mu + spec.nu
     # (2n+s+1) Gamma(n+s+1) stays finite down to s -> -1; fold the prefactor
     # into the gamma at n = 0 where Gamma(s+1) alone would blow up.
@@ -196,14 +184,16 @@ def _log_norm(spec: BasisSpec, n: int) -> float:
         log_head = math.lgamma(s + 2.0)
     else:
         log_head = math.log(2 * n + s + 1.0) + math.lgamma(n + s + 1.0)
-    return 0.5 * (math.log(spec.lam) + log_head + math.lgamma(n + 1.0)
+    return 0.5 * (log_head + math.lgamma(n + 1.0)
                   - (s + 1.0) * math.log(2.0)
                   - math.lgamma(n + spec.nu + 1.0) - math.lgamma(n + spec.mu + 1.0))
 
 
-def normalization(spec: BasisSpec, n: int) -> float:
+def normalization(spec: BasisSpec, n):
     """The constant A_n of the basis, computed through log-gamma sums so
-    large n survives."""
+    large n survives.  An index array n gives the array of A_n."""
+    if np.ndim(n):
+        return np.array([math.exp(_log_norm(spec, k)) for k in np.asarray(n).tolist()])
     return math.exp(_log_norm(spec, n))
 
 
@@ -253,7 +243,7 @@ def scaled_polynomials(spec: BasisSpec, nmax: int, y):
         seq = orthopoly.laguerre_sequence(spec.family(), nmax, y_arr)
     else:
         seq = orthopoly.jacobi_sequence(spec.family(), nmax, y_arr)
-    norms = np.array([normalization(spec, n) for n in range(nmax + 1)])
+    norms = normalization(spec, np.arange(nmax + 1))
     return norms[:, None] * seq.reshape(nmax + 1, -1)
 
 
@@ -314,7 +304,7 @@ def overlap_matrix(spec: BasisSpec, cmap: CoordinateMap, nmax: int, extra=None,
     rule = oracle.gauss_rule(_pair_weight(spec, cmap, extra), n_nodes)
     vals = scaled_polynomials(spec, nmax, rule.nodes)
     weighted = vals * rule.weights[None, :]
-    return (weighted @ vals.T) / cmap.lam
+    return weighted @ vals.T
 
 
 def overlap(spec: BasisSpec, cmap: CoordinateMap, m: int, n: int, extra=None,
@@ -330,25 +320,3 @@ def overlap(spec: BasisSpec, cmap: CoordinateMap, m: int, n: int, extra=None,
     nmax = max(m, n)
     return float(overlap_matrix(spec, cmap, nmax, extra=extra, n_nodes=n_nodes)[m, n])
 
-
-# ---------------------------------------------------------------------------
-# Coefficient rescaling between the symmetric and polynomial representations
-# ---------------------------------------------------------------------------
-
-def coeff_transform(seq, spec: BasisSpec, direction: str):
-    """Elementwise rescaling between wavefunction coefficients f_n and the
-    polynomial-normalized coefficients d_n:
-
-        f_n = sqrt(Gamma(n+1) / (lam Gamma(n+nu+1))) * d_n      (laguerre)
-
-    i.e. f_n = (A_n / lam) d_n, and the same A_n/lam rule for the jacobi
-    basis.  direction is "d_to_f" or "f_to_d"; the round trip is exact
-    scaling by construction.
-    """
-    seq = np.asarray(seq, dtype=float)
-    scale = np.array([normalization(spec, n) / spec.lam for n in range(seq.size)])
-    if direction == "d_to_f":
-        return seq * scale
-    if direction == "f_to_d":
-        return seq / scale
-    raise ParameterDomainError("direction must be 'd_to_f' or 'f_to_d'")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import lru_cache
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__, basis as bs, models as md, operators as op, oracle as oc
 from . import orthopoly
-from .exceptions import TriwaveError
+from .exceptions import ParameterDomainError, TriwaveError
 
 _SPECTRUM_COLUMNS = ["n", "epsilon", "nu", "mu", "epsilon_alt", "oracle", "rel_dev"]
 _WAVEFUNCTION_COLUMNS = ["x", "psi", "tail_estimate", "converged"]
@@ -201,7 +202,6 @@ def _suite_orthogonality():
     fam = orthopoly.LaguerreFamily(0.7)
     seq = orthopoly.laguerre_sequence(fam, 12, rule.nodes)
     gram = (seq * rule.weights) @ seq.T
-    import math
     hn = np.array([math.exp(math.lgamma(n + 1.7) - math.lgamma(n + 1.0))
                    for n in range(13)])
     dev = np.max(np.abs(gram / np.sqrt(np.outer(hn, hn)) - np.eye(13)))
@@ -362,6 +362,14 @@ def _add_output_flags(p):
                    help="pin the JSON meta timestamp (deterministic output)")
 
 
+def _require_finite_flags(args):
+    """Reject a NaN or infinite float flag before any command reads it."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = {"big_a": "A", "big_b": "B"}.get(dest, dest.replace("_", "-"))
+            raise ParameterDomainError("--%s = %r is not finite" % (flag, value))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="triwave",
@@ -420,6 +428,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        _require_finite_flags(args)
         return args.func(args)
     except TriwaveError as exc:
         print("error: %s" % exc, file=sys.stderr)

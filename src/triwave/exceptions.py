@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check that
+the model and family constructors share."""
+
+import cmath
+import numbers
+from dataclasses import fields
 
 
 class TriwaveError(Exception):
@@ -43,3 +48,13 @@ class UnsupportedStructureError(TriwaveError, ValueError):
 
 class QuadratureOrderError(TriwaveError, ValueError):
     """The quadrature rule cannot integrate the requested degree exactly."""
+
+
+def require_finite(obj):
+    """Reject a NaN or infinite numeric field of the dataclass obj (real, or
+    complex in either part) before any rule compares it."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, numbers.Complex) and not cmath.isfinite(value):
+            raise ParameterDomainError("%s parameter %s = %r is not finite"
+                                       % (type(obj).__name__, f.name, value))

@@ -17,8 +17,7 @@ separately as cross-checks.  Oscillator presentation uses hbar*omega = 2 E0.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .exceptions import (
     DomainError,
     ParameterDomainError,
     UnsupportedStructureError,
+    require_finite,
 )
 
 __all__ = [
@@ -57,15 +57,6 @@ UNITS_NOTE = "epsilon in units of E0 = hbar^2 lam^2 / (2 m); hbar*omega = 2 E0"
 # Model types
 # ---------------------------------------------------------------------------
 
-def _require_finite(model):
-    """Reject a NaN or infinite numeric field before any rule compares it."""
-    for f in fields(model):
-        value = getattr(model, f.name)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise ParameterDomainError("%s parameter %s = %r is not finite"
-                                       % (type(model).__name__, f.name, value))
-
-
 @dataclass(frozen=True)
 class HarmonicOscillator:
     """V = a x^2; the tridiagonal scheme diagonalizes at a = 1.  parity picks
@@ -75,7 +66,7 @@ class HarmonicOscillator:
     parity: str = "even"
 
     def __post_init__(self):
-        _require_finite(self)
+        require_finite(self)
         if self.parity not in ("even", "odd"):
             raise ParameterDomainError("parity must be 'even' or 'odd'")
 
@@ -95,7 +86,7 @@ class OscillatorInverseSquare:
     branch: str = "+"
 
     def __post_init__(self):
-        _require_finite(self)
+        require_finite(self)
         if not self.b > -0.25 or self.b == 0.0:
             raise ParameterDomainError(
                 "subcritical inverse-square coupling needs b > -1/4 and b != 0")
@@ -119,7 +110,7 @@ class SupercriticalInverseSquare:
     nu: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
+        require_finite(self)
         if not self.b <= -0.25:
             raise ParameterDomainError("supercritical coupling needs b <= -1/4")
         if not self.nu > -1.0:
@@ -136,7 +127,7 @@ class GeneralizedMorse:
     mu_scale: float
 
     def __post_init__(self):
-        _require_finite(self)
+        require_finite(self)
         if not self.mu_scale > 0.0:
             raise ParameterDomainError("mu_scale must be positive")
 
@@ -157,7 +148,7 @@ class RosenMorse:
     B: float
 
     def __post_init__(self):
-        _require_finite(self)
+        require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -185,12 +176,10 @@ class WavefunctionSeries:
     """Truncated expansion sum_{n<N} f_n phi_n with its convergence record.
     tail_estimate is |f_{N-1}| relative to the running coefficient maximum;
     the result is flagged unconverged rather than rejected when the tail
-    exceeds the threshold (hyperbolic-route coefficients may grow before
-    decaying)."""
+    exceeds 1e-10 (hyperbolic-route coefficients may grow before decaying)."""
 
     spec: basis_mod.BasisSpec
     coeffs: operators.CoefficientSeries
-    truncation: int
     tail_estimate: float
     converged: bool
 
@@ -342,30 +331,29 @@ def _rosen_morse_params(model, epsilon):
 
 def recursion_for(model, epsilon):
     """(recursion coefficients, basis spec, coordinate map) for the model at
-    this energy.  For energy-dependent bases (Morse, Rosen-Morse) the basis
-    parameters are derived from epsilon."""
-    if isinstance(model, HarmonicOscillator):
-        rc = operators.build_oscillator_pollaczek(model.nu, model.a)
-        return rc, rc.spec, basis_mod.oscillator_map()
-    if isinstance(model, OscillatorInverseSquare):
+    this energy; the spec is the one the builder attached to the recursion.
+    For energy-dependent bases (Morse, Rosen-Morse) the basis parameters are
+    derived from epsilon."""
+    if isinstance(model, (HarmonicOscillator, OscillatorInverseSquare)):
         rc = operators.build_oscillator_pollaczek(model.nu, model.a)
         if rc.spec is None:
             raise ParameterDomainError("branch exponent leaves the basis domain")
-        return rc, rc.spec, basis_mod.oscillator_map()
-    if isinstance(model, SupercriticalInverseSquare):
+        cmap = basis_mod.oscillator_map()
+    elif isinstance(model, SupercriticalInverseSquare):
         rc = operators.build_oscillator_dual_hahn(model.nu, model.b)
-        return rc, rc.spec, basis_mod.oscillator_map()
-    if isinstance(model, GeneralizedMorse):
+        cmap = basis_mod.oscillator_map()
+    elif isinstance(model, GeneralizedMorse):
         if epsilon >= 0.0:
             raise DomainError("Morse expansion needs epsilon < 0 (nu = 2 sqrt(-eps))")
-        nu = 2.0 * math.sqrt(-epsilon)
-        rc = operators.build_morse(model.a, model.b, nu)
-        return rc, basis_mod.morse_basis(nu), basis_mod.morse_map(model.mu_scale)
-    if isinstance(model, RosenMorse):
+        rc = operators.build_morse(model.a, model.b, 2.0 * math.sqrt(-epsilon))
+        cmap = basis_mod.morse_map(model.mu_scale)
+    elif isinstance(model, RosenMorse):
         mu, nu = _rosen_morse_params(model, epsilon)
         rc = operators.build_rosen_morse(model.A, model.B, mu, nu)
-        return rc, basis_mod.rosen_morse_basis(mu, nu), basis_mod.rosen_morse_map()
-    raise ParameterDomainError("unknown potential model %r" % (model,))
+        cmap = basis_mod.rosen_morse_map()
+    else:
+        raise ParameterDomainError("unknown potential model %r" % (model,))
+    return rc, rc.spec, cmap
 
 
 def closed_form_coefficients(model, epsilon, N):
@@ -436,7 +424,7 @@ def _family_sequence(fam, N, x):
 # Wavefunctions
 # ---------------------------------------------------------------------------
 
-def wavefunction(model, epsilon, N, x, tail_threshold=1e-10):
+def wavefunction(model, epsilon, N, x):
     """Un-normalized Psi(x, epsilon) = sum_{n<N} f_n phi_n(y(x)) plus its
     series record.
 
@@ -459,9 +447,9 @@ def wavefunction(model, epsilon, N, x, tail_threshold=1e-10):
     psi = psi.reshape(x_arr.shape) if x_arr.ndim else float(psi[0])
     if isinstance(model, HarmonicOscillator) and model.parity == "odd":
         psi = psi * np.sign(x_arr) if x_arr.ndim else psi * math.copysign(1.0, float(x_arr))
-    record = WavefunctionSeries(spec=spec, coeffs=series, truncation=N,
+    record = WavefunctionSeries(spec=spec, coeffs=series,
                                 tail_estimate=series.tail_estimate,
-                                converged=series.tail_estimate <= tail_threshold)
+                                converged=series.tail_estimate <= 1e-10)
     return psi, record
 
 

@@ -71,8 +71,8 @@ class RecursionCoefficients:
     epsilon_on_diagonal: bool = False
     # scaling t_n with f_n = t_n d_n that makes sum f_n phi_n solve the wave
     # equation, fixed per case by testing the d-solutions against the
-    # quadrature wave-operator rows: "standard" t_n = A_n/lam, "inverse"
-    # t_n = 1/A_n, "alternating" t_n = (-1)^n A_n/lam.
+    # quadrature wave-operator rows: "standard" t_n = A_n, "inverse"
+    # t_n = 1/A_n, "alternating" t_n = (-1)^n A_n.
     f_transform: str = "standard"
     # the literal <phi_m|(H-eps)|phi_n> rows equal jmatrix_scale times the
     # symmetrized recursion rows (a constant per case, measured and pinned)
@@ -80,21 +80,20 @@ class RecursionCoefficients:
 
     def f_scaling(self, N: int) -> np.ndarray:
         """t_0..t_{N-1} of the case's f_n = t_n d_n scaling."""
-        a_n = _normalizations(self, N)
+        a_n = basis_mod.normalization(_basis_of(self), np.arange(N))
         if self.f_transform == "standard":
-            return a_n / self.spec.lam
+            return a_n
         if self.f_transform == "inverse":
             return 1.0 / a_n
         if self.f_transform == "alternating":
-            return (-1.0) ** np.arange(N) * a_n / self.spec.lam
+            return (-1.0) ** np.arange(N) * a_n
         raise UnsupportedStructureError("unknown f transform %r" % self.f_transform)
 
 
-def _normalizations(rc: RecursionCoefficients, N: int) -> np.ndarray:
-    """The basis constants A_0..A_{N-1} of the recursion's basis."""
+def _basis_of(rc: RecursionCoefficients) -> BasisSpec:
     if rc.spec is None:
         raise UnsupportedStructureError("no basis attached to this recursion")
-    return np.array([basis_mod.normalization(rc.spec, n) for n in range(N)])
+    return rc.spec
 
 
 @dataclass
@@ -104,7 +103,6 @@ class CoefficientSeries:
 
     d: np.ndarray
     f: Optional[np.ndarray]
-    truncation: int
     tail_estimate: float
 
 
@@ -242,7 +240,7 @@ def symmetric_form(rc: RecursionCoefficients, epsilon: float, N: int):
     coupling n and n+1 (n < N-1).  Both representations share their zero
     structure, so diagonalization conditions agree between them.
     """
-    norms = _normalizations(rc, N)
+    norms = basis_mod.normalization(_basis_of(rc), np.arange(N))
     ratio = norms[:-1] / norms[1:]
     if rc.f_transform == "inverse":
         ratio = 1.0 / ratio
@@ -302,7 +300,7 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
     ref = f if f is not None else d
     running_max = float(np.max(np.abs(ref))) or 1.0
     tail = abs(float(ref[-1])) / running_max
-    return CoefficientSeries(d=d, f=f, truncation=N, tail_estimate=tail)
+    return CoefficientSeries(d=d, f=f, tail_estimate=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +411,24 @@ def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
     eps = float(epsilon)
     if cmap.kind == "oscillator":
         u1, um1 = _u_oscillator(model)
-        return _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes,
-                                            cmap.lam)
+        return _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes)
     if cmap.kind == "morse":
         if not isinstance(model, models.GeneralizedMorse):
             raise UnsupportedStructureError("model does not map to the morse form")
         u1 = model.A / cmap.mu_scale
         u2 = model.B / cmap.mu_scale ** 2
-        return _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes, cmap.lam)
+        return _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes)
     if cmap.kind == "rosen_morse":
         if not isinstance(model, models.RosenMorse):
             raise UnsupportedStructureError("model does not map to the rosen_morse form")
-        return _jmatrix_jacobi(spec, model.A, model.B, eps, size, n_nodes, cmap.lam)
+        return _jmatrix_jacobi(spec, model.A, model.B, eps, size, n_nodes)
     raise UnsupportedStructureError("unknown coordinate map %r" % cmap.kind)
 
 
 def _lowered(spec, vals):
     """Rows A_n p_{n-1} from the rows A_n p_n of scaled_polynomials; row 0
     is zero."""
-    norms = np.array([basis_mod.normalization(spec, n) for n in range(len(vals))])
+    norms = basis_mod.normalization(spec, np.arange(len(vals)))
     prev = np.zeros_like(vals)
     prev[1:] = vals[:-1] * (norms[1:] / norms[:-1])[:, None]
     return prev
@@ -452,7 +449,7 @@ def _laguerre_blocks(spec, size, n_nodes, base_expo):
     return y, rule.weights * y ** shift, vals, y_dln
 
 
-def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes, lam):
+def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes):
     """Oscillator map: operator -4y d^2/dy^2 - 2 d/dy + U(y) - eps.
 
     With phi = y^alpha u, u = e^{-y/2} L, the action collapses to
@@ -471,10 +468,10 @@ def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes, lam):
     c_lp = 4.0 * (spec.nu + 1.0) - (8.0 * al + 2.0)
     action = (c_inv * vals / y + c_l * vals + c_lp * y_dln / y
               + (u1 - 1.0) * y * vals)
-    return (vals * w) @ action.T / lam
+    return (vals * w) @ action.T
 
 
-def _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes, lam):
+def _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes):
     """Morse map: operator -y^2 d^2/dy^2 - y d/dy + U(y) - eps.
 
     Collapses to -(alpha^2+eps) L + [u1 + alpha + 1/2 + n] y L
@@ -491,10 +488,10 @@ def _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes, lam):
               + (u1 + al + 0.5 + ns) * y * vals
               + (u2 - 0.25) * y * y * vals
               + (spec.nu - 2.0 * al) * y_dln)
-    return (vals * w) @ action.T / lam
+    return (vals * w) @ action.T
 
 
-def _jmatrix_jacobi(spec, A, B, eps, size, n_nodes, lam):
+def _jmatrix_jacobi(spec, A, B, eps, size, n_nodes):
     """Rosen-Morse map: operator -(1-y^2) d/dy (1-y^2) d/dy + U(y) - eps,
     U = A(1-y) + B(1-y^2), envelope W = (1+y)^alpha (1-y)^beta.
 
@@ -527,23 +524,20 @@ def _jmatrix_jacobi(spec, A, B, eps, size, n_nodes, lam):
     g1 = -s_ab * one_m_y2 * p + (d_ab - s_ab * y - 2.0 * y) * d1 + p2
     u_val = A * (1.0 - y) + B * one_m_y2
     action = -(d_ab - s_ab * y) * g - g1 + (u_val - eps) * p
-    return (p * rule.weights) @ action.T / lam
+    return (p * rule.weights) @ action.T
 
 
 # ---------------------------------------------------------------------------
 # Finite symmetric truncation
 # ---------------------------------------------------------------------------
 
-def truncated_eigenvalues(rc: RecursionCoefficients, N: int,
-                          embedding="linear-diagonal"):
+def truncated_eigenvalues(rc: RecursionCoefficients, N: int):
     """Eigenvalues of the N x N symmetric truncation, ascending.
 
     Only structures where eps enters linearly on the diagonal (the oscillator
     Pollaczek case) are supported; anywhere else eps sits inside couplings or
     basis parameters and a finite snapshot would misrepresent the operator.
     """
-    if embedding != "linear-diagonal":
-        raise UnsupportedStructureError("unknown epsilon embedding %r" % embedding)
     if not rc.epsilon_on_diagonal:
         raise UnsupportedStructureError(
             "case %r does not embed eps linearly on the diagonal" % rc.case)

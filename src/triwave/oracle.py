@@ -30,7 +30,6 @@ from .exceptions import (
     DomainError,
     ParameterDomainError,
 )
-from . import orthopoly
 
 __all__ = [
     "GridSolution",
@@ -39,7 +38,6 @@ __all__ = [
     "tridiagonal_eigenvector",
     "grid_solve",
     "gauss_rule",
-    "overlap_integral",
     "adaptive_quad",
     "node_count",
 ]
@@ -203,9 +201,10 @@ def _tridiag_solve_shifted(d, e, lam, rhs):
     return np.array(out)
 
 
-def tridiagonal_eigenvector(diag, off, eigenvalue, n_iter=3, orthogonalize=()):
-    """Inverse-iteration eigenvector for a known eigenvalue; deterministic
-    start vector, unit 2-norm result, positive leading significant entry."""
+def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
+    """Inverse-iteration eigenvector for a known eigenvalue (three steps);
+    deterministic start vector, unit 2-norm result, positive leading
+    significant entry."""
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
     n = d.size
@@ -214,7 +213,7 @@ def tridiagonal_eigenvector(diag, off, eigenvalue, n_iter=3, orthogonalize=()):
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    for _ in range(n_iter):
+    for _ in range(3):
         v = _tridiag_solve_shifted(d, e, eigenvalue, v)
         for u in orthogonalize:
             v -= np.dot(u, v) * u
@@ -254,14 +253,13 @@ def _resolve_potential(model_or_potential):
     return lambda x: models.potential_eval(model_or_potential, x)
 
 
-def grid_solve(model, x_min, x_max, h, k, check_boundaries="both",
-               boundary_rel=1e-6):
+def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     """Lowest k eigenpairs of the three-point discretization on [x_min, x_max]
     with Dirichlet ends.
 
     The step must satisfy h^2 * max|U| < 0.1, and converged eigenvectors must
-    have decayed at the checked boundaries (relative amplitude below
-    boundary_rel), otherwise a DomainError suggests how to fix the run.
+    have decayed at the checked boundaries (relative amplitude below 1e-6),
+    otherwise a DomainError suggests how to fix the run.
     check_boundaries is one of "both", "left", "right", "none"; pass "right"
     when the left edge is a singular cutoff (e.g. an inverse-square wall)
     whose convergence is instead controlled by cutoff halving.
@@ -298,24 +296,24 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both",
     for i in range(k):
         v = np.abs(vecs[i])
         vmax = v.max()
-        bad_left = check_boundaries in ("both", "left") and v[0] > boundary_rel * vmax
-        bad_right = check_boundaries in ("both", "right") and v[-1] > boundary_rel * vmax
+        bad_left = check_boundaries in ("both", "left") and v[0] > 1e-6 * vmax
+        bad_right = check_boundaries in ("both", "right") and v[-1] > 1e-6 * vmax
         if bad_left or bad_right:
             side = "left" if bad_left else "right"
             raise DomainError(
-                "eigenvector %d has boundary amplitude above %.1e of its max at the "
-                "%s edge; extend the domain on that side" % (i, boundary_rel, side))
+                "eigenvector %d has boundary amplitude above 1.0e-06 of its max at "
+                "the %s edge; extend the domain on that side" % (i, side))
     norms = np.sqrt(h * np.sum(vecs * vecs, axis=1))
     vecs = vecs / norms[:, None]
     return GridSolution(x=x, h=h, eigenvalues=vals, eigenvectors=vecs,
                         x_min=x_min, x_max=x_max)
 
 
-def node_count(vector, rel_floor=1e-9):
+def node_count(vector):
     """Strict sign changes of a sampled eigenvector, ignoring entries below
-    rel_floor of the maximum amplitude."""
+    1e-9 of the maximum amplitude."""
     v = np.asarray(vector, dtype=float)
-    keep = np.abs(v) > rel_floor * np.max(np.abs(v))
+    keep = np.abs(v) > 1e-9 * np.max(np.abs(v))
     signs = np.sign(v[keep])
     return int(np.sum(signs[1:] * signs[:-1] < 0))
 
@@ -326,26 +324,17 @@ def node_count(vector, rel_floor=1e-9):
 
 @dataclass
 class QuadratureRule:
-    """Nodes and positive weights integrating the identified weight exactly
-    for polynomial integrands up to exactness_degree."""
+    """The n nodes and positive weights of the Gauss rule for weight_id
+    ("laguerre", nu) or ("jacobi", a, b); exact for polynomial integrands
+    (relative to the weight) through degree 2n-1."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
     weight_id: tuple
 
     def integrate(self, f):
         """Integral of f against the rule's weight (f given relative to it)."""
         return float(np.dot(self.weights, f(self.nodes)))
-
-    def weight_density(self, x):
-        kind = self.weight_id[0]
-        if kind == "laguerre":
-            return orthopoly.weight_eval(orthopoly.LaguerreFamily(self.weight_id[1]), x)
-        if kind == "jacobi":
-            return orthopoly.weight_eval(
-                orthopoly.JacobiFamily(self.weight_id[1], self.weight_id[2]), x)
-        raise ParameterDomainError("unknown weight id %r" % (self.weight_id,))
 
 
 def _monic_coefficients(weight_id, n):
@@ -406,8 +395,7 @@ def _gauss_rule_cached(weight_id, n):
             p, p_prev, total = p / s, p_prev / s, total / (s * s)
             log_scale += 2.0 * np.log(s)
     weights = m0 / total * np.exp(-log_scale)
-    return QuadratureRule(nodes=nodes, weights=weights,
-                          exactness_degree=2 * n - 1, weight_id=weight_id)
+    return QuadratureRule(nodes=nodes, weights=weights, weight_id=weight_id)
 
 
 def gauss_rule(weight_id, n):
@@ -427,16 +415,17 @@ def _simpson(f0, fm, f1, width):
     return width * (f0 + 4.0 * fm + f1) / 6.0
 
 
-def adaptive_quad(f, a, b, tol=1e-10, max_depth=48, max_eval=400_000):
+def adaptive_quad(f, a, b, tol=1e-10, max_eval=400_000):
     """Global adaptive Simpson on (a, b) for a vectorized integrand.
 
     The per-interval error budget is proportional to the interval width, with
     tol interpreted as an absolute target on the whole integral (suits the
-    near-zero integrals of orthogonality checks).  Returns (value,
-    error_estimate); raises AccuracyError when the budget runs out.
+    near-zero integrals of orthogonality checks).  Panels are not split below
+    2^-48 of the interval.  Returns (value, error_estimate); raises
+    AccuracyError when the budget runs out.
     """
     a, b = float(a), float(b)
-    min_h = (b - a) * 2.0 ** (-max_depth)
+    min_h = (b - a) * 2.0 ** -48
     xs = np.array([a, 0.5 * (a + b), b])
     f0, fm, f1 = np.asarray(f(xs), dtype=float)
     stack = [(a, b, f0, fm, f1, _simpson(f0, fm, f1, b - a))]
@@ -471,43 +460,3 @@ def adaptive_quad(f, a, b, tol=1e-10, max_depth=48, max_eval=400_000):
                                 estimates=(total, err_total))
     return total, err_total
 
-
-# ---------------------------------------------------------------------------
-# Overlap integrals
-# ---------------------------------------------------------------------------
-
-def overlap_integral(f, g, measure, support, rule=None, tol=1e-10):
-    """Integral of f*g*measure over the support, with an error estimate.
-
-    With a QuadratureRule the integrand is divided by the rule's weight
-    density pointwise and the rule is applied at its own order and at doubled
-    order; the difference is the error estimate.  Without a rule, adaptive
-    Simpson runs on the (finite) support.
-    """
-    if rule is not None:
-        def rel(x):
-            w = rule.weight_density(x)
-            val = (np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float)
-                   * np.asarray(measure(x), dtype=float))
-            out = val / w
-            if not np.all(np.isfinite(out)):
-                raise AccuracyError("integrand/weight ratio is not finite at the nodes")
-            return out
-
-        coarse = rule.integrate(rel)
-        fine_rule = gauss_rule(rule.weight_id, rule.exactness_degree + 1)
-        fine = fine_rule.integrate(rel)
-        err = abs(fine - coarse)
-        if err > 10.0 * tol * max(1.0, abs(fine)):
-            raise AccuracyError("quadrature did not converge under rule doubling",
-                                estimates=(coarse, fine))
-        return fine, err
-    a, b = support
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError("adaptive overlap integration needs a finite support")
-
-    def integrand(x):
-        return (np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float)
-                * np.asarray(measure(x), dtype=float))
-
-    return adaptive_quad(integrand, a, b, tol=tol)

@@ -21,6 +21,7 @@ from .exceptions import (
     ParameterDomainError,
     RecursionBreakdownError,
     SingularParameterError,
+    require_finite,
 )
 
 __all__ = [
@@ -57,6 +58,7 @@ class LaguerreFamily:
     nu: float
 
     def __post_init__(self):
+        require_finite(self)
         if not self.nu > -1.0:
             raise ParameterDomainError("Laguerre family requires nu > -1, got nu=%g" % self.nu)
 
@@ -70,6 +72,7 @@ class JacobiFamily:
     nu: float
 
     def __post_init__(self):
+        require_finite(self)
         if not (self.mu > -1.0 and self.nu > -1.0):
             raise ParameterDomainError(
                 "Jacobi family requires mu, nu > -1, got (%g, %g)" % (self.mu, self.nu))
@@ -93,6 +96,7 @@ class PollaczekFamily:
     variant: str = "trigonometric"  # or "hyperbolic"
 
     def __post_init__(self):
+        require_finite(self)
         if not self.mu > 0.0:
             raise ParameterDomainError("Pollaczek family requires mu > 0, got mu=%g" % self.mu)
         if self.variant not in ("trigonometric", "hyperbolic"):
@@ -119,6 +123,7 @@ class DualHahnFamily:
     b: complex
 
     def __post_init__(self):
+        require_finite(self)
         if not self.mu > 0.0:
             raise ParameterDomainError("dual Hahn family requires mu > 0, got mu=%g" % self.mu)
         a, b = complex(self.a), complex(self.b)

@@ -64,6 +64,20 @@ def test_spectrum_non_finite_parameters_exit_1(capsys, flags):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("wavefunction", "--model", "ho", "--epsilon", "nan"), "--epsilon = nan"),
+    (("spectrum", "--model", "ho", "--levels", "2", "--verify", "--tol", "nan"),
+     "--tol = nan"),
+    (("wavefunction", "--model", "ho", "--epsilon", "1", "--x-max", "inf"), "--x-max = inf"),
+])
+def test_non_finite_float_flags_exit_1(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s is not finite\n" % flag
+    assert "Traceback" not in err
+
+
 def test_spectrum_verify_exit_codes(capsys):
     base = ("spectrum", "--model", "rosen-morse", "--A", "1", "--B", "-2",
             "--levels", "1", "--verify")

@@ -125,10 +125,10 @@ def test_coefficient_series_f_image():
 def _scalar_f_scaling(rc, n):
     a_n = bs.normalization(rc.spec, n)
     if rc.f_transform == "standard":
-        return a_n / rc.spec.lam
+        return a_n
     if rc.f_transform == "inverse":
         return 1.0 / a_n
-    return (-1.0) ** n * a_n / rc.spec.lam
+    return (-1.0) ** n * a_n
 
 
 def _scalar_solve_recursion(rc, epsilon, N, zero_tol=1e-9):
@@ -410,6 +410,3 @@ def test_truncated_eigenvalues_interlacing():
 def test_truncated_eigenvalues_unsupported():
     with pytest.raises(UnsupportedStructureError):
         op.truncated_eigenvalues(op.build_oscillator_dual_hahn(0.5, -0.5), 8)
-    with pytest.raises(UnsupportedStructureError):
-        op.truncated_eigenvalues(op.build_oscillator_pollaczek(0.5, 2.0), 8,
-                                 embedding="quadratic")

@@ -355,36 +355,8 @@ def test_gauss_weights_finite_at_400_nodes():
 
 
 # ---------------------------------------------------------------------------
-# Overlap integrals
+# Adaptive quadrature
 # ---------------------------------------------------------------------------
-
-def test_overlap_integral_with_rule():
-    from triwave import basis as bs
-    spec = bs.oscillator_pollaczek_basis(-0.5)
-    cmap = bs.oscillator_map()
-    rule = oc.gauss_rule(("laguerre", -0.5), 8)
-    measure = lambda y: bs.measure_factor(cmap, y)
-    val, err = oc.overlap_integral(lambda y: bs.basis_eval(spec, 0, y),
-                                   lambda y: bs.basis_eval(spec, 0, y),
-                                   measure, spec.support, rule=rule)
-    assert val == pytest.approx(1.0, abs=1e-12)
-    val, err = oc.overlap_integral(lambda y: bs.basis_eval(spec, 0, y),
-                                   lambda y: bs.basis_eval(spec, 3, y),
-                                   measure, spec.support, rule=rule)
-    assert abs(val) < 1e-12
-
-
-def test_overlap_integral_adaptive_pollaczek_moment():
-    fam = orthopoly.PollaczekFamily(1.0, 1.0, 0.0)
-
-    def weight_theta(theta):
-        return orthopoly.weight_eval(fam, np.cos(theta)) * np.sin(theta)
-
-    one = lambda theta: np.ones_like(theta)
-    val, err = oc.overlap_integral(one, one, weight_theta,
-                                   (1e-6, math.pi - 1e-6), tol=1e-8)
-    assert val == pytest.approx(0.5, abs=1e-5)
-
 
 def test_adaptive_quad_nonconvergence():
     with pytest.raises(AccuracyError):

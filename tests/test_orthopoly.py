@@ -397,6 +397,25 @@ def test_family_validation():
         op.DualHahnFamily(1.0, 1.0 + 2.0j, 1.0 - 1.9j)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: op.LaguerreFamily(math.inf),
+    lambda: op.LaguerreFamily(math.nan),
+    lambda: op.JacobiFamily(math.inf, 0.5),
+    lambda: op.JacobiFamily(0.5, math.nan),
+    lambda: op.PollaczekFamily(math.inf, 1.0, 0.0),
+    lambda: op.PollaczekFamily(1.0, math.nan, 0.0),
+    lambda: op.PollaczekFamily(1.0, 1.0, -math.inf, "hyperbolic"),
+    lambda: op.DualHahnFamily(1.0, complex(math.inf, 0.0), 1.0),
+    lambda: op.DualHahnFamily(1.0, complex(1.0, math.nan), complex(1.0, -2.0)),
+    lambda: op.DualHahnFamily(1.0, 1.0, math.inf),
+], ids=["laguerre-inf", "laguerre-nan", "jacobi-inf", "jacobi-nan", "pollaczek-mu-inf",
+        "pollaczek-a-nan", "pollaczek-b-inf", "dual-hahn-a-inf", "dual-hahn-a-imag-nan",
+        "dual-hahn-b-inf"])
+def test_family_parameters_must_be_finite(make):
+    with pytest.raises(ParameterDomainError, match="not finite"):
+        make()
+
+
 def test_pollaczek_domain_errors():
     with pytest.raises(DomainError):
         op.pollaczek_eval(op.PollaczekFamily(1.0, 1.0, 0.0), 3, 1.5)
