@@ -2,7 +2,8 @@
 the verification suites, with deterministic CSV/JSON output.
 
 Exit codes: 0 success, 1 invalid parameters or unsupported request (the
-message names the violated invariant), 2 verification failure beyond
+message names the violated invariant; command-line usage errors and an
+unwritable --output path included), 2 verification failure beyond
 tolerance.  All numbers are printed with %.15g; identical configurations
 produce byte-identical output (pass --epoch to pin the JSON timestamp).
 """
@@ -39,27 +40,29 @@ def _fmt(value):
     return "%.15g" % value
 
 
-def _emit(columns, rows, args, extra_meta=None):
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
-        if args.format == "csv":
-            out.write(",".join(columns) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            meta = {"version": __version__,
-                    "config": {k: v for k, v in sorted(vars(args).items())
-                               if k not in ("func",)},
-                    "timestamp": args.epoch if args.epoch is not None else int(time.time())}
-            if extra_meta:
-                meta.update(extra_meta)
-            doc = {"meta": meta, "columns": columns,
-                   "rows": [[(None if v is None else v) for v in row] for row in rows]}
-            json.dump(doc, out, indent=2, default=float)
-            out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _start_output(out):
+    """Empty an --output file just before its first write (see _open_output)."""
+    if out is not sys.stdout:
+        out.truncate(0)
+
+
+def _emit(columns, rows, args, out, extra_meta=None):
+    _start_output(out)
+    if args.format == "csv":
+        out.write(",".join(columns) + "\n")
+        for row in rows:
+            out.write(",".join(_fmt(v) for v in row) + "\n")
+    else:
+        meta = {"version": __version__,
+                "config": {k: v for k, v in sorted(vars(args).items())
+                           if k not in ("func",)},
+                "timestamp": args.epoch if args.epoch is not None else int(time.time())}
+        if extra_meta:
+            meta.update(extra_meta)
+        doc = {"meta": meta, "columns": columns,
+               "rows": [[(None if v is None else v) for v in row] for row in rows]}
+        json.dump(doc, out, indent=2, default=float)
+        out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +95,17 @@ def _build_model(args):
 
 
 @lru_cache(maxsize=16)
-def _grid_solve_cached(model, x_min, x_max, h, k, cb):
-    return oc.grid_solve(model, x_min, x_max, h, k, check_boundaries=cb)
+def _grid_solve_cached(model, x_min, x_max, h, k):
+    return oc.grid_solve(model, x_min, x_max, h, k)
 
 
 def _oracle_levels(model, n_levels):
     """Grid-oracle eigenvalues aligned with the model's level indices."""
-    x_min, x_max, h, cb, k = md.default_grid(model, n_levels)
+    x_min, x_max, h, k = md.default_grid(model, n_levels)
     key_model = model
     if isinstance(model, md.HarmonicOscillator):
         key_model = md.HarmonicOscillator(a=model.a, parity="even")  # shared grid
-    sol = _grid_solve_cached(key_model, x_min, x_max, h, k, cb)
+    sol = _grid_solve_cached(key_model, x_min, x_max, h, k)
     if isinstance(model, md.HarmonicOscillator):
         start = 0 if model.parity == "even" else 1
         return sol.eigenvalues[start::2][:n_levels]
@@ -113,7 +116,7 @@ def _oracle_levels(model, n_levels):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args):
+def cmd_spectrum(args, out):
     model = _build_model(args)
     res = md.spectrum(model, n_levels=args.levels)
     oracle_vals = None
@@ -130,7 +133,7 @@ def cmd_spectrum(args):
             worst = max(worst, rel)
         rows.append([lv.n, eps, lv.basis_params.get("nu"), lv.basis_params.get("mu"),
                      lv.extra.get("epsilon_alt"), ora, rel])
-    _emit(_SPECTRUM_COLUMNS, rows, args, extra_meta={"notes": res.notes})
+    _emit(_SPECTRUM_COLUMNS, rows, args, out, extra_meta={"notes": res.notes})
     if res.notes and args.format == "csv":
         for note in res.notes:
             print("# note: %s" % note, file=sys.stderr)
@@ -141,17 +144,17 @@ def cmd_spectrum(args):
     return 0
 
 
-def cmd_wavefunction(args):
+def cmd_wavefunction(args, out):
     model = _build_model(args)
     x = np.linspace(args.x_min, args.x_max, args.samples)
     psi, record = md.wavefunction(model, args.epsilon, args.truncation, x)
     rows = [[xi, pi, record.tail_estimate, record.converged]
             for xi, pi in zip(x, np.atleast_1d(psi))]
-    _emit(_WAVEFUNCTION_COLUMNS, rows, args)
+    _emit(_WAVEFUNCTION_COLUMNS, rows, args, out)
     return 0
 
 
-def cmd_jmatrix(args):
+def cmd_jmatrix(args, out):
     model = _build_model(args)
     size = args.size
     if not 1 <= size <= 64:
@@ -168,7 +171,7 @@ def cmd_jmatrix(args):
     numeric = op.numeric_jmatrix(model, spec, cmap, eps, size) if args.numeric else None
     rows = [[m, n, analytic[m, n], None if numeric is None else numeric[m, n]]
             for m in range(size) for n in range(size)]
-    _emit(_JMATRIX_COLUMNS, rows, args)
+    _emit(_JMATRIX_COLUMNS, rows, args, out)
     return 0
 
 
@@ -305,7 +308,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args):
+def cmd_verify(args, out):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
@@ -319,13 +322,9 @@ def cmd_verify(args):
                    for n, m, t in checks],
     }
     report["passed"] = all(c["pass"] for c in report["checks"])
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
-        json.dump(report, out, indent=2, default=float)
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _start_output(out)
+    json.dump(report, out, indent=2, default=float)
+    out.write("\n")
     return 0 if report["passed"] else 2
 
 
@@ -370,8 +369,30 @@ def _require_finite_flags(args):
             raise ParameterDomainError("--%s = %r is not finite" % (flag, value))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1 (invalid request) instead of
+    argparse's 2, which this CLI reserves for a failed verification."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
+def _open_output(path):
+    """The --output stream, opened before any work runs so an unwritable
+    path fails at once.  A file is opened for appending and emptied only when
+    the report is written, so a command that fails first leaves it as it was."""
+    if path is None:
+        return sys.stdout
+    try:
+        return open(path, "a")
+    except OSError as exc:
+        raise TriwaveError("cannot write --output %s: %s"
+                           % (path, exc.strerror or exc)) from None
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="triwave",
         description="Tridiagonal-representation solver for the 1D Schrodinger "
                     "equation (energies in E0 = hbar^2 lam^2/2m units).")
@@ -429,7 +450,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _require_finite_flags(args)
-        return args.func(args)
+        out = _open_output(args.output)
+        try:
+            return args.func(args, out)
+        finally:
+            if out is not sys.stdout:
+                out.close()
     except TriwaveError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -457,39 +457,74 @@ def wavefunction(model, epsilon, N, x):
 # Grid-oracle defaults
 # ---------------------------------------------------------------------------
 
+# WKB decay exponent int sqrt(U - E_top) dx at each domain edge: the top
+# level's amplitude there is about e^-16 ~ 1e-7 of its peak, inside the
+# oracle's 1e-6 boundary check, and its eigenvalue moves by about e^-32.
+WKB_EXPONENT = 16.0
+
+
+def _wkb_edge(u, x0, direction):
+    """The point on the side of x0 given by direction (+1 or -1) where
+    int sqrt(max(u, 0)) taken outward from x0 first reaches WKB_EXPONENT,
+    rounded outward to a multiple of 1/8 (so the domain holds for h and 2h).
+    u is U - E_top along the grid axis and x0 lies in the classically allowed
+    region, so the integral starts at the turning point."""
+    step = direction / 64.0
+    total, x = 0.0, x0
+    for _ in range(64):  # 256 length units at most
+        xs = x + step * np.arange(1, 257)
+        cum = total + abs(step) * np.cumsum(np.sqrt(np.maximum(u(xs), 0.0)))
+        if cum[-1] >= WKB_EXPONENT:
+            edge = float(xs[np.argmax(cum >= WKB_EXPONENT)])
+            return (math.floor if direction < 0 else math.ceil)(edge * 8.0) / 8.0
+        total, x = float(cum[-1]), float(xs[-1])
+    raise UnsupportedStructureError(
+        "the top level does not decay by e^-%g within 256 length units of the "
+        "well; no oracle grid" % WKB_EXPONENT)
+
+
 def default_grid(model, n_levels=None):
-    """Reasonable grid-oracle settings (x_min, x_max, h, check_boundaries, k)
-    for verifying the model's closed-form levels."""
+    """Grid-oracle settings (x_min, x_max, h, k) for verifying the model's
+    closed-form levels: the k lowest grid levels, h = 1/32 (1/16 for
+    Rosen-Morse), and each edge where the WKB exponent of the top level
+    reaches WKB_EXPONENT.  For the oscillator with an inverse-square term the
+    edges and h are in t = ln x (grid_solve's Langer grid)."""
     if isinstance(model, HarmonicOscillator):
-        k = 2 * (n_levels or 4)
-        return (-8.0, 8.0, 1.0 / 256.0, "both", k)
+        k = 2 * (n_levels or 4)  # both parities share the grid
+        eps_top = spectrum(HarmonicOscillator(model.a, "odd"), k // 2).levels[-1].epsilon
+        x_max = _wkb_edge(lambda x: potential_eval(model, x) - eps_top, 0.0, 1)
+        return (-x_max, x_max, 1.0 / 32.0, k)
     if isinstance(model, OscillatorInverseSquare):
+        if model.branch == "-":
+            raise UnsupportedStructureError(
+                "the grid oracle imposes the regular x^(1/2+nu) behaviour at the "
+                "wall, so it cannot verify the minus branch nu = -sqrt(b + 1/4)")
         k = n_levels or 3
         eps_top = spectrum(model, n_levels=k).levels[-1].epsilon
-        x_max = max(10.0, math.sqrt(eps_top) + 6.0)
-        h = 1.0 / 256.0
-        return (4.0 * h, x_max, h, "right", k)
-    if isinstance(model, GeneralizedMorse):
+
+        def g(t):  # x^2 (U - E_top) + 1/4 at x = e^t
+            x = np.exp(t)
+            return x * x * (potential_eval(model, x) - eps_top) + 0.25
+
+        t0 = 0.5 * math.log(eps_top / (2.0 * model.a))  # bottom of g
+        return (math.exp(_wkb_edge(g, t0, -1)), math.exp(_wkb_edge(g, t0, 1)),
+                1.0 / 32.0, k)
+    if isinstance(model, (GeneralizedMorse, RosenMorse)):
         res = spectrum(model)
         if not res.levels:
             raise UnsupportedStructureError("no bound levels to verify")
-        k = len(res.levels)
         eps_top = res.levels[-1].epsilon
-        kappa = math.sqrt(-eps_top)
-        x_tp = math.log(abs(model.A) / abs(eps_top)) if abs(eps_top) < abs(model.A) else 1.0
-        x_max = x_tp + 16.5 / kappa
-        h = 1.0 / 128.0
-        x_min = -6.0
-        while abs(potential_eval(model, x_min)) * h * h >= 0.09:
-            x_min += 0.05
-        return (x_min, x_max, h, "both", k)
-    if isinstance(model, RosenMorse):
-        res = spectrum(model)
-        if not res.levels:
-            raise UnsupportedStructureError("no bound levels to verify")
-        k = len(res.levels)
-        eps_top = res.levels[-1].epsilon
-        kp = math.sqrt(-eps_top)
-        km = math.sqrt(2.0 * model.A - eps_top)
-        return (-(16.5 / km + 2.0), 16.5 / kp + 2.0, 1.0 / 128.0, "both", k)
+        # x0 at the bottom of the well (bound levels need B > 0 for Morse,
+        # B < 0 for Rosen-Morse); a Rosen-Morse potential without an interior
+        # minimum is monotone, and its edge search reports the missing decay
+        if isinstance(model, GeneralizedMorse):
+            x0, h = -math.log(-model.A / (2.0 * model.B)), 1.0 / 32.0
+        else:
+            y0 = -model.A / (2.0 * model.B)
+            x0, h = (math.atanh(y0) if abs(y0) < 1.0 else 0.0), 1.0 / 16.0
+
+        def u(x):
+            return potential_eval(model, x) - eps_top
+
+        return (_wkb_edge(u, x0, -1), _wkb_edge(u, x0, 1), h, len(res.levels))
     raise UnsupportedStructureError("no oracle defaults for %r" % (model,))

@@ -2,19 +2,23 @@
 
 Two unrelated work horses live here:
 
-* a direct three-point finite-difference discretization of the 1D
-  Schrodinger equation on the real line (the grid oracle), used to
-  arbitrate closed-form spectra, and
+* the grid oracle, used to arbitrate closed-form spectra: Numerov's
+  fourth-order discretization of the 1D Schrodinger equation with Dirichlet
+  ends, on a uniform grid in x, or for the inverse-square models on the
+  Langer grid x = e^t (uniform in t, psi = e^{t/2} phi, measure x dt), which
+  removes the wall at x = 0; default_grid in models puts each edge where the
+  top level's WKB exponent reaches 16;
 * Gauss quadrature rule generation from monic recurrence coefficients
   (nodes as the Jacobi-matrix eigenvalues, weights from the Christoffel
   function of the orthonormal recurrence), plus adaptive Simpson
   integration for non-classical weights.
 
-Both are built on a dependency-free symmetric-tridiagonal eigensolver:
-eigenvalues by multisection on Sturm sequence counts (many shifts per
-bracket counted in each sweep over the rows); the grid oracle adds
-eigenvectors by inverse iteration with a pivoted tridiagonal solve.  Output
-is deterministic.
+Both are built on one dependency-free multisection loop over Sturm sequence
+counts (many shifts per bracket counted in each sweep over the rows).  The
+Gauss rules count the eigenvalues of a fixed symmetric tridiagonal matrix;
+the grid oracle counts those of Numerov's pencil through a tridiagonal
+matrix T(E) whose diagonal depends on E, and adds eigenvectors by inverse
+iteration with a pivoted tridiagonal solve.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import (
     AccuracyError,
@@ -60,6 +65,29 @@ def _sturm_counts(diag, off2, shifts, pivmin):
         q = diag[i] - shifts - off2[i - 1] / q
         q = np.where(np.abs(q) < pivmin, -pivmin, q)
         count += q < 0.0
+    return count
+
+
+def _numerov_counts(alpha, beta, shifts):
+    """Number of Numerov eigenvalues below each shift E: the LDL^T Sturm count
+    of h^2 T(E) = tridiag(-1, -10 + beta_i / (alpha_i + E), -1).
+
+    alpha and beta are lists of Python floats (see grid_solve).  A zero pivot
+    divides to an infinite one, which the next row turns back into a finite
+    pivot with the right count (IEEE Sturm count, Kahan), so unlike
+    _sturm_counts no pivot guard is needed: the off-diagonal is never zero.
+    """
+    with np.errstate(divide="ignore"):
+        p = beta[0] / (alpha[0] + shifts) - 10.0
+        count = (p < 0.0).astype(np.int64)
+        t = np.empty_like(p)
+        for a, b in zip(alpha[1:], beta[1:]):
+            np.add(shifts, a, out=t)
+            np.divide(b, t, out=t)
+            np.divide(1.0, p, out=p)
+            p += 10.0
+            np.subtract(t, p, out=p)
+            count += p < 0.0
     return count
 
 
@@ -113,6 +141,14 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     hi0 = hi_glob + 1e-3 * span
     if not (math.isfinite(hi0 - lo0) and math.isfinite(pivmin)):
         raise ParameterDomainError("matrix entries overflow the Sturm count")
+    return _multisection(lambda shifts: _sturm_counts(d, off2, shifts, pivmin),
+                         lo0, hi0, k, rel_tol)
+
+
+def _multisection(count, lo0, hi0, k, rel_tol):
+    """Lowest k eigenvalues by multisection of the start bracket [lo0, hi0],
+    which must hold no eigenvalue below lo0 and at least k below hi0;
+    count(shifts) returns the number of eigenvalues below each shift."""
     lo = np.full(k, lo0)
     hi = np.full(k, hi0)
     idx = np.arange(k)
@@ -142,7 +178,7 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
         done[open_] = within[owner]
         m = max(1, SHIFT_BUDGET // pairs.shape[0])
         shifts = p_lo[:, None] + width[:, None] * (np.arange(1, m + 1) / (m + 1))
-        cnt = _sturm_counts(d, off2, shifts.ravel(), pivmin).reshape(shifts.shape)
+        cnt = count(shifts.ravel()).reshape(shifts.shape)
         p = np.sum(cnt[owner] <= idx[open_, None], axis=1)
         ends = np.hstack((p_lo[:, None], shifts, p_hi[:, None]))[owner]
         rows = np.arange(open_.size)
@@ -233,10 +269,14 @@ def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
 
 @dataclass
 class GridSolution:
-    """Eigenpairs of the discretized Hamiltonian -d^2/dx^2 + U(x) in E0 units.
+    """Eigenpairs of Numerov's discretization of -d^2/dx^2 + U(x) in E0 units.
 
-    Eigenvectors are sampled on the interior grid points and unit-normalized
-    under the trapezoid measure; boundary values are pinned to zero."""
+    x holds the interior grid points and eigenvectors the wavefunction
+    sampled there, with the Dirichlet end values (zero) left out.  On the
+    plain grid x is uniform with step h and the eigenvectors are orthonormal
+    under the measure h: sum_i psi(x_i) chi(x_i) h.  On the Langer grid of
+    the inverse-square models x = e^t with t uniform of step h, and the
+    measure is x h: sum_i psi(x_i) chi(x_i) x_i h (dx = x dt)."""
 
     x: np.ndarray
     h: float
@@ -247,64 +287,146 @@ class GridSolution:
 
 
 def _resolve_potential(model_or_potential):
+    """(U as a vectorized function of x, whether the model gets the Langer
+    grid): the inverse-square models do, a plain callable never does."""
     if callable(model_or_potential):
-        return model_or_potential
+        return model_or_potential, False
     from . import models  # local import avoids a module cycle
-    return lambda x: models.potential_eval(model_or_potential, x)
+    langer = isinstance(model_or_potential, (models.OscillatorInverseSquare,
+                                             models.SupercriticalInverseSquare))
+    return (lambda x: models.potential_eval(model_or_potential, x)), langer
+
+
+# Largest h^2 max(U - E_lo rho) / 12 a grid may have.  The Numerov diagonal
+# has its pole at 1; below this bound the count is monotone in E with room
+# to spare, and a decaying tail still decays (h sqrt(U - E) < 2.45).
+STEP_BOUND = 0.5
+
+
+def _upper_bracket(w, rho, h, k):
+    """An energy with at least k Numerov eigenvalues of (K + U) psi = E rho psi
+    below it, where w = U / rho on the grid.
+
+    Min-max on the vectors supported on a window of m consecutive rows:
+    K <= 1.5 (-D2 / h^2) (its eigenvalues are lambda / (1 - h^2 lambda / 12)
+    of those of -D2 / h^2, which are at most 4 / h^2), and the k-th eigenvalue
+    of -D2 / h^2 on m rows with Dirichlet ends is 4 / h^2 sin^2(k pi /
+    (2 (m + 1))).  So E_k <= max_W w + 1.5 * that / min_W rho for every
+    window W; the bound is the least of these over windows of about 24
+    lengths at about 64 positions each.
+    """
+    n = w.size
+    best = math.inf
+    for m in np.unique(np.geomspace(k, n, 24).astype(int)):
+        kinetic = 6.0 / (h * h) * math.sin(k * math.pi / (2.0 * (m + 1))) ** 2
+        step = max(1, (n - m) // 64)
+        w_max = sliding_window_view(w, m)[::step].max(axis=1)
+        rho_min = sliding_window_view(rho, m)[::step].min(axis=1)
+        best = min(best, float(np.min(w_max + kinetic / rho_min)))
+    return best
 
 
 def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
-    """Lowest k eigenpairs of the three-point discretization on [x_min, x_max]
-    with Dirichlet ends.
+    """Lowest k eigenpairs of Numerov's fourth-order discretization of
+    -psi'' + U psi = E psi on [x_min, x_max] with Dirichlet ends.
 
-    The step must satisfy h^2 * max|U| < 0.1, and converged eigenvectors must
-    have decayed at the checked boundaries (relative amplitude below 1e-6),
-    otherwise a DomainError suggests how to fix the run.
-    check_boundaries is one of "both", "left", "right", "none"; pass "right"
-    when the left edge is a singular cutoff (e.g. an inverse-square wall)
-    whose convergence is instead controlled by cutoff halving.
+    Numerov's scheme for -psi'' + U psi = E rho psi is the symmetric pencil
+    (K + U) psi = E rho psi with K = -(I + D2/12)^{-1} D2 / h^2 (D2 the
+    second-difference matrix).  With g_i(E) = U_i - E rho_i and
+    y = (1 - h^2 g / 12) psi it reads T(E) y = 0 for the tridiagonal
+    T(E) = tridiag(-1/h^2, 2/h^2 + g_i / (1 - h^2 g_i / 12), -1/h^2).  Its
+    diagonal falls as E rises, so the Sturm count of T(E) is the number of
+    Numerov eigenvalues below E, and multisection finds them as it finds the
+    eigenvalues of a fixed matrix.  Each eigenvector comes from inverse
+    iteration on T(E) at its eigenvalue, psi = y / (1 - h^2 g / 12).
+
+    Model objects of the inverse-square families (a wall at x = 0) get the
+    Langer grid: x = e^t with t uniform of step h on [ln x_min, ln x_max] and
+    psi = e^{t/2} phi, which gives the same kind of problem in t,
+    -phi'' + (x^2 U + 1/4) phi = E x^2 phi, with rho = x^2 and no wall.
+    models.default_grid gives the settings the CLI uses: h = 1/32 (1/16 for
+    Rosen-Morse) and each edge where the top level's WKB exponent
+    int sqrt(U - E_top) dx (dt on the Langer grid) reaches 16.
+
+    Raises DomainError when h^2 max(U - E_lo rho) / 12 reaches STEP_BOUND
+    (E_lo = min U / rho, the lower end of the spectrum), or when a converged
+    eigenvector has not decayed at a checked boundary (relative amplitude of
+    psi, phi on the Langer grid, above 1e-6).  check_boundaries is "both" or
+    "none"; pass "none" when some of the k states are not bound (box states
+    above a continuum threshold).
     """
+    if check_boundaries not in ("both", "none"):
+        raise ParameterDomainError("check_boundaries must be 'both' or 'none'")
     if x_max <= x_min:
         raise DomainError("x_max must exceed x_min")
-    u = _resolve_potential(model)
-    n_int = int(round((x_max - x_min) / h)) - 1
+    u, langer = _resolve_potential(model)
+    t_min, t_max = x_min, x_max
+    if langer:
+        if not x_min > 0.0:
+            raise DomainError("the Langer grid of an inverse-square model needs x_min > 0")
+        t_min, t_max = math.log(x_min), math.log(x_max)
+    n_int = int(round((t_max - t_min) / h)) - 1
     if n_int < 3:
         raise DomainError("grid too coarse for the requested domain")
     if not 1 <= k <= n_int:
         raise ParameterDomainError("need 1 <= k <= number of interior points")
-    x = x_min + h * np.arange(1, n_int + 1)
+    x = t_min + h * np.arange(1, n_int + 1)
+    rho = np.ones(n_int)
+    if langer:
+        x = np.exp(x)
+        rho = x * x
     ux = np.asarray(u(x), dtype=float)
     finite = np.isfinite(ux)
     if not finite.all():
         i = int(np.argmin(finite))
         raise DomainError("U(x) = %r is not finite at x = %.15g" % (float(ux[i]), x[i]))
-    umax = float(np.max(np.abs(ux)))
-    if h * h * umax >= 0.1:
+    if langer:
+        ux = rho * ux + 0.25
+    w = ux / rho
+    e_lo = float(np.min(w))
+    c = h * h / 12.0
+    margin = c * float(np.max(ux - e_lo * rho))
+    if margin >= STEP_BOUND:
         raise DomainError(
-            "h^2 max|U| = %.3g >= 0.1; reduce h below %.3g"
-            % (h * h * umax, math.sqrt(0.1 / umax)))
+            "h^2 max(U - E_lo) / 12 = %.3g >= %g; reduce h below %.3g"
+            % (margin, STEP_BOUND, h * math.sqrt(STEP_BOUND / margin)))
+    # diagonal of h^2 T(E): 2 + 12 c g / (1 - c g) = -10 + beta / (alpha + E)
+    with np.errstate(over="ignore", divide="ignore"):
+        sigma = 1.0 / (c * rho)
+        beta = 12.0 * sigma
+    if not np.all(np.isfinite(beta)):
+        i = int(np.argmin(np.isfinite(beta)))
+        raise DomainError("12 / (h^2 rho) overflows at x = %.15g; move x_min up" % x[i])
+    alpha = (sigma - w).tolist()
+    beta = beta.tolist()
+    vals = _multisection(lambda shifts: _numerov_counts(alpha, beta, shifts),
+                         e_lo, _upper_bracket(w, rho, h, k), k, 1e-14)
     inv_h2 = 1.0 / (h * h)
-    diag = 2.0 * inv_h2 + ux
     off = np.full(n_int - 1, -inv_h2)
-    vals = tridiagonal_eigenvalues(diag, off, k=k)
-    vecs = []
+    ys, vecs = [], []
     for i in range(k):
-        prev = [vecs[j] for j in range(i)
+        prev = [ys[j] for j in range(i)
                 if abs(vals[i] - vals[j]) < 1e-6 * max(1.0, abs(vals[i]))]
-        vecs.append(tridiagonal_eigenvector(diag, off, vals[i], orthogonalize=prev))
+        g = ux - vals[i] * rho
+        scale = 1.0 - c * g
+        ys.append(tridiagonal_eigenvector(2.0 * inv_h2 + g / scale, off, 0.0,
+                                          orthogonalize=prev))
+        vecs.append(ys[-1] / scale)
     vecs = np.array(vecs)
-    for i in range(k):
-        v = np.abs(vecs[i])
-        vmax = v.max()
-        bad_left = check_boundaries in ("both", "left") and v[0] > 1e-6 * vmax
-        bad_right = check_boundaries in ("both", "right") and v[-1] > 1e-6 * vmax
-        if bad_left or bad_right:
-            side = "left" if bad_left else "right"
-            raise DomainError(
-                "eigenvector %d has boundary amplitude above 1.0e-06 of its max at "
-                "the %s edge; extend the domain on that side" % (i, side))
-    norms = np.sqrt(h * np.sum(vecs * vecs, axis=1))
+    if check_boundaries == "both":
+        for i in range(k):
+            v = np.abs(vecs[i])
+            vmax = v.max()
+            bad_left, bad_right = v[0] > 1e-6 * vmax, v[-1] > 1e-6 * vmax
+            if bad_left or bad_right:
+                side = "left" if bad_left else "right"
+                raise DomainError(
+                    "eigenvector %d has boundary amplitude above 1.0e-06 of its max at "
+                    "the %s edge; extend the domain on that side" % (i, side))
+    norms = np.sqrt(h * np.sum(rho * vecs * vecs, axis=1))
     vecs = vecs / norms[:, None]
+    if langer:
+        vecs = vecs * np.sqrt(x)
     return GridSolution(x=x, h=h, eigenvalues=vals, eigenvectors=vecs,
                         x_min=x_min, x_max=x_max)
 

@@ -6,21 +6,23 @@ from triwave import oracle as oc
 
 
 def _solve(model, n_levels=None, **overrides):
-    x_min, x_max, h, cb, k = md.default_grid(model, n_levels)
+    x_min, x_max, h, k = md.default_grid(model, n_levels)
     x_min = overrides.get("x_min", x_min)
     h = overrides.get("h", h)
-    return oc.grid_solve(model, x_min, x_max, h, k, check_boundaries=cb)
+    return oc.grid_solve(model, x_min, x_max, h, k)
 
 
 @pytest.fixture(scope="session")
 def ho_oracle():
-    """Harmonic oscillator on [-8, 8], h = 1/256, both parities interleaved."""
+    """Harmonic oscillator on its default grid, both parities interleaved."""
     return _solve(md.HarmonicOscillator(a=1.0), n_levels=4)
 
 
 @pytest.fixture(scope="session")
 def ho_oracle_coarse():
-    return oc.grid_solve(md.HarmonicOscillator(a=1.0), -8.0, 8.0, 1.0 / 128.0, 8)
+    """The default harmonic-oscillator domain at twice the default step."""
+    return _solve(md.HarmonicOscillator(a=1.0), n_levels=4,
+                  h=2.0 * md.default_grid(md.HarmonicOscillator(a=1.0), 4)[2])
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +33,8 @@ def oscinv_b075_oracle():
 @pytest.fixture(scope="session")
 def oscinv_b075_oracle_halfcut():
     model = md.OscillatorInverseSquare(a=1.0, b=0.75)
-    x_min, x_max, h, cb, k = md.default_grid(model, 3)
-    return oc.grid_solve(model, x_min / 2.0, x_max, h, k, check_boundaries=cb)
+    x_min, x_max, h, k = md.default_grid(model, 3)
+    return oc.grid_solve(model, x_min / 2.0, x_max, h, k)
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +51,7 @@ def morse_a3_oracle():
 def morse_a3_oracle_extra():
     """Same Morse well but with one extra state, to expose the continuum edge."""
     model = md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0)
-    x_min, x_max, h, cb, k = md.default_grid(model)
+    x_min, x_max, h, k = md.default_grid(model)
     return oc.grid_solve(model, x_min, x_max, h, k + 1, check_boundaries="none")
 
 

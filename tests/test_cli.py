@@ -197,3 +197,81 @@ def test_help_documents_columns(capsys):
         cli.main(["spectrum", "--help"])
     out = capsys.readouterr().out
     assert "n,epsilon,nu,mu,epsilon_alt,oracle,rel_dev" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "--model", "morse", "--A", "-inf", "--B", "1", "--mu-scale", "2"),
+     "argument --A: expected one argument"),
+    (("spectrum", "--levels", "2"), "the following arguments are required: --model"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # exit 2 is reserved for a failed verification
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: triwave spectrum")
+    assert captured.err.endswith("triwave spectrum: error: %s\n" % message)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: triwave" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--model", "ho"),
+    ("wavefunction", "--model", "ho", "--epsilon", "1"),
+    ("jmatrix", "--model", "ho", "--epsilon", "1"),
+    ("verify", "--suite", "recursion-closed-form"),
+])
+def test_unwritable_output_exit_1(capsys, tmp_path, argv):
+    path = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run_cli(capsys, *argv, "--output", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write --output %s: " % path)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_output_file_holds_the_report(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("stale content " * 1000)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "recursion-closed-form",
+                           "--epoch", "0", "--output", str(path))
+    assert code == 0 and out == ""
+    assert json.loads(path.read_text())["passed"] is True
+    code, out, _ = run_cli(capsys, "spectrum", "--model", "ho", "--levels", "2",
+                           "--output", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text().splitlines()[0] == "n,epsilon,nu,mu,epsilon_alt,oracle,rel_dev"
+
+
+def test_failed_command_leaves_the_output_file(capsys, tmp_path):
+    path = tmp_path / "levels.csv"
+    path.write_text("earlier run\n")
+    code, _, err = run_cli(capsys, "spectrum", "--model", "morse", "--A", "-6", "--B", "2",
+                           "--mu-scale", "2", "--output", str(path))
+    assert code == 1 and "1/4" in err
+    assert path.read_text() == "earlier run\n"
+
+
+def test_minus_branch_is_not_verifiable(capsys):
+    # the grid imposes the regular x^(1/2+nu) wall behaviour, a different
+    # problem from the minus branch: an unsupported request, not a failed check
+    code, out, err = run_cli(capsys, "spectrum", "--model", "osc-inv-sq", "--b", "-0.1",
+                             "--branch", "-", "--levels", "1", "--verify")
+    assert code == 1
+    assert err.startswith("error: ") and "minus branch" in err
+
+
+@pytest.mark.parametrize("b", ["-0.2", "0.01", "0.3", "2.7", "10"])
+def test_osc_inv_sq_verifies_across_the_coupling_range(capsys, b):
+    code, out, err = run_cli(capsys, "spectrum", "--verify", "--model", "osc-inv-sq",
+                             "--a", "1", "--b", b)
+    assert code == 0, err
+    rel = [float(line.split(",")[6]) for line in out.strip().splitlines()[1:]]
+    assert len(rel) == 4 and max(rel) < 1e-5
