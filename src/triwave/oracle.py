@@ -10,8 +10,8 @@ Two unrelated work horses live here:
   top level's WKB exponent reaches 16;
 * Gauss quadrature rule generation from monic recurrence coefficients
   (nodes as the Jacobi-matrix eigenvalues, weights from the Christoffel
-  function of the orthonormal recurrence), plus adaptive Simpson
-  integration for non-classical weights.
+  function of the orthonormal recurrence), plus adaptive Gauss-Kronrod
+  (G7-K15) integration for non-classical weights.
 
 Both are built on one dependency-free multisection loop over Sturm sequence
 counts (many shifts per bracket counted in each sweep over the rows).  The
@@ -530,55 +530,120 @@ def gauss_rule(weight_id, n):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Simpson integration (vectorized integrand)
+# Adaptive Gauss-Kronrod integration (G7-K15 panels, vectorized integrand)
 # ---------------------------------------------------------------------------
 
-def _simpson(f0, fm, f1, width):
-    return width * (f0 + 4.0 * fm + f1) / 6.0
+# The 15-point Kronrod rule on [-1, 1], nodes ascending, and the 7-point Gauss
+# rule on its odd-indexed nodes (QUADPACK's qk15, Piessens et al. 1983).
+_KRONROD_NODES = np.array([
+    -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
+    -0.7415311855993945, -0.5860872354676911, -0.4058451513773972,
+    -0.20778495500789848, 0.0, 0.20778495500789848, 0.4058451513773972,
+    0.5860872354676911, 0.7415311855993945, 0.8648644233597691,
+    0.9491079123427585, 0.9914553711208126])
+_KRONROD_WEIGHTS = np.array([
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+    0.20443294007529889, 0.20948214108472782, 0.20443294007529889,
+    0.19035057806478542, 0.1690047266392679, 0.14065325971552592,
+    0.10479001032225019, 0.06309209262997856, 0.022935322010529224])
+_GAUSS_WEIGHTS = np.array([
+    0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+    0.4179591836734694, 0.3818300505051189, 0.27970539148927664,
+    0.1294849661688697])
+
+# Panels are not split below 2^-48 of the interval: level 48 is the last.
+_MAX_LEVEL = 48
+
+
+def _within_rounding(x, fx, err):
+    """Whether the error estimate of each panel (row of nodes x and values
+    fx) is within what the rounding of its nodes can cause.
+
+    The computed nodes are off by up to 2 eps |x|.  Through the null rule
+    K15 - G7, whose absolute weights sum to about 2, that moves the estimate
+    by up to width * |f'| * 2 eps |x|, which halving the panel cannot remove.
+    |f'| is taken between adjacent nodes; nodes that coincide (below the
+    float resolution of x) count as within.
+    """
+    reach = (x[:, -1] - x[:, 0]) * 4.4e-16 * np.max(np.abs(x), axis=1)
+    return np.any(err[:, None] * np.diff(x, axis=1)
+                  <= reach[:, None] * np.abs(np.diff(fx, axis=1)), axis=1)
 
 
 def adaptive_quad(f, a, b, tol=1e-10, max_eval=400_000):
-    """Global adaptive Simpson on (a, b) for a vectorized integrand.
+    """Global adaptive Gauss-Kronrod (G7-K15) on (a, b) for a vectorized
+    integrand.
 
-    The per-interval error budget is proportional to the interval width, with
-    tol interpreted as an absolute target on the whole integral (suits the
-    near-zero integrals of orthogonality checks).  Panels are not split below
-    2^-48 of the interval.  Returns (value, error_estimate); raises
-    AccuracyError when the budget runs out.
+    The panels are refined level by level, starting from (a, b).  Each level
+    evaluates the 15 Kronrod nodes of every open panel in one call f(x), with
+    x ascending, and takes |K15 - G7| as each panel's error estimate.  A
+    panel is accepted when err <= tol * (width / (b - a)) * max(1, |K15|),
+    so tol is an absolute target on the whole integral (suits the near-zero
+    integrals of orthogonality checks), and halved otherwise.  A panel is
+    not split when it is 2^-48 of the interval wide, or when its error is
+    within what the rounding of its nodes can cause (steep integrands, such
+    as near an integrable singularity); such a panel is accepted if its
+    error is at most 1e3 * tol, and otherwise the quadrature stalls.  Returns
+    (value, error_estimate), the sums of the accepted K15 values and error
+    estimates in panel order, so the result is deterministic.
+
+    Raises ParameterDomainError unless a < b are finite, tol is positive and
+    finite and max_eval >= 15; DomainError at the first non-finite f(x); and
+    AccuracyError when it stalls or the next level would take more than
+    max_eval integrand values.
     """
     a, b = float(a), float(b)
-    min_h = (b - a) * 2.0 ** -48
-    xs = np.array([a, 0.5 * (a + b), b])
-    f0, fm, f1 = np.asarray(f(xs), dtype=float)
-    stack = [(a, b, f0, fm, f1, _simpson(f0, fm, f1, b - a))]
-    total = 0.0
-    err_total = 0.0
-    n_eval = 3
-    while stack:
-        x0, x1, f0, fm, f1, coarse = stack.pop()
-        xm = 0.5 * (x0 + x1)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x1)
-        fl, fr = np.asarray(f(np.array([xl, xr])), dtype=float)
-        n_eval += 2
-        left = _simpson(f0, fl, fm, xm - x0)
-        right = _simpson(fm, fr, f1, x1 - xm)
-        fine = left + right
-        err = (fine - coarse) / 15.0
-        width = x1 - x0
-        allowed = tol * (width / (b - a)) * max(1.0, abs(fine))
-        if abs(err) <= allowed or width <= min_h:
-            if width <= min_h and abs(err) > 1e3 * tol:
+    if not (a < b and math.isfinite(b - a)):
+        raise ParameterDomainError(
+            "integration limits must be finite with a < b, got (%r, %r)" % (a, b))
+    if not 0.0 < tol < math.inf:
+        raise ParameterDomainError("tol must be positive and finite, got %r" % tol)
+    if not max_eval >= _KRONROD_NODES.size:
+        raise ParameterDomainError("max_eval must allow one 15-point panel, got %r"
+                                   % max_eval)
+    lo, hi = np.array([a]), np.array([b])
+    open_val = open_err = np.zeros(0)
+    done_lo, done_val, done_err = [], [], []
+    n_eval = 0
+    for level in range(_MAX_LEVEL + 1):
+        if n_eval + _KRONROD_NODES.size * lo.size > max_eval:
+            raise AccuracyError(
+                "adaptive quadrature exceeded its evaluation budget",
+                estimates=(float(np.sum(np.concatenate(done_val + [open_val]))),
+                           float(np.sum(np.concatenate(done_err + [open_err])))))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = mid[:, None] + half[:, None] * _KRONROD_NODES
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        n_eval += x.size
+        finite = np.isfinite(fx)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError("f(x) = %r is not finite at x = %.15g"
+                              % (float(fx.flat[i]), x.flat[i]))
+        kronrod = half * (fx @ _KRONROD_WEIGHTS)
+        gauss = half * (fx[:, 1::2] @ _GAUSS_WEIGHTS)
+        err = np.abs(kronrod - gauss)
+        ok = err <= tol * ((hi - lo) / (b - a)) * np.maximum(1.0, np.abs(kronrod))
+        final = np.flatnonzero(~ok)
+        if level < _MAX_LEVEL:
+            final = final[_within_rounding(x[final], fx[final], err[final])]
+        if final.size:
+            worst = final[np.argmax(err[final])]
+            if err[worst] > 1e3 * tol:
                 raise AccuracyError(
-                    "adaptive quadrature stalled on (%g, %g)" % (x0, x1),
-                    estimates=(coarse, fine))
-            total += fine + err
-            err_total += abs(err)
-        else:
-            stack.append((x0, xm, f0, fl, fm, left))
-            stack.append((xm, x1, fm, fr, f1, right))
-        if n_eval > max_eval:
-            raise AccuracyError("adaptive quadrature exceeded its evaluation budget",
-                                estimates=(total, err_total))
-    return total, err_total
-
+                    "adaptive quadrature stalled on (%.15g, %.15g)" % (lo[worst], hi[worst]),
+                    estimates=(float(gauss[worst]), float(kronrod[worst])))
+            ok[final] = True
+        done_lo.append(lo[ok])
+        done_val.append(kronrod[ok])
+        done_err.append(err[ok])
+        split = ~ok
+        if not split.any():
+            break
+        open_val, open_err = kronrod[split], err[split]
+        lo = np.column_stack((lo[split], mid[split])).ravel()
+        hi = np.column_stack((mid[split], hi[split])).ravel()
+    order = np.argsort(np.concatenate(done_lo), kind="stable")
+    return (float(np.sum(np.concatenate(done_val)[order])),
+            float(np.sum(np.concatenate(done_err)[order])))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwave import models as md
 from triwave import oracle as oc
@@ -466,3 +468,98 @@ def test_adaptive_quad_nonconvergence():
 def test_adaptive_quad_smooth():
     val, err = oc.adaptive_quad(lambda x: np.sin(x), 0.0, math.pi, tol=1e-12)
     assert val == pytest.approx(2.0, rel=1e-11)
+
+
+def test_adaptive_quad_integrable_singularity():
+    # near x = 0.3 the rounding of the nodes moves |K15 - G7| by more than a
+    # panel's share of tol; those panels are kept instead of halved forever
+    val, err = oc.adaptive_quad(lambda x: np.abs(x - 0.3) ** -0.5, 0.0, 1.0, tol=1e-8)
+    assert abs(val - 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))) <= err < 1e-6
+
+
+def test_adaptive_quad_stalls_and_runs_out_of_budget():
+    with pytest.raises(AccuracyError, match="stalled"):
+        oc.adaptive_quad(lambda x: np.abs(x - 0.3) ** -0.98, 0.0, 1.0, tol=1e-10)
+    with pytest.raises(AccuracyError, match="evaluation budget") as info:
+        oc.adaptive_quad(lambda x: np.sin(50.0 * x), 0.0, 100.0, tol=1e-10, max_eval=100)
+    assert np.all(np.isfinite(info.value.estimates))
+
+
+@pytest.mark.parametrize("degree", range(23))
+def test_kronrod_rule_exact_on_monomials(degree):
+    want = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+    x = oc._KRONROD_NODES
+    assert abs(np.dot(oc._KRONROD_WEIGHTS, x ** degree) - want) < 1e-15
+    if degree <= 13:
+        assert abs(np.dot(oc._GAUSS_WEIGHTS, x[1::2] ** degree) - want) < 1e-15
+
+
+def test_kronrod_rule_symmetric():
+    x = oc._KRONROD_NODES
+    assert np.all(np.diff(x) > 0.0) and np.array_equal(x, -x[::-1])
+    assert np.array_equal(oc._KRONROD_WEIGHTS, oc._KRONROD_WEIGHTS[::-1])
+    assert np.array_equal(oc._GAUSS_WEIGHTS, oc._GAUSS_WEIGHTS[::-1])
+    assert abs(np.sum(oc._KRONROD_WEIGHTS) - 2.0) < 1e-15
+    assert abs(np.sum(oc._GAUSS_WEIGHTS) - 2.0) < 1e-15
+
+
+def test_adaptive_quad_is_deterministic():
+    def f(x):
+        return 1.0 / (1e-3 + (x - 0.3) ** 2)
+
+    first = oc.adaptive_quad(f, 0.0, 1.0, tol=1e-10)
+    assert first == oc.adaptive_quad(f, 0.0, 1.0, tol=1e-10)
+    want = (math.atan(0.7 / math.sqrt(1e-3)) + math.atan(0.3 / math.sqrt(1e-3))) \
+        / math.sqrt(1e-3)
+    assert first[0] == pytest.approx(want, rel=1e-10)
+
+
+def _pollaczek_gram_deviation(mu, a, b, tol):
+    """Largest deviation of the Pollaczek weight's Gram entries m <= n <= 3,
+    integrated by adaptive_quad in theta = arccos x, from the closed form."""
+    fam = orthopoly.PollaczekFamily(mu, a, b)
+    dev = 0.0
+    for n in range(4):
+        for m in range(n + 1):
+            def f(theta):
+                x = np.cos(theta)
+                seq = orthopoly.pollaczek_sequence(fam, 3, x)
+                return orthopoly.weight_eval(fam, x) * seq[n] * seq[m] * np.sin(theta)
+            val = oc.adaptive_quad(f, 1e-6, math.pi - 1e-6, tol=tol)[0]
+            want = (math.exp(math.lgamma(n + 2.0 * mu) - math.lgamma(n + 1.0))
+                    / (n + mu + a)) if n == m else 0.0
+            dev = max(dev, abs(val - want))
+    return dev
+
+
+def test_adaptive_quad_no_early_accept():
+    # a weight on which coarse and fine Simpson sums agree by chance at tol
+    # 1e-7: entry (1, 1) came out 5.18036, where the integral is 5.18243
+    assert _pollaczek_gram_deviation(1.9136534545663646, 0.6687256574122785,
+                                     0.4409535238890209, 1e-7) < 1e-5
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(mu=st.floats(0.5, 2.0), a=st.floats(0.5, 2.0), ratio=st.floats(-0.9, 0.9))
+def test_adaptive_quad_pollaczek_gram_property(mu, a, ratio):
+    assert _pollaczek_gram_deviation(mu, a, a * ratio, 1e-7) < 1e-5
+
+
+@pytest.mark.parametrize("a,b,kwargs", [
+    (0.0, math.inf, {}), (-math.inf, 0.0, {}), (math.nan, 1.0, {}), (1.0, 1.0, {}),
+    (1.0, 0.0, {}), (0.0, 1.0, {"tol": math.nan}), (0.0, 1.0, {"tol": -1.0}),
+    (0.0, 1.0, {"tol": 0.0}), (0.0, 1.0, {"tol": math.inf}),
+    (0.0, 1.0, {"max_eval": 14})])
+def test_adaptive_quad_input_contract(a, b, kwargs):
+    with pytest.raises(ParameterDomainError):
+        oc.adaptive_quad(np.sin, a, b, **kwargs)
+
+
+def test_adaptive_quad_non_finite_integrand():
+    # the first non-finite value is reported, at the lowest node of (0, 1)
+    with pytest.raises(DomainError,
+                       match=r"f\(x\) = nan is not finite at x = 0.00427231443959369$"):
+        oc.adaptive_quad(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(DomainError, match=r"f\(x\) = inf is not finite at x = 0.5$"):
+            oc.adaptive_quad(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
