@@ -23,11 +23,13 @@ from .basis import (
     overlap_matrix,
     rosen_morse_basis,
     rosen_morse_map,
+    series_eval,
 )
 from .exceptions import (
     AccuracyError,
     ComplexWeightError,
     DomainError,
+    EvaluationOverflowError,
     ParameterDomainError,
     QuadratureOrderError,
     RecursionBreakdownError,

@@ -16,7 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle, orthopoly
-from .exceptions import DomainError, ParameterDomainError, QuadratureOrderError
+from .exceptions import (
+    DomainError,
+    EvaluationOverflowError,
+    ParameterDomainError,
+    QuadratureOrderError,
+)
 
 __all__ = [
     "BasisSpec",
@@ -30,6 +35,7 @@ __all__ = [
     "rosen_morse_basis",
     "normalization",
     "basis_eval",
+    "series_eval",
     "measure_factor",
     "overlap",
     "overlap_matrix",
@@ -225,13 +231,14 @@ def basis_eval(spec: BasisSpec, n: int, y):
     """phi_n(y), normalized per the family's A_n."""
     y_arr = np.asarray(y, dtype=float)
     env = _envelope(spec, y_arr)
-    if spec.kind == "laguerre":
-        poly = orthopoly.laguerre_sequence(spec.family(), n, y_arr)[n]
-    else:
-        poly = orthopoly.jacobi_sequence(spec.family(), n, y_arr)[n]
-    val = normalization(spec, n) * env * poly
-    if not np.all(np.isfinite(val)):
-        raise OverflowError("basis value overflowed; reduce n or move y inward")
+    evaluate = orthopoly.laguerre_eval if spec.kind == "laguerre" else orthopoly.jacobi_eval
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = normalization(spec, n) * env * evaluate(spec.family(), n, y_arr)
+    bad = ~np.isfinite(val)
+    if np.any(bad):
+        raise EvaluationOverflowError(
+            "phi_%d is not finite at y = %r (the polynomial or the envelope "
+            "overflows); reduce n or move y inward" % (n, float(y_arr[bad].flat[0])))
     return val if val.ndim else float(val)
 
 
@@ -243,8 +250,26 @@ def scaled_polynomials(spec: BasisSpec, nmax: int, y):
         seq = orthopoly.laguerre_sequence(spec.family(), nmax, y_arr)
     else:
         seq = orthopoly.jacobi_sequence(spec.family(), nmax, y_arr)
-    norms = normalization(spec, np.arange(nmax + 1))
-    return norms[:, None] * seq.reshape(nmax + 1, -1)
+    seq = seq.reshape(nmax + 1, -1)
+    seq *= normalization(spec, np.arange(nmax + 1))[:, None]
+    return seq
+
+
+def series_eval(spec: BasisSpec, f, y):
+    """sum_n f_n phi_n(y) over n < len(f), summed while the recurrence steps:
+    memory is O(size of y), never the len(f) x size(y) table."""
+    y_arr = np.asarray(y, dtype=float)
+    env = _envelope(spec, y_arr)
+    coeffs = (np.asarray(f, dtype=float) * normalization(spec, np.arange(len(f)))).tolist()
+    rows = orthopoly._laguerre_rows if spec.kind == "laguerre" else orthopoly._jacobi_rows
+    total = np.zeros(y_arr.shape)
+    term = np.empty(y_arr.shape)
+    for c, poly in zip(coeffs, rows(spec.family(), len(coeffs) - 1, y_arr,
+                                    np.empty((3,) + y_arr.shape))):
+        np.multiply(poly, c, out=term)
+        total += term
+    total *= env
+    return total if total.ndim else float(total)
 
 
 # ---------------------------------------------------------------------------

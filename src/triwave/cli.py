@@ -11,6 +11,7 @@ produce byte-identical output (pass --epoch to pin the JSON timestamp).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -46,12 +47,33 @@ def _start_output(out):
         out.truncate(0)
 
 
-def _emit(columns, rows, args, out, extra_meta=None):
+def _csv_column(column):
+    """(printf format, values) of one CSV column: a float array formats as
+    %.15g (adding 0.0 turns -0.0 into 0.0, as _fmt does) and an integer
+    array as %d, a constant is written into the format once, and any other
+    column goes value by value through _fmt (arrays as Python values, so a
+    bool array prints true/false)."""
+    if np.ndim(column) == 0:
+        return _fmt(column).replace("%", "%%"), []
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return "%.15g", (column + 0.0).tolist()
+        if column.dtype.kind in "iu":
+            return "%d", column.tolist()
+        column = column.tolist()
+    return "%s", [_fmt(v) for v in column]
+
+
+def _emit(names, columns, args, out, extra_meta=None):
+    """Write the table whose columns (parallel to names) are arrays, lists or
+    constants (a scalar, or None for an empty column) as CSV or JSON."""
+    n_rows = max((len(c) for c in columns if np.ndim(c)), default=0)
     _start_output(out)
     if args.format == "csv":
-        out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+        formats, values = zip(*map(_csv_column, columns))
+        # every row in one printf pass over the row-major values
+        cells = tuple(itertools.chain.from_iterable(zip(*(v for v in values if v))))
+        out.write(",".join(names) + "\n" + (",".join(formats) + "\n") * n_rows % cells)
     else:
         meta = {"version": __version__,
                 "config": {k: v for k, v in sorted(vars(args).items())
@@ -59,8 +81,9 @@ def _emit(columns, rows, args, out, extra_meta=None):
                 "timestamp": args.epoch if args.epoch is not None else int(time.time())}
         if extra_meta:
             meta.update(extra_meta)
-        doc = {"meta": meta, "columns": columns,
-               "rows": [[(None if v is None else v) for v in row] for row in rows]}
+        values = [c.tolist() if isinstance(c, np.ndarray)
+                  else c if np.ndim(c) else [c] * n_rows for c in columns]
+        doc = {"meta": meta, "columns": names, "rows": [list(r) for r in zip(*values)]}
         json.dump(doc, out, indent=2, default=float)
         out.write("\n")
 
@@ -133,7 +156,8 @@ def cmd_spectrum(args, out):
             worst = max(worst, rel)
         rows.append([lv.n, eps, lv.basis_params.get("nu"), lv.basis_params.get("mu"),
                      lv.extra.get("epsilon_alt"), ora, rel])
-    _emit(_SPECTRUM_COLUMNS, rows, args, out, extra_meta={"notes": res.notes})
+    columns = [[row[j] for row in rows] for j in range(len(_SPECTRUM_COLUMNS))]
+    _emit(_SPECTRUM_COLUMNS, columns, args, out, extra_meta={"notes": res.notes})
     if res.notes and args.format == "csv":
         for note in res.notes:
             print("# note: %s" % note, file=sys.stderr)
@@ -148,9 +172,8 @@ def cmd_wavefunction(args, out):
     model = _build_model(args)
     x = np.linspace(args.x_min, args.x_max, args.samples)
     psi, record = md.wavefunction(model, args.epsilon, args.truncation, x)
-    rows = [[xi, pi, record.tail_estimate, record.converged]
-            for xi, pi in zip(x, np.atleast_1d(psi))]
-    _emit(_WAVEFUNCTION_COLUMNS, rows, args, out)
+    _emit(_WAVEFUNCTION_COLUMNS, [x, psi, record.tail_estimate, record.converged],
+          args, out)
     return 0
 
 
@@ -169,9 +192,10 @@ def cmd_jmatrix(args, out):
     analytic[idx, idx] = rc.jmatrix_scale * (diag - eps)
     analytic[idx[:-1], idx[1:]] = analytic[idx[1:], idx[:-1]] = rc.jmatrix_scale * off
     numeric = op.numeric_jmatrix(model, spec, cmap, eps, size) if args.numeric else None
-    rows = [[m, n, analytic[m, n], None if numeric is None else numeric[m, n]]
-            for m in range(size) for n in range(size)]
-    _emit(_JMATRIX_COLUMNS, rows, args, out)
+    m, n = np.divmod(np.arange(size * size), size)
+    _emit(_JMATRIX_COLUMNS,
+          [m, n, analytic.ravel(), None if numeric is None else numeric.ravel()],
+          args, out)
     return 0
 
 
@@ -391,6 +415,30 @@ def _open_output(path):
                            % (path, exc.strerror or exc)) from None
 
 
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv):
+    """argv with each token that float() accepts and that starts with '-'
+    joined to the flag before it (--epsilon=-4.9e-05).  argparse reads a
+    token starting with '-' as an option unless it looks like a negative
+    number to argparse, and exponent forms and -inf do not."""
+    out = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token.startswith("-") and _is_number(token) and prev.startswith("-")
+                and prev != "--" and "=" not in prev and not _is_number(prev)):
+            out[-1] = prev + "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = _ArgumentParser(
         prog="triwave",
@@ -447,7 +495,8 @@ def main(argv=None):
     p.add_argument("--epoch", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         _require_finite_flags(args)
         out = _open_output(args.output)

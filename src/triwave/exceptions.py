@@ -46,6 +46,10 @@ class UnsupportedStructureError(TriwaveError, ValueError):
     """The operation does not apply to this operator structure."""
 
 
+class EvaluationOverflowError(TriwaveError, OverflowError):
+    """A value overflowed to a non-finite number in floating point."""
+
+
 class QuadratureOrderError(TriwaveError, ValueError):
     """The quadrature rule cannot integrate the requested degree exactly."""
 

@@ -440,11 +440,7 @@ def wavefunction(model, epsilon, N, x):
     if cmap.kind == "oscillator" and np.any(x_arr < 0.0) and not isinstance(
             model, HarmonicOscillator):
         raise DomainError("inverse-square models evaluate on x > 0")
-    y = np.asarray(cmap.to_y(x_arr), dtype=float)
-    vals = basis_mod.scaled_polynomials(spec, N - 1, y)
-    env = basis_mod._envelope(spec, y)
-    psi = env * (series.f @ vals)
-    psi = psi.reshape(x_arr.shape) if x_arr.ndim else float(psi[0])
+    psi = basis_mod.series_eval(spec, series.f, cmap.to_y(x_arr))
     if isinstance(model, HarmonicOscillator) and model.parity == "odd":
         psi = psi * np.sign(x_arr) if x_arr.ndim else psi * math.copysign(1.0, float(x_arr))
     record = WavefunctionSeries(spec=spec, coeffs=series,

@@ -210,54 +210,120 @@ def gamma_abs_squared(mu, y):
 # Laguerre
 # ---------------------------------------------------------------------------
 
+def _ring_view(rows, n):
+    """Row n of a table, or of a ring of rows when len(rows) <= n; always an
+    array view, so ufuncs can write into it (also for a scalar x)."""
+    return rows[n % len(rows), ...]
+
+
+def _laguerre_rows(family: LaguerreFamily, nmax: int, x, rows):
+    """Step L_0^nu .. L_nmax^nu at x through the three-term recurrence,
+    writing L_n into row n of rows and yielding that row.  rows is the
+    (nmax+1,) + x.shape table, or a ring of 3 rows (row n % 3) for a caller
+    that keeps only the latest two; a yielded row stays valid for two more
+    steps."""
+    nu = family.nu
+    p = _ring_view(rows, 0)
+    p[...] = 1.0
+    yield p
+    if nmax >= 1:
+        q, p = p, _ring_view(rows, 1)
+        np.subtract(nu + 1.0, x, out=p)
+        yield p
+    tmp = np.empty(x.shape)
+    for n in range(1, nmax):
+        nxt = _ring_view(rows, n + 1)
+        # ((2n + nu + 1 - x) L_n - (n + nu) L_{n-1}) / (n + 1)
+        np.subtract(2 * n + nu + 1.0, x, out=nxt)
+        nxt *= p
+        np.multiply(n + nu, q, out=tmp)
+        nxt -= tmp
+        nxt /= n + 1.0
+        q, p = p, nxt
+        yield p
+
+
 def laguerre_sequence(family: LaguerreFamily, nmax: int, x):
     """L_0^nu .. L_nmax^nu at x; returns shape (nmax+1,) + shape(x)."""
     if nmax < 0:
         raise ParameterDomainError("nmax must be >= 0")
-    nu = family.nu
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1,) + x.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = nu + 1.0 - x
-    for n in range(1, nmax):
-        out[n + 1] = ((2 * n + nu + 1.0 - x) * out[n] - (n + nu) * out[n - 1]) / (n + 1.0)
+    for _ in _laguerre_rows(family, nmax, x, out):
+        pass
     return out
 
 
+def _last_two(rows):
+    """The last two rows an exhausted row generator yielded (the first is
+    None for a single row)."""
+    prev = last = None
+    for row in rows:
+        prev, last = last, row
+    return prev, last
+
+
 def laguerre_eval(family: LaguerreFamily, n: int, x):
-    """L_n^nu(x) by upward recurrence."""
-    seq = laguerre_sequence(family, n, x)
-    return seq[n] if seq[n].ndim else float(seq[n])
+    """L_n^nu(x) by upward recurrence, holding the last rows only."""
+    if n < 0:
+        raise ParameterDomainError("nmax must be >= 0")
+    x = np.asarray(x, dtype=float)
+    val = _last_two(_laguerre_rows(family, n, x, np.empty((3,) + x.shape)))[1]
+    return val if val.ndim else float(val)
 
 
 # ---------------------------------------------------------------------------
 # Jacobi
 # ---------------------------------------------------------------------------
 
-def jacobi_sequence(family: JacobiFamily, nmax: int, x):
-    """P_0^(mu,nu) .. P_nmax^(mu,nu) at x."""
-    if nmax < 0:
-        raise ParameterDomainError("nmax must be >= 0")
+def _jacobi_rows(family: JacobiFamily, nmax: int, x, rows):
+    """Step P_0^(mu,nu) .. P_nmax^(mu,nu) at x through the three-term
+    recurrence, writing into and yielding rows as _laguerre_rows does."""
     mu, nu = family.mu, family.nu
     s = mu + nu
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
-    out[0] = 1.0
+    p = _ring_view(rows, 0)
+    p[...] = 1.0
+    yield p
     if nmax >= 1:
-        out[1] = 0.5 * (s + 2.0) * x + 0.5 * (mu - nu)
+        q, p = p, _ring_view(rows, 1)
+        np.multiply(0.5 * (s + 2.0), x, out=p)
+        p += 0.5 * (mu - nu)
+        yield p
+    half = 0.5 * (1.0 + x)
+    tmp = np.empty(x.shape)
     for n in range(1, nmax):
         c0 = (2 * n * (n + s + 1.0) + s * (nu + 1.0)) / ((2 * n + s) * (2 * n + s + 2.0))
         cm = (n + mu) * (n + nu) / ((2 * n + s) * (2 * n + s + 1.0))
         cp = (n + 1.0) * (n + s + 1.0) / ((2 * n + s + 1.0) * (2 * n + s + 2.0))
-        out[n + 1] = ((0.5 * (1.0 + x) - c0) * out[n] - cm * out[n - 1]) / cp
+        nxt = _ring_view(rows, n + 1)
+        # (((1 + x)/2 - c0) P_n - cm P_{n-1}) / cp
+        np.subtract(half, c0, out=nxt)
+        nxt *= p
+        np.multiply(cm, q, out=tmp)
+        nxt -= tmp
+        nxt /= cp
+        q, p = p, nxt
+        yield p
+
+
+def jacobi_sequence(family: JacobiFamily, nmax: int, x):
+    """P_0^(mu,nu) .. P_nmax^(mu,nu) at x."""
+    if nmax < 0:
+        raise ParameterDomainError("nmax must be >= 0")
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1,) + x.shape)
+    for _ in _jacobi_rows(family, nmax, x, out):
+        pass
     return out
 
 
 def jacobi_eval(family: JacobiFamily, n: int, x):
-    """P_n^(mu,nu)(x) by upward recurrence."""
-    seq = jacobi_sequence(family, n, x)
-    return seq[n] if seq[n].ndim else float(seq[n])
+    """P_n^(mu,nu)(x) by upward recurrence, holding the last rows only."""
+    if n < 0:
+        raise ParameterDomainError("nmax must be >= 0")
+    x = np.asarray(x, dtype=float)
+    val = _last_two(_jacobi_rows(family, n, x, np.empty((3,) + x.shape)))[1]
+    return val if val.ndim else float(val)
 
 
 def jacobi_derivative(family: JacobiFamily, n: int, x):
@@ -269,9 +335,9 @@ def jacobi_derivative(family: JacobiFamily, n: int, x):
         z = np.zeros_like(x)
         return z if z.ndim else 0.0
     mu, nu = family.mu, family.nu
-    seq = jacobi_sequence(family, n, x)
-    d1 = (-n * (x + (nu - mu) / (2 * n + mu + nu)) * seq[n]
-          + 2.0 * (n + mu) * (n + nu) / (2 * n + mu + nu) * seq[n - 1])
+    p_prev, p_n = _last_two(_jacobi_rows(family, n, x, np.empty((3,) + x.shape)))
+    d1 = (-n * (x + (nu - mu) / (2 * n + mu + nu)) * p_n
+          + 2.0 * (n + mu) * (n + nu) / (2 * n + mu + nu) * p_prev)
     val = d1 / (1.0 - x * x)
     return val if val.ndim else float(val)
 

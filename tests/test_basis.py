@@ -5,7 +5,13 @@ import pytest
 
 from triwave import basis as bs
 from triwave import oracle as oc
-from triwave.exceptions import DomainError, ParameterDomainError, QuadratureOrderError
+from triwave.exceptions import (
+    DomainError,
+    EvaluationOverflowError,
+    ParameterDomainError,
+    QuadratureOrderError,
+    TriwaveError,
+)
 
 import helpers
 
@@ -176,6 +182,28 @@ def test_boundary_compliance_oscillator():
         vals = np.abs([bs.basis_eval(spec, n, y) for y in ys])
         assert np.all(np.diff(vals) < 0)
         assert vals[-1] < 1e-8
+
+
+def test_basis_eval_overflow_names_n_and_y():
+    spec = bs.oscillator_pollaczek_basis(0.0)
+    with pytest.raises(EvaluationOverflowError, match=r"phi_400 .* y = 2000\.0"):
+        bs.basis_eval(spec, 400, 2000.0)
+    # the first offending point of an array, and still a TriwaveError and
+    # an OverflowError
+    with pytest.raises(TriwaveError, match=r"phi_400 .* y = 1500\.0") as exc:
+        bs.basis_eval(spec, 400, np.array([1.0, 10.0, 1500.0, 2000.0]))
+    assert isinstance(exc.value, OverflowError)
+    assert np.isfinite(bs.basis_eval(spec, 400, np.array([1.0, 10.0, 500.0]))).all()
+
+
+def test_series_eval_matches_basis_sum():
+    for spec, y in ((bs.morse_basis(1.5), np.linspace(0.01, 20.0, 31)),
+                    (bs.rosen_morse_basis(0.8, 0.6), np.linspace(-0.99, 0.99, 31))):
+        f = np.random.default_rng(3).normal(size=12)
+        ref = sum(fn * bs.basis_eval(spec, n, y) for n, fn in enumerate(f))
+        got = bs.series_eval(spec, f, y)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert bs.series_eval(spec, f, float(y[4])) == pytest.approx(got[4], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import argparse
+import io
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -200,7 +204,7 @@ def test_help_documents_columns(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("spectrum", "--model", "morse", "--A", "-inf", "--B", "1", "--mu-scale", "2"),
+    (("spectrum", "--model", "morse", "--B", "1", "--mu-scale", "2", "--A"),
      "argument --A: expected one argument"),
     (("spectrum", "--levels", "2"), "the following arguments are required: --model"),
 ])
@@ -213,6 +217,110 @@ def test_usage_errors_exit_1(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("usage: triwave spectrum")
     assert captured.err.endswith("triwave spectrum: error: %s\n" % message)
+
+
+@pytest.mark.parametrize("token", ["-4.9e-05", "-2.5E-1", "-1e+00"])
+def test_negative_exponent_values(capsys, token):
+    code, out, err = run_cli(capsys, "wavefunction", "--model", "osc-inv-sq-super",
+                             "--b", "-0.5", "--nu", "0.5", "--epsilon", token,
+                             "--x-min", "0.1", "--samples", "3", "-N", "20",
+                             "--format", "json", "--epoch", "0")
+    assert code == 0, err
+    assert json.loads(out)["meta"]["config"]["epsilon"] == float(token)
+
+
+def test_negative_infinity_value_is_not_finite(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--model", "morse", "--A", "-inf",
+                             "--B", "1", "--mu-scale", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --A = -inf is not finite\n"
+
+
+def test_python_dash_m(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["triwave", "spectrum", "--model", "ho",
+                                      "--levels", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("triwave", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "n,epsilon,nu,mu,epsilon_alt,oracle,rel_dev\n" \
+        "0,1,-0.5,,,,\n1,5,-0.5,,,,\n"
+
+
+# ---------------------------------------------------------------------------
+# The column-wise writer against the per-value reference
+# ---------------------------------------------------------------------------
+
+def _reference_csv(names, columns):
+    """The table written row by row, one _fmt call per cell."""
+    n_rows = max(len(c) for c in columns if np.ndim(c))
+    rows = zip(*[c if np.ndim(c) else [c] * n_rows for c in columns])
+    return ",".join(names) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n"
+                                            for row in rows)
+
+
+def _emitted(columns, fmt="csv"):
+    out = io.StringIO()
+    names = ["c%d" % i for i in range(len(columns))]
+    cli._emit(names, columns, argparse.Namespace(format=fmt, epoch=0), out)
+    return names, out.getvalue()
+
+
+def test_writer_matches_per_value_reference():
+    floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -2.5e300,
+                       0.1, -1.0 / 3.0, 12345678901234567.0, 5e-324])
+    columns = [floats, np.arange(-5, 6), floats[::-1].copy(), 2.5e-11, True, None,
+               [None, 1, -0.0, 2.0, np.float64(-0.0), False, np.int64(-3), 7, None, 3.5, 0],
+               np.array([True, False] * 5 + [True])]
+    names, text = _emitted(columns)
+    assert text == _reference_csv(names, columns[:-1] + [columns[-1].tolist()])
+    assert text.splitlines()[1] == "0,-5,4.94065645841247e-324,2.5e-11,true,,,true"
+    assert text.splitlines()[2] == "0,-4,1.23456789012346e+16,2.5e-11,true,,1,false"
+
+
+def test_writer_json_keeps_raw_values():
+    names, text = _emitted([np.array([-0.0, 1.5]), np.array([3, 4]), None, False], "json")
+    doc = json.loads(text)
+    assert doc["columns"] == names
+    assert doc["rows"] == [[-0.0, 3, None, False], [1.5, 4, None, False]]
+    assert "-0.0" in text
+
+
+def test_writer_empty_table():
+    names, text = _emitted([[], [], None])
+    assert text == "c0,c1,c2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--model", "rosen-morse", "--A", "1", "--B", "-2", "--levels", "3"),
+    ("spectrum", "--model", "ho", "--levels", "2", "--verify"),
+    ("jmatrix", "--model", "ho", "--epsilon", "1", "--size", "5"),
+    ("jmatrix", "--model", "osc-inv-sq", "--a", "2", "--b", "0.75", "--epsilon", "0.7",
+     "--size", "6", "--numeric"),
+    ("wavefunction", "--model", "ho", "--a", "-1.5", "--parity", "odd", "--epsilon", "2.5",
+     "--samples", "101", "-N", "60"),
+])
+def test_commands_write_the_per_value_table(capsys, monkeypatch, argv):
+    seen = []
+    emit = cli._emit
+
+    def recording_emit(names, columns, *rest, **kw):
+        seen.append((names, columns))
+        return emit(names, columns, *rest, **kw)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    (names, columns), = seen
+    assert out == _reference_csv(names, columns)
+
+
+def test_jmatrix_csv_text(capsys):
+    # the exact bytes: integer and float columns, and the empty numeric column
+    code, out, _ = run_cli(capsys, "jmatrix", "--model", "ho", "--epsilon", "1",
+                           "--size", "2")
+    assert code == 0
+    assert out == "m,n,analytic,numeric\n0,0,0,\n0,1,0,\n1,0,0,\n1,1,4,\n"
 
 
 def test_help_exits_0(capsys):

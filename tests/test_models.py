@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,76 @@ def test_supercritical_series_coefficients_and_flag():
     # series must carry an explicit non-convergence flag rather than fail
     assert record.tail_estimate > 1e-10
     assert record.converged is False
+
+
+def _table_wavefunction(model, epsilon, N, x):
+    """The wavefunction from the full N x samples table of A_n P_n, the
+    representation the series sum replaces."""
+    rc, spec, cmap = md.recursion_for(model, epsilon)
+    f = op.solve_recursion(rc, epsilon, N).f
+    y = np.atleast_1d(cmap.to_y(np.asarray(x, dtype=float)))
+    psi = bs._envelope(spec, y) * (f @ bs.scaled_polynomials(spec, N - 1, y))
+    if isinstance(model, md.HarmonicOscillator) and model.parity == "odd":
+        psi = psi * np.sign(np.atleast_1d(x))
+    return psi
+
+
+_SERIES_CASES = [
+    # (model, epsilon, N, x range): every model and series route
+    (md.HarmonicOscillator(a=-1.5), 3.0, 400, (-5.0, 5.0)),  # trigonometric
+    (md.HarmonicOscillator(a=0.5), 3.0, 100, (-5.0, 5.0)),  # mirrored
+    (md.HarmonicOscillator(a=2.0), 3.0, 100, (-5.0, 5.0)),  # hyperbolic
+    (md.HarmonicOscillator(a=1.0, parity="odd"), 7.0, 50, (-5.0, 5.0)),
+    (md.HarmonicOscillator(a=-2.0, parity="odd"), 2.5, 300, (-5.0, 5.0)),
+    (md.OscillatorInverseSquare(a=-1.0, b=0.75), 4.0, 500, (0.05, 5.0)),
+    (md.OscillatorInverseSquare(a=0.4, b=1.5), 2.0, 100, (0.05, 5.0)),
+    (md.OscillatorInverseSquare(a=2.0, b=0.75), 0.7, 100, (0.05, 5.0)),
+    (md.SupercriticalInverseSquare(b=-0.5, nu=0.5), -1.2, 600, (0.05, 5.0)),
+    (md.GeneralizedMorse(A=-3.0, B=-4.0, mu_scale=2.0), -0.8, 400, (-2.0, 8.0)),
+    (md.GeneralizedMorse(A=2.0, B=0.5, mu_scale=2.0), -1.5, 100, (-2.0, 8.0)),
+    (md.GeneralizedMorse(A=-6.0, B=4.0, mu_scale=2.0), -2.0, 100, (-2.0, 8.0)),
+    (md.RosenMorse(A=1.0, B=-2.0), -0.7, 500, (-6.0, 6.0)),
+]
+
+
+@pytest.mark.parametrize("model, epsilon, N, x_range", _SERIES_CASES)
+def test_wavefunction_matches_table_sum(model, epsilon, N, x_range):
+    x = np.linspace(*x_range, 1001)
+    psi, _ = md.wavefunction(model, epsilon, N, x)
+    ref = _table_wavefunction(model, epsilon, N, x)
+    assert np.all(np.isfinite(psi))
+    assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
+    again, _ = md.wavefunction(model, epsilon, N, x)
+    assert again.tobytes() == psi.tobytes()
+
+
+@pytest.mark.parametrize("model, epsilon, x", [
+    (md.HarmonicOscillator(a=-1.5), 3.0, 1.3),
+    (md.HarmonicOscillator(a=-2.0, parity="odd"), 2.5, -0.7),
+    (md.RosenMorse(A=1.0, B=-2.0), -0.7, 0.4),
+])
+def test_wavefunction_scalar_x_and_single_term(model, epsilon, x):
+    for N in (1, 40):
+        psi, _ = md.wavefunction(model, epsilon, N, x)
+        assert isinstance(psi, float)
+        ref = _table_wavefunction(model, epsilon, N, x)[0]
+        assert abs(psi - ref) <= 1e-13 * abs(ref)
+
+
+def test_wavefunction_large_table_memory():
+    # N = 1000 terms on 4001 samples: the table of A_n P_n alone is 32 MB,
+    # and the old path held it twice; the series sum keeps O(samples)
+    model, epsilon = md.OscillatorInverseSquare(a=-1.0, b=0.75), 4.0
+    x = np.linspace(0.05, 5.0, 4001)
+    tracemalloc.start()
+    try:
+        psi, _ = md.wavefunction(model, epsilon, 1000, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    ref = _table_wavefunction(model, epsilon, 1000, x)
+    assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_wavefunction_domain_errors():
