@@ -140,6 +140,10 @@ def _oracle_levels(model, n_levels):
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args, out):
+    if args.levels < 1:
+        raise ParameterDomainError("--levels = %d must be at least 1" % args.levels)
+    if not args.tol > 0.0:
+        raise ParameterDomainError("--tol = %r must be positive" % args.tol)
     model = _build_model(args)
     res = md.spectrum(model, n_levels=args.levels)
     oracle_vals = None
@@ -169,6 +173,8 @@ def cmd_spectrum(args, out):
 
 
 def cmd_wavefunction(args, out):
+    if args.samples < 0:
+        raise ParameterDomainError("--samples = %d must not be negative" % args.samples)
     model = _build_model(args)
     x = np.linspace(args.x_min, args.x_max, args.samples)
     psi, record = md.wavefunction(model, args.epsilon, args.truncation, x)

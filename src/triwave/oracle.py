@@ -13,12 +13,15 @@ Two unrelated work horses live here:
   function of the orthonormal recurrence), plus adaptive Gauss-Kronrod
   (G7-K15) integration for non-classical weights.
 
-Both are built on one dependency-free multisection loop over Sturm sequence
+Both start from one dependency-free multisection loop over Sturm sequence
 counts (many shifts per bracket counted in each sweep over the rows).  The
-Gauss rules count the eigenvalues of a fixed symmetric tridiagonal matrix;
-the grid oracle counts those of Numerov's pencil through a tridiagonal
-matrix T(E) whose diagonal depends on E, and adds eigenvectors by inverse
-iteration with a pivoted tridiagonal solve.  Output is deterministic.
+Gauss rules count the eigenvalues of a fixed symmetric tridiagonal matrix
+and bisect to the end.  The grid oracle counts those of Numerov's pencil
+through a tridiagonal matrix T(E) whose diagonal depends on E, sweeps only
+until each level is alone in its bracket, and then converges each level by
+Newton's method on det T(E) (a scalar pass per step that also counts, so the
+bracket keeps every step safe); it adds eigenvectors by inverse iteration
+with a pivoted tridiagonal solve.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -91,6 +94,66 @@ def _numerov_counts(alpha, beta, shifts):
     return count
 
 
+def _numerov_newton(alpha, beta, energy):
+    """(Sturm count, Newton step) of the Numerov pencil at E = energy, in one
+    pass of Python floats over the rows of h^2 T(E) (see _numerov_counts).
+
+    The leading principal minors of h^2 T(E) follow the continuant
+    p_i = d_i p_{i-1} - p_{i-2} (p_{-1} = 1, p_{-2} = 0) with
+    d_i = beta_i / (alpha_i + E) - 10, and their E-derivatives follow
+    p'_i = d_i p'_{i-1} - p'_{i-2} - beta_i / (alpha_i + E)^2 p_{i-1}; both
+    are rescaled together when |p| passes 1e100.  The count is the number of
+    sign changes of p, where a zero p_i keeps the sign of p_{i-1}: that is
+    how _numerov_counts counts it (the pivot p_i / p_{i-1} is +0, not
+    negative, and the next one -inf), so the two kernels agree.  The step is
+    -p_n / p'_n on the whole determinant, inf where p'_n = 0.
+    """
+    p_prev, p = 0.0, 1.0
+    dp_prev, dp = 0.0, 0.0
+    sign, count = 1.0, 0
+    for a, b in zip(alpha, beta):
+        s = a + energy
+        t = b / s
+        d = t - 10.0
+        p_prev, p = p, d * p - p_prev
+        dp_prev, dp = dp, d * dp - dp_prev - t / s * p_prev
+        if p * sign < 0.0:
+            sign = -sign
+            count += 1
+        if not -1e100 <= p <= 1e100:
+            p, p_prev, dp, dp_prev = p * 1e-100, p_prev * 1e-100, dp * 1e-100, dp_prev * 1e-100
+    return count, (-p / dp if dp != 0.0 else math.inf)
+
+
+def _newton_level(alpha, beta, j, lo, hi, rel_tol):
+    """Numerov level j from a bracket [lo, hi] that holds it alone: Newton
+    steps of _numerov_newton from the midpoint, each pass's count moving the
+    bracket.  A step that leaves the bracket, or is not finite, is replaced
+    by the bracket's midpoint; a step below 1e-10 |E| is the last, since
+    convergence is quadratic, and a bracket within rel_tol * max(1, |E|)
+    (or between adjacent floats) ends in its midpoint.  AccuracyError, with
+    the bracket, if neither happens within twice the passes that bisection
+    alone would need."""
+    lo, hi = float(lo), float(hi)  # Python floats: numpy scalars are slower
+    passes = 2 * max(1, math.ceil(math.log2(max(hi - lo, rel_tol) / rel_tol))) + 4
+    energy = 0.5 * (lo + hi)
+    for _ in range(passes):
+        if hi - lo <= rel_tol * max(1.0, abs(energy)) or math.nextafter(lo, hi) >= hi:
+            return 0.5 * (lo + hi)
+        count, step = _numerov_newton(alpha, beta, energy)
+        if count <= j:
+            lo = energy
+        else:
+            hi = energy
+        if abs(step) <= 1e-10 * abs(energy):
+            return min(max(energy + step, lo), hi)
+        energy += step
+        if not lo < energy < hi:
+            energy = 0.5 * (lo + hi)
+    raise AccuracyError("Newton's method left Numerov level %d open after %d passes"
+                        % (j, passes), estimates=(lo, hi))
+
+
 # Shifts counted per Sturm sweep.  A sweep is a Python loop over the rows, so
 # its cost hardly depends on how many shifts ride along; spending the whole
 # budget in every sweep cuts the sweep count (multisection, as in LAPACK
@@ -145,12 +208,20 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
                          lo0, hi0, k, rel_tol)
 
 
-def _multisection(count, lo0, hi0, k, rel_tol):
+def _multisection(count, lo0, hi0, k, rel_tol, isolate=False):
     """Lowest k eigenvalues by multisection of the start bracket [lo0, hi0],
     which must hold no eigenvalue below lo0 and at least k below hi0;
-    count(shifts) returns the number of eigenvalues below each shift."""
+    count(shifts) returns the number of eigenvalues below each shift.
+
+    Returns the bracket midpoints.  With isolate, a bracket also closes one
+    sweep after its ends count exactly j and j + 1 eigenvalues below them,
+    so that it holds level j alone, and the brackets (lo, hi) are returned
+    instead, for a method that converges faster once a level is alone."""
     lo = np.full(k, lo0)
     hi = np.full(k, hi0)
+    # counts at the bracket ends; the count at hi0 is not known (-1)
+    c_lo = np.zeros(k, dtype=np.int64)
+    c_hi = np.full(k, -1, dtype=np.int64)
     idx = np.arange(k)
     done = np.zeros(k, dtype=bool)
     # every sweep divides a width by at least m + 1 for the starting m (m only
@@ -161,29 +232,35 @@ def _multisection(count, lo0, hi0, k, rel_tol):
     for sweep in range(max_sweeps + 1):
         open_ = np.flatnonzero(~done)
         if open_.size == 0:
-            return 0.5 * (lo + hi)
+            return (lo, hi) if isolate else 0.5 * (lo + hi)
         if sweep == max_sweeps:
             widest = open_[np.argmax(hi[open_] - lo[open_])]
             raise AccuracyError(
                 "Sturm multisection left %d brackets open after %d sweeps"
                 % (open_.size, max_sweeps), estimates=(lo[widest], hi[widest]))
         # eigenvalues that share a bracket share its shifts
-        pairs, owner = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0,
-                                 return_inverse=True)
+        pairs, first, owner = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0,
+                                        return_index=True, return_inverse=True)
         owner = owner.reshape(-1)  # numpy 2.0.0 returns it as a column
         p_lo, p_hi = pairs[:, 0], pairs[:, 1]
+        pc_lo, pc_hi = c_lo[open_[first]], c_hi[open_[first]]
         width = p_hi - p_lo
-        within = ((width <= rel_tol * np.maximum(1.0, np.abs(p_lo + 0.5 * width)))
-                  | (np.nextafter(p_lo, p_hi) >= p_hi))
-        done[open_] = within[owner]
+        closing = ((width <= rel_tol * np.maximum(1.0, np.abs(p_lo + 0.5 * width)))
+                   | (np.nextafter(p_lo, p_hi) >= p_hi))
+        if isolate:
+            closing |= pc_hi - pc_lo == 1
+        done[open_] = closing[owner]
         m = max(1, SHIFT_BUDGET // pairs.shape[0])
         shifts = p_lo[:, None] + width[:, None] * (np.arange(1, m + 1) / (m + 1))
         cnt = count(shifts.ravel()).reshape(shifts.shape)
         p = np.sum(cnt[owner] <= idx[open_, None], axis=1)
         ends = np.hstack((p_lo[:, None], shifts, p_hi[:, None]))[owner]
+        end_counts = np.hstack((pc_lo[:, None], cnt, pc_hi[:, None]))[owner]
         rows = np.arange(open_.size)
         lo[open_] = ends[rows, p]
         hi[open_] = ends[rows, p + 1]
+        c_lo[open_] = end_counts[rows, p]
+        c_hi[open_] = end_counts[rows, p + 1]
 
 
 def _tridiag_solve_shifted(d, e, lam, rhs):
@@ -336,9 +413,13 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     y = (1 - h^2 g / 12) psi it reads T(E) y = 0 for the tridiagonal
     T(E) = tridiag(-1/h^2, 2/h^2 + g_i / (1 - h^2 g_i / 12), -1/h^2).  Its
     diagonal falls as E rises, so the Sturm count of T(E) is the number of
-    Numerov eigenvalues below E, and multisection finds them as it finds the
-    eigenvalues of a fixed matrix.  Each eigenvector comes from inverse
-    iteration on T(E) at its eigenvalue, psi = y / (1 - h^2 g / 12).
+    Numerov eigenvalues below E.  Multisection on that count runs only until
+    each level j has a bracket whose ends count exactly j and j + 1, plus
+    one sweep; then each level is converged alone by Newton's method on
+    det h^2 T(E), the continuant of _numerov_newton, whose count in the same
+    pass moves the bracket (a step out of it becomes a bisection).  Each
+    eigenvector comes from inverse iteration on T(E) at its eigenvalue,
+    psi = y / (1 - h^2 g / 12).
 
     Model objects of the inverse-square families (a wall at x = 0) get the
     Langer grid: x = e^t with t uniform of step h on [ln x_min, ln x_max] and
@@ -399,8 +480,9 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
         raise DomainError("12 / (h^2 rho) overflows at x = %.15g; move x_min up" % x[i])
     alpha = (sigma - w).tolist()
     beta = beta.tolist()
-    vals = _multisection(lambda shifts: _numerov_counts(alpha, beta, shifts),
-                         e_lo, _upper_bracket(w, rho, h, k), k, 1e-14)
+    lo, hi = _multisection(lambda shifts: _numerov_counts(alpha, beta, shifts),
+                           e_lo, _upper_bracket(w, rho, h, k), k, 1e-14, isolate=True)
+    vals = np.array([_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14) for j in range(k)])
     inv_h2 = 1.0 / (h * h)
     off = np.full(n_int - 1, -inv_h2)
     ys, vecs = [], []

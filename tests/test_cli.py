@@ -82,6 +82,27 @@ def test_non_finite_float_flags_exit_1(capsys, argv, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("wavefunction", "--model", "ho", "--epsilon", "1", "--samples", "-1"),
+     "--samples = -1 must not be negative"),
+    (("spectrum", "--model", "ho", "--levels", "0", "--verify"),
+     "--levels = 0 must be at least 1"),
+    (("spectrum", "--model", "ho", "--levels", "-2", "--verify"),
+     "--levels = -2 must be at least 1"),
+    (("spectrum", "--model", "ho", "--levels", "2", "--verify", "--tol", "-1"),
+     "--tol = -1.0 must be positive"),
+    (("spectrum", "--model", "ho", "--levels", "2", "--verify", "--tol", "0"),
+     "--tol = 0.0 must be positive"),
+])
+def test_out_of_range_count_and_tolerance_flags_exit_1(capsys, argv, message):
+    # a vacuous request (no levels, no samples) or a gate no result can pass
+    # is an invalid request, not a pass (exit 0) or a failed check (exit 2)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_spectrum_verify_exit_codes(capsys):
     base = ("spectrum", "--model", "rosen-morse", "--A", "1", "--B", "-2",
             "--levels", "1", "--verify")

@@ -187,6 +187,12 @@ def _dense_counts(vals, shifts):
     return np.searchsorted(np.sort(vals), shifts)
 
 
+def _numerov_lists(h, rho, v):
+    # alpha, beta of h^2 T(E) as grid_solve builds them from U = v and rho
+    sigma = 12.0 / (h * h * rho)
+    return (sigma - v / rho).tolist(), (12.0 * sigma).tolist()
+
+
 @pytest.mark.parametrize("langer", [False, True])
 def test_numerov_count_matches_dense_reference(langer):
     # the count of h^2 T(E), diagonal -10 + beta / (alpha + E) = -10 +
@@ -202,9 +208,12 @@ def test_numerov_count_matches_dense_reference(langer):
                                  * scale[None, :])
         mid = 0.5 * (ref[:-1] + ref[1:])
         shifts = np.concatenate([mid, [ref[0] - 1.0, ref[-1] + 1.0]])
-        sigma = 12.0 / (h * h * rho)
-        got = oc._numerov_counts((sigma - v / rho).tolist(), (12.0 * sigma).tolist(), shifts)
+        alpha, beta = _numerov_lists(h, rho, v)
+        got = oc._numerov_counts(alpha, beta, shifts)
         np.testing.assert_array_equal(got, _dense_counts(ref, shifts))
+        # the scalar Newton pass counts the same way
+        newton = [oc._numerov_newton(alpha, beta, float(e))[0] for e in shifts]
+        np.testing.assert_array_equal(newton, got)
 
 
 def test_grid_solve_matches_dense_numerov():
@@ -243,23 +252,153 @@ def test_langer_eigenvectors_orthonormal_under_x_h(oscinv_b075_oracle):
 
 
 def test_numerov_sweep_count_on_default_grids(monkeypatch):
-    sweeps = []
-    counts = oc._numerov_counts
+    # count sweeps only until every level is alone in its bracket, plus one;
+    # then a few scalar Newton passes per level
+    sweeps, passes = [], []
+    counts, newton = oc._numerov_counts, oc._numerov_newton
 
     def counted(alpha, beta, shifts):
         sweeps.append(np.size(shifts))
         return counts(alpha, beta, shifts)
 
+    def counted_newton(alpha, beta, energy):
+        passes.append(energy)
+        return newton(alpha, beta, energy)
+
     monkeypatch.setattr(oc, "_numerov_counts", counted)
+    monkeypatch.setattr(oc, "_numerov_newton", counted_newton)
     for model, n_levels in [(md.HarmonicOscillator(a=1.0), 4),
                             (md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
                             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
                             (md.RosenMorse(A=1.0, B=-2.0), None)]:
         sweeps.clear()
+        passes.clear()
         x_min, x_max, h, k = md.default_grid(model, n_levels)
         oc.grid_solve(model, x_min, x_max, h, k)
-        assert 1 <= len(sweeps) <= 12, model
+        assert 1 <= len(sweeps) <= 3, model
         assert max(sweeps) <= oc.SHIFT_BUDGET
+        assert len(passes) <= 3 * k, model
+
+
+@pytest.mark.parametrize("d", [
+    (0.0, 0.0, 0.0),           # p = 0, -1, 0: zeros after p > 0 and after p < 0
+    (-1.0, 1.0, 0.5),          # p = -1, -2, 0
+    (1.0, 2.0, 1.0),           # p = 1, 1, 0
+    (2.0, 1.0, 3.0, 1.0),      # p = 2, 1, 1, 0
+    (-2.0, -1.0, -3.0, -1.0),  # p = -2, 1, -1, 0
+    (-1.0, 1.0, 0.5, 3.0),     # p = -1, -2, 0, 2
+])
+def test_newton_count_at_exact_float_eigenvalues(d):
+    # alpha_i + E = 2 and beta_i = 2 (10 + d_i) make every d_i, and so every
+    # minor p_i, exact at E = 0.5: an exact zero minor meets both kernels
+    d = np.array(d)
+    alpha, beta = [1.5] * d.size, (2.0 * (10.0 + d)).tolist()
+    dense = _dense(d, -np.ones(d.size - 1))
+    for e in (0.5, 0.25, 0.75):
+        want = oc._numerov_counts(alpha, beta, np.array([e]))[0]
+        assert oc._numerov_newton(alpha, beta, e)[0] == want
+    # at E = 0.5 the count is the number of negative eigenvalues of tridiag(-1, d, -1)
+    exact = int(np.sum(np.linalg.eigvalsh(dense) < -1e-12))
+    assert oc._numerov_newton(alpha, beta, 0.5)[0] == exact
+
+
+def test_newton_step_matches_dense_determinant():
+    rng = np.random.default_rng(7)
+    n, h = 12, 0.1
+    rho = np.exp(rng.uniform(-1.0, 1.0, n))
+    v = rho * 0.3 + rng.uniform(0.0, 0.4, n) * 12.0 / (h * h)
+    alpha, beta = _numerov_lists(h, rho, v)
+    a, b = np.array(alpha), np.array(beta)
+
+    def det(e):
+        return np.linalg.det(_dense(b / (a + e) - 10.0, -np.ones(n - 1)))
+
+    for e in (1.0, 37.5, 120.0):
+        step = oc._numerov_newton(alpha, beta, e)[1]
+        slope = (det(e + 1e-6) - det(e - 1e-6)) / 2e-6
+        assert step == pytest.approx(-det(e) / slope, rel=1e-6)
+
+
+def _mpmath_levels(alpha, beta, approx):
+    # reference: Sturm bisection at 40 digits of the same float alpha, beta,
+    # from a bracket 1e-9 around each approximate level that its counts confirm
+    mpmath = pytest.importorskip("mpmath")
+
+    def count(e):
+        q, below = None, 0
+        for ai, bi in zip(a, b):
+            d = bi / (ai + e) - 10
+            q = d if q is None else d - 1 / q
+            below += q < 0
+        return below
+
+    out = []
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(v) for v in alpha]
+        b = [mpmath.mpf(v) for v in beta]
+        for j, val in enumerate(approx):
+            v = mpmath.mpf(float(val))
+            lo, hi = v - abs(v) / 10**9, v + abs(v) / 10**9
+            assert count(lo) == j and count(hi) == j + 1
+            for _ in range(40):
+                mid = (lo + hi) / 2
+                if count(mid) <= j:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(float((lo + hi) / 2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("model, x_min, x_max, h, k", [
+    (lambda x: x * x + np.sin(3.0 * x), -6.0, 6.0, 1.0 / 16.0, 4),
+    (md.OscillatorInverseSquare(a=1.0, b=0.75), math.exp(-6.0), math.exp(1.5), 1.0 / 32.0, 3),
+])
+def test_grid_solve_matches_mpmath_bisection(monkeypatch, model, x_min, x_max, h, k):
+    seen = {}
+    counts = oc._numerov_counts
+
+    def capture(alpha, beta, shifts):
+        seen["alpha"], seen["beta"] = alpha, beta
+        return counts(alpha, beta, shifts)
+
+    monkeypatch.setattr(oc, "_numerov_counts", capture)
+    sol = oc.grid_solve(model, x_min, x_max, h, k, check_boundaries="none")
+    assert sol.x.size <= 300
+    ref = _mpmath_levels(seen["alpha"], seen["beta"], sol.eigenvalues)
+    np.testing.assert_allclose(sol.eigenvalues, ref, rtol=1e-11)
+
+
+def _ho_grid_solve():
+    return oc.grid_solve(lambda x: x * x, -8.0, 8.0, 1.0 / 16.0, 4)
+
+
+def test_grid_solve_bisects_when_newton_steps_are_nan(monkeypatch):
+    want = _ho_grid_solve().eigenvalues
+    newton = oc._numerov_newton
+    monkeypatch.setattr(oc, "_numerov_newton",
+                        lambda alpha, beta, energy: (newton(alpha, beta, energy)[0], math.nan))
+    got = _ho_grid_solve().eigenvalues
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+def test_newton_level_takes_a_closed_bracket_as_it_is():
+    # a bracket of zero width, as multisection can leave between adjacent
+    # floats, needs no pass
+    assert oc._newton_level([1.5] * 3, [20.0] * 3, 0, 0.5, 0.5, 1e-14) == 0.5
+
+
+def test_newton_pass_cap_raises_with_the_bracket(monkeypatch):
+    # steps that creep up by 1e-9 |E| never finish and never leave the bracket
+    want = _ho_grid_solve().eigenvalues
+    newton = oc._numerov_newton
+    monkeypatch.setattr(oc, "_numerov_newton", lambda alpha, beta, energy: (
+        newton(alpha, beta, energy)[0], 1e-9 * abs(energy)))
+    with pytest.raises(AccuracyError, match="level 0") as info:
+        _ho_grid_solve()
+    lo, hi = info.value.estimates
+    assert lo < want[0] < hi
 
 
 def test_grid_step_rule_and_boundary_options():
