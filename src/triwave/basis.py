@@ -21,6 +21,7 @@ from .exceptions import (
     EvaluationOverflowError,
     ParameterDomainError,
     QuadratureOrderError,
+    require_degree,
 )
 
 __all__ = [
@@ -198,6 +199,7 @@ def _log_norm(spec: BasisSpec, n: int) -> float:
 def normalization(spec: BasisSpec, n):
     """The constant A_n of the basis, computed through log-gamma sums so
     large n survives.  An index array n gives the array of A_n."""
+    require_degree("n", np.min(n, initial=0))
     if np.ndim(n):
         return np.array([math.exp(_log_norm(spec, k)) for k in np.asarray(n).tolist()])
     return math.exp(_log_norm(spec, n))
@@ -231,9 +233,8 @@ def basis_eval(spec: BasisSpec, n: int, y):
     """phi_n(y), normalized per the family's A_n."""
     y_arr = np.asarray(y, dtype=float)
     env = _envelope(spec, y_arr)
-    evaluate = orthopoly.laguerre_eval if spec.kind == "laguerre" else orthopoly.jacobi_eval
     with np.errstate(over="ignore", invalid="ignore"):
-        val = normalization(spec, n) * env * evaluate(spec.family(), n, y_arr)
+        val = normalization(spec, n) * env * orthopoly.evaluate(spec.family(), n, y_arr)
     bad = ~np.isfinite(val)
     if np.any(bad):
         raise EvaluationOverflowError(
@@ -245,12 +246,7 @@ def basis_eval(spec: BasisSpec, n: int, y):
 def scaled_polynomials(spec: BasisSpec, nmax: int, y):
     """A_n * (polynomial part of phi_n) for n = 0..nmax, envelope stripped.
     Shared by the quadrature-based overlap and wave-operator integrals."""
-    y_arr = np.asarray(y, dtype=float)
-    if spec.kind == "laguerre":
-        seq = orthopoly.laguerre_sequence(spec.family(), nmax, y_arr)
-    else:
-        seq = orthopoly.jacobi_sequence(spec.family(), nmax, y_arr)
-    seq = seq.reshape(nmax + 1, -1)
+    seq = orthopoly.sequence(spec.family(), nmax, y).reshape(nmax + 1, -1)
     seq *= normalization(spec, np.arange(nmax + 1))[:, None]
     return seq
 
@@ -261,11 +257,10 @@ def series_eval(spec: BasisSpec, f, y):
     y_arr = np.asarray(y, dtype=float)
     env = _envelope(spec, y_arr)
     coeffs = (np.asarray(f, dtype=float) * normalization(spec, np.arange(len(f)))).tolist()
-    rows = orthopoly._laguerre_rows if spec.kind == "laguerre" else orthopoly._jacobi_rows
     total = np.zeros(y_arr.shape)
     term = np.empty(y_arr.shape)
-    for c, poly in zip(coeffs, rows(spec.family(), len(coeffs) - 1, y_arr,
-                                    np.empty((3,) + y_arr.shape))):
+    for c, poly in zip(coeffs, orthopoly._rows(spec.family(), len(coeffs) - 1, y_arr,
+                                               np.empty((3,) + y_arr.shape))):
         np.multiply(poly, c, out=term)
         total += term
     total *= env

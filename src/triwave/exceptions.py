@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the finiteness check that
-the model and family constructors share."""
+"""Exception types shared across the package, the finiteness check that the
+model and family constructors share, and the polynomial degree check."""
 
 import cmath
 import numbers
@@ -62,3 +62,9 @@ def require_finite(obj):
         if isinstance(value, numbers.Complex) and not cmath.isfinite(value):
             raise ParameterDomainError("%s parameter %s = %r is not finite"
                                        % (type(obj).__name__, f.name, value))
+
+
+def require_degree(name, n):
+    """Reject a negative polynomial degree or index bound, naming it."""
+    if n < 0:
+        raise ParameterDomainError("%s = %d must be >= 0" % (name, n))

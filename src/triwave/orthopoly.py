@@ -1,7 +1,10 @@
 """Orthogonal polynomial engines: Laguerre, Jacobi, Pollaczek, continuous dual Hahn.
 
-All families are evaluated by upward three-term recurrence, which is stable at
-fixed argument in the parameter regimes used by the solvable models.  The
+Every family is one three-term recurrence p_{n+1} = (a_n x + b_n) p_n -
+c_n p_{n-1}, p_0 = 1 (DLMF 18.9.1): each family only supplies its coefficient
+arrays, and one kernel steps them upward, which is stable at fixed argument in
+the parameter regimes used by the solvable models.  `sequence` and `evaluate`
+run that kernel for any family; the per-family names are bound to them.  The
 terminating hypergeometric closed forms are kept as independent cross-checks,
 never as primary evaluators.  Weight densities and the squared modulus of the
 complex gamma function are provided for orthogonality verification.
@@ -21,6 +24,7 @@ from .exceptions import (
     ParameterDomainError,
     RecursionBreakdownError,
     SingularParameterError,
+    require_degree,
     require_finite,
 )
 
@@ -29,6 +33,8 @@ __all__ = [
     "JacobiFamily",
     "PollaczekFamily",
     "DualHahnFamily",
+    "sequence",
+    "evaluate",
     "laguerre_eval",
     "laguerre_sequence",
     "jacobi_eval",
@@ -207,51 +213,80 @@ def gamma_abs_squared(mu, y):
 
 
 # ---------------------------------------------------------------------------
-# Laguerre
+# Three-term recurrence (all four families)
 # ---------------------------------------------------------------------------
 
-def _ring_view(rows, n):
-    """Row n of a table, or of a ring of rows when len(rows) <= n; always an
-    array view, so ufuncs can write into it (also for a scalar x)."""
-    return rows[n % len(rows), ...]
+def _recurrence(family, nmax):
+    """Coefficient lists (a_n, b_n, c_n), n < nmax, of the family's recurrence
+    p_{n+1} = (a_n x + b_n) p_n - c_n p_{n-1} with p_0 = 1 (DLMF 18.9.1); x
+    is x^2 for the dual Hahn family."""
+    n = np.arange(nmax, dtype=float)
+    if isinstance(family, LaguerreFamily):
+        nu = family.nu
+        abc = np.array([np.full(nmax, -1.0), 2.0 * n + nu + 1.0, n + nu]) / (n + 1.0)
+    elif isinstance(family, JacobiFamily):
+        mu, nu = family.mu, family.nu
+        s = mu + nu
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c0 = (2 * n * (n + s + 1.0) + s * (nu + 1.0)) / ((2 * n + s) * (2 * n + s + 2.0))
+            cm = (n + mu) * (n + nu) / ((2 * n + s) * (2 * n + s + 1.0))
+            cp = (n + 1.0) * (n + s + 1.0) / ((2 * n + s + 1.0) * (2 * n + s + 2.0))
+            abc = np.array([np.full(nmax, 0.5), 0.5 - c0, cm]) / cp
+        # the general form is 0/0 at n = 0 when s is 0 or -1
+        abc[:, :1] = [[0.5 * (s + 2.0)], [0.5 * (mu - nu)], [0.0]]
+    elif isinstance(family, PollaczekFamily):
+        mu, a, b = family.mu, family.a, family.b
+        # divided by n + 1 only: n + mu + a vanishes for some Morse inputs
+        abc = np.array([2.0 * (n + mu + a), np.full(nmax, 2.0 * b),
+                        n - 1.0 + 2.0 * mu]) / (n + 1.0)
+    elif isinstance(family, DualHahnFamily):
+        # run through the real invariants a+b and a*b so conjugate-pair
+        # parameters stay in real arithmetic
+        mu = family.mu
+        sab, pab = family._sum_prod
+        denom = (n + mu) ** 2 + (n + mu) * sab + pab  # (n+mu+a)(n+mu+b)
+        if np.any(denom == 0.0):
+            k = int(np.argmax(denom == 0.0))
+            raise RecursionBreakdownError(k, "(n+mu+a)(n+mu+b)=0 at n=%d" % k)
+        grow = n * (n + sab - 1.0)
+        abc = np.array([np.full(nmax, -1.0), denom + grow - mu * mu, grow]) / denom
+    else:
+        raise ParameterDomainError("unknown polynomial family %r" % (family,))
+    return abc.tolist()
 
 
-def _laguerre_rows(family: LaguerreFamily, nmax: int, x, rows):
-    """Step L_0^nu .. L_nmax^nu at x through the three-term recurrence,
-    writing L_n into row n of rows and yielding that row.  rows is the
-    (nmax+1,) + x.shape table, or a ring of 3 rows (row n % 3) for a caller
-    that keeps only the latest two; a yielded row stays valid for two more
-    steps."""
-    nu = family.nu
-    p = _ring_view(rows, 0)
+def _pollaczek_domain_check(family: PollaczekFamily, x):
+    x = np.asarray(x, dtype=float)
+    if family.variant == "trigonometric":
+        if np.any((x < -1.0) | (x > 1.0)):
+            raise DomainError("trigonometric Pollaczek argument must lie in [-1, 1]")
+    else:
+        if np.any(x < 1.0):
+            raise DomainError("hyperbolic Pollaczek argument must satisfy x >= 1")
+
+
+def _rows(family, nmax: int, x, rows):
+    """Step p_0 .. p_nmax of the family at the float array x through its
+    recurrence, writing p_n into row n of rows and yielding that row, always
+    an array view (also for a 0-d x).  rows is the (nmax+1,) + x.shape table,
+    or a ring of 3 rows (row n % 3) for a caller that keeps only the latest
+    two; a yielded row stays valid for two more steps."""
+    if isinstance(family, PollaczekFamily):
+        _pollaczek_domain_check(family, x)
+    a, b, c = _recurrence(family, nmax)
+    p = rows[0, ...]
     p[...] = 1.0
     yield p
-    if nmax >= 1:
-        q, p = p, _ring_view(rows, 1)
-        np.subtract(nu + 1.0, x, out=p)
-        yield p
-    tmp = np.empty(x.shape)
-    for n in range(1, nmax):
-        nxt = _ring_view(rows, n + 1)
-        # ((2n + nu + 1 - x) L_n - (n + nu) L_{n-1}) / (n + 1)
-        np.subtract(2 * n + nu + 1.0, x, out=nxt)
-        nxt *= p
-        np.multiply(n + nu, q, out=tmp)
-        nxt -= tmp
-        nxt /= n + 1.0
+    q, tmp = np.zeros(x.shape), np.empty(x.shape)
+    for n in range(nmax):
+        nxt = rows[(n + 1) % len(rows), ...]
+        np.multiply(x, a[n], nxt)
+        np.add(nxt, b[n], nxt)
+        np.multiply(nxt, p, nxt)
+        np.multiply(q, c[n], tmp)
+        np.subtract(nxt, tmp, nxt)
         q, p = p, nxt
         yield p
-
-
-def laguerre_sequence(family: LaguerreFamily, nmax: int, x):
-    """L_0^nu .. L_nmax^nu at x; returns shape (nmax+1,) + shape(x)."""
-    if nmax < 0:
-        raise ParameterDomainError("nmax must be >= 0")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
-    for _ in _laguerre_rows(family, nmax, x, out):
-        pass
-    return out
 
 
 def _last_two(rows):
@@ -263,71 +298,34 @@ def _last_two(rows):
     return prev, last
 
 
-def laguerre_eval(family: LaguerreFamily, n: int, x):
-    """L_n^nu(x) by upward recurrence, holding the last rows only."""
-    if n < 0:
-        raise ParameterDomainError("nmax must be >= 0")
-    x = np.asarray(x, dtype=float)
-    val = _last_two(_laguerre_rows(family, n, x, np.empty((3,) + x.shape)))[1]
-    return val if val.ndim else float(val)
-
-
-# ---------------------------------------------------------------------------
-# Jacobi
-# ---------------------------------------------------------------------------
-
-def _jacobi_rows(family: JacobiFamily, nmax: int, x, rows):
-    """Step P_0^(mu,nu) .. P_nmax^(mu,nu) at x through the three-term
-    recurrence, writing into and yielding rows as _laguerre_rows does."""
-    mu, nu = family.mu, family.nu
-    s = mu + nu
-    p = _ring_view(rows, 0)
-    p[...] = 1.0
-    yield p
-    if nmax >= 1:
-        q, p = p, _ring_view(rows, 1)
-        np.multiply(0.5 * (s + 2.0), x, out=p)
-        p += 0.5 * (mu - nu)
-        yield p
-    half = 0.5 * (1.0 + x)
-    tmp = np.empty(x.shape)
-    for n in range(1, nmax):
-        c0 = (2 * n * (n + s + 1.0) + s * (nu + 1.0)) / ((2 * n + s) * (2 * n + s + 2.0))
-        cm = (n + mu) * (n + nu) / ((2 * n + s) * (2 * n + s + 1.0))
-        cp = (n + 1.0) * (n + s + 1.0) / ((2 * n + s + 1.0) * (2 * n + s + 2.0))
-        nxt = _ring_view(rows, n + 1)
-        # (((1 + x)/2 - c0) P_n - cm P_{n-1}) / cp
-        np.subtract(half, c0, out=nxt)
-        nxt *= p
-        np.multiply(cm, q, out=tmp)
-        nxt -= tmp
-        nxt /= cp
-        q, p = p, nxt
-        yield p
-
-
-def jacobi_sequence(family: JacobiFamily, nmax: int, x):
-    """P_0^(mu,nu) .. P_nmax^(mu,nu) at x."""
-    if nmax < 0:
-        raise ParameterDomainError("nmax must be >= 0")
+def sequence(family, nmax: int, x):
+    """p_0 .. p_nmax of the family at x (at x^2 for the dual Hahn family) by
+    upward recurrence; returns shape (nmax+1,) + shape(x)."""
+    require_degree("nmax", nmax)
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1,) + x.shape)
-    for _ in _jacobi_rows(family, nmax, x, out):
+    for _ in _rows(family, nmax, x, out):
         pass
     return out
 
 
-def jacobi_eval(family: JacobiFamily, n: int, x):
-    """P_n^(mu,nu)(x) by upward recurrence, holding the last rows only."""
-    if n < 0:
-        raise ParameterDomainError("nmax must be >= 0")
+def evaluate(family, n: int, x):
+    """p_n of the family at x (at x^2 for the dual Hahn family) by upward
+    recurrence, holding three rows only."""
+    require_degree("n", n)
     x = np.asarray(x, dtype=float)
-    val = _last_two(_jacobi_rows(family, n, x, np.empty((3,) + x.shape)))[1]
+    val = _last_two(_rows(family, n, x, np.empty((3,) + x.shape)))[1]
     return val if val.ndim else float(val)
+
+
+# L_n^nu, P_n^(mu,nu), P_n^mu(x; a, b) and S_n^mu(x^2; a, b): one recurrence
+laguerre_sequence = jacobi_sequence = pollaczek_sequence = dual_hahn_sequence = sequence
+laguerre_eval = jacobi_eval = pollaczek_eval = dual_hahn_eval = evaluate
 
 
 def jacobi_derivative(family: JacobiFamily, n: int, x):
     """d/dx P_n^(mu,nu)(x) from the first-derivative structure relation."""
+    require_degree("n", n)
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= 1.0):
         raise DomainError("Jacobi derivative identity needs |x| < 1")
@@ -335,7 +333,7 @@ def jacobi_derivative(family: JacobiFamily, n: int, x):
         z = np.zeros_like(x)
         return z if z.ndim else 0.0
     mu, nu = family.mu, family.nu
-    p_prev, p_n = _last_two(_jacobi_rows(family, n, x, np.empty((3,) + x.shape)))
+    p_prev, p_n = _last_two(_rows(family, n, x, np.empty((3,) + x.shape)))
     d1 = (-n * (x + (nu - mu) / (2 * n + mu + nu)) * p_n
           + 2.0 * (n + mu) * (n + nu) / (2 * n + mu + nu) * p_prev)
     val = d1 / (1.0 - x * x)
@@ -343,41 +341,8 @@ def jacobi_derivative(family: JacobiFamily, n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# Pollaczek (trigonometric and hyperbolic)
+# Closed forms (cross-checks)
 # ---------------------------------------------------------------------------
-
-def _pollaczek_domain_check(family: PollaczekFamily, x):
-    x = np.asarray(x, dtype=float)
-    if family.variant == "trigonometric":
-        if np.any((x < -1.0) | (x > 1.0)):
-            raise DomainError("trigonometric Pollaczek argument must lie in [-1, 1]")
-    else:
-        if np.any(x < 1.0):
-            raise DomainError("hyperbolic Pollaczek argument must satisfy x >= 1")
-    return x
-
-
-def pollaczek_sequence(family: PollaczekFamily, nmax: int, x):
-    """P_0 .. P_nmax at x, same recurrence for both variants."""
-    if nmax < 0:
-        raise ParameterDomainError("nmax must be >= 0")
-    x = _pollaczek_domain_check(family, x)
-    mu, a, b = family.mu, family.a, family.b
-    out = np.empty((nmax + 1,) + x.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2.0 * ((mu + a) * x + b)
-    for n in range(1, nmax):
-        out[n + 1] = (2.0 * ((n + mu + a) * x + b) * out[n]
-                      - (n - 1.0 + 2.0 * mu) * out[n - 1]) / (n + 1.0)
-    return out
-
-
-def pollaczek_eval(family: PollaczekFamily, n: int, x):
-    """P_n^mu(x; a, b) (or its hyperbolic analogue) by upward recurrence."""
-    seq = pollaczek_sequence(family, n, x)
-    return seq[n] if seq[n].ndim else float(seq[n])
-
 
 def _kahan_terms(first, factors):
     """Sum of the terminating series t_0=first, t_k = t_{k-1}*factors[k-1],
@@ -414,6 +379,7 @@ def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
     which avoids the exponentially growing alternating terms of the direct
     argument 1 - e^{2 theta}.
     """
+    require_degree("n", n)
     x = float(x)
     _pollaczek_domain_check(family, x)
     mu, a, b = family.mu, family.a, family.b
@@ -471,39 +437,9 @@ def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
     return best_val
 
 
-# ---------------------------------------------------------------------------
-# Continuous dual Hahn
-# ---------------------------------------------------------------------------
-
-def dual_hahn_sequence(family: DualHahnFamily, nmax: int, x_squared):
-    """S_0 .. S_nmax at x^2; S_0 = 1.  The quadratic-in-n recurrence is run
-    through the real invariants a+b and a*b so conjugate-pair parameters stay
-    in real arithmetic."""
-    if nmax < 0:
-        raise ParameterDomainError("nmax must be >= 0")
-    mu = family.mu
-    sab, pab = family._sum_prod
-    x2 = np.asarray(x_squared, dtype=float)
-    out = np.empty((nmax + 1,) + x2.shape)
-    out[0] = 1.0
-    for n in range(0, nmax):
-        denom = (n + mu) ** 2 + (n + mu) * sab + pab  # (n+mu+a)(n+mu+b)
-        if denom == 0.0:
-            raise RecursionBreakdownError(n, "(n+mu+a)(n+mu+b)=0 at n=%d" % n)
-        diag = denom + n * (n + sab - 1.0) - mu * mu
-        prev = out[n - 1] if n >= 1 else 0.0
-        out[n + 1] = ((diag - x2) * out[n] - n * (n + sab - 1.0) * prev) / denom
-    return out
-
-
-def dual_hahn_eval(family: DualHahnFamily, n: int, x_squared):
-    """S_n^mu(x^2; a, b) by upward recurrence, normalized to S_0 = 1."""
-    seq = dual_hahn_sequence(family, n, x_squared)
-    return seq[n] if seq[n].ndim else float(seq[n])
-
-
 def dual_hahn_closed_form(family: DualHahnFamily, n: int, x_squared: float) -> float:
     """Terminating 3F2(-n, mu+ix, mu-ix; mu+a, mu+b; 1) cross-check value."""
+    require_degree("n", n)
     mu = family.mu
     sab, pab = family._sum_prod
     x2 = float(x_squared)

@@ -93,6 +93,8 @@ def test_non_finite_float_flags_exit_1(capsys, argv, flag):
      "--tol = -1.0 must be positive"),
     (("spectrum", "--model", "ho", "--levels", "2", "--verify", "--tol", "0"),
      "--tol = 0.0 must be positive"),
+    (("wavefunction", "--model", "ho", "--epsilon", "1", "--samples", "0"),
+     "--samples = 0 must be at least 1"),
 ])
 def test_out_of_range_count_and_tolerance_flags_exit_1(capsys, argv, message):
     # a vacuous request (no levels, no samples) or a gate no result can pass

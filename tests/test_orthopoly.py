@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from triwave import basis as bs
 from triwave import oracle as oc
 from triwave import orthopoly as op
 from triwave.exceptions import (
@@ -207,6 +208,29 @@ def test_recurrence_residuals(rng):
             terms = (x2s[j] * seq[n, j], -diag * seq[n, j],
                      n * (n + sab - 1) * seq[n - 1, j], denom * seq[n + 1, j])
             assert _residual(terms) < 1e-10
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_large_degree_sequences_match_mpmath(n):
+    # wavefunction series step these recurrences to N = 1000.  The points sit
+    # near both interval ends; the far Laguerre one is as far out as the
+    # e^{x/2} growth of L_n stays finite.
+    mpmath = pytest.importorskip("mpmath")
+    lag_x = np.array([1e-3, 0.5, min(3.9 * n, 1300.0)])
+    jac_x = np.array([-0.9999, -0.99, 0.99, 0.9999])
+    cases = [
+        (op.laguerre_sequence(op.LaguerreFamily(0.6), n, lag_x)[n], lag_x,
+         lambda x: mpmath.laguerre(n, 0.6, x)),
+        (op.jacobi_sequence(op.JacobiFamily(1.3, 0.4), n, jac_x)[n], jac_x,
+         lambda x: mpmath.jacobi(n, 1.3, 0.4, x)),
+        (op.jacobi_sequence(op.JacobiFamily(-0.5, 0.5), n, jac_x)[n], jac_x,
+         lambda x: mpmath.jacobi(n, -0.5, 0.5, x)),
+    ]
+    for got, xs, ref in cases:
+        with mpmath.workdps(30):
+            want = np.array([float(ref(mpmath.mpf(x))) for x in xs])
+        assert np.all(np.isfinite(want))
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
 
 
 def test_laguerre_differential_relation(rng):
@@ -421,3 +445,22 @@ def test_pollaczek_domain_errors():
         op.pollaczek_eval(op.PollaczekFamily(1.0, 1.0, 0.0), 3, 1.5)
     with pytest.raises(DomainError):
         op.pollaczek_eval(op.PollaczekFamily(1.0, 1.0, 0.0, "hyperbolic"), 3, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: op.laguerre_eval(op.LaguerreFamily(0.5), -1, 0.3),
+    lambda: op.jacobi_eval(op.JacobiFamily(0.5, 0.5), -1, 0.3),
+    lambda: op.pollaczek_eval(op.PollaczekFamily(1.0, 1.0, 0.0), -1, 0.3),
+    lambda: op.dual_hahn_eval(op.DualHahnFamily(1.0, 1.0, 2.0), -1, 0.3),
+    lambda: op.jacobi_derivative(op.JacobiFamily(0.5, 0.5), -1, 0.3),
+    lambda: op.pollaczek_closed_form(op.PollaczekFamily(1.0, 1.0, 0.0), -1, 0.3),
+    lambda: op.dual_hahn_closed_form(op.DualHahnFamily(1.0, 1.0, 2.0), -1, 0.3),
+    lambda: bs.normalization(bs.morse_basis(1.2), -1),
+    lambda: bs.normalization(bs.rosen_morse_basis(0.8, 0.6), np.arange(-1, 3)),
+    lambda: bs.basis_eval(bs.morse_basis(1.2), -1, 0.3),
+], ids=["laguerre-eval", "jacobi-eval", "pollaczek-eval", "dual-hahn-eval",
+        "jacobi-derivative", "pollaczek-closed-form", "dual-hahn-closed-form",
+        "normalization", "normalization-array", "basis-eval"])
+def test_negative_degree_names_n(call):
+    with pytest.raises(ParameterDomainError, match=r"^n = -1 must be >= 0$"):
+        call()
