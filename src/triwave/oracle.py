@@ -20,8 +20,9 @@ and bisect to the end.  The grid oracle counts those of Numerov's pencil
 through a tridiagonal matrix T(E) whose diagonal depends on E, sweeps only
 until each level is alone in its bracket, and then converges each level by
 Newton's method on det T(E) (a scalar pass per step that also counts, so the
-bracket keeps every step safe); it adds eigenvectors by inverse iteration
-with a pivoted tridiagonal solve.  Output is deterministic.
+bracket keeps every step safe); it adds each eigenvector from one twisted
+factorization of T(E) at its eigenvalue (Dhillon and Parlett, Linear Algebra
+Appl. 387, 2004).  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigensolver (Sturm multisection + inverse iteration)
+# Symmetric tridiagonal eigensolver (Sturm multisection + twisted factorization)
 # ---------------------------------------------------------------------------
 
 def _sturm_counts(diag, off2, shifts, pivmin):
@@ -161,6 +162,23 @@ def _newton_level(alpha, beta, j, lo, hi, rel_tol):
 SHIFT_BUDGET = 512
 
 
+def _tridiagonal_entries(diag, off):
+    """(d, e, e^2) as float arrays: ParameterDomainError unless there are
+    n >= 1 rows, the off-diagonal has length n - 1 and every entry, e^2
+    included, is finite."""
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(off, dtype=float)
+    if d.size == 0 or e.size != d.size - 1:
+        raise ParameterDomainError("need n >= 1 rows and an off-diagonal of length n-1")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ParameterDomainError("matrix entries must be finite")
+    with np.errstate(over="ignore"):
+        e2 = e * e
+    if not np.all(np.isfinite(e2)):
+        raise ParameterDomainError("squared off-diagonal entries overflow")
+    return d, e, e2
+
+
 def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     """Lowest k eigenvalues (ascending) of the symmetric tridiagonal matrix
     with the given diagonal and off-diagonal.
@@ -176,17 +194,12 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     the tolerance.  AccuracyError if a bracket is still open after the sweeps
     that rel_tol needs.
     """
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(off, dtype=float)
+    d, e, off2 = _tridiagonal_entries(diag, off)
     n = d.size
-    if e.size != max(n - 1, 0):
-        raise ParameterDomainError("off-diagonal must have length n-1")
     if k is None:
         k = n
     if not 1 <= k <= n:
         raise ParameterDomainError("need 1 <= k <= n")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ParameterDomainError("matrix entries must be finite")
     if not 0.0 < rel_tol < math.inf:
         raise ParameterDomainError("rel_tol must be positive and finite")
     if n == 1:
@@ -197,12 +210,10 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     lo_glob = float(np.min(d - radius))
     hi_glob = float(np.max(d + radius))
     span = max(hi_glob - lo_glob, 1e-30)
-    with np.errstate(over="ignore"):
-        off2 = e * e
     pivmin = max(1e-290, float(np.max(off2)) * 1e-28)
     lo0 = lo_glob - 1e-3 * span
     hi0 = hi_glob + 1e-3 * span
-    if not (math.isfinite(hi0 - lo0) and math.isfinite(pivmin)):
+    if not math.isfinite(hi0 - lo0):
         raise ParameterDomainError("matrix entries overflow the Sturm count")
     return _multisection(lambda shifts: _sturm_counts(d, off2, shifts, pivmin),
                          lo0, hi0, k, rel_tol)
@@ -263,77 +274,106 @@ def _multisection(count, lo0, hi0, k, rel_tol, isolate=False):
         c_hi[open_] = end_counts[rows, p + 1]
 
 
-def _tridiag_solve_shifted(d, e, lam, rhs):
-    """Solve (T - lam*I) x = rhs by Gaussian elimination with partial
-    pivoting on the three bands.  Near-zero pivots are nudged, which is
-    exactly what inverse iteration wants.  The inner loop runs on plain
-    lists, noticeably faster than ndarray scalar indexing."""
-    n = len(d)
-    a = [float(v) - lam for v in d]   # diagonal
-    b = [float(v) for v in e] + [0.0]  # superdiagonal, b[i] = A[i, i+1]
-    c = [float(v) for v in e] + [0.0]  # subdiagonal,   c[i] = A[i+1, i]
-    f = [0.0] * n                      # fill-in second superdiagonal
-    x = [float(v) for v in rhs]
-    tiny = 1e-300
-    for i in range(n - 1):
-        if abs(c[i]) > abs(a[i]):
-            a[i], c[i] = c[i], a[i]
-            b[i], a[i + 1] = a[i + 1], b[i]
-            if i < n - 2:
-                f[i], b[i + 1] = b[i + 1], f[i]
-            x[i], x[i + 1] = x[i + 1], x[i]
-        piv = a[i]
-        if abs(piv) < tiny:
-            piv = tiny if piv >= 0.0 else -tiny
-            a[i] = piv
-        m = c[i] / piv
-        a[i + 1] -= m * b[i]
-        if i < n - 2:
-            b[i + 1] -= m * f[i]
-        x[i + 1] -= m * x[i]
-    # back substitution with on-the-fly rescaling: eigenvectors of matrices
-    # with widely spread spectra span hundreds of orders of magnitude, so the
-    # growing solution (and the untouched part of the rhs) is shrunk whenever
-    # it approaches overflow; only the direction matters to the caller.
-    big, shrink = 1e250, 1e-250
-    out = [0.0] * n
-
-    def _piv(v):
-        return v if abs(v) >= tiny else (tiny if v >= 0.0 else -tiny)
-
-    out[n - 1] = x[n - 1] / _piv(a[n - 1])
-    if n >= 2:
-        out[n - 2] = (x[n - 2] - b[n - 2] * out[n - 1]) / _piv(a[n - 2])
-    for i in range(n - 3, -1, -1):
-        out[i] = (x[i] - b[i] * out[i + 1] - f[i] * out[i + 2]) / _piv(a[i])
-        if abs(out[i]) > big:
-            for j in range(i, n):
-                out[j] *= shrink
-            for j in range(0, i):
-                x[j] *= shrink
+def _pivots(a, e2, tiny):
+    """Pivots D_i = a_i - e2_{i-1} / D_{i-1} (D_0 = a_0) of the LDL^T
+    factorization of the tridiagonal matrix with diagonal a and squared
+    off-diagonal e2 (lists of Python floats), as an array, each nudged away
+    from zero to +-tiny."""
+    out = []
+    q = math.inf
+    for ai, ei2 in zip(a, [0.0] + e2):
+        q = ai - ei2 / q
+        if -tiny < q < tiny:
+            q = tiny if q >= 0.0 else -tiny
+        out.append(q)
     return np.array(out)
 
 
+def _twisted_vector(e, left, right):
+    """The vector z of a twisted factorization, twisted at r = len(left):
+    z_r = 1 and the rows of (T - lam I) z = gamma_r e_r other than r, solved
+    outward with z_i = -e_i z_{i+1} / D+_i above r (left = D+_0..D+_{r-1}) and
+    z_{i+1} = -e_i z_i / D-_{i+1} below it (right = D-_{r+1}..D-_{n-1})."""
+    r = len(left)
+    z = np.ones(r + 1 + len(right))
+    z[:r] = np.cumprod(-e[:r][::-1] / left[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-e[r:] / right)
+    return z
+
+
+def _ldl_solve(e, dp, b):
+    """x with (T - lam I) x = b, from the pivots dp of its LDL^T factorization
+    (see _pivots): L y = b downward, then D L^T x = y upward, with
+    L_{i+1,i} = e_i / D+_i."""
+    e, dp, x = e.tolist(), dp.tolist(), b.tolist()
+    for i in range(1, len(x)):
+        x[i] -= e[i - 1] / dp[i - 1] * x[i - 1]
+    x[-1] /= dp[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = (x[i] - e[i] * x[i + 1]) / dp[i]
+    return np.array(x)
+
+
 def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
-    """Inverse-iteration eigenvector for a known eigenvalue (three steps);
-    deterministic start vector, unit 2-norm result, positive leading
-    significant entry."""
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(off, dtype=float)
+    """Unit eigenvector of the symmetric tridiagonal matrix T (diagonal,
+    off-diagonal) for an accurate eigenvalue lam, with its leading
+    significant entry (above 1e-3 of the largest) positive.
+
+    One twisted factorization of T - lam I (Fernando, SIAM J. Matrix Anal.
+    Appl. 18, 1997; Dhillon and Parlett, Linear Algebra Appl. 387, 2004;
+    LAPACK dlar1v): the forward pivots D+ of LDL^T and the backward pivots D-
+    of UDU^T, nudged away from zero to +-1e-300 max(1, max e^2), give
+    gamma_r = D+_r + D-_r - (d_r - lam), the last pivot when the two
+    factorizations meet at row r, and 1 / gamma_r is the (r, r) entry of
+    (T - lam I)^{-1}.  At the twist r of least |gamma_r| the solution of
+    (T - lam I) z = gamma_r e_r with z_r = 1 is the eigenvector, found by two
+    cumulative products.
+
+    orthogonalize holds earlier unit eigenvectors of the same cluster (levels
+    too close for their twisted vectors to be told apart).  The vector is
+    made orthogonal to them by one Gram-Schmidt step.  Every twisted vector
+    is a column of (T - lam I)^{-1}, and within a cluster those columns can
+    all lie along the earlier vectors (on a symmetric double well the
+    columns of one well all point the same way), so where the step leaves
+    less than 1e-3 of it the vector is instead (T - lam I)^{-1} b, solved
+    with the LDL^T pivots, and gets two Gram-Schmidt steps.  b is the ramp
+    b_i = 1 + i / (n - 1): a symmetric b would have no part along the odd
+    level of a symmetric pair.  AccuracyError if that leaves less than 1e-8
+    of it, or if the vector is zero or not finite.
+    """
+    d, e, e2 = _tridiagonal_entries(diag, off)
+    if not math.isfinite(eigenvalue):
+        raise ParameterDomainError("eigenvalue must be finite")
     n = d.size
     if n == 1:
         return np.ones(1)
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    for _ in range(3):
-        v = _tridiag_solve_shifted(d, e, eigenvalue, v)
-        for u in orthogonalize:
-            v -= np.dot(u, v) * u
-        nrm = np.linalg.norm(v)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise AccuracyError("inverse iteration failed to converge")
-        v /= nrm
+    with np.errstate(over="ignore"):
+        a = d - eigenvalue
+    tiny = 1e-300 * max(1.0, float(np.max(e2)))
+    if not np.all(np.isfinite(a)):
+        raise ParameterDomainError("matrix entries overflow the twisted factorization")
+    a_list, e2_list = a.tolist(), e2.tolist()
+    dp = _pivots(a_list, e2_list, tiny)
+    dm = _pivots(a_list[::-1], e2_list[::-1], tiny)[::-1]
+    r = int(np.argmin(np.abs(dp + dm - a)))
+    v = _twisted_vector(e, dp[:r], dm[r + 1:])
+    if len(orthogonalize):
+        u = np.asarray(orthogonalize, dtype=float)
+        v = v / np.linalg.norm(v)
+        v = v - (u @ v) @ u
+        if np.linalg.norm(v) < 1e-3:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = _ldl_solve(e, dp, np.linspace(1.0, 2.0, n))
+                v = v / np.linalg.norm(v)
+            v = v - (u @ v) @ u
+            v = v - (u @ v) @ u
+            if np.linalg.norm(v) < 1e-8:
+                raise AccuracyError("twisted factorization cannot separate an eigenvector "
+                                    "from %d others of its cluster" % u.shape[0])
+    nrm = np.linalg.norm(v)
+    if not (np.isfinite(nrm) and nrm > 0.0):
+        raise AccuracyError("twisted factorization gave a zero or non-finite eigenvector")
+    v /= nrm
     lead = int(np.argmax(np.abs(v) > 1e-3 * np.max(np.abs(v))))
     if v[lead] < 0.0:
         v = -v
@@ -418,8 +458,14 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     one sweep; then each level is converged alone by Newton's method on
     det h^2 T(E), the continuant of _numerov_newton, whose count in the same
     pass moves the bracket (a step out of it becomes a bisection).  Each
-    eigenvector comes from inverse iteration on T(E) at its eigenvalue,
-    psi = y / (1 - h^2 g / 12).
+    eigenvector comes from one twisted factorization of T(E) at its
+    eigenvalue (tridiagonal_eigenvector; Dhillon and Parlett, Linear Algebra
+    Appl. 387, 2004), psi = y / (1 - h^2 g / 12).  Levels within 1e-6
+    relative of an earlier one form its cluster and are made orthogonal to
+    it there.  Rounding in T(E) and its factorization, about eps |T|, still
+    mixes close levels into a vector by up to eps |T| / gap; wherever that
+    bound passes 1e-10, psi is also made orthogonal to the earlier level
+    under the pencil's weight rho.
 
     Model objects of the inverse-square families (a wall at x = 0) get the
     Langer grid: x = e^t with t uniform of step h on [ln x_min, ln x_max] and
@@ -485,15 +531,22 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     vals = np.array([_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14) for j in range(k)])
     inv_h2 = 1.0 / (h * h)
     off = np.full(n_int - 1, -inv_h2)
-    ys, vecs = [], []
+    diags, ys, vecs = [], [], []
     for i in range(k):
         prev = [ys[j] for j in range(i)
                 if abs(vals[i] - vals[j]) < 1e-6 * max(1.0, abs(vals[i]))]
         g = ux - vals[i] * rho
         scale = 1.0 - c * g
-        ys.append(tridiagonal_eigenvector(2.0 * inv_h2 + g / scale, off, 0.0,
-                                          orthogonalize=prev))
-        vecs.append(ys[-1] / scale)
+        diags.append(2.0 * inv_h2 + g / scale)
+        ys.append(tridiagonal_eigenvector(diags[i], off, 0.0, orthogonalize=prev))
+        v = ys[i] / scale
+        # level j's gap on T(E_i): y_j^T T(E_i) y_j = y_j^T (T(E_i) - T(E_j)) y_j
+        noise = 2.2e-16 * (float(np.max(np.abs(diags[i]))) + 2.0 * inv_h2)
+        for j in range(i):
+            if noise > 1e-10 * abs((diags[i] - diags[j]) @ (ys[j] * ys[j])):
+                w_j = rho * vecs[j]
+                v = v - (w_j @ v) / (w_j @ vecs[j]) * vecs[j]
+        vecs.append(v)
     vecs = np.array(vecs)
     if check_boundaries == "both":
         for i in range(k):

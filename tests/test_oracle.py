@@ -50,13 +50,71 @@ def _assert_matches_eigvalsh(diag, off, k):
     assert np.max(np.abs(got - want[:k])) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_eigenvalues_random_matrices():
+def _random_matrices():
+    """(diag, off, k) for n = 3 to 700 at scales 1e-3 to 1e3."""
     rng = np.random.default_rng(20261018)
     for n, k in [(3, 1), (12, 5), (40, 40), (300, 7), (700, 600)]:
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        diag = scale * rng.standard_normal(n)
-        off = scale * rng.standard_normal(n - 1)
+        yield scale * rng.standard_normal(n), scale * rng.standard_normal(n - 1), k
+
+
+def test_eigenvalues_random_matrices():
+    for diag, off, k in _random_matrices():
         _assert_matches_eigvalsh(diag, off, k)
+
+
+def test_eigenvectors_match_eigh():
+    # np.linalg.eigh is a test-only reference
+    for diag, off, k in _random_matrices():
+        want_vals, want_vecs = np.linalg.eigh(_dense(diag, off))
+        radius = np.max(np.abs(want_vals))
+        for lam, ref in zip(oc.tridiagonal_eigenvalues(diag, off, k=k), want_vecs.T):
+            v = oc.tridiagonal_eigenvector(diag, off, lam)
+            assert abs(np.dot(v, ref)) >= 1.0 - 1e-12
+            res = diag * v - lam * v
+            res[:-1] += off * v[1:]
+            res[1:] += off * v[:-1]
+            assert np.max(np.abs(res)) <= 1e-10 * radius
+        # no random start vector: the same call gives the same bits
+        np.testing.assert_array_equal(oc.tridiagonal_eigenvector(diag, off, lam), v)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1e-310])
+def test_eigenvector_at_zero_pivots(lam):
+    # 0 is an eigenvalue of tridiag(1e5, 0, 1e5), so the first pivot of each
+    # factorization is 0 or subnormal, and the next one divides e^2 = 1e10 by
+    # it once it is nudged
+    v = oc.tridiagonal_eigenvector([0.0, 0.0, 0.0], [1e5, 1e5], lam)
+    np.testing.assert_allclose(v, [math.sqrt(0.5), 0.0, -math.sqrt(0.5)], atol=1e-15)
+
+
+def test_eigenvector_exactly_degenerate_pair():
+    # two uncoupled copies of tridiag(-1, 2, -1): 2 - sqrt(2) is a double
+    # eigenvalue, and the second vector must span the rest of its eigenspace
+    diag, off = np.full(6, 2.0), np.array([-1.0, -1.0, 0.0, -1.0, -1.0])
+    lam = 2.0 - math.sqrt(2.0)
+    v0 = oc.tridiagonal_eigenvector(diag, off, lam)
+    v1 = oc.tridiagonal_eigenvector(diag, off, lam, orthogonalize=[v0])
+    for v in (v0, v1):
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+        assert np.max(np.abs(_dense(diag, off) @ v - lam * v)) < 1e-14
+    assert abs(v0 @ v1) < 1e-15
+
+
+def test_eigenvector_rejects_bad_input():
+    for diag, off, lam in [([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], 1.0),
+                           ([1.0, 2.0, 3.0], [0.5], 1.0),
+                           ([], [], 1.0)]:
+        with pytest.raises(ParameterDomainError, match="length n-1"):
+            oc.tridiagonal_eigenvector(diag, off, lam)
+    for diag, off, lam in [([1.0, np.nan, 2.0], [0.5, 0.5], 1.0),
+                           ([1.0, 2.0, 3.0], [0.5, -np.inf], 1.0),
+                           ([1.0, 2.0, 3.0], [0.5, 0.5], np.nan),
+                           ([1.0, 2.0, 3.0], [0.5, 0.5], -np.inf)]:
+        with pytest.raises(ParameterDomainError, match="finite"):
+            oc.tridiagonal_eigenvector(diag, off, lam)
+    with pytest.raises(ParameterDomainError, match="overflow"):
+        oc.tridiagonal_eigenvector([1.0, 2.0, 3.0], [1e200, 0.5], 1.0)
 
 
 @pytest.mark.parametrize("n", [2, 17, 128])
@@ -144,6 +202,49 @@ def test_ho_levels_and_orthogonality(ho_oracle):
     assert np.max(np.abs(ho_oracle.eigenvalues - want) / want) < 1e-3
     gram = ho_oracle.h * ho_oracle.eigenvectors @ ho_oracle.eigenvectors.T
     assert np.max(np.abs(gram - np.eye(8))) < 1e-8
+
+
+def _double_well(a):
+    return lambda x: (x * x - a * a) ** 2 / 4.0
+
+
+def _triple_well(x):
+    return 4.0 * np.minimum(np.minimum((x + 8.0) ** 2, x * x), (x - 8.0) ** 2)
+
+
+@pytest.mark.parametrize("potential, x_min, x_max, k, want", [
+    (_double_well(2.9), -8.9, 8.9, 4,
+     [2.8374745015336877, 2.8374797590151335, 8.233627907726387, 8.234397549822287]),
+    (_double_well(3.0), -9.0, 9.0, 4,
+     [2.941883899373137, 2.9418849099599713, 8.570152831844535, 8.570322247580034]),
+    (_double_well(3.07), -9.07, 9.07, 4,
+     [3.0146845193268663, 3.0146848153661123, 8.802803970103819, 8.802858242757402]),
+    (_double_well(3.1), -9.1, 9.1, 4,
+     [3.0458201986842792, 3.045820370326697, 8.901891833715323, 8.901924491553032]),
+    (_double_well(3.14), -9.14, 9.14, 4,
+     [3.0872784034990164, 3.087278485025334, 9.033486714295654, 9.03350299442563]),
+    (_double_well(3.59), -9.59, 9.59, 4,
+     [3.5502065506625513, 3.5502065506625513, 10.48331283272632, 10.483312834108746]),
+    (_double_well(4.0), -10.0, 10.0, 4,
+     [3.9681781806175422, 3.9681781806175422, 11.772733569250704, 11.772733569250704]),
+    (_double_well(5.0), -11.0, 11.0, 4,
+     [4.979816278540966, 4.979816278540966, 14.85731745715384, 14.85731745715384]),
+    (_triple_well, -14.0, 14.0, 6,
+     [1.9999999962710717, 1.9999999962710717, 1.9999999962783477,
+      5.999999973904778, 5.999999973919329, 5.999999973933858]),
+], ids=["double-well-2.9", "double-well-3", "double-well-3.07", "double-well-3.1",
+        "double-well-3.14", "double-well-3.59", "double-well-4", "double-well-5",
+        "triple-well"])
+def test_near_degenerate_levels_orthonormal(potential, x_min, x_max, k, want):
+    # tunnelling splits these pairs and triples by 9e-5 relative down to
+    # nothing at all; those within 1e-6 fall in grid_solve's cluster rule, the
+    # wider pairs of a = 2.9 to 3.14 only in its rounding-error window; at
+    # a = 3.59 the two lowest levels are equal and the twisted vector of
+    # level 1 lies along level 0
+    sol = oc.grid_solve(potential, x_min, x_max, 1.0 / 64.0, k)
+    np.testing.assert_allclose(sol.eigenvalues, want, rtol=1e-13, atol=0)
+    gram = sol.h * sol.eigenvectors @ sol.eigenvectors.T
+    assert np.max(np.abs(gram - np.eye(k))) < 1e-8
 
 
 def test_richardson_consistency(ho_oracle, ho_oracle_coarse):
