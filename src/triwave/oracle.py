@@ -13,16 +13,16 @@ Two unrelated work horses live here:
   function of the orthonormal recurrence), plus adaptive Gauss-Kronrod
   (G7-K15) integration for non-classical weights.
 
-Both start from one dependency-free multisection loop over Sturm sequence
-counts (many shifts per bracket counted in each sweep over the rows).  The
-Gauss rules count the eigenvalues of a fixed symmetric tridiagonal matrix
-and bisect to the end.  The grid oracle counts those of Numerov's pencil
-through a tridiagonal matrix T(E) whose diagonal depends on E, sweeps only
-until each level is alone in its bracket, and then converges each level by
-Newton's method on det T(E) (a scalar pass per step that also counts, so the
-bracket keeps every step safe); it adds each eigenvector from one twisted
-factorization of T(E) at its eigenvalue (Dhillon and Parlett, Linear Algebra
-Appl. 387, 2004).  Output is deterministic.
+Both are dependency-free and count eigenvalues by Sturm sequences.  The
+Gauss rules count those of a fixed symmetric tridiagonal matrix, many
+shifts per sweep over the rows (multisection), and bisect to the end.  The
+grid oracle counts those of Numerov's pencil through a tridiagonal matrix
+T(E) whose diagonal depends on E, one energy per scalar pass over the rows:
+it bisects until each level is alone in its bracket, then converges each
+level by Newton's method on det T(E) (the same pass gives the step and the
+count, so the bracket keeps every step safe), and adds each eigenvector from
+one twisted factorization of T(E) at its eigenvalue (Dhillon and Parlett,
+Linear Algebra Appl. 387, 2004).  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -72,42 +72,20 @@ def _sturm_counts(diag, off2, shifts, pivmin):
     return count
 
 
-def _numerov_counts(alpha, beta, shifts):
-    """Number of Numerov eigenvalues below each shift E: the LDL^T Sturm count
-    of h^2 T(E) = tridiag(-1, -10 + beta_i / (alpha_i + E), -1).
-
-    alpha and beta are lists of Python floats (see grid_solve).  A zero pivot
-    divides to an infinite one, which the next row turns back into a finite
-    pivot with the right count (IEEE Sturm count, Kahan), so unlike
-    _sturm_counts no pivot guard is needed: the off-diagonal is never zero.
-    """
-    with np.errstate(divide="ignore"):
-        p = beta[0] / (alpha[0] + shifts) - 10.0
-        count = (p < 0.0).astype(np.int64)
-        t = np.empty_like(p)
-        for a, b in zip(alpha[1:], beta[1:]):
-            np.add(shifts, a, out=t)
-            np.divide(b, t, out=t)
-            np.divide(1.0, p, out=p)
-            p += 10.0
-            np.subtract(t, p, out=p)
-            count += p < 0.0
-    return count
-
-
 def _numerov_newton(alpha, beta, energy):
-    """(Sturm count, Newton step) of the Numerov pencil at E = energy, in one
-    pass of Python floats over the rows of h^2 T(E) (see _numerov_counts).
+    """(Sturm count, Newton step) at E = energy of the Numerov pencil
+    h^2 T(E) = tridiag(-1, -10 + beta_i / (alpha_i + E), -1), in one pass of
+    Python floats over its rows (alpha, beta: lists; see grid_solve).
 
     The leading principal minors of h^2 T(E) follow the continuant
     p_i = d_i p_{i-1} - p_{i-2} (p_{-1} = 1, p_{-2} = 0) with
     d_i = beta_i / (alpha_i + E) - 10, and their E-derivatives follow
     p'_i = d_i p'_{i-1} - p'_{i-2} - beta_i / (alpha_i + E)^2 p_{i-1}; both
-    are rescaled together when |p| passes 1e100.  The count is the number of
-    sign changes of p, where a zero p_i keeps the sign of p_{i-1}: that is
-    how _numerov_counts counts it (the pivot p_i / p_{i-1} is +0, not
-    negative, and the next one -inf), so the two kernels agree.  The step is
-    -p_n / p'_n on the whole determinant, inf where p'_n = 0.
+    are rescaled together when |p| passes 1e100.  The count, the number of
+    Numerov eigenvalues below E, is the number of sign changes of p, where a
+    zero p_i keeps the sign of p_{i-1} (the LDL^T pivot p_i / p_{i-1} is +0,
+    not negative, and the next one -inf: the IEEE Sturm count of Kahan).
+    The step is -p_n / p'_n on the whole determinant, inf where p'_n = 0.
     """
     p_prev, p = 0.0, 1.0
     dp_prev, dp = 0.0, 0.0
@@ -126,39 +104,80 @@ def _numerov_newton(alpha, beta, energy):
     return count, (-p / dp if dp != 0.0 else math.inf)
 
 
-def _newton_level(alpha, beta, j, lo, hi, rel_tol):
+def _closed(lo, hi, rel_tol):
+    """Whether [lo, hi] is within rel_tol * max(1, |E|), or adjacent floats."""
+    return hi - lo <= rel_tol * max(1.0, abs(0.5 * (lo + hi))) or math.nextafter(lo, hi) >= hi
+
+
+def _isolate_levels(alpha, beta, lo0, hi0, k, rel_tol, trail):
+    """Brackets (lo, hi), as lists, of the lowest k Numerov levels within
+    [lo0, hi0], which has no level below lo0 and at least k below hi0: Sturm
+    bisection (Barth, Martin and Wilkinson, Numer. Math. 9, 1967) of level
+    j's bracket, j = 0, 1, ..., until its ends count exactly j and j + 1, or
+    it is closed (as an exactly degenerate pair ends).  Each pass's count
+    also tightens the later levels' brackets, and trail gets its energy.
+    AccuracyError, with the bracket, 3 passes after halving to rel_tol."""
+    lo, hi = [float(lo0)] * k, [float(hi0)] * k
+    c_lo, c_hi = [0] * k, [-1] * k  # counts at the ends; at hi0 not known
+    max_passes = max(0, math.ceil(math.log2(hi0 - lo0) - math.log2(rel_tol))) + 3
+    for j in range(k):
+        for used in range(max_passes + 1):
+            if (c_lo[j] == j and c_hi[j] == j + 1) or _closed(lo[j], hi[j], rel_tol):
+                break
+            if used == max_passes:
+                raise AccuracyError("Sturm bisection left Numerov level %d shared after %d "
+                                    "passes" % (j, max_passes), estimates=(lo[j], hi[j]))
+            energy = 0.5 * (lo[j] + hi[j])
+            count = _numerov_newton(alpha, beta, energy)[0]
+            trail.append(energy)
+            for i in range(j, k):  # hi[i] >= hi[j] > energy
+                if count > i:
+                    hi[i], c_hi[i] = energy, count
+                elif energy > lo[i]:
+                    lo[i], c_lo[i] = energy, count
+    return lo, hi
+
+
+def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
     """Numerov level j from a bracket [lo, hi] that holds it alone: Newton
     steps of _numerov_newton from the midpoint, each pass's count moving the
-    bracket.  A step that leaves the bracket, or is not finite, is replaced
-    by the bracket's midpoint; a step below 1e-10 |E| is the last, since
-    convergence is quadratic, and a bracket within rel_tol * max(1, |E|)
-    (or between adjacent floats) ends in its midpoint.  AccuracyError, with
-    the bracket, if neither happens within twice the passes that bisection
-    alone would need."""
+    bracket.  A step below 1e-10 |E| and 1e-3 of the distance from E to the
+    nearer end of the bracket it was computed in is the last (convergence is
+    quadratic only well inside the gap to the next level, which a bisected
+    bracket may not be).  A step that leaves the bracket, is not finite, or
+    is below 1e-10 |E| but above half the one before (stuck where E moves by
+    less than alpha_i + E can show) becomes a bisection.  A closed bracket
+    ends in its midpoint; trail, if given, gets each pass's energy.
+    AccuracyError, with the bracket, after twice the passes bisection needs."""
     lo, hi = float(lo), float(hi)  # Python floats: numpy scalars are slower
     passes = 2 * max(1, math.ceil(math.log2(max(hi - lo, rel_tol) / rel_tol))) + 4
-    energy = 0.5 * (lo + hi)
+    energy, last = 0.5 * (lo + hi), math.inf
     for _ in range(passes):
-        if hi - lo <= rel_tol * max(1.0, abs(energy)) or math.nextafter(lo, hi) >= hi:
+        if _closed(lo, hi, rel_tol):
             return 0.5 * (lo + hi)
         count, step = _numerov_newton(alpha, beta, energy)
+        if trail is not None:
+            trail.append(energy)
+        near = min(energy - lo, hi - energy)
         if count <= j:
             lo = energy
         else:
             hi = energy
-        if abs(step) <= 1e-10 * abs(energy):
+        small = abs(step) <= 1e-10 * abs(energy)
+        if small and abs(step) <= 1e-3 * near:
             return min(max(energy + step, lo), hi)
-        energy += step
-        if not lo < energy < hi:
+        stuck = small and abs(step) > 0.5 * last
+        energy, last = energy + step, abs(step)
+        if stuck or not lo < energy < hi:
             energy = 0.5 * (lo + hi)
     raise AccuracyError("Newton's method left Numerov level %d open after %d passes"
                         % (j, passes), estimates=(lo, hi))
 
 
-# Shifts counted per Sturm sweep.  A sweep is a Python loop over the rows, so
-# its cost hardly depends on how many shifts ride along; spending the whole
-# budget in every sweep cuts the sweep count (multisection, as in LAPACK
-# dstebz) instead of halving each bracket once per sweep.
+# Shifts counted per Sturm sweep (tridiagonal_eigenvalues).  A sweep is a
+# Python loop over the rows, so its cost hardly depends on how many shifts
+# ride along; spending the whole budget in every sweep cuts the sweep count
+# (multisection, as in LAPACK dstebz) instead of halving each bracket once.
 SHIFT_BUDGET = 512
 
 
@@ -215,24 +234,8 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     hi0 = hi_glob + 1e-3 * span
     if not math.isfinite(hi0 - lo0):
         raise ParameterDomainError("matrix entries overflow the Sturm count")
-    return _multisection(lambda shifts: _sturm_counts(d, off2, shifts, pivmin),
-                         lo0, hi0, k, rel_tol)
-
-
-def _multisection(count, lo0, hi0, k, rel_tol, isolate=False):
-    """Lowest k eigenvalues by multisection of the start bracket [lo0, hi0],
-    which must hold no eigenvalue below lo0 and at least k below hi0;
-    count(shifts) returns the number of eigenvalues below each shift.
-
-    Returns the bracket midpoints.  With isolate, a bracket also closes one
-    sweep after its ends count exactly j and j + 1 eigenvalues below them,
-    so that it holds level j alone, and the brackets (lo, hi) are returned
-    instead, for a method that converges faster once a level is alone."""
     lo = np.full(k, lo0)
     hi = np.full(k, hi0)
-    # counts at the bracket ends; the count at hi0 is not known (-1)
-    c_lo = np.zeros(k, dtype=np.int64)
-    c_hi = np.full(k, -1, dtype=np.int64)
     idx = np.arange(k)
     done = np.zeros(k, dtype=bool)
     # every sweep divides a width by at least m + 1 for the starting m (m only
@@ -243,35 +246,29 @@ def _multisection(count, lo0, hi0, k, rel_tol, isolate=False):
     for sweep in range(max_sweeps + 1):
         open_ = np.flatnonzero(~done)
         if open_.size == 0:
-            return (lo, hi) if isolate else 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
         if sweep == max_sweeps:
             widest = open_[np.argmax(hi[open_] - lo[open_])]
             raise AccuracyError(
                 "Sturm multisection left %d brackets open after %d sweeps"
                 % (open_.size, max_sweeps), estimates=(lo[widest], hi[widest]))
         # eigenvalues that share a bracket share its shifts
-        pairs, first, owner = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0,
-                                        return_index=True, return_inverse=True)
+        pairs, owner = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0,
+                                 return_inverse=True)
         owner = owner.reshape(-1)  # numpy 2.0.0 returns it as a column
         p_lo, p_hi = pairs[:, 0], pairs[:, 1]
-        pc_lo, pc_hi = c_lo[open_[first]], c_hi[open_[first]]
         width = p_hi - p_lo
         closing = ((width <= rel_tol * np.maximum(1.0, np.abs(p_lo + 0.5 * width)))
                    | (np.nextafter(p_lo, p_hi) >= p_hi))
-        if isolate:
-            closing |= pc_hi - pc_lo == 1
         done[open_] = closing[owner]
         m = max(1, SHIFT_BUDGET // pairs.shape[0])
         shifts = p_lo[:, None] + width[:, None] * (np.arange(1, m + 1) / (m + 1))
-        cnt = count(shifts.ravel()).reshape(shifts.shape)
+        cnt = _sturm_counts(d, off2, shifts.ravel(), pivmin).reshape(shifts.shape)
         p = np.sum(cnt[owner] <= idx[open_, None], axis=1)
         ends = np.hstack((p_lo[:, None], shifts, p_hi[:, None]))[owner]
-        end_counts = np.hstack((pc_lo[:, None], cnt, pc_hi[:, None]))[owner]
         rows = np.arange(open_.size)
         lo[open_] = ends[rows, p]
         hi[open_] = ends[rows, p + 1]
-        c_lo[open_] = end_counts[rows, p]
-        c_hi[open_] = end_counts[rows, p + 1]
 
 
 def _pivots(a, e2, tiny):
@@ -401,6 +398,7 @@ class GridSolution:
     eigenvectors: np.ndarray  # shape (k, npoints)
     x_min: float = 0.0
     x_max: float = 0.0
+    passes: int = 0  # scalar passes over the rows of T(E) that found the eigenvalues
 
 
 def _resolve_potential(model_or_potential):
@@ -453,11 +451,12 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     y = (1 - h^2 g / 12) psi it reads T(E) y = 0 for the tridiagonal
     T(E) = tridiag(-1/h^2, 2/h^2 + g_i / (1 - h^2 g_i / 12), -1/h^2).  Its
     diagonal falls as E rises, so the Sturm count of T(E) is the number of
-    Numerov eigenvalues below E.  Multisection on that count runs only until
-    each level j has a bracket whose ends count exactly j and j + 1, plus
-    one sweep; then each level is converged alone by Newton's method on
-    det h^2 T(E), the continuant of _numerov_newton, whose count in the same
-    pass moves the bracket (a step out of it becomes a bisection).  Each
+    Numerov eigenvalues below E.  Bisection on that count, one scalar pass
+    of _numerov_newton per energy, runs only until each level j has a
+    bracket whose ends count exactly j and j + 1 (_isolate_levels); then
+    each level is converged alone by Newton's method on det h^2 T(E), the
+    continuant of the same pass, whose count moves the bracket (a step out
+    of it becomes a bisection).  GridSolution.passes counts the passes.  Each
     eigenvector comes from one twisted factorization of T(E) at its
     eigenvalue (tridiagonal_eigenvector; Dhillon and Parlett, Linear Algebra
     Appl. 387, 2004), psi = y / (1 - h^2 g / 12).  Levels within 1e-6
@@ -526,9 +525,10 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
         raise DomainError("12 / (h^2 rho) overflows at x = %.15g; move x_min up" % x[i])
     alpha = (sigma - w).tolist()
     beta = beta.tolist()
-    lo, hi = _multisection(lambda shifts: _numerov_counts(alpha, beta, shifts),
-                           e_lo, _upper_bracket(w, rho, h, k), k, 1e-14, isolate=True)
-    vals = np.array([_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14) for j in range(k)])
+    trail = []
+    lo, hi = _isolate_levels(alpha, beta, e_lo, _upper_bracket(w, rho, h, k), k, 1e-14, trail)
+    vals = np.array([_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14, trail)
+                     for j in range(k)])
     inv_h2 = 1.0 / (h * h)
     off = np.full(n_int - 1, -inv_h2)
     diags, ys, vecs = [], [], []
@@ -563,7 +563,7 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     if langer:
         vecs = vecs * np.sqrt(x)
     return GridSolution(x=x, h=h, eigenvalues=vals, eigenvectors=vecs,
-                        x_min=x_min, x_max=x_max)
+                        x_min=x_min, x_max=x_max, passes=len(trail))
 
 
 def node_count(vector):

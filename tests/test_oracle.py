@@ -212,26 +212,58 @@ def _triple_well(x):
     return 4.0 * np.minimum(np.minimum((x + 8.0) ** 2, x * x), (x - 8.0) ** 2)
 
 
+# want: the exact eigenvalues of the float pencil that grid_solve builds,
+# rounded to floats, from a Sturm bisection at 40 digits.  _mpmath_levels
+# cannot make them, as it needs each level alone in its start bracket; they
+# were made by
+#
+#     newton, seen = oc._newton_level, {}
+#     def capture(alpha, beta, *rest):
+#         seen["ab"] = alpha, beta
+#         return newton(alpha, beta, *rest)
+#     oc._newton_level = capture
+#     sol = oc.grid_solve(potential, x_min, x_max, 1.0 / 64.0, k)
+#     with mpmath.workdps(40):
+#         a, b = ([mpmath.mpf(v) for v in seq] for seq in seen["ab"])
+#         def count(e):
+#             q, below = None, 0
+#             for ai, bi in zip(a, b):
+#                 d = bi / (ai + e) - 10
+#                 q = d if q is None else d - 1 / q
+#                 below += q < 0
+#             return below
+#         want = []
+#         for j, val in enumerate(sol.eigenvalues):
+#             v = mpmath.mpf(float(val))
+#             lo, hi = v - abs(v) / 10**9, v + abs(v) / 10**9
+#             assert count(lo) <= j < count(hi)
+#             for _ in range(64):
+#                 mid = (lo + hi) / 2
+#                 if count(mid) <= j:
+#                     lo = mid
+#                 else:
+#                     hi = mid
+#             want.append(float((lo + hi) / 2))
 @pytest.mark.parametrize("potential, x_min, x_max, k, want", [
     (_double_well(2.9), -8.9, 8.9, 4,
-     [2.8374745015336877, 2.8374797590151335, 8.233627907726387, 8.234397549822287]),
+     [2.837474501530937, 2.8374797590149266, 8.233627907723802, 8.23439754981979]),
     (_double_well(3.0), -9.0, 9.0, 4,
-     [2.941883899373137, 2.9418849099599713, 8.570152831844535, 8.570322247580034]),
+     [2.941883899372145, 2.941884909958171, 8.570152831842304, 8.570322247578375]),
     (_double_well(3.07), -9.07, 9.07, 4,
-     [3.0146845193268663, 3.0146848153661123, 8.802803970103819, 8.802858242757402]),
+     [3.0146845193268312, 3.0146848153694252, 8.802803970105435, 8.80285824275888]),
     (_double_well(3.1), -9.1, 9.1, 4,
-     [3.0458201986842792, 3.045820370326697, 8.901891833715323, 8.901924491553032]),
+     [3.0458201986817874, 3.045820370329361, 8.901891833712433, 8.901924491554112]),
     (_double_well(3.14), -9.14, 9.14, 4,
-     [3.0872784034990164, 3.087278485025334, 9.033486714295654, 9.03350299442563]),
+     [3.08727840350254, 3.0872784850224173, 9.033486714292204, 9.033502994422284]),
     (_double_well(3.59), -9.59, 9.59, 4,
-     [3.5502065506625513, 3.5502065506625513, 10.48331283272632, 10.483312834108746]),
+     [3.5502065506604152, 3.5502065506647034, 10.483312832727261, 10.48331283411058]),
     (_double_well(4.0), -10.0, 10.0, 4,
-     [3.9681781806175422, 3.9681781806175422, 11.772733569250704, 11.772733569250704]),
+     [3.968178180618738, 3.968178180618738, 11.772733569250857, 11.772733569250876]),
     (_double_well(5.0), -11.0, 11.0, 4,
-     [4.979816278540966, 4.979816278540966, 14.85731745715384, 14.85731745715384]),
+     [4.979816278541002, 4.979816278541002, 14.857317457153536, 14.857317457153536]),
     (_triple_well, -14.0, 14.0, 6,
-     [1.9999999962710717, 1.9999999962710717, 1.9999999962783477,
-      5.999999973904778, 5.999999973919329, 5.999999973933858]),
+     [1.9999999962742243, 1.9999999962744544, 1.9999999962746817,
+      5.999999973906243, 5.999999973920513, 5.999999973934601]),
 ], ids=["double-well-2.9", "double-well-3", "double-well-3.07", "double-well-3.1",
         "double-well-3.14", "double-well-3.59", "double-well-4", "double-well-5",
         "triple-well"])
@@ -242,7 +274,7 @@ def test_near_degenerate_levels_orthonormal(potential, x_min, x_max, k, want):
     # a = 3.59 the two lowest levels are equal and the twisted vector of
     # level 1 lies along level 0
     sol = oc.grid_solve(potential, x_min, x_max, 1.0 / 64.0, k)
-    np.testing.assert_allclose(sol.eigenvalues, want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(sol.eigenvalues, want, rtol=2e-12, atol=0)
     gram = sol.h * sol.eigenvectors @ sol.eigenvectors.T
     assert np.max(np.abs(gram - np.eye(k))) < 1e-8
 
@@ -310,11 +342,8 @@ def test_numerov_count_matches_dense_reference(langer):
         mid = 0.5 * (ref[:-1] + ref[1:])
         shifts = np.concatenate([mid, [ref[0] - 1.0, ref[-1] + 1.0]])
         alpha, beta = _numerov_lists(h, rho, v)
-        got = oc._numerov_counts(alpha, beta, shifts)
+        got = [oc._numerov_newton(alpha, beta, float(e))[0] for e in shifts]
         np.testing.assert_array_equal(got, _dense_counts(ref, shifts))
-        # the scalar Newton pass counts the same way
-        newton = [oc._numerov_newton(alpha, beta, float(e))[0] for e in shifts]
-        np.testing.assert_array_equal(newton, got)
 
 
 def test_grid_solve_matches_dense_numerov():
@@ -353,32 +382,25 @@ def test_langer_eigenvectors_orthonormal_under_x_h(oscinv_b075_oracle):
 
 
 def test_numerov_sweep_count_on_default_grids(monkeypatch):
-    # count sweeps only until every level is alone in its bracket, plus one;
-    # then a few scalar Newton passes per level
-    sweeps, passes = [], []
-    counts, newton = oc._numerov_counts, oc._numerov_newton
+    # scalar passes only: bisection until every level is alone in its
+    # bracket, then Newton's method per level; no vector count sweep, whose
+    # cost per row is that of 30-40 scalar passes
+    sweeps = []
+    counts = oc._sturm_counts
 
-    def counted(alpha, beta, shifts):
+    def counted(d, off2, shifts, pivmin):
         sweeps.append(np.size(shifts))
-        return counts(alpha, beta, shifts)
+        return counts(d, off2, shifts, pivmin)
 
-    def counted_newton(alpha, beta, energy):
-        passes.append(energy)
-        return newton(alpha, beta, energy)
-
-    monkeypatch.setattr(oc, "_numerov_counts", counted)
-    monkeypatch.setattr(oc, "_numerov_newton", counted_newton)
+    monkeypatch.setattr(oc, "_sturm_counts", counted)
     for model, n_levels in [(md.HarmonicOscillator(a=1.0), 4),
                             (md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
                             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
                             (md.RosenMorse(A=1.0, B=-2.0), None)]:
-        sweeps.clear()
-        passes.clear()
         x_min, x_max, h, k = md.default_grid(model, n_levels)
-        oc.grid_solve(model, x_min, x_max, h, k)
-        assert 1 <= len(sweeps) <= 3, model
-        assert max(sweeps) <= oc.SHIFT_BUDGET
-        assert len(passes) <= 3 * k, model
+        sol = oc.grid_solve(model, x_min, x_max, h, k)
+        assert sweeps == [], model
+        assert 1 <= sol.passes <= 8 * k + 24, model
 
 
 @pytest.mark.parametrize("d", [
@@ -391,16 +413,15 @@ def test_numerov_sweep_count_on_default_grids(monkeypatch):
 ])
 def test_newton_count_at_exact_float_eigenvalues(d):
     # alpha_i + E = 2 and beta_i = 2 (10 + d_i) make every d_i, and so every
-    # minor p_i, exact at E = 0.5: an exact zero minor meets both kernels
+    # minor p_i, exact at E = 0.5: an exact zero minor meets the count there
     d = np.array(d)
     alpha, beta = [1.5] * d.size, (2.0 * (10.0 + d)).tolist()
-    dense = _dense(d, -np.ones(d.size - 1))
+    # the count is the number of negative eigenvalues of tridiag(-1, d(E), -1)
+    # with d(E) = beta / (alpha + E) - 10, which is d at E = 0.5
     for e in (0.5, 0.25, 0.75):
-        want = oc._numerov_counts(alpha, beta, np.array([e]))[0]
-        assert oc._numerov_newton(alpha, beta, e)[0] == want
-    # at E = 0.5 the count is the number of negative eigenvalues of tridiag(-1, d, -1)
-    exact = int(np.sum(np.linalg.eigvalsh(dense) < -1e-12))
-    assert oc._numerov_newton(alpha, beta, 0.5)[0] == exact
+        dense = _dense(np.array(beta) / (1.5 + e) - 10.0, -np.ones(d.size - 1))
+        exact = int(np.sum(np.linalg.eigvalsh(dense) < -1e-12))
+        assert oc._numerov_newton(alpha, beta, e)[0] == exact
 
 
 def test_newton_step_matches_dense_determinant():
@@ -457,13 +478,13 @@ def _mpmath_levels(alpha, beta, approx):
 ])
 def test_grid_solve_matches_mpmath_bisection(monkeypatch, model, x_min, x_max, h, k):
     seen = {}
-    counts = oc._numerov_counts
+    newton = oc._numerov_newton
 
-    def capture(alpha, beta, shifts):
+    def capture(alpha, beta, energy):
         seen["alpha"], seen["beta"] = alpha, beta
-        return counts(alpha, beta, shifts)
+        return newton(alpha, beta, energy)
 
-    monkeypatch.setattr(oc, "_numerov_counts", capture)
+    monkeypatch.setattr(oc, "_numerov_newton", capture)
     sol = oc.grid_solve(model, x_min, x_max, h, k, check_boundaries="none")
     assert sol.x.size <= 300
     ref = _mpmath_levels(seen["alpha"], seen["beta"], sol.eigenvalues)
@@ -500,6 +521,39 @@ def test_newton_pass_cap_raises_with_the_bracket(monkeypatch):
         _ho_grid_solve()
     lo, hi = info.value.estimates
     assert lo < want[0] < hi
+
+
+@pytest.mark.parametrize("A, B, mu_scale, levels, want", [
+    (-5.078472251771057, 1.3204407989787743, 2.298208692855176, 2,
+     [-2.9232534463626716, -0.5037486022337092]),
+    (-10.832065579951434, 2.9082241244604328, 3.4107032262924504, 3,
+     [-7.1604617295155055, -2.808654321459164, -0.4568464559415312]),
+])
+def test_newton_stops_at_the_rounding_floor(A, B, mu_scale, levels, want):
+    # draws of the benchmark's oracle stream.  At h = 1/32, alpha_i + E
+    # (alpha_i about 12288) resolves E only to one unit in its last place,
+    # 1.8e-12, so closer in Newton's step repeats: level 0 of the first well
+    # and level 2 of the second crept by the same 1e-14 per pass into the
+    # pass cap before such steps became bisections.  want is the 40-digit
+    # Sturm bisection of the same float pencil (see
+    # test_near_degenerate_levels_orthonormal), met to that resolution.
+    model = md.GeneralizedMorse(A=A, B=B, mu_scale=mu_scale)
+    x_min, x_max, h, k = md.default_grid(model, levels)
+    sol = oc.grid_solve(model, x_min, x_max, h, k)
+    np.testing.assert_allclose(sol.eigenvalues, want, rtol=0, atol=math.ulp(12.0 / (h * h)))
+
+
+def test_isolation_pass_cap_raises_with_the_bracket(monkeypatch):
+    # every pass halves the bracket, so only a bracket never taken as closed
+    # (here with counts that never split level 0 from level 1) meets the cap
+    monkeypatch.setattr(oc, "_closed", lambda lo, hi, rel_tol: False)
+    monkeypatch.setattr(oc, "_numerov_newton", lambda alpha, beta, energy: (0, math.inf))
+    trail = []
+    with pytest.raises(AccuracyError, match="level 0") as info:
+        oc._isolate_levels([1.0], [1.0], 0.0, 1.0, 2, 1e-14, trail)
+    lo, hi = info.value.estimates
+    assert 0.0 < lo < hi == 1.0
+    assert len(trail) == math.ceil(math.log2(1e14)) + 3
 
 
 def test_grid_step_rule_and_boundary_options():
