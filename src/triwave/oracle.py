@@ -15,7 +15,11 @@ Two unrelated work horses live here:
 
 Both are dependency-free and count eigenvalues by Sturm sequences.  The
 Gauss rules count those of a fixed symmetric tridiagonal matrix, many
-shifts per sweep over the rows (multisection), and bisect to the end.  The
+shifts per sweep over the rows (multisection), until each eigenvalue is
+alone in its bracket, then converge all of them together by Newton's method
+on the determinant, one energy per open eigenvalue in each sweep: the same
+LDL^T pivots give the count, which moves the bracket, and the step, which
+is corrected for the other eigenvalues' estimates (Aberth-Ehrlich).  The
 grid oracle counts those of Numerov's pencil through a tridiagonal matrix
 T(E) whose diagonal depends on E, one energy per scalar pass over the rows:
 it bisects until each level is alone in its bracket, then converges each
@@ -28,6 +32,7 @@ Linear Algebra Appl. 387, 2004).  Output is deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,23 +58,65 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigensolver (Sturm multisection + twisted factorization)
+# Symmetric tridiagonal eigensolver (multisection, Newton, twisted factorization)
 # ---------------------------------------------------------------------------
+
+# Rows a Sturm sweep takes as one block: d_i - E is formed for the block in
+# one call and overwritten by the pivots, which are counted (and their
+# ratios summed) once per block, so a row costs fewer calls over the shifts;
+# the block bounds the sweep's memory at 64 rows of shifts.
+_BLOCK_ROWS = 64
+
 
 def _sturm_counts(diag, off2, shifts, pivmin):
     """Number of eigenvalues below each shift, via the LDL^T Sturm sequence.
 
-    off2 holds the squared off-diagonal entries.  Vectorized over shifts so a
-    whole multisection front advances in one sweep over the matrix.
+    The pivots are q_i = d_i - E - e^2_{i-1} / q_{i-1}, each with |q_i| <
+    pivmin set to -pivmin.  off2 holds the squared off-diagonal entries.
+    Vectorized over shifts so a whole multisection front advances in one
+    sweep over the matrix.
     """
-    q = diag[0] - shifts
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.size):
-        q = diag[i] - shifts - off2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
+    count = np.zeros(shifts.size, dtype=np.int64)
+    e2 = [0.0] + off2.tolist()
+    q = math.inf  # so the first row subtracts e^2_{-1} / q = 0
+    for start in range(0, diag.size, _BLOCK_ROWS):
+        pivots = np.subtract.outer(diag[start:start + _BLOCK_ROWS], shifts)
+        for ei2, row in zip(e2[start:start + _BLOCK_ROWS], pivots):
+            row -= ei2 / q
+            np.putmask(row, np.abs(row) < pivmin, -pivmin)
+            q = row
+        count += np.count_nonzero(pivots < 0.0, axis=0)
     return count
+
+
+def _sturm_newton(diag, off2, shifts, pivmin):
+    """(Sturm counts, Newton steps) at each shift E, in one sweep over the
+    rows vectorized over the shifts.
+
+    The pivots q_i are those of _sturm_counts, with the same pivmin guard, so
+    the counts are its counts.  Their E-derivatives follow
+    q'_i = -1 + e^2_{i-1} q'_{i-1} / q_{i-1}^2 (q'_0 = -1), and since
+    det(T - E) is the product of the pivots, the step -det / det' is
+    -1 / sum_i q'_i / q_i.  Where that sum overflows the step is zero or not
+    finite.
+    """
+    count = np.zeros(shifts.size, dtype=np.int64)
+    total = np.zeros(shifts.size)
+    e2 = [0.0] + off2.tolist()
+    q, ratio = math.inf, 0.0  # ratio holds q'_i / q_i
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, diag.size, _BLOCK_ROWS):
+            pivots = np.subtract.outer(diag[start:start + _BLOCK_ROWS], shifts)
+            ratios = np.empty_like(pivots)
+            for ei2, row, ratio_row in zip(e2[start:start + _BLOCK_ROWS], pivots, ratios):
+                r = ei2 / q
+                row -= r
+                np.putmask(row, np.abs(row) < pivmin, -pivmin)
+                np.divide(r * ratio - 1.0, row, out=ratio_row)
+                q, ratio = row, ratio_row
+            count += np.count_nonzero(pivots < 0.0, axis=0)
+            total += ratios.sum(axis=0)
+        return count, -1.0 / total
 
 
 def _numerov_newton(alpha, beta, energy):
@@ -174,10 +221,12 @@ def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
                         % (j, passes), estimates=(lo, hi))
 
 
-# Shifts counted per Sturm sweep (tridiagonal_eigenvalues).  A sweep is a
-# Python loop over the rows, so its cost hardly depends on how many shifts
-# ride along; spending the whole budget in every sweep cuts the sweep count
-# (multisection, as in LAPACK dstebz) instead of halving each bracket once.
+# Shifts counted per multisection sweep (tridiagonal_eigenvalues).  A sweep
+# is a Python loop over the rows, so its cost hardly depends on how many
+# shifts ride along; spending the whole budget in every sweep isolates the
+# eigenvalues in fewer sweeps (multisection, as in LAPACK dstebz) than halving
+# each bracket once.  The Newton passes that follow count one energy per open
+# eigenvalue.
 SHIFT_BUDGET = 512
 
 
@@ -198,25 +247,41 @@ def _tridiagonal_entries(diag, off):
     return d, e, e2
 
 
+def _int_arg(name, value):
+    """value as an int: ParameterDomainError naming the argument unless it
+    is an integer (bool is not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterDomainError("%s must be an integer, got %r" % (name, value))
+
+
 def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     """Lowest k eigenvalues (ascending) of the symmetric tridiagonal matrix
     with the given diagonal and off-diagonal.
 
-    Multisection on Sturm counts.  Eigenvalues that share a bracket share its
-    shifts: each sweep places m = SHIFT_BUDGET // (distinct open brackets)
-    equally spaced shifts (at least one) inside every distinct open bracket,
-    counts them all in one pass over the rows, and keeps for each eigenvalue
-    the pair of adjacent shifts whose counts straddle its index, so brackets
-    shrink by m + 1 per sweep.  A bracket whose width is at most
-    rel_tol * max(1, |E|), or whose ends are adjacent floats, gets one more
-    sweep and closes; the extra sweep keeps the returned midpoint well inside
-    the tolerance.  AccuracyError if a bracket is still open after the sweeps
-    that rel_tol needs.
+    Multisection on Sturm counts isolates them, and Newton passes on the
+    same LDL^T pivots converge them.  Eigenvalues that share a bracket share
+    its shifts: each sweep places m = SHIFT_BUDGET // (distinct open
+    brackets) equally spaced shifts (at least one) inside every distinct open
+    bracket, counts them all in one pass over the rows, and keeps for each
+    eigenvalue the pair of adjacent shifts whose counts straddle its index,
+    so brackets shrink by m + 1 per sweep.  Eigenvalue j leaves the sweeps
+    once its bracket's ends count exactly j and j + 1 (alone), or once the
+    bracket is closed: at most rel_tol * max(1, |E|) wide, or with adjacent
+    floats as ends, after one more sweep that keeps the returned midpoint
+    well inside the tolerance (exactly repeated eigenvalues end so).  The
+    isolated eigenvalues are then finished together by _newton_eigenvalues,
+    which corrects each Newton step for the estimates of all the others (the
+    bracket midpoints to begin with).
+    AccuracyError, with a bracket, if the sweeps or the Newton passes that
+    rel_tol needs leave one open.
     """
     d, e, off2 = _tridiagonal_entries(diag, off)
     n = d.size
-    if k is None:
-        k = n
+    k = n if k is None else _int_arg("k", k)
     if not 1 <= k <= n:
         raise ParameterDomainError("need 1 <= k <= n")
     if not 0.0 < rel_tol < math.inf:
@@ -228,33 +293,40 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
     radius[1:] += np.abs(e)
     lo_glob = float(np.min(d - radius))
     hi_glob = float(np.max(d + radius))
-    span = max(hi_glob - lo_glob, 1e-30)
     pivmin = max(1e-290, float(np.max(off2)) * 1e-28)
-    lo0 = lo_glob - 1e-3 * span
-    hi0 = hi_glob + 1e-3 * span
+    # the Sturm count resolves E to a few eps |T| (Gershgorin bound); the
+    # start bracket is padded by at least that, as no eigenvalue may sit on
+    # its ends and the Gershgorin interval of a scalar matrix is a point
+    resolution = 4.0 * np.finfo(float).eps * max(abs(lo_glob), abs(hi_glob))
+    pad = max(1e-3 * (hi_glob - lo_glob), resolution, 1e-33)
+    lo0 = lo_glob - pad
+    hi0 = hi_glob + pad
     if not math.isfinite(hi0 - lo0):
         raise ParameterDomainError("matrix entries overflow the Sturm count")
     lo = np.full(k, lo0)
     hi = np.full(k, hi0)
+    c_lo = np.zeros(k, dtype=np.int64)  # counts at the bracket ends
+    c_hi = np.full(k, n, dtype=np.int64)
     idx = np.arange(k)
     done = np.zeros(k, dtype=bool)
     # every sweep divides a width by at least m + 1 for the starting m (m only
-    # grows as brackets close or merge), every target width is at least
-    # rel_tol, and one sweep follows the target; the rest is rounding margin
+    # grows as brackets close, merge or isolate), every target width is at
+    # least rel_tol, and one sweep follows the target; the rest is rounding
+    # margin
     bits = math.log2(hi0 - lo0) - math.log2(rel_tol)
     max_sweeps = max(0, math.ceil(bits / math.log2(max(1, SHIFT_BUDGET // k) + 1))) + 3
     for sweep in range(max_sweeps + 1):
-        open_ = np.flatnonzero(~done)
+        open_ = np.flatnonzero(~done & ((c_lo != idx) | (c_hi != idx + 1)))
         if open_.size == 0:
-            return 0.5 * (lo + hi)
+            break
         if sweep == max_sweeps:
             widest = open_[np.argmax(hi[open_] - lo[open_])]
             raise AccuracyError(
                 "Sturm multisection left %d brackets open after %d sweeps"
                 % (open_.size, max_sweeps), estimates=(lo[widest], hi[widest]))
         # eigenvalues that share a bracket share its shifts
-        pairs, owner = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0,
-                                 return_inverse=True)
+        pairs, first, owner = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0,
+                                        return_index=True, return_inverse=True)
         owner = owner.reshape(-1)  # numpy 2.0.0 returns it as a column
         p_lo, p_hi = pairs[:, 0], pairs[:, 1]
         width = p_hi - p_lo
@@ -265,10 +337,88 @@ def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
         shifts = p_lo[:, None] + width[:, None] * (np.arange(1, m + 1) / (m + 1))
         cnt = _sturm_counts(d, off2, shifts.ravel(), pivmin).reshape(shifts.shape)
         p = np.sum(cnt[owner] <= idx[open_, None], axis=1)
-        ends = np.hstack((p_lo[:, None], shifts, p_hi[:, None]))[owner]
-        rows = np.arange(open_.size)
-        lo[open_] = ends[rows, p]
-        hi[open_] = ends[rows, p + 1]
+        # each bracket's shifts and counts with its ends, whose counts are the
+        # same for every eigenvalue it holds
+        ends = np.hstack((p_lo[:, None], shifts, p_hi[:, None]))
+        counts = np.hstack((c_lo[open_[first], None], cnt, c_hi[open_[first], None]))
+        lo[open_], hi[open_] = ends[owner, p], ends[owner, p + 1]
+        c_lo[open_], c_hi[open_] = counts[owner, p], counts[owner, p + 1]
+    vals = 0.5 * (lo + hi)
+    alone = np.flatnonzero(~done)
+    if alone.size:
+        _newton_eigenvalues(d, off2, pivmin, vals, alone, lo[alone], hi[alone], rel_tol,
+                            resolution)
+    return vals
+
+
+def _pole_sums(energy, j, est):
+    """sum over i != j_a of 1 / (energy_a - est_i), for each a; the outer
+    difference is formed in row blocks of at most 2^20 entries."""
+    out = np.empty(energy.size)
+    rows = max(1, 2**20 // est.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(0, energy.size, rows):
+            inv = 1.0 / np.subtract.outer(energy[a:a + rows], est)
+            inv[np.arange(inv.shape[0]), j[a:a + rows]] = 0.0
+            out[a:a + rows] = inv.sum(axis=1)
+    return out
+
+
+def _newton_eigenvalues(d, off2, pivmin, vals, j, lo, hi, rel_tol, floor):
+    """Finish eigenvalues j (an index array) of vals, the estimates of all
+    k, in place, from brackets [lo, hi] that hold each alone (Barth, Martin
+    and Wilkinson, Numer. Math. 9, 1967): one pass of _sturm_newton over the
+    rows for all the eigenvalues still open, from the midpoints, its count
+    moving the brackets.  Its Newton step N = -det / det' is corrected for
+    the other estimates z_i, the open ones at their current energies, as in
+    the Aberth-Ehrlich iteration (Ehrlich, Comm. ACM 10, 1967; Aberth, Math.
+    Comp. 27, 1973): N / (1 + N sum_{i != j} 1 / (E - z_i)) is Newton's step
+    on det(T - E) / prod_{i != j} (E - z_i), which the nearby eigenvalues no
+    longer bend, so the steps shrink about cubically once all are close.
+
+    A step that points the way the count does is the last when it is at
+    most floor, the count's own resolution (closer in, the steps are
+    rounding noise), or when it is at most rel_tol * max(1, |E|) and 1e-3 of
+    the distance from E to the nearer end of the bracket it was computed in
+    (convergence is fast only well inside the gap to the next eigenvalue,
+    which the bracket may not be); the eigenvalue is then E + step, kept in
+    the bracket.  A step that points against the count (towards an
+    eigenvalue outside the bracket), is not finite or zero, or leaves the
+    bracket becomes a bisection.  Once the bracket is closed (as in
+    tridiagonal_eigenvalues) the eigenvalue is the next energy, the Newton
+    point or the midpoint, so a bracket that isolation left narrow still
+    gets one pass.  AccuracyError, with the widest open bracket, after twice
+    the passes bisection needs.
+    """
+    energy = 0.5 * (lo + hi)
+    passes = 2 * max(1, math.ceil(math.log2(max(float(np.max(hi - lo)), rel_tol)
+                                            / rel_tol))) + 4
+    for _ in range(passes):
+        count, newton = _sturm_newton(d, off2, energy, pivmin)
+        vals[j] = energy
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = newton / (1.0 + newton * _pole_sums(energy, j, vals))
+        near = np.minimum(energy - lo, hi - energy)
+        below = count <= j
+        lo = np.where(below, energy, lo)
+        hi = np.where(below, hi, energy)
+        agree = np.where(below, step > 0.0, step < 0.0)
+        size = np.abs(step)
+        last = agree & ((size <= floor)
+                        | ((size <= rel_tol * np.maximum(1.0, np.abs(energy)))
+                           & (size <= 1e-3 * near)))
+        nxt = energy + step
+        energy = np.where(agree & (lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        closed = ((hi - lo <= rel_tol * np.maximum(1.0, np.abs(energy)))
+                  | (np.nextafter(lo, hi) >= hi))
+        ends = last | closed
+        vals[j[ends]] = np.where(last, np.minimum(np.maximum(nxt, lo), hi), energy)[ends]
+        j, lo, hi, energy = (a[~ends] for a in (j, lo, hi, energy))
+        if j.size == 0:
+            return
+    widest = np.argmax(hi - lo)
+    raise AccuracyError("Newton's method left %d eigenvalues open after %d passes"
+                        % (j.size, passes), estimates=(lo[widest], hi[widest]))
 
 
 def _pivots(a, e2, tiny):
@@ -342,6 +492,14 @@ def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
     if not math.isfinite(eigenvalue):
         raise ParameterDomainError("eigenvalue must be finite")
     n = d.size
+    try:
+        u = np.asarray(orthogonalize, dtype=float)
+    except (TypeError, ValueError):
+        u = None
+    if u is None or (u.size and not (u.ndim == 2 and u.shape[1] == n
+                                     and np.all(np.isfinite(u)))):
+        raise ParameterDomainError("orthogonalize must hold finite vectors of length n = %d"
+                                   % n)
     if n == 1:
         return np.ones(1)
     with np.errstate(over="ignore"):
@@ -354,8 +512,7 @@ def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
     dm = _pivots(a_list[::-1], e2_list[::-1], tiny)[::-1]
     r = int(np.argmin(np.abs(dp + dm - a)))
     v = _twisted_vector(e, dp[:r], dm[r + 1:])
-    if len(orthogonalize):
-        u = np.asarray(orthogonalize, dtype=float)
+    if u.size:
         v = v / np.linalg.norm(v)
         v = v - (u @ v) @ u
         if np.linalg.norm(v) < 1e-3:
@@ -576,7 +733,7 @@ def node_count(vector):
 
 
 # ---------------------------------------------------------------------------
-# Gauss rules (Sturm-multisection nodes, Christoffel weights)
+# Gauss rules (Jacobi-matrix eigenvalue nodes, Christoffel weights)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -655,13 +812,27 @@ def _gauss_rule_cached(weight_id, n):
     return QuadratureRule(nodes=nodes, weights=weights, weight_id=weight_id)
 
 
+# Exponents each weight family takes after its name in a weight id.
+_WEIGHT_EXPONENTS = {"laguerre": 1, "jacobi": 2}
+
+
 def gauss_rule(weight_id, n):
     """Gauss rule with n nodes for weight_id ("laguerre", nu) or
-    ("jacobi", a, b); exact through polynomial degree 2n-1."""
+    ("jacobi", a, b); exact through polynomial degree 2n-1.
+    ParameterDomainError, naming the argument, unless weight_id has that
+    form with real exponents and n is an integer >= 1."""
+    n = _int_arg("n", n)
     if n < 1:
-        raise ParameterDomainError("a Gauss rule needs at least one node")
-    key = (weight_id[0],) + tuple(float(v) for v in weight_id[1:])
-    return _gauss_rule_cached(key, int(n))
+        raise ParameterDomainError("a Gauss rule needs at least one node, got n = %d" % n)
+    try:
+        kind, *exponents = weight_id
+        exponents = tuple(float(v) for v in exponents)
+    except (TypeError, ValueError):
+        kind = None
+    if not (isinstance(kind, str) and _WEIGHT_EXPONENTS.get(kind) == len(exponents)):
+        raise ParameterDomainError("weight_id must be ('laguerre', nu) or ('jacobi', a, b) "
+                                   "with real exponents, got %r" % (weight_id,))
+    return _gauss_rule_cached((kind,) + exponents, n)
 
 
 # ---------------------------------------------------------------------------

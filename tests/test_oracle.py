@@ -135,6 +135,16 @@ def test_eigenvalues_repeated_from_split_blocks():
     np.testing.assert_allclose(vals[0::2], vals[1::2], rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("value", [2.0, -3e300, 0.0])
+def test_eigenvalues_of_a_scalar_matrix(value):
+    # the Gershgorin interval is a single point, and the bracket still has
+    # to hold the eigenvalues strictly inside
+    vals = oc.tridiagonal_eigenvalues([value] * 4, [0.0] * 3)
+    np.testing.assert_allclose(vals, value, rtol=4e-16, atol=1e-30)
+    vals = oc.tridiagonal_eigenvalues([value] * 2, [1e-20])
+    np.testing.assert_allclose(vals, value, rtol=4e-16, atol=2e-20)
+
+
 def test_eigenvalues_wilkinson_w21():
     # W21+: its top eigenvalues come in pairs that agree to about 1e-13
     diag = np.abs(np.arange(21.0) - 10.0)
@@ -164,6 +174,19 @@ def test_eigenvalues_stop_at_adjacent_floats():
     np.testing.assert_allclose(vals, want, rtol=0, atol=1e-15)
 
 
+def _count_sweeps(monkeypatch):
+    """A list that gets the shift count of every sweep over the rows: both
+    kernels sweep them, the multisection's and the Newton passes'."""
+    sweeps = []
+    for name in ("_sturm_counts", "_sturm_newton"):
+        def counted(d, off2, shifts, pivmin, kernel=getattr(oc, name)):
+            sweeps.append(np.size(shifts))
+            return kernel(d, off2, shifts, pivmin)
+
+        monkeypatch.setattr(oc, name, counted)
+    return sweeps
+
+
 def test_multisection_sweep_count(monkeypatch):
     # the three-point HO matrix on [-8, 8] at h = 1/256 (4095 rows, 8 levels)
     # must not need anywhere near the ~60 sweeps of one-shift-per-bracket
@@ -173,18 +196,64 @@ def test_multisection_sweep_count(monkeypatch):
     x = x_min + h * np.arange(1, n_int + 1)
     diag = 2.0 / (h * h) + x * x
     off = np.full(n_int - 1, -1.0 / (h * h))
-    sweeps = []
-    counts = oc._sturm_counts
-
-    def counted(d, off2, shifts, pivmin):
-        sweeps.append(np.size(shifts))
-        return counts(d, off2, shifts, pivmin)
-
-    monkeypatch.setattr(oc, "_sturm_counts", counted)
+    sweeps = _count_sweeps(monkeypatch)
     vals = oc.tridiagonal_eigenvalues(diag, off, k=k)
     assert len(sweeps) <= 16
     assert max(sweeps) <= oc.SHIFT_BUDGET
     assert np.max(np.abs(vals - (2.0 * np.arange(8) + 1.0)) / vals) < 1e-3
+
+
+def _toeplitz_case():
+    # -1/2/-1 on 200 rows: eigenvalues 2 - 2 cos(j pi / 201)
+    diag, off = np.full(200, 2.0), np.full(199, -1.0)
+    return diag, off, 2.0 - 2.0 * np.cos(np.arange(1, 7) * math.pi / 201)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda step: np.full_like(step, np.nan),
+    lambda step: np.zeros_like(step),
+    lambda step: -step,          # points against the count
+    lambda step: 1e3 * step,     # leaves the bracket
+], ids=["nan", "zero", "reversed", "overshoot"])
+def test_eigenvalues_bisect_when_newton_steps_are_unusable(monkeypatch, spoil):
+    diag, off, want = _toeplitz_case()
+    newton = oc._sturm_newton
+
+    def spoiled(d, off2, shifts, pivmin):
+        count, step = newton(d, off2, shifts, pivmin)
+        return count, spoil(step)
+
+    monkeypatch.setattr(oc, "_sturm_newton", spoiled)
+    vals = oc.tridiagonal_eigenvalues(diag, off, k=6)
+    np.testing.assert_allclose(vals, want, rtol=0, atol=1e-14)
+
+
+def test_pole_sums_match_a_direct_sum():
+    # 1095 open eigenvalues against 1100 estimates take two row blocks
+    rng = np.random.default_rng(4)
+    est = np.sort(rng.uniform(-5.0, 5.0, 1100))
+    j = np.arange(5, 1100)
+    energy = est[j] + rng.uniform(-1e-3, 1e-3, j.size)
+    diff = energy[:, None] - est[None, :]
+    diff[np.arange(j.size), j] = np.inf
+    np.testing.assert_allclose(oc._pole_sums(energy, j, est), np.sum(1.0 / diff, axis=1),
+                               rtol=1e-12)
+
+
+def test_eigenvalues_newton_pass_cap_raises_with_the_bracket(monkeypatch):
+    # steps of 1e-9 |E| towards the eigenvalue never finish before the cap
+    diag, off, want = _toeplitz_case()
+    newton = oc._sturm_newton
+
+    def creeping(d, off2, shifts, pivmin):
+        count, step = newton(d, off2, shifts, pivmin)
+        return count, np.copysign(1e-9 * np.abs(shifts), step)
+
+    monkeypatch.setattr(oc, "_sturm_newton", creeping)
+    with pytest.raises(AccuracyError, match="Newton") as info:
+        oc.tridiagonal_eigenvalues(diag, off, k=1)
+    lo, hi = info.value.estimates
+    assert lo < want[0] < hi
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +768,97 @@ def test_jacobi_coefficients_match_loop(rng):
 def test_gauss_rule_rejects_non_finite_exponent(weight_id):
     with pytest.raises(ParameterDomainError, match="exponent"):
         oc.gauss_rule(weight_id, 4)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: oc.gauss_rule(("laguerre", 0.5), float("nan")), "n"),
+    (lambda: oc.gauss_rule(("laguerre", 0.5), 2.5), "n"),
+    (lambda: oc.gauss_rule(("laguerre", 0.5), True), "n"),
+    (lambda: oc.gauss_rule(("laguerre",), 4), "weight_id"),
+    (lambda: oc.gauss_rule(("jacobi", 0.5), 4), "weight_id"),
+    (lambda: oc.gauss_rule(("laguerre", "x"), 4), "weight_id"),
+    (lambda: oc.tridiagonal_eigenvalues([1.0, 2.0, 3.0], [0.5, 0.5], k=2.5), "k"),
+    (lambda: oc.tridiagonal_eigenvector([1.0, 2.0, 3.0], [0.5, 0.5], 1.0,
+                                        orthogonalize=[[1.0, 0.0]]), "orthogonalize"),
+], ids=["n-nan", "n-float", "n-bool", "laguerre-no-exponent", "jacobi-one-exponent",
+        "exponent-text", "k-float", "orthogonalize-short"])
+def test_eigensolver_input_contract(call, name):
+    with pytest.raises(ParameterDomainError, match=r"^%s\b" % name):
+        call()
+
+
+def _mpmath_eigenvalues(diag, off, approx):
+    # reference: the eigenvalues of the same float matrix at 40 digits, by
+    # two Newton steps on det(T - x I) from each approximate eigenvalue.  The
+    # Sturm counts at the midpoints between the results confirm that each
+    # lies alone between its two, so each converged root is eigenvalue j.
+    mpmath = pytest.importorskip("mpmath")
+
+    def det(x):
+        # leading principal minors of T - x I and their x-derivatives
+        p_prev, p, dp_prev, dp = 0, 1, 0, 0
+        for di, ei2 in zip(d, [0] + e2):
+            p_prev, p, dp_prev, dp = (p, (di - x) * p - ei2 * p_prev,
+                                      dp, (di - x) * dp - p - ei2 * dp_prev)
+        return p, dp
+
+    def count(x):
+        p_prev, p, below = 0, 1, 0
+        for di, ei2 in zip(d, [0] + e2):
+            p_prev, p = p, (di - x) * p - ei2 * p_prev
+            below += (p < 0) != (p_prev < 0)
+        return below
+
+    with mpmath.workdps(40):
+        d = [mpmath.mpf(float(v)) for v in diag]
+        e2 = [mpmath.mpf(float(v)) ** 2 for v in off]
+        out = []
+        for v in approx:
+            x = mpmath.mpf(float(v))
+            for _ in range(2):
+                p, dp = det(x)
+                x -= p / dp
+            assert abs(p / dp) <= abs(x) / 10**25 + mpmath.mpf(10) ** -30
+            out.append(x)
+        cuts = [out[0] - 1] + [(a + b) / 2 for a, b in zip(out, out[1:])] + [out[-1] + 1]
+        assert [count(c) for c in cuts] == list(range(len(out) + 1))
+    return out
+
+
+@pytest.mark.parametrize("weight_id", [("laguerre", -0.5), ("laguerre", 0.7),
+                                       ("jacobi", 0.3, 1.2)])
+@pytest.mark.parametrize("n_nodes", [16, 64, 128])
+def test_gauss_nodes_match_mpmath(weight_id, n_nodes):
+    # within 3 eps |T| of the exact eigenvalues of the float Jacobi matrix;
+    # the Sturm count resolves no better in general, and the multisection
+    # that bisected every node to 1e-14 came within 2.5 eps |T| here
+    oc._gauss_rule_cached.cache_clear()
+    rule = oc.gauss_rule(weight_id, n_nodes)
+    alpha, beta, _ = oc._monic_coefficients(weight_id, n_nodes)
+    want = _mpmath_eigenvalues(alpha, np.sqrt(beta[1:]), rule.nodes)
+    radius = float(max(abs(w) for w in want))
+    err = max(abs(float(x - w)) for x, w in zip(rule.nodes.tolist(), want))
+    assert err <= 3.0 * np.finfo(float).eps * radius
+    oc._gauss_rule_cached.cache_clear()
+    again = oc.gauss_rule(weight_id, n_nodes)
+    assert again is not rule
+    np.testing.assert_array_equal(again.nodes, rule.nodes)
+    np.testing.assert_array_equal(again.weights, rule.weights)
+
+
+@pytest.mark.parametrize("weight_id", [("laguerre", -0.5), ("laguerre", 0.7),
+                                       ("jacobi", 0.3, 1.2)])
+def test_gauss_rule_sweep_count(monkeypatch, weight_id):
+    # isolation, then Newton passes corrected for the other nodes: at most 8
+    # sweeps over the rows for 16-128 nodes (4-7 here), where multisection to
+    # the end took 10-22 and uncorrected Newton passes up to 13
+    sweeps = _count_sweeps(monkeypatch)
+    for n_nodes in (16, 64, 128):
+        oc._gauss_rule_cached.cache_clear()
+        sweeps.clear()
+        oc.gauss_rule(weight_id, n_nodes)
+        assert len(sweeps) <= 8, n_nodes
+    oc._gauss_rule_cached.cache_clear()
 
 
 def test_gauss_weights_positive_and_normalized():
