@@ -251,12 +251,15 @@ def scaled_polynomials(spec: BasisSpec, nmax: int, y):
     return seq
 
 
-def series_eval(spec: BasisSpec, f, y):
+def series_eval(spec: BasisSpec, f, y, a_n=None):
     """sum_n f_n phi_n(y) over n < len(f), summed while the recurrence steps:
-    memory is O(size of y), never the len(f) x size(y) table."""
+    memory is O(size of y), never the len(f) x size(y) table.  a_n, the
+    basis constants A_0..A_{len(f)-1}, is computed here when not given."""
     y_arr = np.asarray(y, dtype=float)
     env = _envelope(spec, y_arr)
-    coeffs = (np.asarray(f, dtype=float) * normalization(spec, np.arange(len(f)))).tolist()
+    if a_n is None:
+        a_n = normalization(spec, np.arange(len(f)))
+    coeffs = (np.asarray(f, dtype=float) * a_n).tolist()
     total = np.zeros(y_arr.shape)
     term = np.empty(y_arr.shape)
     for c, poly in zip(coeffs, orthopoly._rows(spec.family(), len(coeffs) - 1, y_arr,

@@ -440,7 +440,7 @@ def wavefunction(model, epsilon, N, x):
     if cmap.kind == "oscillator" and np.any(x_arr < 0.0) and not isinstance(
             model, HarmonicOscillator):
         raise DomainError("inverse-square models evaluate on x > 0")
-    psi = basis_mod.series_eval(spec, series.f, cmap.to_y(x_arr))
+    psi = basis_mod.series_eval(spec, series.f, cmap.to_y(x_arr), series.a_n)
     if isinstance(model, HarmonicOscillator) and model.parity == "odd":
         psi = psi * np.sign(x_arr) if x_arr.ndim else psi * math.copysign(1.0, float(x_arr))
     record = WavefunctionSeries(spec=spec, coeffs=series,

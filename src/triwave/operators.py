@@ -78,9 +78,11 @@ class RecursionCoefficients:
     # symmetrized recursion rows (a constant per case, measured and pinned)
     jmatrix_scale: float = 1.0
 
-    def f_scaling(self, N: int) -> np.ndarray:
-        """t_0..t_{N-1} of the case's f_n = t_n d_n scaling."""
-        a_n = basis_mod.normalization(_basis_of(self), np.arange(N))
+    def f_scaling(self, N: int, a_n=None) -> np.ndarray:
+        """t_0..t_{N-1} of the case's f_n = t_n d_n scaling, from the basis
+        constants a_n = A_0..A_{N-1} (computed here when not given)."""
+        if a_n is None:
+            a_n = basis_mod.normalization(_basis_of(self), np.arange(N))
         if self.f_transform == "standard":
             return a_n
         if self.f_transform == "inverse":
@@ -99,11 +101,14 @@ def _basis_of(rc: RecursionCoefficients) -> BasisSpec:
 @dataclass
 class CoefficientSeries:
     """Recursion output: raw d-sequence, its f-image when a basis is known,
-    and the size of the last retained term relative to the running maximum."""
+    and the size of the last retained term relative to the running maximum.
+    a_n holds the basis constants A_0..A_{N-1} behind f (None with f), so
+    the series sum need not compute them again."""
 
     d: np.ndarray
     f: Optional[np.ndarray]
     tail_estimate: float
+    a_n: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +299,14 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
                     raise RecursionBreakdownError(n)
             else:
                 d[n + 1] = -num / C[n]
-    f = None
+    f = a_n = None
     if rc.spec is not None:
-        f = d * rc.f_scaling(N)
+        a_n = basis_mod.normalization(rc.spec, np.arange(N))
+        f = d * rc.f_scaling(N, a_n)
     ref = f if f is not None else d
     running_max = float(np.max(np.abs(ref))) or 1.0
     tail = abs(float(ref[-1])) / running_max
-    return CoefficientSeries(d=d, f=f, tail_estimate=tail)
+    return CoefficientSeries(d=d, f=f, tail_estimate=tail, a_n=a_n)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from .exceptions import (
     ComplexWeightError,
     DomainError,
+    EvaluationOverflowError,
     ParameterDomainError,
     RecursionBreakdownError,
     SingularParameterError,
@@ -148,9 +149,12 @@ class DualHahnFamily:
 
 
 # ---------------------------------------------------------------------------
-# Complex log-gamma (Lanczos) and |Gamma(mu + i y)|^2
+# |Gamma(mu + i y)|^2 by the Lanczos approximation, one array kernel
 # ---------------------------------------------------------------------------
 
+# g = 7, n = 9 coefficients (Lanczos, SIAM J. Numer. Anal. B 1, 1964):
+# Gamma(z+1) = sqrt(2 pi) t^{z+1/2} e^{-t} (c_0 + sum_k c_k / (z + k)),
+# t = z + g + 1/2, for Re z >= 1/2
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
     0.99999999999980993,
@@ -163,53 +167,62 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+_LANCZOS_TAIL = np.array(_LANCZOS_C[1:])
+_LANCZOS_K = np.arange(1.0, len(_LANCZOS_C))
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _lgamma_complex(z: complex) -> complex:
-    """Principal log Gamma(z) by the Lanczos approximation.
-
-    Arguments with small real part are shifted up two steps before the core
-    series is applied, which keeps the relative error near 1e-13 down to
-    Re z -> 0+.  Poles (z a non-positive integer) raise.
-    """
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise SingularParameterError("log-gamma pole at z=%r" % (z,))
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return (math.log(math.pi) - cmath.log(cmath.sin(math.pi * z))
-                - _lgamma_complex(1.0 - z))
-    shift = 0
-    while z.real < 2.5:
-        z = z + 1.0
-        shift += 1
-    zm = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (zm + i)
-    t = zm + _LANCZOS_G + 0.5
-    out = _HALF_LOG_2PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(acc)
-    for k in range(shift):
-        out -= cmath.log(z - 1.0 - k)
-    return out
-
-
 def log_gamma_abs_squared(mu, y):
-    """log |Gamma(mu + i y)|^2 for mu > 0 and real y (scalar or array)."""
-    if not mu > 0.0:
-        raise ParameterDomainError("gamma_abs_squared requires mu > 0, got %g" % mu)
+    """log |Gamma(mu + i y)|^2 for finite mu > 0 and finite real y (scalar
+    or array; an array keeps its shape).
+
+    Computed as 2 Re log Gamma(mu + i|y|), so the result is exactly even in
+    y.  The whole array takes one Lanczos evaluation: every point shifts up
+    by the same ceil(2.5 - mu) steps, which keep the relative error at a
+    few 1e-15 down to mu -> 0+, and the shift is undone by subtracting
+    2 log|mu + k + i y| per step.  Checked against mpmath for mu in
+    [1e-3, 50] and |y| up to 1e200.
+    """
+    if not 0.0 < mu < math.inf:
+        raise ParameterDomainError(
+            "gamma_abs_squared requires finite mu > 0, got %g" % mu)
     y_arr = np.asarray(y, dtype=float)
-    flat = np.atleast_1d(y_arr).ravel()
-    out = np.empty(flat.shape)
-    for i, yi in enumerate(flat):
-        out[i] = 2.0 * _lgamma_complex(complex(mu, yi)).real
-    out = out.reshape(np.atleast_1d(y_arr).shape)
-    return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
+    flat = np.atleast_1d(y_arr)
+    if not np.isfinite(flat).all():
+        raise DomainError("gamma_abs_squared requires finite y, got y = %r"
+                          % float(flat[~np.isfinite(flat)][0]))
+    ay = np.abs(flat)
+    shift = max(0, math.ceil(2.5 - mu))
+    zr = mu + shift - 1.0  # Re zm, zm = z - 1 for the shifted z
+    tr = zr + _LANCZOS_G + 0.5  # Re t, t = zm + g + 1/2
+    zm = zr + 1j * ay
+    acc = _LANCZOS_C[0] + (_LANCZOS_TAIL / (zm[..., None] + _LANCZOS_K)).sum(-1)
+    # Re log Gamma(z) = (zr + 1/2) log|t| - |y| arg t - Re t + log|acc|
+    # + log(2 pi)/2; past |y| ~ 6e307 the value, about -pi |y|, leaves the
+    # float range and rounds to -inf
+    with np.errstate(over="ignore"):
+        out = (zr + 0.5) * np.log(np.hypot(tr, ay))
+        out -= ay * np.arctan2(ay, tr)
+        out += np.log(np.abs(acc))
+        out += _HALF_LOG_2PI - tr
+        for k in range(shift):
+            # hypot, not (mu+k)^2 + y^2, which overflows for |y| > 1e154
+            out -= np.log(np.hypot(mu + k, ay))
+        out *= 2.0
+    return out.reshape(y_arr.shape) if y_arr.ndim else float(out[0])
 
 
 def gamma_abs_squared(mu, y):
-    """|Gamma(mu + i y)|^2, even in y.  mu must be positive."""
-    return np.exp(log_gamma_abs_squared(mu, y))
+    """|Gamma(mu + i y)|^2, even in y.  mu must be finite and positive; a
+    value past the float range raises EvaluationOverflowError."""
+    with np.errstate(over="ignore"):
+        val = np.exp(log_gamma_abs_squared(mu, y))
+    bad = np.isinf(np.ravel(val))
+    if np.any(bad):
+        raise EvaluationOverflowError(
+            "|Gamma(mu + i y)|^2 overflows the float range at mu = %g, y = %r"
+            % (mu, float(np.ravel(y)[bad][0])))
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +544,13 @@ def _pollaczek_weight(family: PollaczekFamily, x):
     logw = ((2.0 * mu - 1.0) * (math.log(2.0) + _log_sinh(theta))
             + 2.0 * theta * z - math.log(math.pi))
     mz = np.atleast_1d(mu + z)
-    gam = np.empty(mz.shape)
-    for i, v in enumerate(mz.ravel()):
-        gam.ravel()[i] = 2.0 * _real_lgamma_abs(float(v))
+    poles = (mz <= 0.0) & (mz == np.floor(mz))
+    if np.any(poles):
+        raise SingularParameterError("Gamma pole at %g" % mz[poles][0])
+    # log Gamma(mu + z)^2 at real mu + z
+    gam = 2.0 * np.array([math.lgamma(v) for v in mz.ravel().tolist()]).reshape(mz.shape)
     val = np.round(np.atleast_1d(sign)) * np.exp(np.atleast_1d(logw) + gam)
     return float(val[0]) if x_arr.ndim == 0 else val.reshape(x_arr.shape)
-
-
-def _real_lgamma_abs(v: float) -> float:
-    """log |Gamma(v)| for real v, poles raise."""
-    if v <= 0.0 and v == int(v):
-        raise SingularParameterError("Gamma pole at %g" % v)
-    return math.lgamma(v)
 
 
 def _dual_hahn_weight(family: DualHahnFamily, x):

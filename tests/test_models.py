@@ -261,6 +261,29 @@ def test_wavefunction_large_table_memory():
     assert np.max(np.abs(psi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("model, epsilon, N, x_range", _SERIES_CASES[::4])
+def test_wavefunction_computes_basis_constants_once(monkeypatch, model, epsilon, N, x_range):
+    # the recursion's A_n feed the series sum; computing them again for the
+    # sum would repeat N log-gamma sums
+    x = np.linspace(*x_range, 101)
+    want, _ = md.wavefunction(model, epsilon, N, x)
+    calls = []
+    real = bs.normalization
+
+    def counting(spec, n):
+        calls.append(np.size(n))
+        return real(spec, n)
+
+    monkeypatch.setattr(bs, "normalization", counting)
+    psi, record = md.wavefunction(model, epsilon, N, x)
+    assert calls == [N]
+    assert psi.tobytes() == want.tobytes()
+    # the spec-only form computes the same constants itself
+    y = md.recursion_for(model, epsilon)[2].to_y(x)
+    assert np.array_equal(bs.series_eval(record.spec, record.coeffs.f, y),
+                          bs.series_eval(record.spec, record.coeffs.f, y, record.coeffs.a_n))
+
+
 def test_wavefunction_domain_errors():
     with pytest.raises(DomainError):
         md.wavefunction(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), 0.5, 10, 1.0)

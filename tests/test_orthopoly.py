@@ -9,6 +9,7 @@ from triwave import orthopoly as op
 from triwave.exceptions import (
     ComplexWeightError,
     DomainError,
+    EvaluationOverflowError,
     ParameterDomainError,
     SingularParameterError,
 )
@@ -364,6 +365,48 @@ def test_gamma_abs_squared_domain():
         op.gamma_abs_squared(-1.0, 1.0)
 
 
+def test_log_gamma_abs_squared_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ys = np.concatenate([np.linspace(-1e3, 1e3, 81), [0.0, 1e-9, 0.37, 3.0, 25.0],
+                         [1e200, -1e200]])
+    for mu in (1e-3, 0.25, 0.5, 1.0, 2.5, 7.0, 50.0):
+        got = op.log_gamma_abs_squared(mu, ys)
+        with mpmath.workdps(40):
+            ref = np.array([float(2 * mpmath.re(mpmath.loggamma(mpmath.mpc(mu, y))))
+                            for y in ys])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref))), mu
+        assert np.array_equal(op.log_gamma_abs_squared(mu, -ys), got)
+    assert isinstance(op.log_gamma_abs_squared(0.7, np.float64(2.0)), float)
+    grid = ys[:80].reshape(8, 10)
+    assert op.log_gamma_abs_squared(0.7, grid).shape == (8, 10)
+    assert np.array_equal(op.log_gamma_abs_squared(0.7, grid).ravel(),
+                          op.log_gamma_abs_squared(0.7, grid.ravel()))
+
+
+@pytest.mark.parametrize("mu, y, error, message", [
+    (math.inf, 1.0, ParameterDomainError, "finite mu > 0, got inf"),
+    (-math.inf, 1.0, ParameterDomainError, "finite mu > 0, got -inf"),
+    (math.nan, 1.0, ParameterDomainError, "finite mu > 0, got nan"),
+    (1.0, math.inf, DomainError, "finite y, got y = inf"),
+    (1.0, math.nan, DomainError, "finite y, got y = nan"),
+    (1.0, [0.5, -math.inf, math.nan], DomainError, "finite y, got y = -inf"),
+])
+def test_log_gamma_abs_squared_rejects_non_finite(mu, y, error, message):
+    for f in (op.log_gamma_abs_squared, op.gamma_abs_squared):
+        with pytest.raises(error, match=message):
+            f(mu, y)
+
+
+def test_gamma_abs_squared_overflow_raises():
+    with pytest.raises(EvaluationOverflowError, match=r"mu = 200, y = 0\.0"):
+        op.gamma_abs_squared(200.0, 0.0)
+    with pytest.raises(EvaluationOverflowError, match=r"y = 3\.0"):
+        op.gamma_abs_squared(200.0, [1e3, 3.0, 0.0])
+    # the log stays finite, and a decaying modulus underflows to 0 quietly
+    assert math.isfinite(op.log_gamma_abs_squared(200.0, 0.0))
+    assert op.gamma_abs_squared(1.0, 1e3) == 0.0
+
+
 def test_weight_values():
     assert op.weight_eval(op.LaguerreFamily(0.0), 0.0) == 1.0
     assert op.weight_eval(op.JacobiFamily(0.0, 0.0), 0.5) == 1.0
@@ -397,6 +440,20 @@ def test_hyperbolic_weight_phase_gate():
     z = (0.3 + 1.0 * x) / math.sinh(theta)
     fam = op.PollaczekFamily(z + 0.5, 1.0, 0.3, "hyperbolic")
     assert np.isfinite(op.weight_eval(fam, x))
+
+
+def test_hyperbolic_weight_gamma_pole_raises():
+    # x = 5/4 has sinh(theta) = 3/4 exactly, so mu + z = 0.75 - 1.75 = -1
+    # lands on a pole of Gamma while mu - 1/2 - z = 2 keeps the phase real
+    fam = op.PollaczekFamily(0.75, 0.0, -1.75 * 0.75, "hyperbolic")
+    with pytest.raises(SingularParameterError, match="pole at -1"):
+        op.weight_eval(fam, 1.25)
+    # one real-valued array: a = b = 0 gives z = 0 at every x
+    fam = op.PollaczekFamily(1.5, 0.0, 0.0, "hyperbolic")
+    xs = np.array([[1.5, 2.0], [3.0, 7.0]])
+    vals = op.weight_eval(fam, xs)
+    assert vals.shape == (2, 2)
+    assert np.array_equal(vals.ravel(), [op.weight_eval(fam, x) for x in xs.ravel()])
 
 
 # ---------------------------------------------------------------------------
