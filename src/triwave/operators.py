@@ -548,4 +548,4 @@ def truncated_eigenvalues(rc: RecursionCoefficients, N: int):
         raise UnsupportedStructureError(
             "case %r does not embed eps linearly on the diagonal" % rc.case)
     diag, off = symmetric_form(rc, 0.0, N)
-    return oracle.tridiagonal_eigenvalues(diag, off, k=N)
+    return oracle.tridiagonal_eigenvalues(diag, off)

@@ -13,20 +13,19 @@ Two unrelated work horses live here:
   function of the orthonormal recurrence), plus adaptive Gauss-Kronrod
   (G7-K15) integration for non-classical weights.
 
-Both are dependency-free and count eigenvalues by Sturm sequences.  The
-Gauss rules count those of a fixed symmetric tridiagonal matrix, many
-shifts per sweep over the rows (multisection), until each eigenvalue is
-alone in its bracket, then converge all of them together by Newton's method
-on the determinant, one energy per open eigenvalue in each sweep: the same
-LDL^T pivots give the count, which moves the bracket, and the step, which
-is corrected for the other eigenvalues' estimates (Aberth-Ehrlich).  The
-grid oracle counts those of Numerov's pencil through a tridiagonal matrix
-T(E) whose diagonal depends on E, one energy per scalar pass over the rows:
-it bisects until each level is alone in its bracket, then converges each
-level by Newton's method on det T(E) (the same pass gives the step and the
-count, so the bracket keeps every step safe), and adds each eigenvector from
-one twisted factorization of T(E) at its eigenvalue (Dhillon and Parlett,
-Linear Algebra Appl. 387, 2004).  Output is deterministic.
+The Gauss nodes are the eigenvalues of a small symmetric tridiagonal matrix
+(Golub and Welsch, Math. Comp. 23, 1969): numpy's dense symmetric
+eigensolver gives each to a few eps |T|, and one Newton step on the
+determinant, all of them in one vectorized sweep over the LDL^T pivots,
+brings each within a fraction of eps |T|.  The grid oracle is
+dependency-free: it counts the eigenvalues of Numerov's pencil by Sturm
+sequences, through a tridiagonal matrix T(E) whose diagonal depends on E,
+one energy per scalar pass over the rows: it bisects until each level is
+alone in its bracket, then converges each level by Newton's method on
+det T(E) (the same pass gives the step and the count, so the bracket keeps
+every step safe), and adds each eigenvector from one twisted factorization
+of T(E) at its eigenvalue (Dhillon and Parlett, Linear Algebra Appl. 387,
+2004).  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigensolver (multisection, Newton, twisted factorization)
+# Symmetric tridiagonal eigensolver (dense eigvalsh, Newton, twisted factorization)
 # ---------------------------------------------------------------------------
 
 # Rows a Sturm sweep takes as one block: d_i - E is formed for the block in
@@ -68,33 +67,14 @@ __all__ = [
 _BLOCK_ROWS = 64
 
 
-def _sturm_counts(diag, off2, shifts, pivmin):
-    """Number of eigenvalues below each shift, via the LDL^T Sturm sequence.
-
-    The pivots are q_i = d_i - E - e^2_{i-1} / q_{i-1}, each with |q_i| <
-    pivmin set to -pivmin.  off2 holds the squared off-diagonal entries.
-    Vectorized over shifts so a whole multisection front advances in one
-    sweep over the matrix.
-    """
-    count = np.zeros(shifts.size, dtype=np.int64)
-    e2 = [0.0] + off2.tolist()
-    q = math.inf  # so the first row subtracts e^2_{-1} / q = 0
-    for start in range(0, diag.size, _BLOCK_ROWS):
-        pivots = np.subtract.outer(diag[start:start + _BLOCK_ROWS], shifts)
-        for ei2, row in zip(e2[start:start + _BLOCK_ROWS], pivots):
-            row -= ei2 / q
-            np.putmask(row, np.abs(row) < pivmin, -pivmin)
-            q = row
-        count += np.count_nonzero(pivots < 0.0, axis=0)
-    return count
-
-
 def _sturm_newton(diag, off2, shifts, pivmin):
     """(Sturm counts, Newton steps) at each shift E, in one sweep over the
     rows vectorized over the shifts.
 
-    The pivots q_i are those of _sturm_counts, with the same pivmin guard, so
-    the counts are its counts.  Their E-derivatives follow
+    The LDL^T pivots of T - E are q_i = d_i - E - e^2_{i-1} / q_{i-1}, each
+    with |q_i| < pivmin set to -pivmin (off2 holds the squared off-diagonal
+    entries), and the count is the number of negative ones, the number of
+    eigenvalues below E.  Their E-derivatives follow
     q'_i = -1 + e^2_{i-1} q'_{i-1} / q_{i-1}^2 (q'_0 = -1), and since
     det(T - E) is the product of the pivots, the step -det / det' is
     -1 / sum_i q'_i / q_i.  Where that sum overflows the step is zero or not
@@ -221,15 +201,6 @@ def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
                         % (j, passes), estimates=(lo, hi))
 
 
-# Shifts counted per multisection sweep (tridiagonal_eigenvalues).  A sweep
-# is a Python loop over the rows, so its cost hardly depends on how many
-# shifts ride along; spending the whole budget in every sweep isolates the
-# eigenvalues in fewer sweeps (multisection, as in LAPACK dstebz) than halving
-# each bracket once.  The Newton passes that follow count one energy per open
-# eigenvalue.
-SHIFT_BUDGET = 512
-
-
 def _tridiagonal_entries(diag, off):
     """(d, e, e^2) as float arrays: ParameterDomainError unless there are
     n >= 1 rows, the off-diagonal has length n - 1 and every entry, e^2
@@ -258,167 +229,42 @@ def _int_arg(name, value):
     raise ParameterDomainError("%s must be an integer, got %r" % (name, value))
 
 
-def tridiagonal_eigenvalues(diag, off, k=None, rel_tol=1e-14):
-    """Lowest k eigenvalues (ascending) of the symmetric tridiagonal matrix
-    with the given diagonal and off-diagonal.
+def tridiagonal_eigenvalues(diag, off):
+    """All eigenvalues (ascending) of the symmetric tridiagonal matrix T with
+    the given diagonal and off-diagonal.
 
-    Multisection on Sturm counts isolates them, and Newton passes on the
-    same LDL^T pivots converge them.  Eigenvalues that share a bracket share
-    its shifts: each sweep places m = SHIFT_BUDGET // (distinct open
-    brackets) equally spaced shifts (at least one) inside every distinct open
-    bracket, counts them all in one pass over the rows, and keeps for each
-    eigenvalue the pair of adjacent shifts whose counts straddle its index,
-    so brackets shrink by m + 1 per sweep.  Eigenvalue j leaves the sweeps
-    once its bracket's ends count exactly j and j + 1 (alone), or once the
-    bracket is closed: at most rel_tol * max(1, |E|) wide, or with adjacent
-    floats as ends, after one more sweep that keeps the returned midpoint
-    well inside the tolerance (exactly repeated eigenvalues end so).  The
-    isolated eigenvalues are then finished together by _newton_eigenvalues,
-    which corrects each Newton step for the estimates of all the others (the
-    bracket midpoints to begin with).
-    AccuracyError, with a bracket, if the sweeps or the Newton passes that
-    rel_tol needs leave one open.
+    np.linalg.eigvalsh on the dense matrix (upper triangle) gives each to a
+    few eps |T|, where |T| = max|d| + 2 max|e|.  One _sturm_newton pass over
+    the rows at those estimates then takes a Newton step on det(T - E) for
+    every eigenvalue at once, which brings the nodes of a Gauss rule (the
+    eigenvalues of its Jacobi matrix; Golub and Welsch, Math. Comp. 23, 1969)
+    to within a fraction of eps |T| of the exact ones.  Within a cluster the
+    determinant's other roots bend the step, so estimate j takes it only
+    where it is finite, at most 64 eps |T|, and points the way the pass's
+    Sturm count says eigenvalue j lies (up where at most j eigenvalues are
+    below the estimate).  The cap alone lets pairs that agree below float
+    resolution swap: on W57+ one estimate stepped 12 eps |T| past its twin.
+    ParameterDomainError unless the entries are finite and the width of the
+    Gershgorin interval is too.
     """
     d, e, off2 = _tridiagonal_entries(diag, off)
     n = d.size
-    k = n if k is None else _int_arg("k", k)
-    if not 1 <= k <= n:
-        raise ParameterDomainError("need 1 <= k <= n")
-    if not 0.0 < rel_tol < math.inf:
-        raise ParameterDomainError("rel_tol must be positive and finite")
-    if n == 1:
-        return d.copy()[:k]
     radius = np.zeros(n)
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
-    lo_glob = float(np.min(d - radius))
-    hi_glob = float(np.max(d + radius))
-    pivmin = max(1e-290, float(np.max(off2)) * 1e-28)
-    # the Sturm count resolves E to a few eps |T| (Gershgorin bound); the
-    # start bracket is padded by at least that, as no eigenvalue may sit on
-    # its ends and the Gershgorin interval of a scalar matrix is a point
-    resolution = 4.0 * np.finfo(float).eps * max(abs(lo_glob), abs(hi_glob))
-    pad = max(1e-3 * (hi_glob - lo_glob), resolution, 1e-33)
-    lo0 = lo_glob - pad
-    hi0 = hi_glob + pad
-    if not math.isfinite(hi0 - lo0):
+    with np.errstate(over="ignore"):
+        width = float(np.max(d + radius)) - float(np.min(d - radius))
+    if not math.isfinite(width):
         raise ParameterDomainError("matrix entries overflow the Sturm count")
-    lo = np.full(k, lo0)
-    hi = np.full(k, hi0)
-    c_lo = np.zeros(k, dtype=np.int64)  # counts at the bracket ends
-    c_hi = np.full(k, n, dtype=np.int64)
-    idx = np.arange(k)
-    done = np.zeros(k, dtype=bool)
-    # every sweep divides a width by at least m + 1 for the starting m (m only
-    # grows as brackets close, merge or isolate), every target width is at
-    # least rel_tol, and one sweep follows the target; the rest is rounding
-    # margin
-    bits = math.log2(hi0 - lo0) - math.log2(rel_tol)
-    max_sweeps = max(0, math.ceil(bits / math.log2(max(1, SHIFT_BUDGET // k) + 1))) + 3
-    for sweep in range(max_sweeps + 1):
-        open_ = np.flatnonzero(~done & ((c_lo != idx) | (c_hi != idx + 1)))
-        if open_.size == 0:
-            break
-        if sweep == max_sweeps:
-            widest = open_[np.argmax(hi[open_] - lo[open_])]
-            raise AccuracyError(
-                "Sturm multisection left %d brackets open after %d sweeps"
-                % (open_.size, max_sweeps), estimates=(lo[widest], hi[widest]))
-        # eigenvalues that share a bracket share its shifts
-        pairs, first, owner = np.unique(np.column_stack((lo[open_], hi[open_])), axis=0,
-                                        return_index=True, return_inverse=True)
-        owner = owner.reshape(-1)  # numpy 2.0.0 returns it as a column
-        p_lo, p_hi = pairs[:, 0], pairs[:, 1]
-        width = p_hi - p_lo
-        closing = ((width <= rel_tol * np.maximum(1.0, np.abs(p_lo + 0.5 * width)))
-                   | (np.nextafter(p_lo, p_hi) >= p_hi))
-        done[open_] = closing[owner]
-        m = max(1, SHIFT_BUDGET // pairs.shape[0])
-        shifts = p_lo[:, None] + width[:, None] * (np.arange(1, m + 1) / (m + 1))
-        cnt = _sturm_counts(d, off2, shifts.ravel(), pivmin).reshape(shifts.shape)
-        p = np.sum(cnt[owner] <= idx[open_, None], axis=1)
-        # each bracket's shifts and counts with its ends, whose counts are the
-        # same for every eigenvalue it holds
-        ends = np.hstack((p_lo[:, None], shifts, p_hi[:, None]))
-        counts = np.hstack((c_lo[open_[first], None], cnt, c_hi[open_[first], None]))
-        lo[open_], hi[open_] = ends[owner, p], ends[owner, p + 1]
-        c_lo[open_], c_hi[open_] = counts[owner, p], counts[owner, p + 1]
-    vals = 0.5 * (lo + hi)
-    alone = np.flatnonzero(~done)
-    if alone.size:
-        _newton_eigenvalues(d, off2, pivmin, vals, alone, lo[alone], hi[alone], rel_tol,
-                            resolution)
-    return vals
-
-
-def _pole_sums(energy, j, est):
-    """sum over i != j_a of 1 / (energy_a - est_i), for each a; the outer
-    difference is formed in row blocks of at most 2^20 entries."""
-    out = np.empty(energy.size)
-    rows = max(1, 2**20 // est.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(0, energy.size, rows):
-            inv = 1.0 / np.subtract.outer(energy[a:a + rows], est)
-            inv[np.arange(inv.shape[0]), j[a:a + rows]] = 0.0
-            out[a:a + rows] = inv.sum(axis=1)
-    return out
-
-
-def _newton_eigenvalues(d, off2, pivmin, vals, j, lo, hi, rel_tol, floor):
-    """Finish eigenvalues j (an index array) of vals, the estimates of all
-    k, in place, from brackets [lo, hi] that hold each alone (Barth, Martin
-    and Wilkinson, Numer. Math. 9, 1967): one pass of _sturm_newton over the
-    rows for all the eigenvalues still open, from the midpoints, its count
-    moving the brackets.  Its Newton step N = -det / det' is corrected for
-    the other estimates z_i, the open ones at their current energies, as in
-    the Aberth-Ehrlich iteration (Ehrlich, Comm. ACM 10, 1967; Aberth, Math.
-    Comp. 27, 1973): N / (1 + N sum_{i != j} 1 / (E - z_i)) is Newton's step
-    on det(T - E) / prod_{i != j} (E - z_i), which the nearby eigenvalues no
-    longer bend, so the steps shrink about cubically once all are close.
-
-    A step that points the way the count does is the last when it is at
-    most floor, the count's own resolution (closer in, the steps are
-    rounding noise), or when it is at most rel_tol * max(1, |E|) and 1e-3 of
-    the distance from E to the nearer end of the bracket it was computed in
-    (convergence is fast only well inside the gap to the next eigenvalue,
-    which the bracket may not be); the eigenvalue is then E + step, kept in
-    the bracket.  A step that points against the count (towards an
-    eigenvalue outside the bracket), is not finite or zero, or leaves the
-    bracket becomes a bisection.  Once the bracket is closed (as in
-    tridiagonal_eigenvalues) the eigenvalue is the next energy, the Newton
-    point or the midpoint, so a bracket that isolation left narrow still
-    gets one pass.  AccuracyError, with the widest open bracket, after twice
-    the passes bisection needs.
-    """
-    energy = 0.5 * (lo + hi)
-    passes = 2 * max(1, math.ceil(math.log2(max(float(np.max(hi - lo)), rel_tol)
-                                            / rel_tol))) + 4
-    for _ in range(passes):
-        count, newton = _sturm_newton(d, off2, energy, pivmin)
-        vals[j] = energy
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = newton / (1.0 + newton * _pole_sums(energy, j, vals))
-        near = np.minimum(energy - lo, hi - energy)
-        below = count <= j
-        lo = np.where(below, energy, lo)
-        hi = np.where(below, hi, energy)
-        agree = np.where(below, step > 0.0, step < 0.0)
-        size = np.abs(step)
-        last = agree & ((size <= floor)
-                        | ((size <= rel_tol * np.maximum(1.0, np.abs(energy)))
-                           & (size <= 1e-3 * near)))
-        nxt = energy + step
-        energy = np.where(agree & (lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-        closed = ((hi - lo <= rel_tol * np.maximum(1.0, np.abs(energy)))
-                  | (np.nextafter(lo, hi) >= hi))
-        ends = last | closed
-        vals[j[ends]] = np.where(last, np.minimum(np.maximum(nxt, lo), hi), energy)[ends]
-        j, lo, hi, energy = (a[~ends] for a in (j, lo, hi, energy))
-        if j.size == 0:
-            return
-    widest = np.argmax(hi - lo)
-    raise AccuracyError("Newton's method left %d eigenvalues open after %d passes"
-                        % (j.size, passes), estimates=(lo[widest], hi[widest]))
+    if n == 1:
+        return d.copy()
+    vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1), UPLO="U")
+    cap = 64.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    pivmin = max(1e-290, float(np.max(off2)) * 1e-28)
+    count, step = _sturm_newton(d, off2, vals, pivmin)
+    toward = np.where(count <= np.arange(n), step >= 0.0, step <= 0.0)
+    usable = toward & (np.abs(step) <= cap)  # False where the step is not finite
+    return np.where(usable, vals + step, vals)
 
 
 def _pivots(a, e2, tiny):
@@ -789,7 +635,7 @@ def _monic_coefficients(weight_id, n):
 def _gauss_rule_cached(weight_id, n):
     alpha, beta, m0 = _monic_coefficients(weight_id, n)
     root_beta = np.sqrt(beta)
-    nodes = tridiagonal_eigenvalues(alpha, root_beta[1:], k=n)
+    nodes = tridiagonal_eigenvalues(alpha, root_beta[1:])
     # Christoffel function: w_i = m0 / sum_k p_k(x_i)^2 over the orthonormal
     # recurrence sqrt(beta_{k+1}) p_{k+1} = (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}.
     # The p_k overflow at the outer nodes of large rules, so the pair
