@@ -447,19 +447,7 @@ def _attach_negative_values(argv):
     return out
 
 
-def main(argv=None):
-    parser = _ArgumentParser(
-        prog="triwave",
-        description="Tridiagonal-representation solver for the 1D Schrodinger "
-                    "equation (energies in E0 = hbar^2 lam^2/2m units).")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "spectrum", help="closed-form bound levels, optionally oracle-verified",
-        epilog="CSV columns: " + ",".join(_SPECTRUM_COLUMNS)
-               + ". epsilon_alt is the alternative rosen-morse closed form "
-                 "(reported, never asserted); oracle/rel_dev fill only with "
-                 "--verify.")
+def _add_spectrum_flags(p):
     _add_model_flags(p)
     _add_output_flags(p)
     p.add_argument("--levels", type=int, default=4)
@@ -470,9 +458,8 @@ def main(argv=None):
                    help="print oscillator energies in units of hbar*omega = 2 E0")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser(
-        "wavefunction", help="tabulate the expansion wavefunction",
-        epilog="CSV columns: " + ",".join(_WAVEFUNCTION_COLUMNS))
+
+def _add_wavefunction_flags(p):
     _add_model_flags(p)
     _add_output_flags(p)
     p.add_argument("--epsilon", type=float, required=True)
@@ -482,10 +469,8 @@ def main(argv=None):
     p.add_argument("-N", "--truncation", type=int, default=50)
     p.set_defaults(func=cmd_wavefunction)
 
-    p = sub.add_parser(
-        "jmatrix", help="analytic (and optionally quadrature) wave-operator matrix",
-        epilog="CSV columns: " + ",".join(_JMATRIX_COLUMNS)
-               + ". numeric fills only with --numeric.")
+
+def _add_jmatrix_flags(p):
     _add_model_flags(p)
     _add_output_flags(p)
     p.add_argument("--epsilon", type=float, required=True)
@@ -494,7 +479,8 @@ def main(argv=None):
     p.add_argument("--perturb-alpha", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_jmatrix)
 
-    p = sub.add_parser("verify", help="run a verification suite (JSON report)")
+
+def _add_verify_flags(p):
     p.add_argument("--suite", default="all",
                    choices=["tridiagonality", "orthogonality",
                             "recursion-closed-form", "spectrum-oracle", "all"])
@@ -503,8 +489,44 @@ def main(argv=None):
     p.add_argument("--epoch", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
+
+def _parser(argv):
+    """The argparse tree with all four subcommands, so --help and the choices
+    in a usage error list every one, but with flags only on those named in
+    argv.  The top level takes no option with a value, so argparse hands the
+    call to the first positional token: that subcommand is always built in
+    full, and one left empty is never invoked."""
+    parser = _ArgumentParser(
+        prog="triwave",
+        description="Tridiagonal-representation solver for the 1D Schrodinger "
+                    "equation (energies in E0 = hbar^2 lam^2/2m units).")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add_flags, kwargs in [
+        ("spectrum", _add_spectrum_flags, dict(
+            help="closed-form bound levels, optionally oracle-verified",
+            epilog="CSV columns: " + ",".join(_SPECTRUM_COLUMNS)
+                   + ". epsilon_alt is the alternative rosen-morse closed form "
+                     "(reported, never asserted); oracle/rel_dev fill only with "
+                     "--verify.")),
+        ("wavefunction", _add_wavefunction_flags, dict(
+            help="tabulate the expansion wavefunction",
+            epilog="CSV columns: " + ",".join(_WAVEFUNCTION_COLUMNS))),
+        ("jmatrix", _add_jmatrix_flags, dict(
+            help="analytic (and optionally quadrature) wave-operator matrix",
+            epilog="CSV columns: " + ",".join(_JMATRIX_COLUMNS)
+                   + ". numeric fills only with --numeric.")),
+        ("verify", _add_verify_flags, dict(
+            help="run a verification suite (JSON report)")),
+    ]:
+        p = sub.add_parser(name, **kwargs)
+        if name in argv:
+            add_flags(p)
+    return parser
+
+
+def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_values(argv))
+    args = _parser(argv).parse_args(_attach_negative_values(argv))
     try:
         _require_finite_flags(args)
         out = _open_output(args.output)

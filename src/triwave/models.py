@@ -256,7 +256,7 @@ def spectrum(model, n_levels=8):
     if isinstance(model, (HarmonicOscillator, OscillatorInverseSquare)):
         if model.a != 1.0:
             raise ParameterDomainError(
-                "the diagonal closed form requires a = 1 (rescale lam otherwise)")
+                "the diagonal closed form needs a = 1 (got a = %.15g)" % model.a)
         nu = model.nu
         levels = [Level(n=n, epsilon=2.0 * (2 * n + nu + 1.0), basis_params={"nu": nu})
                   for n in range(n_levels)]

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import (
     AccuracyError,
@@ -432,15 +431,29 @@ def _upper_bracket(w, rho, h, k):
     (2 (m + 1))).  So E_k <= max_W w + 1.5 * that / min_W rho for every
     window W; the bound is the least of these over windows of about 24
     lengths at about 64 positions each.
+
+    The window extremes come from sparse tables (Bender and Farach-Colton,
+    LATIN 2000): level j holds the max of w and the min of rho over the 2^j
+    rows from each start, and a window of m rows is covered by the two level
+    floor(log2 m) spans at its two ends.
     """
     n = w.size
+    w_max, rho_min = [w], [rho]
+    span = 1
+    while 2 * span <= n:
+        w_max.append(np.maximum(w_max[-1][:-span], w_max[-1][span:]))
+        rho_min.append(np.minimum(rho_min[-1][:-span], rho_min[-1][span:]))
+        span *= 2
     best = math.inf
-    for m in np.unique(np.geomspace(k, n, 24).astype(int)):
+    for m in np.unique(np.geomspace(k, n, 24).astype(int)).tolist():
         kinetic = 6.0 / (h * h) * math.sin(k * math.pi / (2.0 * (m + 1))) ** 2
         step = max(1, (n - m) // 64)
-        w_max = sliding_window_view(w, m)[::step].max(axis=1)
-        rho_min = sliding_window_view(rho, m)[::step].min(axis=1)
-        best = min(best, float(np.min(w_max + kinetic / rho_min)))
+        j = m.bit_length() - 1
+        head = slice(0, n - m + 1, step)
+        tail = slice(m - (1 << j), None, step)
+        top = np.maximum(w_max[j][head], w_max[j][tail])
+        low = np.minimum(rho_min[j][head], rho_min[j][tail])
+        best = min(best, float(np.min(top + kinetic / low)))
     return best
 
 

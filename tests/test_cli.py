@@ -406,3 +406,49 @@ def test_osc_inv_sq_verifies_across_the_coupling_range(capsys, b):
     assert code == 0, err
     rel = [float(line.split(",")[6]) for line in out.strip().splitlines()[1:]]
     assert len(rel) == 4 and max(rel) < 1e-5
+
+
+def test_spectrum_off_the_diagonal_limit_names_a(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--model", "ho", "--a", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the diagonal closed form needs a = 1 (got a = 2)\n"
+
+
+_SUBCOMMANDS = ["spectrum", "wavefunction", "jmatrix", "verify"]
+
+
+def test_only_the_named_subcommand_gets_its_flags(capsys, monkeypatch):
+    def refuse(p):
+        raise AssertionError("flags built for a subcommand that does not run")
+
+    for name in _SUBCOMMANDS[1:]:
+        monkeypatch.setattr(cli, "_add_%s_flags" % name, refuse)
+    code, out, err = run_cli(capsys, "spectrum", "--model", "ho", "--levels", "2")
+    assert code == 0, err
+    assert out.splitlines()[0] == "n,epsilon,nu,mu,epsilon_alt,oracle,rel_dev"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("spectrum", "--help"), ("wavefunction", "--help"),
+    ("jmatrix", "--help"), ("verify", "--help"), (), ("levels",),
+    ("spectrum", "--levels", "2"), ("verify", "--suite", "bogus"),
+])
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    # the reference builds every subcommand's flags, as one full tree
+    with pytest.raises(SystemExit) as want:
+        cli._parser(_SUBCOMMANDS).parse_args(list(argv))
+    want_out, want_err = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        cli.main(list(argv))
+    assert got.value.code == want.value.code
+    assert capsys.readouterr() == (want_out, want_err)
+
+
+def test_value_token_named_like_a_subcommand(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "spectrum", "--model", "ho", "--levels", "2",
+                             "--output", "verify")
+    assert code == 0 and out == "", err
+    assert (tmp_path / "verify").read_text().splitlines() == [
+        "n,epsilon,nu,mu,epsilon_alt,oracle,rel_dev", "0,1,-0.5,,,,", "1,5,-0.5,,,,"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from triwave import models as md
 from triwave import oracle as oc
@@ -599,6 +600,55 @@ def test_isolation_pass_cap_raises_with_the_bracket(monkeypatch):
     assert len(trail) == math.ceil(math.log2(1e14)) + 3
 
 
+def _upper_bracket_scan(w, rho, h, k):
+    # reference: the window extremes of _upper_bracket by a direct scan of
+    # each window at each start
+    n = w.size
+    best = math.inf
+    for m in np.unique(np.geomspace(k, n, 24).astype(int)):
+        kinetic = 6.0 / (h * h) * math.sin(k * math.pi / (2.0 * (m + 1))) ** 2
+        step = max(1, (n - m) // 64)
+        w_max = sliding_window_view(w, m)[::step].max(axis=1)
+        rho_min = sliding_window_view(rho, m)[::step].min(axis=1)
+        best = min(best, float(np.min(w_max + kinetic / rho_min)))
+    return best
+
+
+def test_upper_bracket_matches_the_window_scan_on_grids(monkeypatch):
+    # the default grids of the four models that have one (two on the Langer
+    # grid, where rho = x^2), and a hand-set Langer grid for the fifth
+    calls = []
+    upper_bracket = oc._upper_bracket
+
+    def spy(w, rho, h, k):
+        calls.append((w, rho, h, k))
+        return upper_bracket(w, rho, h, k)
+
+    monkeypatch.setattr(oc, "_upper_bracket", spy)
+    for model, n_levels in [(md.HarmonicOscillator(a=1.0), 4),
+                            (md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
+                            (md.OscillatorInverseSquare(a=1.0, b=2.0), 3),
+                            (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
+                            (md.RosenMorse(A=1.0, B=-2.0), None)]:
+        oc.grid_solve(model, *md.default_grid(model, n_levels))
+    oc.grid_solve(md.SupercriticalInverseSquare(b=-0.5), 0.3, 3.0, 1.0 / 32.0, 3,
+                  check_boundaries="none")
+    assert len(calls) == 6
+    assert sum(not np.all(rho == 1.0) for _, rho, _, _ in calls) == 3
+    for w, rho, h, k in calls:
+        assert upper_bracket(w, rho, h, k) == _upper_bracket_scan(w, rho, h, k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 63, 64, 65, 1000])
+def test_upper_bracket_matches_the_window_scan_on_random_rows(rng, n):
+    for k in sorted({1, 2, n}):
+        for _ in range(5):
+            w = rng.normal(0.0, 10.0, n)
+            rho = rng.uniform(0.01, 100.0, n)
+            h = rng.uniform(0.01, 0.5)
+            assert oc._upper_bracket(w, rho, h, k) == _upper_bracket_scan(w, rho, h, k)
+
+
 def test_grid_step_rule_and_boundary_options():
     with pytest.raises(DomainError, match=r"h\^2 max\(U - E_lo\) / 12 = "):
         oc.grid_solve(lambda x: 1e4 * x * x, -1.0, 1.0, 0.1, 1)
@@ -693,11 +743,19 @@ _PARENT_NODES = {
                                        ("jacobi", 0.3, 1.2), ("jacobi", -0.5, -0.5)])
 @pytest.mark.parametrize("n_nodes", [8, 16, 32, 64, 128])
 def test_gauss_nodes_match_references(weight_id, n_nodes):
+    # independent of the solver's start (numpy's eigvalsh): the closed-form
+    # Chebyshev nodes, and 40-digit eigenvalues of the Jacobi matrix up to 32
+    # nodes (test_gauss_nodes_match_mpmath takes the larger rules)
     nodes = oc.gauss_rule(weight_id, n_nodes).nodes
-    alpha, beta, _ = oc._monic_coefficients(weight_id, n_nodes)
-    want = np.linalg.eigvalsh(_dense(alpha, np.sqrt(beta[1:])))
-    scale = np.maximum(1.0, np.abs(want))
-    assert np.max(np.abs(nodes - want) / scale) < 1e-13
+    want = None
+    if weight_id == ("jacobi", -0.5, -0.5):
+        want = np.cos((2.0 * np.arange(n_nodes, 0, -1) - 1.0) * np.pi / (2.0 * n_nodes))
+    elif n_nodes <= 32:
+        alpha, beta, _ = oc._monic_coefficients(weight_id, n_nodes)
+        want = np.array(_mpmath_eigenvalues(alpha, np.sqrt(beta[1:]), nodes), dtype=float)
+    if want is not None:
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.max(np.abs(nodes - want) / scale) < 1e-13
     parent = _PARENT_NODES.get((weight_id, n_nodes))
     if parent is not None:
         got = nodes[[0, n_nodes // 2, -1]]
@@ -801,7 +859,7 @@ def _mpmath_eigenvalues(diag, off, approx):
 
 
 @pytest.mark.parametrize("weight_id", [("laguerre", -0.5), ("laguerre", 0.7),
-                                       ("jacobi", 0.3, 1.2)])
+                                       ("jacobi", 0.3, 1.2), ("jacobi", -0.5, -0.5)])
 @pytest.mark.parametrize("n_nodes", [16, 64, 128])
 def test_gauss_nodes_match_mpmath(weight_id, n_nodes):
     # within 3 eps |T| of the exact eigenvalues of the float Jacobi matrix;
