@@ -13,13 +13,11 @@ from .basis import (
     BasisSpec,
     CoordinateMap,
     basis_eval,
-    measure_factor,
     morse_basis,
     morse_map,
     oscillator_dual_hahn_basis,
     oscillator_map,
     oscillator_pollaczek_basis,
-    overlap,
     overlap_matrix,
     rosen_morse_basis,
     rosen_morse_map,

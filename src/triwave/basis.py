@@ -37,8 +37,6 @@ __all__ = [
     "normalization",
     "basis_eval",
     "series_eval",
-    "measure_factor",
-    "overlap",
     "overlap_matrix",
 ]
 
@@ -130,10 +128,6 @@ class CoordinateMap:
         if self.kind == "morse" and not (self.mu_scale and self.mu_scale > 0.0):
             raise ParameterDomainError("morse map needs mu_scale > 0")
 
-    @property
-    def y_interval(self):
-        return (-1.0, 1.0) if self.kind == "rosen_morse" else (0.0, math.inf)
-
     def to_y(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "oscillator":
@@ -155,26 +149,6 @@ def morse_map(mu_scale):
 
 def rosen_morse_map():
     return CoordinateMap(kind="rosen_morse")
-
-
-def measure_factor(cmap: CoordinateMap, y):
-    """d(mu)/dy such that integrals over x reduce to integrals over y.
-
-    Oscillator: 1/sqrt(y) for integrands even in x (the folded map covers
-    the full line only for that parity; odd integrands are rejected by the
-    callers).  Morse: 1/y.  Rosen-Morse: 1/(1-y^2).
-    """
-    y_arr = np.asarray(y, dtype=float)
-    lo, hi = cmap.y_interval
-    if np.any(y_arr <= lo) or (np.isfinite(hi) and np.any(y_arr >= hi)):
-        raise DomainError("measure is singular at or outside the interval ends")
-    if cmap.kind == "oscillator":
-        out = 1.0 / np.sqrt(y_arr)
-    elif cmap.kind == "morse":
-        out = 1.0 / y_arr
-    else:
-        out = 1.0 / (1.0 - y_arr * y_arr)
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +225,12 @@ def scaled_polynomials(spec: BasisSpec, nmax: int, y):
     return seq
 
 
-def series_eval(spec: BasisSpec, f, y, a_n=None):
+def series_eval(spec: BasisSpec, f, y, a_n):
     """sum_n f_n phi_n(y) over n < len(f), summed while the recurrence steps:
-    memory is O(size of y), never the len(f) x size(y) table.  a_n, the
-    basis constants A_0..A_{len(f)-1}, is computed here when not given."""
+    memory is O(size of y), never the len(f) x size(y) table.  a_n holds the
+    basis constants A_0..A_{len(f)-1} (normalization(spec, arange(len(f))))."""
     y_arr = np.asarray(y, dtype=float)
     env = _envelope(spec, y_arr)
-    if a_n is None:
-        a_n = normalization(spec, np.arange(len(f)))
     coeffs = (np.asarray(f, dtype=float) * a_n).tolist()
     total = np.zeros(y_arr.shape)
     term = np.empty(y_arr.shape)
@@ -284,7 +256,12 @@ _EXTRA_SHIFTS = {
 
 
 def _pair_weight(spec: BasisSpec, cmap: CoordinateMap, extra=None):
-    """Weight id under which phi_m phi_n (x extra) d(mu) is weight * polynomial."""
+    """Weight id under which phi_m phi_n (x extra) d(mu) is weight * polynomial.
+
+    d(mu)/dy carries integrals over x to integrals over y: 1/sqrt(y) on the
+    oscillator map (for integrands even in x, the only ones the folded map
+    covers), 1/y on the morse map and 1/(1-y^2) on the rosen_morse map.
+    DomainError where the weight's integral diverges."""
     if extra not in _EXTRA_SHIFTS:
         raise ParameterDomainError("extra factor must be one of %s" % list(_EXTRA_SHIFTS))
     if spec.kind == "laguerre":
@@ -316,7 +293,14 @@ def _pair_weight(spec: BasisSpec, cmap: CoordinateMap, extra=None):
 def overlap_matrix(spec: BasisSpec, cmap: CoordinateMap, nmax: int, extra=None,
                    n_nodes=None):
     """Gram matrix <phi_m | extra | phi_n> for m, n <= nmax under the map's
-    measure, by a Gauss rule of the matching weight (exact up to roundoff)."""
+    measure, by a Gauss rule of the matching weight (exact up to roundoff);
+    extra is one of None, "y", "1/y" (laguerre) or "1-y", "1+y" (jacobi).
+
+    With the exponent constraint of the corresponding tridiagonal case, the
+    appropriate choice of extra gives the identity: no extra factor for
+    2*alpha = nu + 1/2 on the oscillator map, "1/y" for 2*alpha = nu + 3/2,
+    "y" for nu = 2*alpha on the morse map, "1-y" on the rosen_morse map.
+    """
     min_nodes = nmax + 2
     if n_nodes is None:
         n_nodes = min_nodes
@@ -328,18 +312,4 @@ def overlap_matrix(spec: BasisSpec, cmap: CoordinateMap, nmax: int, extra=None,
     vals = scaled_polynomials(spec, nmax, rule.nodes)
     weighted = vals * rule.weights[None, :]
     return weighted @ vals.T
-
-
-def overlap(spec: BasisSpec, cmap: CoordinateMap, m: int, n: int, extra=None,
-            n_nodes=None):
-    """<phi_m | extra | phi_n> under the map's measure; extra is one of
-    None, "y", "1/y" (laguerre) or "1-y", "1+y" (jacobi).
-
-    With the exponent constraint of the corresponding tridiagonal case, the
-    appropriate choice of extra reproduces delta_{mn}: no extra factor for
-    2*alpha = nu + 1/2 on the oscillator map, "1/y" for 2*alpha = nu + 3/2,
-    "y" for nu = 2*alpha on the morse map, "1-y" on the rosen_morse map.
-    """
-    nmax = max(m, n)
-    return float(overlap_matrix(spec, cmap, nmax, extra=extra, n_nodes=n_nodes)[m, n])
 

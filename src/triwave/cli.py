@@ -180,8 +180,8 @@ def cmd_wavefunction(args, out):
     model = _build_model(args)
     x = np.linspace(args.x_min, args.x_max, args.samples)
     psi, record = md.wavefunction(model, args.epsilon, args.truncation, x)
-    _emit(_WAVEFUNCTION_COLUMNS, [x, psi, record.tail_estimate, record.converged],
-          args, out)
+    _emit(_WAVEFUNCTION_COLUMNS,
+          [x, psi, record.coeffs.tail_estimate, record.converged], args, out)
     return 0
 
 

@@ -1,9 +1,26 @@
 """Exception types shared across the package, the finiteness check that the
-model and family constructors share, and the polynomial degree check."""
+model and family constructors share, and the integer and polynomial degree
+checks."""
 
 import cmath
 import numbers
+import operator
 from dataclasses import fields
+
+import numpy as np
+
+__all__ = [
+    "TriwaveError",
+    "ParameterDomainError",
+    "DomainError",
+    "SingularParameterError",
+    "ComplexWeightError",
+    "RecursionBreakdownError",
+    "AccuracyError",
+    "UnsupportedStructureError",
+    "EvaluationOverflowError",
+    "QuadratureOrderError",
+]
 
 
 class TriwaveError(Exception):
@@ -62,6 +79,17 @@ def require_finite(obj):
         if isinstance(value, numbers.Complex) and not cmath.isfinite(value):
             raise ParameterDomainError("%s parameter %s = %r is not finite"
                                        % (type(obj).__name__, f.name, value))
+
+
+def require_integer(name, value):
+    """value as an int: ParameterDomainError naming the argument unless it
+    is an integer (bool is not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterDomainError("%s must be an integer, got %r" % (name, value))
 
 
 def require_degree(name, n):

@@ -25,6 +25,7 @@ from . import basis as basis_mod
 from . import operators, orthopoly
 from .exceptions import (
     DomainError,
+    EvaluationOverflowError,
     ParameterDomainError,
     UnsupportedStructureError,
     require_finite,
@@ -49,9 +50,6 @@ __all__ = [
     "recursion_for",
     "default_grid",
 ]
-
-UNITS_NOTE = "epsilon in units of E0 = hbar^2 lam^2 / (2 m); hbar*omega = 2 E0"
-
 
 # ---------------------------------------------------------------------------
 # Model types
@@ -162,8 +160,6 @@ class Level:
 @dataclass
 class SpectrumResult:
     levels: list
-    n_max: int = None
-    units_note: str = UNITS_NOTE
     notes: list = field(default_factory=list)
 
     @property
@@ -174,13 +170,13 @@ class SpectrumResult:
 @dataclass
 class WavefunctionSeries:
     """Truncated expansion sum_{n<N} f_n phi_n with its convergence record.
-    tail_estimate is |f_{N-1}| relative to the running coefficient maximum;
-    the result is flagged unconverged rather than rejected when the tail
-    exceeds 1e-10 (hyperbolic-route coefficients may grow before decaying)."""
+    The result is flagged unconverged rather than rejected when
+    coeffs.tail_estimate, |f_{N-1}| relative to the running coefficient
+    maximum, exceeds 1e-10 (hyperbolic-route coefficients may grow before
+    decaying)."""
 
     spec: basis_mod.BasisSpec
     coeffs: operators.CoefficientSeries
-    tail_estimate: float
     converged: bool
 
 
@@ -286,8 +282,7 @@ def spectrum(model, n_levels=8):
                 "level-count discrepancy: normalizability (nu > 0) admits %d "
                 "levels, the alternative closed-form bound floor(-2a-1/2) would "
                 "admit %d; the grid oracle supports %d" % (count, alt, count))
-        return SpectrumResult(levels=levels, n_max=count - 1 if count else None,
-                              notes=notes)
+        return SpectrumResult(levels=levels, notes=notes)
 
     if isinstance(model, RosenMorse):
         if model.B > 0.25:
@@ -333,7 +328,9 @@ def recursion_for(model, epsilon):
     """(recursion coefficients, basis spec, coordinate map) for the model at
     this energy; the spec is the one the builder attached to the recursion.
     For energy-dependent bases (Morse, Rosen-Morse) the basis parameters are
-    derived from epsilon."""
+    derived from epsilon.  ParameterDomainError unless epsilon is finite."""
+    if not math.isfinite(epsilon):
+        raise ParameterDomainError("epsilon = %r must be finite" % epsilon)
     if isinstance(model, (HarmonicOscillator, OscillatorInverseSquare)):
         rc = operators.build_oscillator_pollaczek(model.nu, model.a)
         if rc.spec is None:
@@ -431,20 +428,28 @@ def wavefunction(model, epsilon, N, x):
     Half-line models (the oscillator family) evaluate on x > 0; the folded
     even representation extends to -x, and the harmonic oscillator's odd
     parity branch carries an explicit sign(x).  Unconverged tails flag the
-    result instead of failing.
+    result instead of failing.  ParameterDomainError unless x is finite;
+    EvaluationOverflowError, naming the first such x, where psi is not
+    finite although every coefficient is.
     """
     rc, spec, cmap = recursion_for(model, epsilon)
-    eps = float(epsilon)
-    series = operators.solve_recursion(rc, eps, N)
     x_arr = np.asarray(x, dtype=float)
+    finite = np.isfinite(x_arr)
+    if not finite.all():
+        raise ParameterDomainError("x = %r must be finite" % float(x_arr[~finite].flat[0]))
+    series = operators.solve_recursion(rc, float(epsilon), N)
     if cmap.kind == "oscillator" and np.any(x_arr < 0.0) and not isinstance(
             model, HarmonicOscillator):
         raise DomainError("inverse-square models evaluate on x > 0")
     psi = basis_mod.series_eval(spec, series.f, cmap.to_y(x_arr), series.a_n)
     if isinstance(model, HarmonicOscillator) and model.parity == "odd":
         psi = psi * np.sign(x_arr) if x_arr.ndim else psi * math.copysign(1.0, float(x_arr))
+    bad = ~np.isfinite(psi)
+    if bad.any() and np.isfinite(series.f).all():
+        raise EvaluationOverflowError(
+            "psi is not finite at x = %r (a basis function overflows there); "
+            "move x inward" % float(x_arr[bad].flat[0]))
     record = WavefunctionSeries(spec=spec, coeffs=series,
-                                tail_estimate=series.tail_estimate,
                                 converged=series.tail_estimate <= 1e-10)
     return psi, record
 

@@ -30,6 +30,7 @@ from .exceptions import (
     RecursionBreakdownError,
     SingularParameterError,
     UnsupportedStructureError,
+    require_integer,
 )
 
 __all__ = [
@@ -78,17 +79,15 @@ class RecursionCoefficients:
     # symmetrized recursion rows (a constant per case, measured and pinned)
     jmatrix_scale: float = 1.0
 
-    def f_scaling(self, N: int, a_n=None) -> np.ndarray:
+    def f_scaling(self, a_n: np.ndarray) -> np.ndarray:
         """t_0..t_{N-1} of the case's f_n = t_n d_n scaling, from the basis
-        constants a_n = A_0..A_{N-1} (computed here when not given)."""
-        if a_n is None:
-            a_n = basis_mod.normalization(_basis_of(self), np.arange(N))
+        constants a_n = A_0..A_{N-1}."""
         if self.f_transform == "standard":
             return a_n
         if self.f_transform == "inverse":
             return 1.0 / a_n
         if self.f_transform == "alternating":
-            return (-1.0) ** np.arange(N) * a_n
+            return (-1.0) ** np.arange(a_n.size) * a_n
         raise UnsupportedStructureError("unknown f transform %r" % self.f_transform)
 
 
@@ -268,8 +267,10 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
     delta sequence at the level n0 where the diagonal coefficient vanishes.
     A vanishing C_n with vanishing running combination terminates the series
     (zero continuation); a vanishing C_n with a nonzero combination is a
-    breakdown and raises, naming n.
+    breakdown and raises, naming n.  ParameterDomainError unless N is an
+    integer >= 1.
     """
+    N = require_integer("N", N)
     if N < 1:
         raise ParameterDomainError("truncation order must be >= 1")
     eps = float(epsilon)
@@ -302,7 +303,7 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
     f = a_n = None
     if rc.spec is not None:
         a_n = basis_mod.normalization(rc.spec, np.arange(N))
-        f = d * rc.f_scaling(N, a_n)
+        f = d * rc.f_scaling(a_n)
     ref = f if f is not None else d
     running_max = float(np.max(np.abs(ref))) or 1.0
     tail = abs(float(ref[-1])) / running_max
@@ -407,7 +408,8 @@ def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
     perturbed exponents (negative controls) the rule still converges well
     enough to expose the broken structure.  n_nodes defaults to
     max(64, size + 2); fewer than size + 2 nodes cannot integrate the top
-    entry exactly.
+    entry exactly.  The weight is basis._pair_weight(spec, cmap), which
+    raises DomainError where the measure's integral diverges.
     """
     from . import models  # late import
     if n_nodes is None:
@@ -415,20 +417,19 @@ def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
     if n_nodes < size + 2:
         raise ParameterDomainError("n_nodes too small for these indices")
     eps = float(epsilon)
+    weight = basis_mod._pair_weight(spec, cmap)
     if cmap.kind == "oscillator":
         u1, um1 = _u_oscillator(model)
-        return _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes)
+        return _jmatrix_laguerre_oscillator(spec, weight, u1, um1, eps, size, n_nodes)
     if cmap.kind == "morse":
         if not isinstance(model, models.GeneralizedMorse):
             raise UnsupportedStructureError("model does not map to the morse form")
         u1 = model.A / cmap.mu_scale
         u2 = model.B / cmap.mu_scale ** 2
-        return _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes)
-    if cmap.kind == "rosen_morse":
-        if not isinstance(model, models.RosenMorse):
-            raise UnsupportedStructureError("model does not map to the rosen_morse form")
-        return _jmatrix_jacobi(spec, model.A, model.B, eps, size, n_nodes)
-    raise UnsupportedStructureError("unknown coordinate map %r" % cmap.kind)
+        return _jmatrix_laguerre_morse(spec, weight, u1, u2, eps, size, n_nodes)
+    if not isinstance(model, models.RosenMorse):
+        raise UnsupportedStructureError("model does not map to the rosen_morse form")
+    return _jmatrix_jacobi(spec, weight, model.A, model.B, eps, size, n_nodes)
 
 
 def _lowered(spec, vals):
@@ -440,13 +441,14 @@ def _lowered(spec, vals):
     return prev
 
 
-def _laguerre_blocks(spec, size, n_nodes, base_expo):
+def _laguerre_blocks(spec, weight, size, n_nodes):
     """Nodes, effective weights, the A_n L_n rows and the A_n y L_n' rows
-    shared by the two laguerre-map assemblies.  base_expo is the exponent of
-    y in phi_m phi_n d(mu); the rule weight drops one power when integrable
+    shared by the two laguerre-map assemblies.  weight is the id of
+    phi_m phi_n d(mu); the rule weight drops one power of y when integrable
     so residual 1/y pieces stay polynomial."""
-    shift = 1 if base_expo - 1.0 > -1.0 else 0
-    rule = oracle.gauss_rule(("laguerre", base_expo - shift), n_nodes)
+    kind, expo = weight
+    shift = 1 if expo - 1.0 > -1.0 else 0
+    rule = oracle.gauss_rule((kind, expo - shift), n_nodes)
     y = rule.nodes
     vals = basis_mod.scaled_polynomials(spec, size - 1, y)
     # from the unscaled relation y L_n' = n L_n - (n+nu) L_{n-1}
@@ -455,7 +457,7 @@ def _laguerre_blocks(spec, size, n_nodes, base_expo):
     return y, rule.weights * y ** shift, vals, y_dln
 
 
-def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes):
+def _jmatrix_laguerre_oscillator(spec, weight, u1, um1, eps, size, n_nodes):
     """Oscillator map: operator -4y d^2/dy^2 - 2 d/dy + U(y) - eps.
 
     With phi = y^alpha u, u = e^{-y/2} L, the action collapses to
@@ -467,7 +469,7 @@ def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes):
     identically when 2*alpha = nu + 1/2 and um1 = nu^2 - 1/4.
     """
     al = spec.alpha
-    y, w, vals, y_dln = _laguerre_blocks(spec, size, n_nodes, 2.0 * al - 0.5)
+    y, w, vals, y_dln = _laguerre_blocks(spec, weight, size, n_nodes)
     ns = np.arange(size)[:, None]
     c_inv = um1 - 2.0 * al * (2.0 * al - 1.0)
     c_l = 4.0 * al + 1.0 + 4.0 * ns - eps
@@ -477,7 +479,7 @@ def _jmatrix_laguerre_oscillator(spec, u1, um1, eps, size, n_nodes):
     return (vals * w) @ action.T
 
 
-def _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes):
+def _jmatrix_laguerre_morse(spec, weight, u1, u2, eps, size, n_nodes):
     """Morse map: operator -y^2 d^2/dy^2 - y d/dy + U(y) - eps.
 
     Collapses to -(alpha^2+eps) L + [u1 + alpha + 1/2 + n] y L
@@ -485,10 +487,7 @@ def _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes):
     on the constrained case nu = 2*alpha, eps = -nu^2/4.
     """
     al = spec.alpha
-    base = 2.0 * al - 1.0
-    if not base > -1.0:
-        raise ParameterDomainError("morse overlap needs 2*alpha - 1 > -1 (nu > 0)")
-    y, w, vals, y_dln = _laguerre_blocks(spec, size, n_nodes, base)
+    y, w, vals, y_dln = _laguerre_blocks(spec, weight, size, n_nodes)
     ns = np.arange(size)[:, None]
     action = (-(al * al + eps) * vals
               + (u1 + al + 0.5 + ns) * y * vals
@@ -497,21 +496,17 @@ def _jmatrix_laguerre_morse(spec, u1, u2, eps, size, n_nodes):
     return (vals * w) @ action.T
 
 
-def _jmatrix_jacobi(spec, A, B, eps, size, n_nodes):
+def _jmatrix_jacobi(spec, weight, A, B, eps, size, n_nodes):
     """Rosen-Morse map: operator -(1-y^2) d/dy (1-y^2) d/dy + U(y) - eps,
     U = A(1-y) + B(1-y^2), envelope W = (1+y)^alpha (1-y)^beta.
 
     All derivative content is reduced through the Jacobi structure relations
     so only P_n and P_{n-1} values appear; the integrand is the Jacobi weight
-    (1-y)^(2 beta - 1) (1+y)^(2 alpha - 1) times a polynomial.
+    of phi_m phi_n d(mu) times a polynomial.
     """
     al, be = spec.alpha, spec.beta
     mu, nu = spec.mu, spec.nu
-    a_w = 2.0 * be - 1.0
-    b_w = 2.0 * al - 1.0
-    if not (a_w > -1.0 and b_w > -1.0):
-        raise ParameterDomainError("rosen-morse overlap needs alpha, beta > 0")
-    rule = oracle.gauss_rule(("jacobi", a_w, b_w), n_nodes)
+    rule = oracle.gauss_rule(weight, n_nodes)
     y = rule.nodes
     p = basis_mod.scaled_polynomials(spec, size - 1, y)
     p_prev = _lowered(spec, p)

@@ -31,7 +31,6 @@ of T(E) at its eigenvalue (Dhillon and Parlett, Linear Algebra Appl. 387,
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +40,7 @@ from .exceptions import (
     AccuracyError,
     DomainError,
     ParameterDomainError,
+    require_integer,
 )
 
 __all__ = [
@@ -59,13 +59,6 @@ __all__ = [
 # Symmetric tridiagonal eigensolver (dense eigvalsh, Newton, twisted factorization)
 # ---------------------------------------------------------------------------
 
-# Rows a Sturm sweep takes as one block: d_i - E is formed for the block in
-# one call and overwritten by the pivots, which are counted (and their
-# ratios summed) once per block, so a row costs fewer calls over the shifts;
-# the block bounds the sweep's memory at 64 rows of shifts.
-_BLOCK_ROWS = 64
-
-
 def _sturm_newton(diag, off2, shifts, pivmin):
     """(Sturm counts, Newton steps) at each shift E, in one sweep over the
     rows vectorized over the shifts.
@@ -77,25 +70,20 @@ def _sturm_newton(diag, off2, shifts, pivmin):
     q'_i = -1 + e^2_{i-1} q'_{i-1} / q_{i-1}^2 (q'_0 = -1), and since
     det(T - E) is the product of the pivots, the step -det / det' is
     -1 / sum_i q'_i / q_i.  Where that sum overflows the step is zero or not
-    finite.
+    finite.  The pivots and ratios fill two rows x shifts tables, no larger
+    than the dense matrix tridiagonal_eigenvalues hands to eigvalsh.
     """
-    count = np.zeros(shifts.size, dtype=np.int64)
-    total = np.zeros(shifts.size)
-    e2 = [0.0] + off2.tolist()
-    q, ratio = math.inf, 0.0  # ratio holds q'_i / q_i
+    pivots = np.subtract.outer(diag, shifts)  # d_i - E, overwritten by q_i
+    ratios = np.empty_like(pivots)  # row i holds q'_i / q_i
+    q, ratio = math.inf, 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, diag.size, _BLOCK_ROWS):
-            pivots = np.subtract.outer(diag[start:start + _BLOCK_ROWS], shifts)
-            ratios = np.empty_like(pivots)
-            for ei2, row, ratio_row in zip(e2[start:start + _BLOCK_ROWS], pivots, ratios):
-                r = ei2 / q
-                row -= r
-                np.putmask(row, np.abs(row) < pivmin, -pivmin)
-                np.divide(r * ratio - 1.0, row, out=ratio_row)
-                q, ratio = row, ratio_row
-            count += np.count_nonzero(pivots < 0.0, axis=0)
-            total += ratios.sum(axis=0)
-        return count, -1.0 / total
+        for ei2, row, ratio_row in zip([0.0] + off2.tolist(), pivots, ratios):
+            r = ei2 / q
+            row -= r
+            np.putmask(row, np.abs(row) < pivmin, -pivmin)
+            np.divide(r * ratio - 1.0, row, out=ratio_row)
+            q, ratio = row, ratio_row
+        return np.count_nonzero(pivots < 0.0, axis=0), -1.0 / ratios.sum(axis=0)
 
 
 def _numerov_newton(alpha, beta, energy):
@@ -215,17 +203,6 @@ def _tridiagonal_entries(diag, off):
     if not np.all(np.isfinite(e2)):
         raise ParameterDomainError("squared off-diagonal entries overflow")
     return d, e, e2
-
-
-def _int_arg(name, value):
-    """value as an int: ParameterDomainError naming the argument unless it
-    is an integer (bool is not)."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ParameterDomainError("%s must be an integer, got %r" % (name, value))
 
 
 def tridiagonal_eigenvalues(diag, off):
@@ -495,10 +472,18 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     eigenvector has not decayed at a checked boundary (relative amplitude of
     psi, phi on the Langer grid, above 1e-6).  check_boundaries is "both" or
     "none"; pass "none" when some of the k states are not bound (box states
-    above a continuum threshold).
+    above a continuum threshold).  ParameterDomainError, naming the argument,
+    unless x_min and x_max are finite, h is finite and positive and k is an
+    integer.
     """
     if check_boundaries not in ("both", "none"):
         raise ParameterDomainError("check_boundaries must be 'both' or 'none'")
+    k = require_integer("k", k)
+    for name, value in (("x_min", x_min), ("x_max", x_max), ("h", h)):
+        if not math.isfinite(value):
+            raise ParameterDomainError("%s = %r must be finite" % (name, value))
+    if not h > 0.0:
+        raise ParameterDomainError("h = %r must be positive" % h)
     if x_max <= x_min:
         raise DomainError("x_max must exceed x_min")
     u, langer = _resolve_potential(model)
@@ -680,7 +665,7 @@ def gauss_rule(weight_id, n):
     ("jacobi", a, b); exact through polynomial degree 2n-1.
     ParameterDomainError, naming the argument, unless weight_id has that
     form with real exponents and n is an integer >= 1."""
-    n = _int_arg("n", n)
+    n = require_integer("n", n)
     if n < 1:
         raise ParameterDomainError("a Gauss rule needs at least one node, got n = %d" % n)
     try:

@@ -40,7 +40,6 @@ __all__ = [
     "laguerre_sequence",
     "jacobi_eval",
     "jacobi_sequence",
-    "jacobi_derivative",
     "pollaczek_eval",
     "pollaczek_sequence",
     "pollaczek_closed_form",
@@ -302,15 +301,6 @@ def _rows(family, nmax: int, x, rows):
         yield p
 
 
-def _last_two(rows):
-    """The last two rows an exhausted row generator yielded (the first is
-    None for a single row)."""
-    prev = last = None
-    for row in rows:
-        prev, last = last, row
-    return prev, last
-
-
 def sequence(family, nmax: int, x):
     """p_0 .. p_nmax of the family at x (at x^2 for the dual Hahn family) by
     upward recurrence; returns shape (nmax+1,) + shape(x)."""
@@ -327,30 +317,14 @@ def evaluate(family, n: int, x):
     recurrence, holding three rows only."""
     require_degree("n", n)
     x = np.asarray(x, dtype=float)
-    val = _last_two(_rows(family, n, x, np.empty((3,) + x.shape)))[1]
+    for val in _rows(family, n, x, np.empty((3,) + x.shape)):
+        pass
     return val if val.ndim else float(val)
 
 
 # L_n^nu, P_n^(mu,nu), P_n^mu(x; a, b) and S_n^mu(x^2; a, b): one recurrence
 laguerre_sequence = jacobi_sequence = pollaczek_sequence = dual_hahn_sequence = sequence
 laguerre_eval = jacobi_eval = pollaczek_eval = dual_hahn_eval = evaluate
-
-
-def jacobi_derivative(family: JacobiFamily, n: int, x):
-    """d/dx P_n^(mu,nu)(x) from the first-derivative structure relation."""
-    require_degree("n", n)
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= 1.0):
-        raise DomainError("Jacobi derivative identity needs |x| < 1")
-    if n == 0:
-        z = np.zeros_like(x)
-        return z if z.ndim else 0.0
-    mu, nu = family.mu, family.nu
-    p_prev, p_n = _last_two(_rows(family, n, x, np.empty((3,) + x.shape)))
-    d1 = (-n * (x + (nu - mu) / (2 * n + mu + nu)) * p_n
-          + 2.0 * (n + mu) * (n + nu) / (2 * n + mu + nu) * p_prev)
-    val = d1 / (1.0 - x * x)
-    return val if val.ndim else float(val)
 
 
 # ---------------------------------------------------------------------------

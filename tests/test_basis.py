@@ -68,16 +68,6 @@ def test_support_domain_errors():
         bs.basis_eval(jspec, 2, 1.5)
 
 
-def test_measure_factor_values():
-    assert bs.measure_factor(bs.oscillator_map(), 4.0) == pytest.approx(0.5)
-    assert bs.measure_factor(bs.morse_map(2.0), 2.0) == pytest.approx(0.5)
-    assert bs.measure_factor(bs.rosen_morse_map(), 0.0) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        bs.measure_factor(bs.oscillator_map(), 0.0)
-    with pytest.raises(DomainError):
-        bs.measure_factor(bs.rosen_morse_map(), 1.0)
-
-
 def test_coordinate_maps():
     assert bs.oscillator_map().to_y(3.0) == pytest.approx(9.0)
     assert bs.morse_map(3.0).to_y(0.0) == pytest.approx(3.0)
@@ -97,8 +87,8 @@ def test_case1_orthonormal():
 def test_case1_single_overlaps():
     spec = bs.oscillator_pollaczek_basis(-0.5)
     cmap = bs.oscillator_map()
-    assert bs.overlap(spec, cmap, 0, 0) == pytest.approx(1.0, abs=1e-10)
-    assert abs(bs.overlap(spec, cmap, 3, 5)) < 1e-10
+    assert bs.overlap_matrix(spec, cmap, 0)[0, 0] == pytest.approx(1.0, abs=1e-10)
+    assert abs(bs.overlap_matrix(spec, cmap, 5)[3, 5]) < 1e-10
 
 
 def test_case2_weighted_delta_and_gram_structure():
@@ -138,13 +128,13 @@ def test_overlap_rejects_divergent_weight():
     # nu = 2 alpha = 0 makes the morse measure integral diverge at y = 0
     spec = bs.morse_basis(0.0)
     with pytest.raises(DomainError):
-        bs.overlap(spec, bs.morse_map(2.0), 0, 0)
+        bs.overlap_matrix(spec, bs.morse_map(2.0), 0)
 
 
 def test_overlap_quadrature_order_flag():
     spec = bs.oscillator_pollaczek_basis(1.0)
     with pytest.raises(QuadratureOrderError):
-        bs.overlap(spec, bs.oscillator_map(), 8, 8, n_nodes=4)
+        bs.overlap_matrix(spec, bs.oscillator_map(), 8, n_nodes=4)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +191,10 @@ def test_series_eval_matches_basis_sum():
                     (bs.rosen_morse_basis(0.8, 0.6), np.linspace(-0.99, 0.99, 31))):
         f = np.random.default_rng(3).normal(size=12)
         ref = sum(fn * bs.basis_eval(spec, n, y) for n, fn in enumerate(f))
-        got = bs.series_eval(spec, f, y)
+        a_n = bs.normalization(spec, np.arange(f.size))
+        got = bs.series_eval(spec, f, y, a_n)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert bs.series_eval(spec, f, float(y[4])) == pytest.approx(got[4], rel=1e-14)
+        assert bs.series_eval(spec, f, float(y[4]), a_n) == pytest.approx(got[4], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,31 @@ def test_wavefunction_table(capsys):
     assert mid[3] == "true"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--model", "morse", "--A", "-6", "--B", "1", "--mu-scale", "2", "--epsilon", "-6.25",
+     "--samples", "3", "--x-min", "-800", "--x-max", "0"),
+    ("--model", "ho", "--epsilon", "1", "--samples", "3", "--x-min", "1e10"),
+], ids=["morse", "ho"])
+def test_wavefunction_overflow_exits_1(capsys, argv):
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "wavefunction", *argv)
+    assert code == 1
+    assert out == ""
+    assert "psi is not finite at x = " in err
+
+
+def test_wavefunction_non_finite_coefficients_still_print(capsys):
+    # the recursion's own coefficients overflow to NaN here (the open series
+    # defect); that output stays as it was, flagged unconverged
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(capsys, "wavefunction", "--model", "osc-inv-sq", "--a", "2",
+                               "--b", "0.75", "--epsilon", "0.7", "-N", "1000",
+                               "--samples", "3", "--x-min", "0.05", "--x-max", "5.0")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0.05,nan,nan,false", "2.525,nan,nan,false",
+                                    "5,nan,nan,false"]
+
+
 def test_wavefunction_unconverged_flag(capsys):
     code, out, _ = run_cli(capsys, "wavefunction", "--model", "osc-inv-sq-super",
                            "--b", "-0.5", "--epsilon", "1.0", "--x-min", "0.2",

@@ -8,7 +8,7 @@ from triwave import basis as bs
 from triwave import models as md
 from triwave import operators as op
 from triwave import oracle as oc
-from triwave.exceptions import DomainError, ParameterDomainError
+from triwave.exceptions import DomainError, EvaluationOverflowError, ParameterDomainError
 
 import helpers
 
@@ -93,7 +93,6 @@ def test_supercritical_spectrum_empty():
 def test_morse_spectrum_and_counts():
     res = md.spectrum(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0))
     np.testing.assert_allclose(res.epsilons, [-6.25, -2.25, -0.25])
-    assert res.n_max == 2
     assert [lv.basis_params["nu"] for lv in res.levels] == pytest.approx([5.0, 3.0, 1.0])
     assert any("discrepancy" in note for note in res.notes)
     assert md.morse_bound_count(-3.0) == 3
@@ -187,7 +186,7 @@ def test_supercritical_series_coefficients_and_flag():
     np.testing.assert_allclose(record.coeffs.d, want, rtol=1e-12)
     # the continuum-like energy gives an algebraically decaying tail: the
     # series must carry an explicit non-convergence flag rather than fail
-    assert record.tail_estimate > 1e-10
+    assert record.coeffs.tail_estimate > 1e-10
     assert record.converged is False
 
 
@@ -275,13 +274,9 @@ def test_wavefunction_computes_basis_constants_once(monkeypatch, model, epsilon,
         return real(spec, n)
 
     monkeypatch.setattr(bs, "normalization", counting)
-    psi, record = md.wavefunction(model, epsilon, N, x)
+    psi, _ = md.wavefunction(model, epsilon, N, x)
     assert calls == [N]
     assert psi.tobytes() == want.tobytes()
-    # the spec-only form computes the same constants itself
-    y = md.recursion_for(model, epsilon)[2].to_y(x)
-    assert np.array_equal(bs.series_eval(record.spec, record.coeffs.f, y),
-                          bs.series_eval(record.spec, record.coeffs.f, y, record.coeffs.a_n))
 
 
 def test_wavefunction_domain_errors():
@@ -291,6 +286,35 @@ def test_wavefunction_domain_errors():
         md.wavefunction(md.RosenMorse(A=1.0, B=-2.0), 2.5, 10, 0.0)
     with pytest.raises(DomainError):
         md.wavefunction(md.OscillatorInverseSquare(a=1.0, b=0.75), 4.0, 10, -1.0)
+
+
+_HO = md.HarmonicOscillator(a=1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: md.wavefunction(_HO, math.nan, 10, np.linspace(-1.0, 1.0, 5)),
+     r"^epsilon = nan must be finite$"),
+    (lambda: md.wavefunction(_HO, 1.0, 10, np.array([0.0, math.inf])),
+     r"^x = inf must be finite$"),
+    (lambda: md.wavefunction(_HO, 1.0, 10, math.nan), r"^x = nan must be finite$"),
+    (lambda: md.wavefunction(_HO, 1.0, 10.5, 0.0), r"^N must be an integer, got 10.5$"),
+], ids=["epsilon-nan", "x-inf", "x-nan", "N-fraction"])
+def test_wavefunction_rejects_non_finite_and_non_integer_inputs(call, match):
+    with pytest.raises(ParameterDomainError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("model, epsilon, x, first", [
+    # y = 2 e^800 overflows, and the envelope y^alpha e^{-y/2} is inf * 0
+    (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), -6.25,
+     np.linspace(-800.0, 0.0, 3), -800.0),
+    # y = 1e20: e^{-y/2} underflows to 0 while the polynomial overflows
+    (_HO, 1.0, np.linspace(1e10, 2e10, 3), 1e10),
+], ids=["morse-far-left", "ho-far-out"])
+def test_wavefunction_overflow_with_finite_coefficients_raises(model, epsilon, x, first):
+    with np.errstate(all="ignore"), pytest.raises(
+            EvaluationOverflowError, match=r"^psi is not finite at x = %r " % first):
+        md.wavefunction(model, epsilon, 50, x)
 
 
 def test_recursion_closed_form_identity_random(rng):

@@ -113,7 +113,7 @@ def test_coefficient_series_f_image():
     nu, b, eps = 0.5, -0.5, 1.3
     rc = op.build_oscillator_dual_hahn(nu, b)
     series = op.solve_recursion(rc, eps, 8)
-    scale = rc.f_scaling(8)
+    scale = rc.f_scaling(bs.normalization(rc.spec, np.arange(8)))
     np.testing.assert_allclose(series.f, series.d * scale, rtol=1e-14)
     assert series.tail_estimate >= 0.0
 

@@ -361,6 +361,16 @@ def test_grid_argument_validation():
         oc.grid_solve(lambda x: 0.0 * x, 0.0, 1.0, 0.01, 1000)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((0.0, 1.0, math.nan, 1), r"^h = nan must be finite$"),
+    ((0.0, math.inf, 0.01, 1), r"^x_max = inf must be finite$"),
+    ((0.0, 1.0, 0.01, 2.5), r"^k must be an integer, got 2.5$"),
+], ids=["h-nan", "x_max-inf", "k-fraction"])
+def test_grid_rejects_bad_grid_inputs(args, match):
+    with pytest.raises(ParameterDomainError, match=match):
+        oc.grid_solve(lambda x: 0.0 * x, *args)
+
+
 def _numerov_kinetic(n, h):
     # dense K = -(I + D2/12)^{-1} D2 / h^2 with Dirichlet ends (test reference)
     d2 = _dense(np.full(n, -2.0), np.ones(n - 1))

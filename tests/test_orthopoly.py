@@ -263,9 +263,6 @@ def test_jacobi_differential_relation(rng):
                + 2 * (n + mu) * (n + nu) / (2 * n + mu + nu) * seq[n - 1, 1])
         scale = max(abs(rhs), abs(seq[n, 1]), 1.0)
         assert abs(fd - rhs) / scale < 1e-8
-        # and the packaged derivative agrees
-        assert op.jacobi_derivative(fam, n, x) == pytest.approx(
-            rhs / (1 - x * x), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +506,13 @@ def test_pollaczek_domain_errors():
     lambda: op.jacobi_eval(op.JacobiFamily(0.5, 0.5), -1, 0.3),
     lambda: op.pollaczek_eval(op.PollaczekFamily(1.0, 1.0, 0.0), -1, 0.3),
     lambda: op.dual_hahn_eval(op.DualHahnFamily(1.0, 1.0, 2.0), -1, 0.3),
-    lambda: op.jacobi_derivative(op.JacobiFamily(0.5, 0.5), -1, 0.3),
     lambda: op.pollaczek_closed_form(op.PollaczekFamily(1.0, 1.0, 0.0), -1, 0.3),
     lambda: op.dual_hahn_closed_form(op.DualHahnFamily(1.0, 1.0, 2.0), -1, 0.3),
     lambda: bs.normalization(bs.morse_basis(1.2), -1),
     lambda: bs.normalization(bs.rosen_morse_basis(0.8, 0.6), np.arange(-1, 3)),
     lambda: bs.basis_eval(bs.morse_basis(1.2), -1, 0.3),
 ], ids=["laguerre-eval", "jacobi-eval", "pollaczek-eval", "dual-hahn-eval",
-        "jacobi-derivative", "pollaczek-closed-form", "dual-hahn-closed-form",
+        "pollaczek-closed-form", "dual-hahn-closed-form",
         "normalization", "normalization-array", "basis-eval"])
 def test_negative_degree_names_n(call):
     with pytest.raises(ParameterDomainError, match=r"^n = -1 must be >= 0$"):
