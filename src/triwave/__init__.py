@@ -62,7 +62,6 @@ from .operators import (
     numeric_jmatrix,
     solve_recursion,
     symmetric_form,
-    truncated_eigenvalues,
 )
 from .oracle import (
     GridSolution,
@@ -78,12 +77,10 @@ from .orthopoly import (
     LaguerreFamily,
     PollaczekFamily,
     dual_hahn_closed_form,
-    dual_hahn_eval,
+    evaluate,
     gamma_abs_squared,
-    jacobi_eval,
-    laguerre_eval,
     pollaczek_closed_form,
-    pollaczek_eval,
+    sequence,
     weight_eval,
 )
 

@@ -359,62 +359,47 @@ def closed_form_coefficients(model, epsilon, N):
     the Rosen-Morse recursion, dual-Hahn parameters outside their domain).
 
     Oscillator route (coupling strength a, exponent nu, mu_p = (nu+1)/2):
-    hyperbolic polynomials at (a+1)/(a-1) for a > 1, their sign-flipped
-    mirror at (1+a)/(1-a) for 0 < a < 1, trigonometric ones for a < 0.  The
-    Morse route swaps the roles of b and uses (a, -a) parameters; the
-    supercritical route is the continuous dual Hahn family.
+    Pollaczek polynomials P_n^mu_p((a+1)/(a-1); -eps/4, eps/4).  The Morse
+    route uses P_n^mu_p((b+1/4)/(b-1/4); a, -a).  The supercritical route is
+    the continuous dual Hahn family.
     """
     eps = float(epsilon)
-    ns = np.arange(N)
     if isinstance(model, (HarmonicOscillator, OscillatorInverseSquare)):
-        a, nu = model.a, model.nu
-        mu_p = 0.5 * (nu + 1.0)
+        a = model.a
         if a == 1.0:
             return None
-        if a > 1.0:
-            fam = orthopoly.PollaczekFamily(mu_p, -eps / 4.0, eps / 4.0, "hyperbolic")
-            x = (a + 1.0) / (a - 1.0)
-            return _family_sequence(fam, N, x)
-        if 0.0 < a < 1.0:
-            fam = orthopoly.PollaczekFamily(mu_p, -eps / 4.0, -eps / 4.0, "hyperbolic")
-            x = (1.0 + a) / (1.0 - a)
-            return ((-1.0) ** ns) * _family_sequence(fam, N, x)
-        fam = orthopoly.PollaczekFamily(mu_p, -eps / 4.0, eps / 4.0, "trigonometric")
-        x = (a + 1.0) / (a - 1.0)
-        return _family_sequence(fam, N, x)
+        return _pollaczek_route(0.5 * (model.nu + 1.0), -eps / 4.0, eps / 4.0,
+                                (a + 1.0) / (a - 1.0), N)
     if isinstance(model, SupercriticalInverseSquare):
         if eps >= 2.0:
             return None  # dual-Hahn parameter (2-eps)/4 leaves the positive domain
         fam = orthopoly.DualHahnFamily(0.5 * (model.nu + 1.0),
                                        0.5 * (model.nu + 1.0), (2.0 - eps) / 4.0)
         x2 = -(4.0 * model.b + 1.0) / 16.0
-        return orthopoly.dual_hahn_sequence(fam, N - 1, x2)
+        return orthopoly.sequence(fam, N - 1, x2)
     if isinstance(model, GeneralizedMorse):
         if eps >= 0.0:
             raise DomainError("Morse expansion needs epsilon < 0")
-        nu = 2.0 * math.sqrt(-eps)
-        mu_p = 0.5 * (nu + 1.0)
         a, b = model.a, model.b
         if b == 0.25:
             return None
-        if b < 0.0:
-            fam = orthopoly.PollaczekFamily(mu_p, a, -a, "trigonometric")
-            x = (b + 0.25) / (b - 0.25)
-            return _family_sequence(fam, N, x)
-        if b > 0.25:
-            fam = orthopoly.PollaczekFamily(mu_p, a, -a, "hyperbolic")
-            x = (b + 0.25) / (b - 0.25)
-            return _family_sequence(fam, N, x)
-        fam = orthopoly.PollaczekFamily(mu_p, a, a, "hyperbolic")
-        x = (0.25 + b) / (0.25 - b)
-        return ((-1.0) ** ns) * _family_sequence(fam, N, x)
+        return _pollaczek_route(0.5 * (2.0 * math.sqrt(-eps) + 1.0), a, -a,
+                                (b + 0.25) / (b - 0.25), N)
     if isinstance(model, RosenMorse):
         return None
     raise ParameterDomainError("unknown potential model %r" % (model,))
 
 
-def _family_sequence(fam, N, x):
-    return orthopoly.pollaczek_sequence(fam, N - 1, float(x))
+def _pollaczek_route(mu_p, p, q, ratio, N):
+    """P_0..P_{N-1} of P_n^mu_p(ratio; p, q): the trigonometric family for
+    |ratio| <= 1, the hyperbolic one for ratio > 1, and for ratio < -1 the
+    mirror (-1)^n P_n^mu_p(-ratio; p, -q), which is exact because every
+    recurrence step of the reflection P_n(-x; p, -q) = (-1)^n P_n(x; p, q)
+    only flips signs."""
+    if ratio < -1.0:
+        return (-1.0) ** np.arange(N) * _pollaczek_route(mu_p, p, -q, -ratio, N)
+    variant = "hyperbolic" if ratio > 1.0 else "trigonometric"
+    return orthopoly.sequence(orthopoly.PollaczekFamily(mu_p, p, q, variant), N - 1, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +426,10 @@ def wavefunction(model, epsilon, N, x):
     if cmap.kind == "oscillator" and np.any(x_arr < 0.0) and not isinstance(
             model, HarmonicOscillator):
         raise DomainError("inverse-square models evaluate on x > 0")
-    psi = basis_mod.series_eval(spec, series.f, cmap.to_y(x_arr), series.a_n)
+    # no warnings: an overflow here is refused below, or, where coefficients
+    # are not finite, solve_recursion has already warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = basis_mod.series_eval(spec, series.f, cmap.to_y(x_arr), series.a_n)
     if isinstance(model, HarmonicOscillator) and model.parity == "odd":
         psi = psi * np.sign(x_arr) if x_arr.ndim else psi * math.copysign(1.0, float(x_arr))
     bad = ~np.isfinite(psi)

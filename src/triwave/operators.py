@@ -43,13 +43,23 @@ __all__ = [
     "symmetric_form",
     "solve_recursion",
     "numeric_jmatrix",
-    "truncated_eigenvalues",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Coefficient containers
 # ---------------------------------------------------------------------------
+
+# t_n of each case's f_n = t_n d_n scaling, the one that makes sum f_n phi_n
+# solve the wave equation, as (sign, power) in t_n = sign^n A_n^power (A_n the
+# basis constants); fixed per case by testing the d-solutions against the
+# quadrature wave-operator rows
+_F_SCALINGS = {
+    "standard": (1.0, 1.0),
+    "inverse": (1.0, -1.0),
+    "alternating": (-1.0, 1.0),
+}
+
 
 @dataclass(frozen=True)
 class RecursionCoefficients:
@@ -67,28 +77,22 @@ class RecursionCoefficients:
     A: Callable[[np.ndarray, float], np.ndarray]
     B: Callable[[np.ndarray, float], np.ndarray]
     C: Callable[[np.ndarray, float], np.ndarray]
-    case: str
     spec: Optional[BasisSpec] = None
-    epsilon_on_diagonal: bool = False
-    # scaling t_n with f_n = t_n d_n that makes sum f_n phi_n solve the wave
-    # equation, fixed per case by testing the d-solutions against the
-    # quadrature wave-operator rows: "standard" t_n = A_n, "inverse"
-    # t_n = 1/A_n, "alternating" t_n = (-1)^n A_n.
-    f_transform: str = "standard"
+    f_transform: str = "standard"  # a key of _F_SCALINGS
     # the literal <phi_m|(H-eps)|phi_n> rows equal jmatrix_scale times the
     # symmetrized recursion rows (a constant per case, measured and pinned)
     jmatrix_scale: float = 1.0
 
+    def __post_init__(self):
+        if self.f_transform not in _F_SCALINGS:
+            raise ParameterDomainError(
+                "f_transform must be one of %s, got %r" % (list(_F_SCALINGS), self.f_transform))
+
     def f_scaling(self, a_n: np.ndarray) -> np.ndarray:
         """t_0..t_{N-1} of the case's f_n = t_n d_n scaling, from the basis
         constants a_n = A_0..A_{N-1}."""
-        if self.f_transform == "standard":
-            return a_n
-        if self.f_transform == "inverse":
-            return 1.0 / a_n
-        if self.f_transform == "alternating":
-            return (-1.0) ** np.arange(a_n.size) * a_n
-        raise UnsupportedStructureError("unknown f transform %r" % self.f_transform)
+        sign, power = _F_SCALINGS[self.f_transform]
+        return sign ** np.arange(a_n.size) * a_n ** power
 
 
 def _basis_of(rc: RecursionCoefficients) -> BasisSpec:
@@ -129,9 +133,7 @@ def build_oscillator_pollaczek(nu, a):
         A=lambda n, eps: (a + 1.0) * (2 * n + nu + 1.0) - eps,
         B=lambda n, eps: np.where(n == 0, 0.0, -(a - 1.0) * (n + nu)),
         C=lambda n, eps: -(a - 1.0) * (n + 1.0),
-        case="oscillator_pollaczek",
         spec=basis_mod.oscillator_pollaczek_basis(nu) if nu >= -0.5 else None,
-        epsilon_on_diagonal=True,
     )
 
 
@@ -152,7 +154,6 @@ def build_oscillator_dual_hahn(nu, b):
         A=a_fn,
         B=lambda n, eps: -n * (n + nu / 2.0 - eps / 4.0),
         C=lambda n, eps: -(n + nu + 1.0) * (n + nu / 2.0 + 1.0 - eps / 4.0),
-        case="oscillator_dual_hahn",
         spec=basis_mod.oscillator_dual_hahn_basis(nu),
         f_transform="inverse",
         jmatrix_scale=4.0,
@@ -175,7 +176,6 @@ def build_morse(a, b, nu):
         A=lambda n, eps: 2.0 * ((b + 0.25) * (n + (nu + 1.0) / 2.0) + a / 2.0),
         B=lambda n, eps: np.where(n == 0, 0.0, -(b - 0.25) * (n + nu)),
         C=lambda n, eps: -(b - 0.25) * (n + 1.0),
-        case="morse",
         spec=basis_mod.morse_basis(nu) if nu >= 0.0 else None,
     )
 
@@ -225,7 +225,6 @@ def build_rosen_morse(A, B, mu, nu):
         spec = basis_mod.rosen_morse_basis(mu, nu)
     return RecursionCoefficients(
         A=a_fn, B=b_fn, C=c_fn,
-        case="rosen_morse",
         spec=spec,
         f_transform="alternating",
         jmatrix_scale=-1.0,
@@ -244,14 +243,11 @@ def symmetric_form(rc: RecursionCoefficients, epsilon: float, N: int):
     coupling n and n+1 (n < N-1).  Both representations share their zero
     structure, so diagonalization conditions agree between them.
     """
+    sign, power = _F_SCALINGS[rc.f_transform]
     norms = basis_mod.normalization(_basis_of(rc), np.arange(N))
-    ratio = norms[:-1] / norms[1:]
-    if rc.f_transform == "inverse":
-        ratio = 1.0 / ratio
-    elif rc.f_transform == "alternating":
-        ratio = -ratio
     ns = np.arange(N)
-    return rc.A(ns, epsilon) + epsilon, rc.C(ns[:-1], epsilon) * ratio
+    return (rc.A(ns, epsilon) + epsilon,
+            rc.C(ns[:-1], epsilon) * (sign * (norms[:-1] / norms[1:]) ** power))
 
 
 # ---------------------------------------------------------------------------
@@ -526,21 +522,3 @@ def _jmatrix_jacobi(spec, weight, A, B, eps, size, n_nodes):
     u_val = A * (1.0 - y) + B * one_m_y2
     action = -(d_ab - s_ab * y) * g - g1 + (u_val - eps) * p
     return (p * rule.weights) @ action.T
-
-
-# ---------------------------------------------------------------------------
-# Finite symmetric truncation
-# ---------------------------------------------------------------------------
-
-def truncated_eigenvalues(rc: RecursionCoefficients, N: int):
-    """Eigenvalues of the N x N symmetric truncation, ascending.
-
-    Only structures where eps enters linearly on the diagonal (the oscillator
-    Pollaczek case) are supported; anywhere else eps sits inside couplings or
-    basis parameters and a finite snapshot would misrepresent the operator.
-    """
-    if not rc.epsilon_on_diagonal:
-        raise UnsupportedStructureError(
-            "case %r does not embed eps linearly on the diagonal" % rc.case)
-    diag, off = symmetric_form(rc, 0.0, N)
-    return oracle.tridiagonal_eigenvalues(diag, off)

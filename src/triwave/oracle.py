@@ -375,8 +375,6 @@ class GridSolution:
     h: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # shape (k, npoints)
-    x_min: float = 0.0
-    x_max: float = 0.0
     passes: int = 0  # scalar passes over the rows of T(E) that found the eigenvalues
 
 
@@ -395,6 +393,11 @@ def _resolve_potential(model_or_potential):
 # has its pole at 1; below this bound the count is monotone in E with room
 # to spare, and a decaying tail still decays (h sqrt(U - E) < 2.45).
 STEP_BOUND = 0.5
+
+# Most interior rows a grid may have.  The default grids have 2.5k-6k rows;
+# at 0.4-0.8 us per row one scalar pass over 10^7 rows takes 4-8 s, and a
+# solve makes dozens of passes.
+MAX_GRID_ROWS = 10 ** 7
 
 
 def _upper_bracket(w, rho, h, k):
@@ -467,7 +470,9 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     Rosen-Morse) and each edge where the top level's WKB exponent
     int sqrt(U - E_top) dx (dt on the Langer grid) reaches 16.
 
-    Raises DomainError when h^2 max(U - E_lo rho) / 12 reaches STEP_BOUND
+    Raises DomainError, before any grid array is built, when the grid would
+    have more than MAX_GRID_ROWS interior rows; DomainError when
+    h^2 max(U - E_lo rho) / 12 reaches STEP_BOUND
     (E_lo = min U / rho, the lower end of the spectrum), or when a converged
     eigenvector has not decayed at a checked boundary (relative amplitude of
     psi, phi on the Langer grid, above 1e-6).  check_boundaries is "both" or
@@ -492,7 +497,12 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
         if not x_min > 0.0:
             raise DomainError("the Langer grid of an inverse-square model needs x_min > 0")
         t_min, t_max = math.log(x_min), math.log(x_max)
-    n_int = int(round((t_max - t_min) / h)) - 1
+    span = (t_max - t_min) / h
+    if not span <= MAX_GRID_ROWS + 1:  # also an infinite span
+        raise DomainError(
+            "the grid on [%r, %r] with h = %r has %r interior rows, more than "
+            "MAX_GRID_ROWS = %d" % (x_min, x_max, h, span - 1.0, MAX_GRID_ROWS))
+    n_int = int(round(span)) - 1
     if n_int < 3:
         raise DomainError("grid too coarse for the requested domain")
     if not 1 <= k <= n_int:
@@ -563,8 +573,7 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     vecs = vecs / norms[:, None]
     if langer:
         vecs = vecs * np.sqrt(x)
-    return GridSolution(x=x, h=h, eigenvalues=vals, eigenvectors=vecs,
-                        x_min=x_min, x_max=x_max, passes=len(trail))
+    return GridSolution(x=x, h=h, eigenvalues=vals, eigenvectors=vecs, passes=len(trail))
 
 
 def node_count(vector):

@@ -4,7 +4,8 @@ Every family is one three-term recurrence p_{n+1} = (a_n x + b_n) p_n -
 c_n p_{n-1}, p_0 = 1 (DLMF 18.9.1): each family only supplies its coefficient
 arrays, and one kernel steps them upward, which is stable at fixed argument in
 the parameter regimes used by the solvable models.  `sequence` and `evaluate`
-run that kernel for any family; the per-family names are bound to them.  The
+run that kernel for any family; laguerre_sequence, jacobi_sequence and
+pollaczek_sequence are further names of sequence, kept for the benchmark.  The
 terminating hypergeometric closed forms are kept as independent cross-checks,
 never as primary evaluators.  Weight densities and the squared modulus of the
 complex gamma function are provided for orthogonality verification.
@@ -36,15 +37,10 @@ __all__ = [
     "DualHahnFamily",
     "sequence",
     "evaluate",
-    "laguerre_eval",
     "laguerre_sequence",
-    "jacobi_eval",
     "jacobi_sequence",
-    "pollaczek_eval",
     "pollaczek_sequence",
     "pollaczek_closed_form",
-    "dual_hahn_eval",
-    "dual_hahn_sequence",
     "dual_hahn_closed_form",
     "gamma_abs_squared",
     "log_gamma_abs_squared",
@@ -322,9 +318,8 @@ def evaluate(family, n: int, x):
     return val if val.ndim else float(val)
 
 
-# L_n^nu, P_n^(mu,nu), P_n^mu(x; a, b) and S_n^mu(x^2; a, b): one recurrence
-laguerre_sequence = jacobi_sequence = pollaczek_sequence = dual_hahn_sequence = sequence
-laguerre_eval = jacobi_eval = pollaczek_eval = dual_hahn_eval = evaluate
+# perfbench/workloads.py calls these names of sequence
+laguerre_sequence = jacobi_sequence = pollaczek_sequence = sequence
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_criterion_7_polynomial_fidelity(rng):
 
     worst_res = 0.0
     xs_half = rng.uniform(0.01, 25.0, size=100)
-    lag = orthopoly.laguerre_sequence(orthopoly.LaguerreFamily(0.6), 31, xs_half)
+    lag = orthopoly.sequence(orthopoly.LaguerreFamily(0.6), 31, xs_half)
     for n in range(1, 31):
         for j in range(100):
             worst_res = max(worst_res, residual(
@@ -211,7 +211,7 @@ def test_criterion_7_polynomial_fidelity(rng):
     xs_int = rng.uniform(-0.999, 0.999, size=100)
     mu, nu = 0.4, 1.1
     s = mu + nu
-    jac = orthopoly.jacobi_sequence(orthopoly.JacobiFamily(mu, nu), 31, xs_int)
+    jac = orthopoly.sequence(orthopoly.JacobiFamily(mu, nu), 31, xs_int)
     for n in range(1, 31):
         c0 = (2 * n * (n + s + 1) + s * (nu + 1)) / ((2 * n + s) * (2 * n + s + 2))
         cm = (n + mu) * (n + nu) / ((2 * n + s) * (2 * n + s + 1))
@@ -224,7 +224,7 @@ def test_criterion_7_polynomial_fidelity(rng):
     for variant, xs in (("trigonometric", xs_int),
                         ("hyperbolic", rng.uniform(1.001, 4.0, size=100))):
         fam = orthopoly.PollaczekFamily(0.8, 1.5, -0.7, variant)
-        seq = orthopoly.pollaczek_sequence(fam, 31, xs)
+        seq = orthopoly.sequence(fam, 31, xs)
         for n in range(1, 31):
             for j in range(100):
                 worst_res = max(worst_res, residual(
@@ -232,7 +232,7 @@ def test_criterion_7_polynomial_fidelity(rng):
                      -(n + 0.6) * seq[n - 1, j], -(n + 1) * seq[n + 1, j])))
     fam = orthopoly.DualHahnFamily(0.9, 0.7, 1.8)
     x2s = rng.uniform(0.0, 8.0, size=100)
-    seq = orthopoly.dual_hahn_sequence(fam, 31, x2s)
+    seq = orthopoly.sequence(fam, 31, x2s)
     for n in range(1, 31):
         denom = (n + 0.9) ** 2 + (n + 0.9) * 2.5 + 0.7 * 1.8
         diag = denom + n * (n + 1.5) - 0.81
@@ -246,7 +246,7 @@ def test_criterion_7_polynomial_fidelity(rng):
     worst_orth = 0.0
     fam = orthopoly.LaguerreFamily(0.7)
     rule = oc.gauss_rule(("laguerre", 0.7), 24)
-    seq = orthopoly.laguerre_sequence(fam, 20, rule.nodes)
+    seq = orthopoly.sequence(fam, 20, rule.nodes)
     gram = (seq * rule.weights) @ seq.T
     hn = np.array([math.exp(math.lgamma(n + 1.7) - math.lgamma(n + 1.0))
                    for n in range(21)])
@@ -254,7 +254,7 @@ def test_criterion_7_polynomial_fidelity(rng):
         gram / np.sqrt(np.outer(hn, hn)) - np.eye(21)))))
     fam = orthopoly.JacobiFamily(0.3, 1.2)
     rule = oc.gauss_rule(("jacobi", 0.3, 1.2), 24)
-    seq = orthopoly.jacobi_sequence(fam, 20, rule.nodes)
+    seq = orthopoly.sequence(fam, 20, rule.nodes)
     gram = (seq * rule.weights) @ seq.T
     s = 1.5
     hn = np.array([2.0 ** (s + 1) / (2 * n + s + 1)
@@ -272,7 +272,7 @@ def test_criterion_7_polynomial_fidelity(rng):
         for m in range(n + 1):
             def f(theta, n=n, m=m):
                 x = np.cos(theta)
-                seq = orthopoly.pollaczek_sequence(fam, 6, x)
+                seq = orthopoly.sequence(fam, 6, x)
                 return (orthopoly.weight_eval(fam, x) * seq[n] * seq[m]
                         * np.sin(theta))
             val, _ = oc.adaptive_quad(f, 1e-6, math.pi - 1e-6, tol=1e-8)

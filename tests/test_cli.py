@@ -1,7 +1,9 @@
 import argparse
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 
 import numpy as np
@@ -141,6 +143,22 @@ def test_wavefunction_overflow_exits_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "psi is not finite at x = " in err
+
+
+def test_wavefunction_overflow_prints_only_the_error_line():
+    # a fresh process with numpy's default error state: no RuntimeWarning
+    # comes before the refusal
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "triwave", "wavefunction", "--model", "morse", "--A", "-6",
+         "--B", "1", "--mu-scale", "2", "--epsilon", "-6.25", "--samples", "3",
+         "--x-min", "-800", "--x-max", "0"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: psi is not finite at x = -800.0 (a basis function "
+                           "overflows there); move x inward\n")
 
 
 def test_wavefunction_non_finite_coefficients_still_print(capsys):

@@ -6,11 +6,11 @@ import pytest
 from triwave import basis as bs
 from triwave import models as md
 from triwave import operators as op
-from triwave import orthopoly
+from triwave import oracle, orthopoly
 from triwave.exceptions import (
+    ParameterDomainError,
     RecursionBreakdownError,
     SingularParameterError,
-    UnsupportedStructureError,
 )
 
 
@@ -65,6 +65,12 @@ def test_rosen_morse_coefficients():
         op.build_rosen_morse(1.0, -2.0, -0.5, -0.5).C(0, 0.0)
 
 
+def test_recursion_rejects_unknown_f_transform():
+    rc = op.build_morse(0.0, 0.25, 1.0)
+    with pytest.raises(ParameterDomainError, match="^f_transform must be one of"):
+        op.RecursionCoefficients(rc.A, rc.B, rc.C, rc.spec, f_transform="squared")
+
+
 # ---------------------------------------------------------------------------
 # Recursion engine
 # ---------------------------------------------------------------------------
@@ -98,14 +104,14 @@ def test_solve_recursion_matches_pollaczek():
     fam = orthopoly.PollaczekFamily(0.5 * (nu + 1.0), -eps / 4.0, eps / 4.0,
                                     "hyperbolic")
     x = (a + 1.0) / (a - 1.0)
-    want = orthopoly.pollaczek_sequence(fam, 20, x)
+    want = orthopoly.sequence(fam, 20, x)
     np.testing.assert_allclose(series.d, want, rtol=1e-12)
     # trigonometric route for the morse family
     a_m, b_m, nu_m = 0.7, -1.5, 1.1
     rc = op.build_morse(a_m, b_m, nu_m)
     series = op.solve_recursion(rc, -nu_m ** 2 / 4.0, 21)
     fam = orthopoly.PollaczekFamily(0.5 * (nu_m + 1.0), a_m, -a_m)
-    want = orthopoly.pollaczek_sequence(fam, 20, (b_m + 0.25) / (b_m - 0.25))
+    want = orthopoly.sequence(fam, 20, (b_m + 0.25) / (b_m - 0.25))
     np.testing.assert_allclose(series.d, want, rtol=1e-12)
 
 
@@ -389,24 +395,25 @@ def test_perturbed_exponent_detected():
 # Finite truncation
 # ---------------------------------------------------------------------------
 
+def _truncated_eigenvalues(rc, N):
+    """Eigenvalues of the N x N symmetric truncation at eps = 0, where eps
+    enters on the diagonal only (the oscillator Pollaczek case)."""
+    return oracle.tridiagonal_eigenvalues(*op.symmetric_form(rc, 0.0, N))
+
+
 def test_truncated_eigenvalues_diagonal_case():
     rc = op.build_oscillator_pollaczek(0.3, 1.0)
-    vals = op.truncated_eigenvalues(rc, 5)
+    vals = _truncated_eigenvalues(rc, 5)
     np.testing.assert_allclose(vals, [2.0 * (2 * n + 1.3) for n in range(5)],
                                rtol=1e-12)
-    assert op.truncated_eigenvalues(op.build_oscillator_pollaczek(0.5, 2.0), 1) \
+    assert _truncated_eigenvalues(op.build_oscillator_pollaczek(0.5, 2.0), 1) \
         == pytest.approx([4.5])
 
 
 def test_truncated_eigenvalues_interlacing():
     rc = op.build_oscillator_pollaczek(0.5, 2.0)
-    e40 = op.truncated_eigenvalues(rc, 40)
-    e41 = op.truncated_eigenvalues(rc, 41)
+    e40 = _truncated_eigenvalues(rc, 40)
+    e41 = _truncated_eigenvalues(rc, 41)
     slack = 1e-10 * max(1.0, np.max(np.abs(e41)))
     assert np.all(e41[:-1] <= e40 + slack)
     assert np.all(e40 <= e41[1:] + slack)
-
-
-def test_truncated_eigenvalues_unsupported():
-    with pytest.raises(UnsupportedStructureError):
-        op.truncated_eigenvalues(op.build_oscillator_dual_hahn(0.5, -0.5), 8)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,32 @@ def test_grid_rejects_bad_grid_inputs(args, match):
         oc.grid_solve(lambda x: 0.0 * x, *args)
 
 
+def test_grid_rejects_a_huge_row_count():
+    # numpy's arange raised "Maximum allowed size exceeded" here
+    with pytest.raises(DomainError, match=r"^the grid on \[0\.0, 1e\+300\] with h = 1\.0 "
+                                          r"has 1e\+300 interior rows, more than "
+                                          r"MAX_GRID_ROWS = 10000000$"):
+        oc.grid_solve(lambda x: 0 * x, 0.0, 1e300, 1.0, 1)
+    # a span that overflows to inf
+    with pytest.raises(DomainError, match="MAX_GRID_ROWS"):
+        oc.grid_solve(lambda x: 0 * x, -1e308, 1e308, 1.0, 1)
+
+
+def test_grid_one_row_above_the_limit_raises_before_allocating():
+    def potential(x):
+        raise AssertionError("the potential was evaluated")
+
+    rows = oc.MAX_GRID_ROWS + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"has %d\.0 interior rows" % rows):
+            oc.grid_solve(potential, 0.0, rows + 1.0, 1.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def _numerov_kinetic(n, h):
     # dense K = -(I + D2/12)^{-1} D2 / h^2 with Dirichlet ends (test reference)
     d2 = _dense(np.full(n, -2.0), np.ones(n - 1))
@@ -712,14 +739,14 @@ def test_gauss_exactness_through_orthogonality(weight_id, n_nodes):
     if weight_id[0] == "laguerre":
         nu = weight_id[1]
         fam = orthopoly.LaguerreFamily(nu)
-        seq = orthopoly.laguerre_sequence(fam, n_nodes - 1, rule.nodes)
+        seq = orthopoly.sequence(fam, n_nodes - 1, rule.nodes)
         hn = [math.exp(math.lgamma(k + nu + 1.0) - math.lgamma(k + 1.0))
               for k in range(n_nodes)]
         x_diag = 2 * (n_nodes - 1) + nu + 1.0  # <x p, p>/<p, p> from the recurrence
     else:
         a, b = weight_id[1], weight_id[2]
         fam = orthopoly.JacobiFamily(a, b)
-        seq = orthopoly.jacobi_sequence(fam, n_nodes - 1, rule.nodes)
+        seq = orthopoly.sequence(fam, n_nodes - 1, rule.nodes)
         s = a + b
         hn = [2.0 ** (s + 1) / (2 * k + s + 1)
               * math.exp(math.lgamma(k + a + 1.0) + math.lgamma(k + b + 1.0)
@@ -919,12 +946,12 @@ def _orthonormal_gram(weight_id, n_nodes):
     k = np.arange(n_nodes)
     if weight_id[0] == "laguerre":
         nu = weight_id[1]
-        seq = orthopoly.laguerre_sequence(orthopoly.LaguerreFamily(nu), n_nodes - 1,
+        seq = orthopoly.sequence(orthopoly.LaguerreFamily(nu), n_nodes - 1,
                                           rule.nodes)
         log_h = [math.lgamma(j + nu + 1.0) - math.lgamma(j + 1.0) for j in k]
     else:
         a, b = weight_id[1], weight_id[2]
-        seq = orthopoly.jacobi_sequence(orthopoly.JacobiFamily(a, b), n_nodes - 1,
+        seq = orthopoly.sequence(orthopoly.JacobiFamily(a, b), n_nodes - 1,
                                         rule.nodes)
         s = a + b
         log_h = [(s + 1.0) * math.log(2.0) - math.log(2 * j + s + 1.0)
@@ -1019,7 +1046,7 @@ def _pollaczek_gram_deviation(mu, a, b, tol):
         for m in range(n + 1):
             def f(theta):
                 x = np.cos(theta)
-                seq = orthopoly.pollaczek_sequence(fam, 3, x)
+                seq = orthopoly.sequence(fam, 3, x)
                 return orthopoly.weight_eval(fam, x) * seq[n] * seq[m] * np.sin(theta)
             val = oc.adaptive_quad(f, 1e-6, math.pi - 1e-6, tol=tol)[0]
             want = (math.exp(math.lgamma(n + 2.0 * mu) - math.lgamma(n + 1.0))

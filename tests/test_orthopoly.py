@@ -22,10 +22,10 @@ import helpers
 # ---------------------------------------------------------------------------
 
 def test_laguerre_point_values():
-    assert op.laguerre_eval(op.LaguerreFamily(0.3), 0, 7.2) == 1.0
-    assert op.laguerre_eval(op.LaguerreFamily(0.0), 1, 2.0) == pytest.approx(-1.0, rel=1e-15)
+    assert op.evaluate(op.LaguerreFamily(0.3), 0, 7.2) == 1.0
+    assert op.evaluate(op.LaguerreFamily(0.0), 1, 2.0) == pytest.approx(-1.0, rel=1e-15)
     # series gives L_2^0(x) = 1 - 2x + x^2/2
-    assert op.laguerre_eval(op.LaguerreFamily(0.0), 2, 1.0) == pytest.approx(-0.5, rel=1e-14)
+    assert op.evaluate(op.LaguerreFamily(0.0), 2, 1.0) == pytest.approx(-0.5, rel=1e-14)
     assert helpers.laguerre_series(0.0, 2, 1.0) == pytest.approx(-0.5, rel=1e-14)
 
 
@@ -34,15 +34,15 @@ def test_laguerre_against_series_oracle(rng):
         nu = rng.uniform(-0.9, 4.0)
         x = rng.uniform(0.0, 20.0)
         n = int(rng.integers(0, 9))
-        lhs = op.laguerre_eval(op.LaguerreFamily(nu), n, x)
+        lhs = op.evaluate(op.LaguerreFamily(nu), n, x)
         rhs = helpers.laguerre_series(nu, n, x)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 def test_jacobi_point_values():
-    assert op.jacobi_eval(op.JacobiFamily(1.5, -0.2), 0, 0.4) == 1.0
+    assert op.evaluate(op.JacobiFamily(1.5, -0.2), 0, 0.4) == 1.0
     # at x = 1 the hypergeometric argument vanishes: Gamma(n+mu+1)/(n! Gamma(mu+1))
-    assert op.jacobi_eval(op.JacobiFamily(1.0, 1.0), 2, 1.0) == pytest.approx(3.0, rel=1e-14)
+    assert op.evaluate(op.JacobiFamily(1.0, 1.0), 2, 1.0) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_jacobi_against_series_oracle(rng):
@@ -51,7 +51,7 @@ def test_jacobi_against_series_oracle(rng):
         nu = rng.uniform(-0.9, 3.0)
         x = rng.uniform(-1.0, 1.0)
         n = int(rng.integers(0, 9))
-        lhs = op.jacobi_eval(op.JacobiFamily(mu, nu), n, x)
+        lhs = op.evaluate(op.JacobiFamily(mu, nu), n, x)
         rhs = helpers.jacobi_series(mu, nu, n, x)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-11)
 
@@ -63,29 +63,29 @@ def test_jacobi_symmetry_identity(rng):
         nu = rng.uniform(-0.9, 3.0)
         x = rng.uniform(-1.0, 1.0)
         for n in range(21):
-            lhs = op.jacobi_eval(op.JacobiFamily(mu, nu), n, -x)
-            rhs = (-1.0) ** n * op.jacobi_eval(op.JacobiFamily(nu, mu), n, x)
+            lhs = op.evaluate(op.JacobiFamily(mu, nu), n, -x)
+            rhs = (-1.0) ** n * op.evaluate(op.JacobiFamily(nu, mu), n, x)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
 
 
 def test_pollaczek_point_values():
     fam = op.PollaczekFamily(2.0, 3.0, 1.0)
-    assert op.pollaczek_eval(fam, 0, 0.3) == 1.0
+    assert op.evaluate(fam, 0, 0.3) == 1.0
     fam = op.PollaczekFamily(1.0, 0.5, 0.0)
-    assert op.pollaczek_eval(fam, 1, 0.2) == pytest.approx(0.6, rel=1e-15)
+    assert op.evaluate(fam, 1, 0.2) == pytest.approx(0.6, rel=1e-15)
 
 
 def test_pollaczek_hyperbolic_series_value():
     fam = op.PollaczekFamily(0.75, -0.5, 0.5, "hyperbolic")
     want = helpers.pollaczek_hyperbolic_series(0.75, -0.5, 0.5, 3, 1.3)
-    assert op.pollaczek_eval(fam, 3, 1.3) == pytest.approx(want, rel=1e-12)
+    assert op.evaluate(fam, 3, 1.3) == pytest.approx(want, rel=1e-12)
 
 
 def test_dual_hahn_point_values():
     fam = op.DualHahnFamily(1.0, 1.0, 2.0)
-    assert op.dual_hahn_eval(fam, 0, 0.7) == 1.0
+    assert op.evaluate(fam, 0, 0.7) == 1.0
     # first step of the recurrence: [(mu+a)(mu+b) - mu^2 - x^2] / [(mu+a)(mu+b)]
-    assert op.dual_hahn_eval(fam, 1, 0.5) == pytest.approx(0.75, rel=1e-15)
+    assert op.evaluate(fam, 1, 0.5) == pytest.approx(0.75, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +103,14 @@ def test_pollaczek_closed_form_matches_eval(rng):
     fam = op.PollaczekFamily(0.75, 2.0, -1.0)
     x = math.cos(1.1)
     assert (op.pollaczek_closed_form(fam, 5, x)
-            == pytest.approx(op.pollaczek_eval(fam, 5, x), rel=1e-10))
+            == pytest.approx(op.evaluate(fam, 5, x), rel=1e-10))
     for _ in range(30):
         mu = rng.uniform(0.2, 3.0)
         a = rng.uniform(0.0, 3.0)
         b = rng.uniform(-a, a)
         x = rng.uniform(-0.95, 0.95)
         fam = op.PollaczekFamily(mu, a, b)
-        evals = np.array([op.pollaczek_eval(fam, n, x) for n in range(21)])
+        evals = np.array([op.evaluate(fam, n, x) for n in range(21)])
         closed = np.array([op.pollaczek_closed_form(fam, n, x) for n in range(21)])
         assert helpers.local_relative_deviation(closed, evals) < 1e-9
 
@@ -122,7 +122,7 @@ def test_pollaczek_closed_form_hyperbolic(rng):
         b = rng.uniform(-2.0, 2.0)
         x = rng.uniform(1.001, 3.5)
         fam = op.PollaczekFamily(mu, a, b, "hyperbolic")
-        evals = np.array([op.pollaczek_eval(fam, n, x) for n in range(21)])
+        evals = np.array([op.evaluate(fam, n, x) for n in range(21)])
         closed = np.array([op.pollaczek_closed_form(fam, n, x) for n in range(21)])
         assert helpers.local_relative_deviation(closed, evals) < 1e-9
 
@@ -132,14 +132,38 @@ def test_pollaczek_closed_form_singular_endpoint():
     with pytest.raises(SingularParameterError):
         op.pollaczek_closed_form(fam, 2, 1.0)
     # the recurrence itself is fine at the endpoints
-    assert np.isfinite(op.pollaczek_eval(fam, 5, 1.0))
-    assert np.isfinite(op.pollaczek_eval(fam, 5, -1.0))
+    assert np.isfinite(op.evaluate(fam, 5, 1.0))
+    assert np.isfinite(op.evaluate(fam, 5, -1.0))
+
+
+def test_pollaczek_reflection_is_exact(rng):
+    # P_n(-x; a, -b) = (-1)^n P_n(x; a, b) bit for bit: every recurrence step
+    # only flips signs, and the variant changes only the admitted x.  The
+    # closed-form coefficient route of models relies on this at ratio -1.
+    nmax = 200
+    signs = (-1.0) ** np.arange(nmax + 1)[:, None]
+
+    def check(mu, a, b, x, left, right):
+        lhs = op.sequence(op.PollaczekFamily(mu, a, -b, left), nmax, -x)
+        rhs = op.sequence(op.PollaczekFamily(mu, a, b, right), nmax, x)
+        assert np.array_equal(lhs, signs * rhs, equal_nan=True)
+
+    one = np.array([1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mu, a, b in [(1.0, 1.0, 0.5), (0.3, -2.0, 0.7), (2.5, 1e17, -1e17)]:
+            check(mu, a, b, one, "trigonometric", "trigonometric")
+            check(mu, a, b, one, "trigonometric", "hyperbolic")
+            check(mu, a, b, -one, "hyperbolic", "trigonometric")
+        for _ in range(50):
+            mu = rng.uniform(1e-3, 5.0)
+            a, b = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 17.0)
+            check(mu, a, b, rng.uniform(-1.0, 1.0, 16), "trigonometric", "trigonometric")
 
 
 def test_dual_hahn_closed_form(rng):
     fam = op.DualHahnFamily(0.5, 0.5, 1.5)
     want = op.dual_hahn_closed_form(fam, 4, 2.0)
-    assert op.dual_hahn_eval(fam, 4, 2.0) == pytest.approx(want, rel=1e-12)
+    assert op.evaluate(fam, 4, 2.0) == pytest.approx(want, rel=1e-12)
     for _ in range(30):
         fam = op.DualHahnFamily(rng.uniform(0.2, 2.5), rng.uniform(0.1, 3.0),
                                 rng.uniform(0.1, 3.0))
@@ -148,7 +172,7 @@ def test_dual_hahn_closed_form(rng):
         # several orders, both routes share a cancellation floor around
         # 1e-12 absolute, so per-point relative error at the tiny tail
         # entries carries no information
-        evals = np.array([op.dual_hahn_eval(fam, n, x2) for n in range(21)])
+        evals = np.array([op.evaluate(fam, n, x2) for n in range(21)])
         closed = np.array([op.dual_hahn_closed_form(fam, n, x2) for n in range(21)])
         assert helpers.relative_deviation(closed, evals) < 1e-9
 
@@ -167,7 +191,7 @@ def test_recurrence_residuals(rng):
     xs_int = rng.uniform(-0.999, 0.999, size=100)
     xs_hyp = rng.uniform(1.001, 4.0, size=100)
     nu = 0.6
-    lag = op.laguerre_sequence(op.LaguerreFamily(nu), 31, xs_half)
+    lag = op.sequence(op.LaguerreFamily(nu), 31, xs_half)
     for n in range(1, 31):
         for j in range(xs_half.size):
             x = xs_half[j]
@@ -176,7 +200,7 @@ def test_recurrence_residuals(rng):
             assert _residual(terms) < 1e-10
 
     mu, nu = 0.4, 1.1
-    jac = op.jacobi_sequence(op.JacobiFamily(mu, nu), 31, xs_int)
+    jac = op.sequence(op.JacobiFamily(mu, nu), 31, xs_int)
     s = mu + nu
     for n in range(1, 31):
         c0 = (2 * n * (n + s + 1) + s * (nu + 1)) / ((2 * n + s) * (2 * n + s + 2))
@@ -190,7 +214,7 @@ def test_recurrence_residuals(rng):
 
     for variant, xs in (("trigonometric", xs_int), ("hyperbolic", xs_hyp)):
         fam = op.PollaczekFamily(0.8, 1.5, -0.7, variant)
-        seq = op.pollaczek_sequence(fam, 31, xs)
+        seq = op.sequence(fam, 31, xs)
         for n in range(1, 31):
             for j in range(xs.size):
                 x = xs[j]
@@ -200,7 +224,7 @@ def test_recurrence_residuals(rng):
 
     fam = op.DualHahnFamily(0.9, 0.7, 1.8)
     x2s = rng.uniform(0.0, 8.0, size=100)
-    seq = op.dual_hahn_sequence(fam, 31, x2s)
+    seq = op.sequence(fam, 31, x2s)
     sab, pab = 2.5, 0.7 * 1.8
     for n in range(1, 31):
         denom = (n + 0.9) ** 2 + (n + 0.9) * sab + pab
@@ -220,11 +244,11 @@ def test_large_degree_sequences_match_mpmath(n):
     lag_x = np.array([1e-3, 0.5, min(3.9 * n, 1300.0)])
     jac_x = np.array([-0.9999, -0.99, 0.99, 0.9999])
     cases = [
-        (op.laguerre_sequence(op.LaguerreFamily(0.6), n, lag_x)[n], lag_x,
+        (op.sequence(op.LaguerreFamily(0.6), n, lag_x)[n], lag_x,
          lambda x: mpmath.laguerre(n, 0.6, x)),
-        (op.jacobi_sequence(op.JacobiFamily(1.3, 0.4), n, jac_x)[n], jac_x,
+        (op.sequence(op.JacobiFamily(1.3, 0.4), n, jac_x)[n], jac_x,
          lambda x: mpmath.jacobi(n, 1.3, 0.4, x)),
-        (op.jacobi_sequence(op.JacobiFamily(-0.5, 0.5), n, jac_x)[n], jac_x,
+        (op.sequence(op.JacobiFamily(-0.5, 0.5), n, jac_x)[n], jac_x,
          lambda x: mpmath.jacobi(n, -0.5, 0.5, x)),
     ]
     for got, xs, ref in cases:
@@ -242,7 +266,7 @@ def test_laguerre_differential_relation(rng):
         x = rng.uniform(0.2, 15.0)
         n = int(rng.integers(1, 16))
         h = 1e-6 * max(1.0, abs(x))
-        seq = op.laguerre_sequence(fam, n, np.array([x - h, x, x + h]))
+        seq = op.sequence(fam, n, np.array([x - h, x, x + h]))
         fd = x * (seq[n, 2] - seq[n, 0]) / (2 * h)
         rhs = n * seq[n, 1] - (n + nu) * seq[n - 1, 1]
         scale = max(abs(rhs), abs(seq[n, 1]), 1.0)
@@ -257,7 +281,7 @@ def test_jacobi_differential_relation(rng):
         x = rng.uniform(-0.9, 0.9)
         n = int(rng.integers(1, 16))
         h = 1e-6
-        seq = op.jacobi_sequence(fam, n, np.array([x - h, x, x + h]))
+        seq = op.sequence(fam, n, np.array([x - h, x, x + h]))
         fd = (1 - x * x) * (seq[n, 2] - seq[n, 0]) / (2 * h)
         rhs = (-n * (x + (nu - mu) / (2 * n + mu + nu)) * seq[n, 1]
                + 2 * (n + mu) * (n + nu) / (2 * n + mu + nu) * seq[n - 1, 1])
@@ -273,7 +297,7 @@ def test_laguerre_orthogonality_by_quadrature():
     nu = 0.7
     fam = op.LaguerreFamily(nu)
     rule = oc.gauss_rule(("laguerre", nu), 24)
-    seq = op.laguerre_sequence(fam, 20, rule.nodes)
+    seq = op.sequence(fam, 20, rule.nodes)
     gram = (seq * rule.weights) @ seq.T
     hn = np.array([math.exp(math.lgamma(n + nu + 1) - math.lgamma(n + 1.0))
                    for n in range(21)])
@@ -285,7 +309,7 @@ def test_jacobi_orthogonality_by_quadrature():
     mu, nu = 0.3, 1.2
     fam = op.JacobiFamily(mu, nu)
     rule = oc.gauss_rule(("jacobi", mu, nu), 24)
-    seq = op.jacobi_sequence(fam, 20, rule.nodes)
+    seq = op.sequence(fam, 20, rule.nodes)
     gram = (seq * rule.weights) @ seq.T
     s = mu + nu
     hn = np.array([2.0 ** (s + 1) / (2 * n + s + 1)
@@ -304,7 +328,7 @@ def test_pollaczek_orthogonality_adaptive(mu, a, b):
     def entry(n, m):
         def f(theta):
             x = np.cos(theta)
-            seq = op.pollaczek_sequence(fam, nmax, x)
+            seq = op.sequence(fam, nmax, x)
             return op.weight_eval(fam, x) * seq[n] * seq[m] * np.sin(theta)
         return oc.adaptive_quad(f, 1e-6, math.pi - 1e-6, tol=1e-8)[0]
 
@@ -322,7 +346,7 @@ def test_dual_hahn_orthogonality_adaptive():
 
     def entry(n, m):
         def f(x):
-            seq = op.dual_hahn_sequence(fam, nmax, x * x)
+            seq = op.sequence(fam, nmax, x * x)
             return op.weight_eval(fam, x) * seq[n] * seq[m]
         return oc.adaptive_quad(f, 1e-8, 30.0, tol=1e-8)[0]
 
@@ -422,7 +446,7 @@ def test_weight_domain_errors():
     with pytest.raises(ParameterDomainError):
         # positivity condition a >= |b| enforced on the weight only
         op.weight_eval(op.PollaczekFamily(1.0, 0.5, 2.0), 0.0)
-    assert np.isfinite(op.pollaczek_eval(op.PollaczekFamily(1.0, 0.5, 2.0), 4, 0.3))
+    assert np.isfinite(op.evaluate(op.PollaczekFamily(1.0, 0.5, 2.0), 4, 0.3))
 
 
 def test_hyperbolic_weight_phase_gate():
@@ -470,7 +494,7 @@ def test_family_validation():
         op.DualHahnFamily(1.0, -0.5, 2.0)
     # complex-conjugate pair with positive real parts is representable
     fam = op.DualHahnFamily(1.0, 1.0 + 2.0j, 1.0 - 2.0j)
-    assert np.isfinite(op.dual_hahn_eval(fam, 3, 1.5))
+    assert np.isfinite(op.evaluate(fam, 3, 1.5))
     with pytest.raises(ParameterDomainError):
         op.DualHahnFamily(1.0, 1.0 + 2.0j, 1.0 - 1.9j)
 
@@ -496,16 +520,16 @@ def test_family_parameters_must_be_finite(make):
 
 def test_pollaczek_domain_errors():
     with pytest.raises(DomainError):
-        op.pollaczek_eval(op.PollaczekFamily(1.0, 1.0, 0.0), 3, 1.5)
+        op.evaluate(op.PollaczekFamily(1.0, 1.0, 0.0), 3, 1.5)
     with pytest.raises(DomainError):
-        op.pollaczek_eval(op.PollaczekFamily(1.0, 1.0, 0.0, "hyperbolic"), 3, 0.5)
+        op.evaluate(op.PollaczekFamily(1.0, 1.0, 0.0, "hyperbolic"), 3, 0.5)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: op.laguerre_eval(op.LaguerreFamily(0.5), -1, 0.3),
-    lambda: op.jacobi_eval(op.JacobiFamily(0.5, 0.5), -1, 0.3),
-    lambda: op.pollaczek_eval(op.PollaczekFamily(1.0, 1.0, 0.0), -1, 0.3),
-    lambda: op.dual_hahn_eval(op.DualHahnFamily(1.0, 1.0, 2.0), -1, 0.3),
+    lambda: op.evaluate(op.LaguerreFamily(0.5), -1, 0.3),
+    lambda: op.evaluate(op.JacobiFamily(0.5, 0.5), -1, 0.3),
+    lambda: op.evaluate(op.PollaczekFamily(1.0, 1.0, 0.0), -1, 0.3),
+    lambda: op.evaluate(op.DualHahnFamily(1.0, 1.0, 2.0), -1, 0.3),
     lambda: op.pollaczek_closed_form(op.PollaczekFamily(1.0, 1.0, 0.0), -1, 0.3),
     lambda: op.dual_hahn_closed_form(op.DualHahnFamily(1.0, 1.0, 2.0), -1, 0.3),
     lambda: bs.normalization(bs.morse_basis(1.2), -1),
