@@ -22,6 +22,7 @@ from .exceptions import (
     ParameterDomainError,
     QuadratureOrderError,
     require_degree,
+    require_finite,
 )
 
 __all__ = [
@@ -52,7 +53,7 @@ class BasisSpec:
     kind "laguerre": phi_n(y) = A_n y^alpha e^{-y/2} L_n^nu(y) on (0, inf).
     kind "jacobi":   phi_n(y) = A_n (1+y)^alpha (1-y)^beta P_n^(mu,nu)(y)
     on (-1, 1).  y is the image of the dimensionless x under the paired
-    CoordinateMap (lam = 1).
+    CoordinateMap (lam = 1).  Exponents are finite; alpha and beta are >= 0.
     """
 
     kind: str
@@ -62,6 +63,7 @@ class BasisSpec:
     mu: float = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind == "laguerre":
             if not self.nu > -1.0:
                 raise ParameterDomainError("laguerre basis requires nu > -1")
@@ -90,9 +92,7 @@ class BasisSpec:
 
 def oscillator_pollaczek_basis(nu):
     """Laguerre basis with 2*alpha = nu + 1/2 (oscillator map, Pollaczek
-    coefficient route).  Needs nu >= -1/2 so that alpha >= 0."""
-    if nu < -0.5:
-        raise ParameterDomainError("this case requires nu >= -1/2")
+    coefficient route); alpha >= 0 needs nu >= -1/2."""
     return BasisSpec(kind="laguerre", alpha=0.5 * (nu + 0.5), nu=nu)
 
 
@@ -180,27 +180,17 @@ def normalization(spec: BasisSpec, n):
 
 
 def _envelope(spec: BasisSpec, y):
-    """Envelope factor of phi_n (independent of n), with continuous extension
-    at the interval ends when the exponents allow it."""
+    """Envelope factor of phi_n (independent of n).  The exponents are
+    non-negative, so it is finite at the interval ends (a zero exponent
+    gives exactly 1 there, 0^0 = 1)."""
     y = np.asarray(y, dtype=float)
     if spec.kind == "laguerre":
         if np.any(y < 0.0):
             raise DomainError("laguerre basis support is [0, inf)")
-        if spec.alpha == 0.0:
-            power = np.ones_like(y)
-        else:
-            if np.any(y == 0.0) and spec.alpha < 0.0:
-                raise DomainError("negative exponent at the y=0 endpoint")
-            power = np.power(y, spec.alpha)
-        return power * np.exp(-0.5 * y)
+        return np.power(y, spec.alpha) * np.exp(-0.5 * y)
     if np.any(np.abs(y) > 1.0):
         raise DomainError("jacobi basis support is [-1, 1]")
-    for expo, factor in ((spec.alpha, 1.0 + y), (spec.beta, 1.0 - y)):
-        if expo < 0.0 and np.any(factor == 0.0):
-            raise DomainError("negative exponent at an interval endpoint")
-    up = np.ones_like(y) if spec.alpha == 0.0 else np.power(1.0 + y, spec.alpha)
-    down = np.ones_like(y) if spec.beta == 0.0 else np.power(1.0 - y, spec.beta)
-    return up * down
+    return np.power(1.0 + y, spec.alpha) * np.power(1.0 - y, spec.beta)
 
 
 def basis_eval(spec: BasisSpec, n: int, y):

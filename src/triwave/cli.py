@@ -4,8 +4,10 @@ the verification suites, with deterministic CSV/JSON output.
 Exit codes: 0 success, 1 invalid parameters or unsupported request (the
 message names the violated invariant; command-line usage errors and an
 unwritable --output path included), 2 verification failure beyond
-tolerance.  All numbers are printed with %.15g; identical configurations
-produce byte-identical output (pass --epoch to pin the JSON timestamp).
+tolerance.  A reader that closes stdout early (triwave ... | head) ends
+the run with exit 1 and no traceback.  All numbers are printed with %.15g;
+identical configurations produce byte-identical output (pass --epoch to pin
+the JSON timestamp).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from functools import lru_cache
@@ -64,6 +67,12 @@ def _csv_column(column):
     return "%s", [_fmt(v) for v in column]
 
 
+def _meta(args, **fields):
+    """JSON meta header: version, fields, timestamp (--epoch pins it)."""
+    return {"version": __version__, **fields,
+            "timestamp": args.epoch if args.epoch is not None else int(time.time())}
+
+
 def _emit(names, columns, args, out, extra_meta=None):
     """Write the table whose columns (parallel to names) are arrays, lists or
     constants (a scalar, or None for an empty column) as CSV or JSON."""
@@ -75,10 +84,8 @@ def _emit(names, columns, args, out, extra_meta=None):
         cells = tuple(itertools.chain.from_iterable(zip(*(v for v in values if v))))
         out.write(",".join(names) + "\n" + (",".join(formats) + "\n") * n_rows % cells)
     else:
-        meta = {"version": __version__,
-                "config": {k: v for k, v in sorted(vars(args).items())
-                           if k not in ("func",)},
-                "timestamp": args.epoch if args.epoch is not None else int(time.time())}
+        meta = _meta(args, config={k: v for k, v in sorted(vars(args).items())
+                                   if k not in ("func",)})
         if extra_meta:
             meta.update(extra_meta)
         values = [c.tolist() if isinstance(c, np.ndarray)
@@ -135,6 +142,12 @@ def _oracle_levels(model, n_levels):
     return sol.eigenvalues[:n_levels]
 
 
+def _rel_dev(oracle_vals, epsilons):
+    """|oracle - closed form| / |closed form| per level, as spectrum
+    --verify reports it and the spectrum-oracle suite checks it."""
+    return np.abs(oracle_vals - epsilons) / np.maximum(np.abs(epsilons), 1e-30)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -146,28 +159,23 @@ def cmd_spectrum(args, out):
         raise ParameterDomainError("--tol = %r must be positive" % args.tol)
     model = _build_model(args)
     res = md.spectrum(model, n_levels=args.levels)
-    oracle_vals = None
+    unit = 0.5 if args.hbar_omega else 1.0
+    eps = res.epsilons * unit
+    ora = rel = None
     if args.verify and res.levels:
-        oracle_vals = _oracle_levels(model, len(res.levels))
-    rows = []
-    worst = 0.0
-    for i, lv in enumerate(res.levels):
-        eps = lv.epsilon / 2.0 if args.hbar_omega else lv.epsilon
-        ora = rel = None
-        if oracle_vals is not None:
-            ora = oracle_vals[i] / 2.0 if args.hbar_omega else oracle_vals[i]
-            rel = abs(ora - eps) / max(abs(eps), 1e-30)
-            worst = max(worst, rel)
-        rows.append([lv.n, eps, lv.basis_params.get("nu"), lv.basis_params.get("mu"),
-                     lv.extra.get("epsilon_alt"), ora, rel])
-    columns = [[row[j] for row in rows] for j in range(len(_SPECTRUM_COLUMNS))]
-    _emit(_SPECTRUM_COLUMNS, columns, args, out, extra_meta={"notes": res.notes})
+        ora = _oracle_levels(model, len(res.levels)) * unit
+        rel = _rel_dev(ora, eps)
+    levels = res.levels
+    _emit(_SPECTRUM_COLUMNS,
+          [[lv.n for lv in levels], eps, [lv.nu for lv in levels], [lv.mu for lv in levels],
+           [lv.epsilon_alt for lv in levels], ora, rel],
+          args, out, extra_meta={"notes": res.notes})
     if res.notes and args.format == "csv":
         for note in res.notes:
             print("# note: %s" % note, file=sys.stderr)
-    if oracle_vals is not None and worst > args.tol:
+    if rel is not None and rel.max() > args.tol:
         print("verification failed: worst relative deviation %.3g > %.3g"
-              % (worst, args.tol), file=sys.stderr)
+              % (rel.max(), args.tol), file=sys.stderr)
         return 2
     return 0
 
@@ -233,26 +241,23 @@ def _suite_tridiagonality(perturb_alpha=0.0):
 
 def _suite_orthogonality():
     checks = []
-    rule = oc.gauss_rule(("laguerre", 0.7), 16)
-    fam = orthopoly.LaguerreFamily(0.7)
-    seq = orthopoly.sequence(fam, 12, rule.nodes)
-    gram = (seq * rule.weights) @ seq.T
-    hn = np.array([math.exp(math.lgamma(n + 1.7) - math.lgamma(n + 1.0))
-                   for n in range(13)])
-    dev = np.max(np.abs(gram / np.sqrt(np.outer(hn, hn)) - np.eye(13)))
-    checks.append(("orthogonality/laguerre", float(dev), 1e-10))
-
-    rule = oc.gauss_rule(("jacobi", 0.3, 1.2), 16)
-    fam = orthopoly.JacobiFamily(0.3, 1.2)
-    seq = orthopoly.sequence(fam, 12, rule.nodes)
-    gram = (seq * rule.weights) @ seq.T
-    s = 1.5
-    hn = np.array([2.0 ** (s + 1.0) / (2 * n + s + 1.0)
-                   * math.exp(math.lgamma(n + 1.3) + math.lgamma(n + 2.2)
-                              - math.lgamma(n + 1.0) - math.lgamma(n + s + 1.0))
-                   for n in range(13)])
-    dev = np.max(np.abs(gram / np.sqrt(np.outer(hn, hn)) - np.eye(13)))
-    checks.append(("orthogonality/jacobi", float(dev), 1e-10))
+    s = 1.5  # mu + nu of the Jacobi case
+    # (name, weight id, family, squared norms h_0..h_12)
+    for name, weight, fam, hn in [
+        ("laguerre", ("laguerre", 0.7), orthopoly.LaguerreFamily(0.7),
+         [math.exp(math.lgamma(n + 1.7) - math.lgamma(n + 1.0)) for n in range(13)]),
+        ("jacobi", ("jacobi", 0.3, 1.2), orthopoly.JacobiFamily(0.3, 1.2),
+         [2.0 ** (s + 1.0) / (2 * n + s + 1.0)
+          * math.exp(math.lgamma(n + 1.3) + math.lgamma(n + 2.2)
+                     - math.lgamma(n + 1.0) - math.lgamma(n + s + 1.0))
+          for n in range(13)]),
+    ]:
+        rule = oc.gauss_rule(weight, 16)
+        seq = orthopoly.sequence(fam, 12, rule.nodes)
+        gram = (seq * rule.weights) @ seq.T
+        hn = np.array(hn)
+        dev = np.max(np.abs(gram / np.sqrt(np.outer(hn, hn)) - np.eye(13)))
+        checks.append(("orthogonality/" + name, float(dev), 1e-10))
 
     basis_cases = [
         ("osc-pollaczek", bs.oscillator_pollaczek_basis(1.0), bs.oscillator_map(), None),
@@ -327,7 +332,7 @@ def _suite_spectrum_oracle():
     ]:
         res = md.spectrum(model, n_levels=n_levels)
         ora = _oracle_levels(model, len(res.levels))
-        dev = float(np.max(np.abs(ora - res.epsilons) / np.abs(res.epsilons)))
+        dev = float(np.max(_rel_dev(ora, res.epsilons)))
         checks.append(("spectrum-oracle/" + name, dev, 1e-3))
     return checks
 
@@ -347,9 +352,7 @@ def cmd_verify(args, out):
         checks.extend(_SUITES[name](args))
     checks.sort(key=lambda c: c[0])
     report = {
-        "meta": {"version": __version__, "suite": args.suite,
-                 "perturb_alpha": args.perturb_alpha,
-                 "timestamp": args.epoch if args.epoch is not None else int(time.time())},
+        "meta": _meta(args, suite=args.suite, perturb_alpha=args.perturb_alpha),
         "checks": [{"name": n, "measured": m, "threshold": t, "pass": bool(m <= t)}
                    for n, m, t in checks],
     }
@@ -526,17 +529,24 @@ def _parser(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv).parse_args(_attach_negative_values(argv))
     try:
+        args = _parser(argv).parse_args(_attach_negative_values(argv))
         _require_finite_flags(args)
         out = _open_output(args.output)
         try:
-            return args.func(args, out)
+            code = args.func(args, out)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            return code
         finally:
             if out is not sys.stdout:
                 out.close()
     except TriwaveError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; devnull takes what is still buffered so
+        # the flush at exit does not raise again (Python docs, signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -151,10 +151,14 @@ class RosenMorse:
 
 @dataclass(frozen=True)
 class Level:
+    """Level n, its energy, the basis exponents that diagonalize it (mu:
+    Jacobi only) and Rosen-Morse's alternative energy (never asserted)."""
+
     n: int
     epsilon: float
-    basis_params: dict
-    extra: dict = field(default_factory=dict)
+    nu: float
+    mu: float = None
+    epsilon_alt: float = None
 
 
 @dataclass
@@ -207,6 +211,12 @@ def potential_eval(model, x):
 # Spectra
 # ---------------------------------------------------------------------------
 
+def _diagonal_limit(coupling):
+    """True where the off-diagonal coupling factor (a - 1 for the oscillator,
+    b - 1/4 for Morse) counts as zero: the diagonal (bound-state) limit."""
+    return abs(coupling) <= 1e-12
+
+
 def morse_bound_count(a):
     """Number of Morse levels under the normalizability rule nu_n =
     -2(n + a + 1/2) > 0, i.e. levels with n < -a - 1/2."""
@@ -250,11 +260,11 @@ def spectrum(model, n_levels=8):
     where all couplings vanish and the diagonal vanishes at the level index.
     """
     if isinstance(model, (HarmonicOscillator, OscillatorInverseSquare)):
-        if model.a != 1.0:
+        if not _diagonal_limit(model.a - 1.0):
             raise ParameterDomainError(
                 "the diagonal closed form needs a = 1 (got a = %.15g)" % model.a)
         nu = model.nu
-        levels = [Level(n=n, epsilon=2.0 * (2 * n + nu + 1.0), basis_params={"nu": nu})
+        levels = [Level(n=n, epsilon=2.0 * (2 * n + nu + 1.0), nu=nu)
                   for n in range(n_levels)]
         return SpectrumResult(levels=levels)
 
@@ -264,18 +274,15 @@ def spectrum(model, n_levels=8):
             "dual-Hahn expansion covers the continuum representation only"])
 
     if isinstance(model, GeneralizedMorse):
-        if abs(model.b - 0.25) > 1e-12:
+        if not _diagonal_limit(model.b - 0.25):
             raise ParameterDomainError(
                 "Morse bound states need the diagonal limit b = B/mu_scale^2 = 1/4 "
                 "(got b = %g); choose mu_scale = 2 sqrt(B)" % model.b)
         a = model.a
         count = morse_bound_count(a)
         alt = morse_alternative_bound_count(a)
-        levels = []
-        for n in range(count):
-            nu_n = -2.0 * (n + a + 0.5)
-            levels.append(Level(n=n, epsilon=-(n + a + 0.5) ** 2,
-                                basis_params={"nu": nu_n}))
+        levels = [Level(n=n, epsilon=-(n + a + 0.5) ** 2, nu=-2.0 * (n + a + 0.5))
+                  for n in range(count)]
         notes = []
         if alt != count:
             notes.append(
@@ -294,9 +301,8 @@ def spectrum(model, n_levels=8):
                 break
             mu_n, nu_n = sol
             levels.append(Level(
-                n=n, epsilon=-mu_n * mu_n,
-                basis_params={"mu": mu_n, "nu": nu_n},
-                extra={"epsilon_alt": rosen_morse_alt_energy(model.A, model.B, n)}))
+                n=n, epsilon=-mu_n * mu_n, nu=nu_n, mu=mu_n,
+                epsilon_alt=rosen_morse_alt_energy(model.A, model.B, n)))
         notes = ["epsilon_alt is an alternative closed-form expression reported "
                  "for comparison; agreement with the level conditions is not "
                  "asserted (they disagree in general)"]
@@ -314,14 +320,11 @@ def _rosen_morse_params(model, epsilon):
         raise DomainError("Rosen-Morse expansion needs epsilon < 0")
     if epsilon >= 2.0 * model.A:
         raise DomainError("epsilon must lie below the left continuum threshold 2A")
-    mu = math.sqrt(-epsilon)
-    nu = math.sqrt(2.0 * model.A - epsilon) - 1.0
     # at a bound level the envelope exponents coincide with the level solve
-    spec_res = spectrum(model, n_levels=32)
-    for lv in spec_res.levels:
+    for lv in spectrum(model, n_levels=32).levels:
         if abs(lv.epsilon - epsilon) <= 1e-9 * max(1.0, abs(epsilon)):
-            return lv.basis_params["mu"], lv.basis_params["nu"]
-    return mu, nu
+            return lv.mu, lv.nu
+    return math.sqrt(-epsilon), math.sqrt(2.0 * model.A - epsilon) - 1.0
 
 
 def recursion_for(model, epsilon):
@@ -333,8 +336,6 @@ def recursion_for(model, epsilon):
         raise ParameterDomainError("epsilon = %r must be finite" % epsilon)
     if isinstance(model, (HarmonicOscillator, OscillatorInverseSquare)):
         rc = operators.build_oscillator_pollaczek(model.nu, model.a)
-        if rc.spec is None:
-            raise ParameterDomainError("branch exponent leaves the basis domain")
         cmap = basis_mod.oscillator_map()
     elif isinstance(model, SupercriticalInverseSquare):
         rc = operators.build_oscillator_dual_hahn(model.nu, model.b)
@@ -366,7 +367,7 @@ def closed_form_coefficients(model, epsilon, N):
     eps = float(epsilon)
     if isinstance(model, (HarmonicOscillator, OscillatorInverseSquare)):
         a = model.a
-        if a == 1.0:
+        if _diagonal_limit(a - 1.0):
             return None
         return _pollaczek_route(0.5 * (model.nu + 1.0), -eps / 4.0, eps / 4.0,
                                 (a + 1.0) / (a - 1.0), N)
@@ -381,7 +382,7 @@ def closed_form_coefficients(model, epsilon, N):
         if eps >= 0.0:
             raise DomainError("Morse expansion needs epsilon < 0")
         a, b = model.a, model.b
-        if b == 0.25:
+        if _diagonal_limit(b - 0.25):
             return None
         return _pollaczek_route(0.5 * (2.0 * math.sqrt(-eps) + 1.0), a, -a,
                                 (b + 0.25) / (b - 0.25), N)

@@ -6,9 +6,10 @@ to a three-term recursion for polynomial-normalized coefficients d_n,
     A_n(eps) d_n + B_n(eps) d_{n-1} + C_n(eps) d_{n+1} = 0,
 
 with d_0 = 1.  Builders return the coefficients as functions of (n, eps)
-vectorized over an index array; a generic engine solves the recursion
-(including the diagonal and terminating limits used by bound states);
-symmetric_form gives the (diag, off) arrays of the symmetric view; and an
+vectorized over an index array, with the basis they expand in (exponents
+outside its domain raise its ParameterDomainError); a generic engine solves
+the recursion (including the diagonal and terminating limits used by bound
+states); symmetric_form gives the (diag, off) arrays of the symmetric view; and an
 independent quadrature route integrates the block <phi_m | (H - eps) | phi_n>
 directly to verify tridiagonality without using any of the closed forms.
 The level rules of the discrete spectra live in models.spectrum.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class RecursionCoefficients:
     A: Callable[[np.ndarray, float], np.ndarray]
     B: Callable[[np.ndarray, float], np.ndarray]
     C: Callable[[np.ndarray, float], np.ndarray]
-    spec: Optional[BasisSpec] = None
+    spec: BasisSpec  # the basis the d_n and f_n expand in
     f_transform: str = "standard"  # a key of _F_SCALINGS
     # the literal <phi_m|(H-eps)|phi_n> rows equal jmatrix_scale times the
     # symmetrized recursion rows (a constant per case, measured and pinned)
@@ -95,23 +96,17 @@ class RecursionCoefficients:
         return sign ** np.arange(a_n.size) * a_n ** power
 
 
-def _basis_of(rc: RecursionCoefficients) -> BasisSpec:
-    if rc.spec is None:
-        raise UnsupportedStructureError("no basis attached to this recursion")
-    return rc.spec
-
-
 @dataclass
 class CoefficientSeries:
-    """Recursion output: raw d-sequence, its f-image when a basis is known,
-    and the size of the last retained term relative to the running maximum.
-    a_n holds the basis constants A_0..A_{N-1} behind f (None with f), so
-    the series sum need not compute them again."""
+    """Recursion output: raw d-sequence, its f-image in the recursion's
+    basis, and the size of the last retained f term relative to the running
+    maximum.  a_n holds the basis constants A_0..A_{N-1} behind f, so the
+    series sum need not compute them again."""
 
     d: np.ndarray
-    f: Optional[np.ndarray]
+    f: np.ndarray
     tail_estimate: float
-    a_n: Optional[np.ndarray] = None
+    a_n: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -124,26 +119,25 @@ def build_oscillator_pollaczek(nu, a):
 
         [(a+1)(2n+nu+1) - eps] d_n - (a-1)[(n+nu) d_{n-1} + (n+1) d_{n+1}] = 0.
 
-    At a = 1 every off-diagonal coefficient vanishes identically.
+    At a = 1 every off-diagonal coefficient vanishes identically.  The basis
+    needs nu >= -1/2.
     """
-    if not nu > -1.0:
-        raise ParameterDomainError("requires nu > -1")
     nu, a = float(nu), float(a)
+    spec = basis_mod.oscillator_pollaczek_basis(nu)
     return RecursionCoefficients(
         A=lambda n, eps: (a + 1.0) * (2 * n + nu + 1.0) - eps,
         B=lambda n, eps: np.where(n == 0, 0.0, -(a - 1.0) * (n + nu)),
         C=lambda n, eps: -(a - 1.0) * (n + 1.0),
-        spec=basis_mod.oscillator_pollaczek_basis(nu) if nu >= -0.5 else None,
+        spec=spec,
     )
 
 
 def build_oscillator_dual_hahn(nu, b):
     """Oscillator map, basis exponent 2*alpha = nu + 3/2, potential
     U(y) = y + b/y.  eps enters all three coefficient functions; a real
-    dual-Hahn representation needs b <= -1/4."""
-    if not nu > -1.0:
-        raise ParameterDomainError("requires nu > -1")
+    dual-Hahn representation needs b <= -1/4.  The basis needs nu > -1."""
     nu, b = float(nu), float(b)
+    spec = basis_mod.oscillator_dual_hahn_basis(nu)
 
     def a_fn(n, eps):
         return ((n + nu + 1.0) * (n + nu / 2.0 + 1.0 - eps / 4.0)
@@ -154,7 +148,7 @@ def build_oscillator_dual_hahn(nu, b):
         A=a_fn,
         B=lambda n, eps: -n * (n + nu / 2.0 - eps / 4.0),
         C=lambda n, eps: -(n + nu + 1.0) * (n + nu / 2.0 + 1.0 - eps / 4.0),
-        spec=basis_mod.oscillator_dual_hahn_basis(nu),
+        spec=spec,
         f_transform="inverse",
         jmatrix_scale=4.0,
     )
@@ -167,35 +161,32 @@ def build_morse(a, b, nu):
             = (b - 1/4)[(n + nu) d_{n-1} + (n + 1) d_{n+1}].
 
     The basis is energy dependent: tridiagonality requires eps = -nu^2/4.
-    b = 1/4 is the diagonal (bound-state) limit.
+    b = 1/4 is the diagonal (bound-state) limit.  The basis needs nu >= 0.
     """
-    if not nu > -1.0:
-        raise ParameterDomainError("requires nu > -1")
     a, b, nu = float(a), float(b), float(nu)
+    spec = basis_mod.morse_basis(nu)
     return RecursionCoefficients(
         A=lambda n, eps: 2.0 * ((b + 0.25) * (n + (nu + 1.0) / 2.0) + a / 2.0),
         B=lambda n, eps: np.where(n == 0, 0.0, -(b - 0.25) * (n + nu)),
         C=lambda n, eps: -(b - 0.25) * (n + 1.0),
-        spec=basis_mod.morse_basis(nu) if nu >= 0.0 else None,
+        spec=spec,
     )
 
 
 def build_rosen_morse(A, B, mu, nu):
     """Rosen-Morse map, basis exponents (alpha, beta) = ((nu+1)/2, mu/2),
-    potential U(y) = A(1-y) + B(1-y^2); eps = -mu^2 is forced.
-
-    Guards every 2n+mu+nu (and shifted) denominator; a zero raises."""
-    if not (mu > -1.0 and nu > -1.0):
-        raise ParameterDomainError("requires mu, nu > -1")
+    potential U(y) = A(1-y) + B(1-y^2); eps = -mu^2 is forced.  The basis
+    needs mu >= 0 and nu > -1, so 2n+mu+nu+1 and 2n+mu+nu+2 are positive;
+    only 2n+mu+nu can vanish (at n = 0), and a zero there raises."""
     A, B, mu, nu = float(A), float(B), float(mu), float(nu)
+    spec = basis_mod.rosen_morse_basis(mu, nu)
     s = mu + nu
 
-    def _guard(t, n):
-        bad = np.atleast_1d(np.abs(t) < 1e-13)
-        if bad.any():
-            raise SingularParameterError(
-                "rosen-morse coefficient denominator vanished at n=%d"
-                % np.atleast_1d(n)[bad.argmax()])
+    def denominator(n):
+        t = 2 * n + s
+        if np.any(np.abs(t) < 1e-13):
+            raise SingularParameterError("rosen-morse coefficient denominator 2n+mu+nu "
+                                         "vanished at n=0")
         return t
 
     def bracket(t):
@@ -203,26 +194,23 @@ def build_rosen_morse(A, B, mu, nu):
         return B - 0.25 + 0.25 * t * t
 
     def a_fn(n, eps):
-        t = _guard(2 * n + s, n)
-        t2 = _guard(2 * n + s + 2.0, n)
+        t = denominator(n)
+        t2 = 2 * n + s + 2.0
         diag = (0.5 * (nu + mu + 1.0) * (nu - mu + 1.0)
                 + 2.0 * n * (n + mu) / t
                 + ((mu * mu - nu * nu) / (t * t2) - 1.0) * bracket(t2))
         return diag - A
 
     def b_fn(n, eps):
-        t = _guard(2 * n + s, n)
-        t1 = _guard(2 * n + s + 1.0, n)
+        t = denominator(n)
+        t1 = 2 * n + s + 1.0
         return np.where(n == 0, 0.0, 2.0 * (n + mu) * (n + nu) / (t * t1) * bracket(t))
 
     def c_fn(n, eps):
-        t1 = _guard(2 * n + s + 1.0, n)
-        t2 = _guard(2 * n + s + 2.0, n)
+        t1 = 2 * n + s + 1.0
+        t2 = 2 * n + s + 2.0
         return 2.0 * (n + 1.0) * (n + s + 1.0) / (t1 * t2) * bracket(t2)
 
-    spec = None
-    if mu >= 0.0:
-        spec = basis_mod.rosen_morse_basis(mu, nu)
     return RecursionCoefficients(
         A=a_fn, B=b_fn, C=c_fn,
         spec=spec,
@@ -244,8 +232,8 @@ def symmetric_form(rc: RecursionCoefficients, epsilon: float, N: int):
     structure, so diagonalization conditions agree between them.
     """
     sign, power = _F_SCALINGS[rc.f_transform]
-    norms = basis_mod.normalization(_basis_of(rc), np.arange(N))
     ns = np.arange(N)
+    norms = basis_mod.normalization(rc.spec, ns)
     return (rc.A(ns, epsilon) + epsilon,
             rc.C(ns[:-1], epsilon) * (sign * (norms[:-1] / norms[1:]) ** power))
 
@@ -254,8 +242,12 @@ def symmetric_form(rc: RecursionCoefficients, epsilon: float, N: int):
 # Recursion engine
 # ---------------------------------------------------------------------------
 
-def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
-                    zero_tol=1e-9) -> CoefficientSeries:
+# a coupling C_n below _ZERO_TOL times its row scale counts as zero (all
+# couplings below _ZERO_TOL * 1e-3: the diagonal limit)
+_ZERO_TOL = 1e-9
+
+
+def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int) -> CoefficientSeries:
     """Run the three-term recursion with seed d_0 = 1, d_{-1} = 0 up to
     truncation order N.
 
@@ -274,11 +266,11 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
     A, B, C = rc.A(ns, eps), rc.B(ns, eps), rc.C(ns, eps)
     scales = np.maximum(np.max(np.abs([A, B, C]), axis=0), 1.0)
     d = np.zeros(N)
-    if np.all((np.abs(B) <= zero_tol * 1e-3 * scales)
-              & (np.abs(C) <= zero_tol * 1e-3 * scales)):
+    if np.all((np.abs(B) <= _ZERO_TOL * 1e-3 * scales)
+              & (np.abs(C) <= _ZERO_TOL * 1e-3 * scales)):
         avals = np.abs(A) / scales
         n0 = int(np.argmin(avals))
-        if avals[n0] > zero_tol:
+        if avals[n0] > _ZERO_TOL:
             raise RecursionBreakdownError(
                 0, "diagonal-limit recursion admits no solution at eps=%g" % eps)
         d[n0] = 1.0
@@ -289,20 +281,16 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int,
         for n in range(N - 1):
             running = max(running, abs(d[n]))
             num = A[n] * d[n] + (B[n] * d[n - 1] if n >= 1 else 0.0)
-            if abs(C[n]) <= zero_tol * scales[n]:
-                if abs(num) <= zero_tol * (scales[n] * running):
+            if abs(C[n]) <= _ZERO_TOL * scales[n]:
+                if abs(num) <= _ZERO_TOL * (scales[n] * running):
                     d[n + 1] = 0.0  # the series terminates here
                 else:
                     raise RecursionBreakdownError(n)
             else:
                 d[n + 1] = -num / C[n]
-    f = a_n = None
-    if rc.spec is not None:
-        a_n = basis_mod.normalization(rc.spec, np.arange(N))
-        f = d * rc.f_scaling(a_n)
-    ref = f if f is not None else d
-    running_max = float(np.max(np.abs(ref))) or 1.0
-    tail = abs(float(ref[-1])) / running_max
+    a_n = basis_mod.normalization(rc.spec, ns)
+    f = d * rc.f_scaling(a_n)
+    tail = abs(float(f[-1])) / (float(np.max(np.abs(f))) or 1.0)
     return CoefficientSeries(d=d, f=f, tail_estimate=tail, a_n=a_n)
 
 

@@ -326,34 +326,11 @@ laguerre_sequence = jacobi_sequence = pollaczek_sequence = sequence
 # Closed forms (cross-checks)
 # ---------------------------------------------------------------------------
 
-def _kahan_terms(first, factors):
-    """Sum of the terminating series t_0=first, t_k = t_{k-1}*factors[k-1],
-    with compensated accumulation.  Works for real or complex values."""
-    s = first
-    c = 0.0 * first
-    t = first
-    for f in factors:
-        t = t * f
-        yv = t - c
-        tmp = s + yv
-        c = (tmp - s) - yv
-        s = tmp
-    return s
-
-
-def _rising_ratio(c: float, n: int) -> float:
-    """Gamma(n + c) / (n! Gamma(c)) as an incremental product."""
-    r = 1.0
-    for j in range(n):
-        r *= (c + j) / (1.0 + j)
-    return r
-
-
 def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
     """Terminating-hypergeometric cross-check value for P_n (scalar x only).
 
-    Both variants are n+1-term sums with compensated accumulation, chosen per
-    variant for conditioning.  Trigonometric: the conjugate-factor expansion
+    Both variants are n+1-term sums chosen per variant for conditioning and
+    summed by math.fsum.  Trigonometric: the conjugate-factor expansion
     P_n = sum_k (mu-iy)_k (mu+iy)_{n-k} e^{i(2k-n)theta} / (k! (n-k)!), the
     coefficient form of e^{in theta} 2F1(-n, mu+iy; 2mu; 1-e^{-2i theta}) with
     y = (b + a x)/sin(theta); its imaginary part cancels pairwise.
@@ -377,16 +354,9 @@ def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
         for k in range(n):
             poch.append(poch[-1] * complex(mu + k, -y))
         lfac = [math.lgamma(k + 1.0) for k in range(n + 1)]
-        s = complex(0.0)
-        comp = complex(0.0)
-        for k in range(n + 1):
-            t = (poch[k] * poch[n - k].conjugate()
-                 * cmath.exp(1j * (2 * k - n) * theta - lfac[k] - lfac[n - k]))
-            yv = t - comp
-            tmp = s + yv
-            comp = (tmp - s) - yv
-            s = tmp
-        return s.real
+        return math.fsum((poch[k] * poch[n - k].conjugate()
+                          * cmath.exp(1j * (2 * k - n) * theta - lfac[k] - lfac[n - k])).real
+                         for k in range(n + 1))
     # hyperbolic: the direct sum (argument 1 - e^{2 theta}, coefficient mu+z)
     # and its Pfaff transform (argument 1 - e^{-2 theta}, coefficient mu-z)
     # are evaluated together and the better-conditioned one wins; each is
@@ -394,26 +364,19 @@ def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
     if x == 1.0:
         raise SingularParameterError(
             "closed form undefined at x=1 (sinh(theta)=0, z diverges)")
-    pref = _rising_ratio(2.0 * mu, n)
+    pref = math.prod((2.0 * mu + j) / (1.0 + j) for j in range(n))  # (2mu)_n / n!
     theta = math.acosh(x)
     z = (b + a * x) / math.sinh(theta)
     best_val, best_cond = 0.0, math.inf
     for coef, w, escale in (
             (mu + z, 1.0 - math.exp(2.0 * theta), math.exp(-n * theta)),
             (mu - z, 1.0 - math.exp(-2.0 * theta), math.exp(n * theta))):
-        term = 1.0
-        total = 0.0
-        comp = 0.0
-        abs_total = 0.0
-        for k in range(n + 1):
-            if k > 0:
-                term *= (-n + k - 1.0) * (coef + k - 1.0) * w / ((2.0 * mu + k - 1.0) * k)
-            yv = term - comp
-            tmp = total + yv
-            comp = (tmp - total) - yv
-            total = tmp
-            abs_total += abs(term)
-        cond = abs_total / max(abs(total), 1e-300)
+        terms = [1.0]
+        for k in range(1, n + 1):
+            terms.append(terms[-1] * ((-n + k - 1.0) * (coef + k - 1.0) * w
+                                      / ((2.0 * mu + k - 1.0) * k)))
+        total = math.fsum(terms)
+        cond = sum(map(abs, terms)) / max(abs(total), 1e-300)
         if cond < best_cond:
             best_val, best_cond = pref * escale * total, cond
     return best_val
@@ -425,17 +388,14 @@ def dual_hahn_closed_form(family: DualHahnFamily, n: int, x_squared: float) -> f
     mu = family.mu
     sab, pab = family._sum_prod
     x2 = float(x_squared)
-    if n == 0:
-        return 1.0
-    head = 1.0
-    factors = []
+    terms = [1.0]
     for k in range(n):
         num = (-n + k) * ((mu + k) ** 2 + x2)
         den = ((mu + k) ** 2 + (mu + k) * sab + pab) * (k + 1.0)
         if den == 0.0:
             raise SingularParameterError("3F2 denominator parameter hit a pole")
-        factors.append(num / den)
-    return _kahan_terms(head, factors)
+        terms.append(terms[-1] * (num / den))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

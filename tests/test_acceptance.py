@@ -101,7 +101,7 @@ def test_criterion_4_rosen_morse(rosen_morse_oracle):
     assert len(res.levels) == 1
     dev = _rel(rosen_morse_oracle.eigenvalues, res.epsilons)
     assert dev <= 1e-3
-    alt = res.levels[0].extra["epsilon_alt"]
+    alt = res.levels[0].epsilon_alt
     alt_dev = abs(alt - res.levels[0].epsilon)
     assert np.isfinite(alt)  # reported alongside, agreement NOT asserted
     _report("4 rosen-morse",

@@ -161,6 +161,21 @@ def test_wavefunction_overflow_prints_only_the_error_line():
                            "overflows there); move x inward\n")
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader closes the pipe before the child writes (triwave ... | head
+    # with head gone): exit 1 and no BrokenPipeError traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "triwave", "spectrum", "--model", "ho"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""  # no BrokenPipeError traceback
+
+
 def test_wavefunction_non_finite_coefficients_still_print(capsys):
     # the recursion's own coefficients overflow to NaN here (the open series
     # defect); that output stays as it was, flagged unconverged

@@ -94,7 +94,7 @@ def test_supercritical_spectrum_empty():
 def test_morse_spectrum_and_counts():
     res = md.spectrum(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0))
     np.testing.assert_allclose(res.epsilons, [-6.25, -2.25, -0.25])
-    assert [lv.basis_params["nu"] for lv in res.levels] == pytest.approx([5.0, 3.0, 1.0])
+    assert [lv.nu for lv in res.levels] == pytest.approx([5.0, 3.0, 1.0])
     assert any("discrepancy" in note for note in res.notes)
     assert md.morse_bound_count(-3.0) == 3
     assert md.morse_alternative_bound_count(-3.0) == 6
@@ -102,9 +102,29 @@ def test_morse_spectrum_and_counts():
     assert md.morse_bound_count(0.0) == 0
     res = md.spectrum(md.GeneralizedMorse(A=-2.4, B=1.0, mu_scale=2.0))
     np.testing.assert_allclose(res.epsilons, [-0.49])
-    assert res.levels[0].basis_params["nu"] == pytest.approx(1.4)
+    assert res.levels[0].nu == pytest.approx(1.4)
     with pytest.raises(ParameterDomainError):
         md.spectrum(md.GeneralizedMorse(A=-6.0, B=2.0, mu_scale=2.0))
+
+
+@pytest.mark.parametrize("model, n, eps", [
+    (md.GeneralizedMorse(A=-6.0, B=1.0 + 4e-13, mu_scale=2.0), 0, -6.25),
+    (md.HarmonicOscillator(a=1.0 + 4e-13), 1, 5.0),
+])
+def test_diagonal_limit_is_one_rule(model, n, eps):
+    # a coupling factor (b - 1/4, a - 1) of 1e-13: spectrum takes the
+    # diagonal limit, so the closed-form route must refuse it too instead of
+    # running the Pollaczek recurrence at argument ratio ~1e13
+    assert md.spectrum(model, 3).epsilons[n] == pytest.approx(eps, abs=1e-11)
+    rc, _, _ = md.recursion_for(model, eps)
+    np.testing.assert_array_equal(op.solve_recursion(rc, eps, 30).d, np.eye(30)[n])
+    assert md.closed_form_coefficients(model, eps, 30) is None
+    # a coupling of 1e-10 is off the diagonal limit for both
+    off = (md.GeneralizedMorse(A=-6.0, B=1.0 + 4e-10, mu_scale=2.0)
+           if isinstance(model, md.GeneralizedMorse) else md.HarmonicOscillator(a=1.0 + 1e-10))
+    with pytest.raises(ParameterDomainError):
+        md.spectrum(off, 3)
+    assert md.closed_form_coefficients(off, eps, 3) is not None
 
 
 def test_rosen_morse_spectrum():
@@ -112,12 +132,12 @@ def test_rosen_morse_spectrum():
     assert len(res.levels) == 1
     lv = res.levels[0]
     assert lv.epsilon == pytest.approx(-0.25, rel=1e-12)
-    assert lv.basis_params["mu"] == pytest.approx(0.5, rel=1e-10)
-    assert lv.basis_params["nu"] == pytest.approx(0.5, rel=1e-10)
+    assert lv.mu == pytest.approx(0.5, rel=1e-10)
+    assert lv.nu == pytest.approx(0.5, rel=1e-10)
     # the alternative closed form is reported with its (large) deviation and
     # is intentionally not asserted against the level conditions
-    assert lv.extra["epsilon_alt"] == pytest.approx(-3.0625, rel=1e-12)
-    assert abs(lv.extra["epsilon_alt"] - lv.epsilon) > 1.0
+    assert lv.epsilon_alt == pytest.approx(-3.0625, rel=1e-12)
+    assert abs(lv.epsilon_alt - lv.epsilon) > 1.0
     with pytest.raises(ParameterDomainError):
         md.spectrum(md.RosenMorse(A=1.0, B=0.5))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -61,14 +62,48 @@ def test_rosen_morse_coefficients():
     a_match = 0.5 * (nu + mu + 1.0) * (nu - mu + 1.0)
     rc2 = op.build_rosen_morse(a_match, big_b, mu, nu)
     assert rc2.A(0, 0.0) == pytest.approx(0.0, abs=1e-14)
+    # mu + nu = 0: the denominator 2n+mu+nu vanishes at n = 0
     with pytest.raises(SingularParameterError):
-        op.build_rosen_morse(1.0, -2.0, -0.5, -0.5).C(0, 0.0)
+        op.build_rosen_morse(1.0, -2.0, 0.5, -0.5).A(0, 0.0)
 
 
 def test_recursion_rejects_unknown_f_transform():
     rc = op.build_morse(0.0, 0.25, 1.0)
     with pytest.raises(ParameterDomainError, match="^f_transform must be one of"):
         op.RecursionCoefficients(rc.A, rc.B, rc.C, rc.spec, f_transform="squared")
+
+
+# each builder on (mu, nu), its basis on the same exponents, and that basis's
+# domain (NaN fails every comparison); mu enters the Rosen-Morse case only
+_BUILDERS = {
+    "oscillator-pollaczek": (lambda mu, nu: op.build_oscillator_pollaczek(nu, 2.0),
+                             lambda mu, nu: bs.oscillator_pollaczek_basis(nu),
+                             lambda mu, nu: -0.5 <= nu < math.inf),
+    "oscillator-dual-hahn": (lambda mu, nu: op.build_oscillator_dual_hahn(nu, -0.5),
+                             lambda mu, nu: bs.oscillator_dual_hahn_basis(nu),
+                             lambda mu, nu: -1.0 < nu < math.inf),
+    "morse": (lambda mu, nu: op.build_morse(-3.0, 0.25, nu),
+              lambda mu, nu: bs.morse_basis(nu),
+              lambda mu, nu: 0.0 <= nu < math.inf),
+    "rosen-morse": (lambda mu, nu: op.build_rosen_morse(1.0, -2.0, mu, nu),
+                    lambda mu, nu: bs.rosen_morse_basis(mu, nu),
+                    lambda mu, nu: 0.0 <= mu < math.inf and -1.0 < nu < math.inf),
+}
+_EXPONENTS = [-3.0, -1.0, -0.75, -0.5, -0.25, 0.0, 0.5, 2.5,
+              math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("case", sorted(_BUILDERS))
+def test_builders_carry_their_basis(case):
+    build, basis, inside = _BUILDERS[case]
+    for mu, nu in itertools.product(_EXPONENTS, repeat=2):
+        if inside(mu, nu):
+            rc = build(mu, nu)
+            assert rc.spec == basis(mu, nu)
+            assert rc.spec.alpha >= 0.0 and rc.spec.nu > -1.0
+        else:
+            with pytest.raises(ParameterDomainError):
+                build(mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +203,8 @@ def _scalar_solve_recursion(rc, epsilon, N, zero_tol=1e-9):
                     raise RecursionBreakdownError(n)
             else:
                 d[n + 1] = -num / c
-    f = None
-    if rc.spec is not None:
-        f = d * np.array([_scalar_f_scaling(rc, n) for n in range(N)])
-    ref = f if f is not None else d
-    tail = abs(float(ref[-1])) / (float(np.max(np.abs(ref))) or 1.0)
+    f = d * np.array([_scalar_f_scaling(rc, n) for n in range(N)])
+    tail = abs(float(f[-1])) / (float(np.max(np.abs(f))) or 1.0)
     return d, f, tail
 
 
@@ -197,9 +229,7 @@ def _assert_same_series(rc, eps, N):
     d, f, tail = _scalar_solve_recursion(rc, eps, N)
     series = op.solve_recursion(rc, eps, N)
     assert np.array_equal(series.d, d, equal_nan=True)
-    assert (series.f is None) == (f is None)
-    if f is not None:
-        assert np.array_equal(series.f, f, equal_nan=True)
+    assert np.array_equal(series.f, f, equal_nan=True)
     assert np.array_equal(series.tail_estimate, tail, equal_nan=True)
 
 
@@ -258,15 +288,15 @@ def test_diagonalization_scan_morse():
     levels = md.spectrum(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), 10).levels
     assert [lv.n for lv in levels] == [0, 1, 2]
     assert [lv.epsilon for lv in levels] == pytest.approx([-6.25, -2.25, -0.25])
-    assert [lv.basis_params["nu"] for lv in levels] == pytest.approx([5.0, 3.0, 1.0])
+    assert [lv.nu for lv in levels] == pytest.approx([5.0, 3.0, 1.0])
 
 
 def test_diagonalization_scan_rosen_morse():
     levels = md.spectrum(md.RosenMorse(A=1.0, B=-2.0), 6).levels
     assert len(levels) == 1
     assert levels[0].epsilon == pytest.approx(-0.25, rel=1e-12)
-    assert levels[0].basis_params["mu"] == pytest.approx(0.5, rel=1e-10)
-    assert levels[0].basis_params["nu"] == pytest.approx(0.5, rel=1e-10)
+    assert levels[0].mu == pytest.approx(0.5, rel=1e-10)
+    assert levels[0].nu == pytest.approx(0.5, rel=1e-10)
 
 
 def test_diagonalization_scan_dual_hahn_empty():
