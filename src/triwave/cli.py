@@ -130,7 +130,8 @@ def _grid_solve_cached(model, x_min, x_max, h, k):
 
 
 def _oracle_levels(model, n_levels):
-    """Grid-oracle eigenvalues aligned with the model's level indices."""
+    """(grid-oracle eigenvalues aligned with the model's level indices, the
+    GridSolution they come from)."""
     x_min, x_max, h, k = md.default_grid(model, n_levels)
     key_model = model
     if isinstance(model, md.HarmonicOscillator):
@@ -138,8 +139,8 @@ def _oracle_levels(model, n_levels):
     sol = _grid_solve_cached(key_model, x_min, x_max, h, k)
     if isinstance(model, md.HarmonicOscillator):
         start = 0 if model.parity == "even" else 1
-        return sol.eigenvalues[start::2][:n_levels]
-    return sol.eigenvalues[:n_levels]
+        return sol.eigenvalues[start::2][:n_levels], sol
+    return sol.eigenvalues[:n_levels], sol
 
 
 def _rel_dev(oracle_vals, epsilons):
@@ -162,14 +163,17 @@ def cmd_spectrum(args, out):
     unit = 0.5 if args.hbar_omega else 1.0
     eps = res.epsilons * unit
     ora = rel = None
+    meta = {"notes": res.notes}
     if args.verify and res.levels:
-        ora = _oracle_levels(model, len(res.levels)) * unit
+        ora, sol = _oracle_levels(model, len(res.levels))
+        ora = ora * unit
         rel = _rel_dev(ora, eps)
+        meta["oracle"] = {"rows": sol.x.size, "passes": sol.passes}
     levels = res.levels
     _emit(_SPECTRUM_COLUMNS,
           [[lv.n for lv in levels], eps, [lv.nu for lv in levels], [lv.mu for lv in levels],
            [lv.epsilon_alt for lv in levels], ora, rel],
-          args, out, extra_meta={"notes": res.notes})
+          args, out, extra_meta=meta)
     if res.notes and args.format == "csv":
         for note in res.notes:
             print("# note: %s" % note, file=sys.stderr)
@@ -331,7 +335,7 @@ def _suite_spectrum_oracle():
         ("rosen-morse", md.RosenMorse(A=1.0, B=-2.0), 1),
     ]:
         res = md.spectrum(model, n_levels=n_levels)
-        ora = _oracle_levels(model, len(res.levels))
+        ora = _oracle_levels(model, len(res.levels))[0]
         dev = float(np.max(_rel_dev(ora, res.epsilons)))
         checks.append(("spectrum-oracle/" + name, dev, 1e-3))
     return checks

@@ -20,12 +20,13 @@ determinant, all of them in one vectorized sweep over the LDL^T pivots,
 brings each within a fraction of eps |T|.  The grid oracle is
 dependency-free: it counts the eigenvalues of Numerov's pencil by Sturm
 sequences, through a tridiagonal matrix T(E) whose diagonal depends on E,
-one energy per scalar pass over the rows: it bisects until each level is
-alone in its bracket, then converges each level by Newton's method on
-det T(E) (the same pass gives the step and the count, so the bracket keeps
-every step safe), and adds each eigenvector from one twisted factorization
-of T(E) at its eigenvalue (Dhillon and Parlett, Linear Algebra Appl. 387,
-2004).  Output is deterministic.
+one energy per scalar pass of the LDL^T pivot recurrence over the rows: it
+bisects until each level is alone in its bracket, then converges each level
+by Newton's method on the Rayleigh functional of a twisted factorization of
+T(E) (Dhillon and Parlett, Linear Algebra Appl. 387, 2004; the same pass
+gives the step and the count, so the bracket keeps every step safe), and
+adds each eigenvector from one twisted factorization of T(E) at its
+eigenvalue.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -86,36 +88,61 @@ def _sturm_newton(diag, off2, shifts, pivmin):
         return np.count_nonzero(pivots < 0.0, axis=0), -1.0 / ratios.sum(axis=0)
 
 
-def _numerov_newton(alpha, beta, energy):
-    """(Sturm count, Newton step) at E = energy of the Numerov pencil
-    h^2 T(E) = tridiag(-1, -10 + beta_i / (alpha_i + E), -1), in one pass of
-    Python floats over its rows (alpha, beta: lists; see grid_solve).
+# Pivots of h^2 T(E) are nudged away from zero to +-_TINY (see _pivots).
+_TINY = 1e-300
 
-    The leading principal minors of h^2 T(E) follow the continuant
-    p_i = d_i p_{i-1} - p_{i-2} (p_{-1} = 1, p_{-2} = 0) with
-    d_i = beta_i / (alpha_i + E) - 10, and their E-derivatives follow
-    p'_i = d_i p'_{i-1} - p'_{i-2} - beta_i / (alpha_i + E)^2 p_{i-1}; both
-    are rescaled together when |p| passes 1e100.  The count, the number of
-    Numerov eigenvalues below E, is the number of sign changes of p, where a
-    zero p_i keeps the sign of p_{i-1} (the LDL^T pivot p_i / p_{i-1} is +0,
-    not negative, and the next one -inf: the IEEE Sturm count of Kahan).
-    The step is -p_n / p'_n on the whole determinant, inf where p'_n = 0.
+
+def _numerov_count(alpha, beta, energy):
+    """Sturm count at E = energy of the Numerov pencil
+    h^2 T(E) = tridiag(-1, beta_i / (alpha_i + E) - 10, -1) (alpha, beta:
+    arrays; see grid_solve): the number of negative forward pivots, which is
+    the number of Numerov eigenvalues below E."""
+    d = (beta / (alpha + energy) - 10.0).tolist()
+    return int(np.count_nonzero(_pivots(d, repeat(1.0), _TINY) < 0.0))
+
+
+def _twisted_step(alpha, beta, energy, twist=None):
+    """(Sturm count, Newton step, row of the largest |z|) at E = energy of
+    h^2 T(E) (see _numerov_count), from one twisted factorization twisted at
+    row r (Dhillon and Parlett, Linear Algebra Appl. 387, 2004).
+
+    The forward pivots D+ of rows 0..r-1 and the backward pivots D- of rows
+    n-1..r+1 meet in gamma_r = d_r - 1 / D+_{r-1} - 1 / D-_{r+1}
+    (= D+_r + D-_r - d_r, the form the two-sided pass uses).  The factorization is a congruence, so by Sylvester's
+    law of inertia the count #(D+ < 0) + #(D- < 0) + (gamma_r < 0) is the
+    forward one.  z (_twisted_vector: z_r = 1, h^2 T(E) z = gamma_r e_r)
+    gives the Rayleigh functional z^T h^2 T(E) z = gamma_r, and since
+    h^2 T'(E) = -diag(beta / (alpha + E)^2) the step is Newton's,
+    gamma_r / sum_i beta_i z_i^2 / (alpha_i + E)^2 (the matching-point energy
+    correction of Cooley, Math. Comp. 15, 1961); not finite where z
+    overflows.  twist None sweeps all rows both ways and twists at the least
+    |gamma_r|; otherwise r = twist and each row is swept once.
     """
-    p_prev, p = 0.0, 1.0
-    dp_prev, dp = 0.0, 0.0
-    sign, count = 1.0, 0
-    for a, b in zip(alpha, beta):
-        s = a + energy
-        t = b / s
-        d = t - 10.0
-        p_prev, p = p, d * p - p_prev
-        dp_prev, dp = dp, d * dp - dp_prev - t / s * p_prev
-        if p * sign < 0.0:
-            sign = -sign
-            count += 1
-        if not -1e100 <= p <= 1e100:
-            p, p_prev, dp, dp_prev = p * 1e-100, p_prev * 1e-100, dp * 1e-100, dp_prev * 1e-100
-    return count, (-p / dp if dp != 0.0 else math.inf)
+    s = alpha + energy
+    d = beta / s - 10.0
+    rows = d.tolist()
+    n = len(rows)
+    if twist is None:
+        dp = _pivots(rows, repeat(1.0), _TINY)
+        dm = _pivots(rows[::-1], repeat(1.0), _TINY)[::-1]
+        gammas = dp + dm - d
+        r = int(np.argmin(np.abs(gammas)))
+        left, right, gamma = dp[:r], dm[r + 1:], float(gammas[r])
+    else:
+        r = twist
+        left = _pivots(rows[:r], repeat(1.0), _TINY)
+        right = _pivots(rows[:r:-1], repeat(1.0), _TINY)[::-1]
+        gamma = rows[r]
+        if r > 0:
+            gamma -= 1.0 / float(left[-1])
+        if r < n - 1:
+            gamma -= 1.0 / float(right[0])
+    count = int(np.count_nonzero(left < 0.0) + np.count_nonzero(right < 0.0)) + (gamma < 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _twisted_vector(np.full(n - 1, -1.0), left, right)
+        slope = float(np.sum(beta * (z / s) ** 2))
+    step = gamma / slope if math.isfinite(slope) else math.nan
+    return count, step, int(np.argmax(np.abs(z)))
 
 
 def _closed(lo, hi, rel_tol):
@@ -126,11 +153,12 @@ def _closed(lo, hi, rel_tol):
 def _isolate_levels(alpha, beta, lo0, hi0, k, rel_tol, trail):
     """Brackets (lo, hi), as lists, of the lowest k Numerov levels within
     [lo0, hi0], which has no level below lo0 and at least k below hi0: Sturm
-    bisection (Barth, Martin and Wilkinson, Numer. Math. 9, 1967) of level
-    j's bracket, j = 0, 1, ..., until its ends count exactly j and j + 1, or
-    it is closed (as an exactly degenerate pair ends).  Each pass's count
-    also tightens the later levels' brackets, and trail gets its energy.
-    AccuracyError, with the bracket, 3 passes after halving to rel_tol."""
+    bisection (Barth, Martin and Wilkinson, Numer. Math. 9, 1967) on
+    _numerov_count of level j's bracket, j = 0, 1, ..., until its ends count
+    exactly j and j + 1, or it is closed (as an exactly degenerate pair
+    ends).  Each pass's count also tightens the later levels' brackets, and
+    trail gets its energy.  AccuracyError, with the bracket, 3 passes after
+    halving to rel_tol."""
     lo, hi = [float(lo0)] * k, [float(hi0)] * k
     c_lo, c_hi = [0] * k, [-1] * k  # counts at the ends; at hi0 not known
     max_passes = max(0, math.ceil(math.log2(hi0 - lo0) - math.log2(rel_tol))) + 3
@@ -142,7 +170,7 @@ def _isolate_levels(alpha, beta, lo0, hi0, k, rel_tol, trail):
                 raise AccuracyError("Sturm bisection left Numerov level %d shared after %d "
                                     "passes" % (j, max_passes), estimates=(lo[j], hi[j]))
             energy = 0.5 * (lo[j] + hi[j])
-            count = _numerov_newton(alpha, beta, energy)[0]
+            count = _numerov_count(alpha, beta, energy)
             trail.append(energy)
             for i in range(j, k):  # hi[i] >= hi[j] > energy
                 if count > i:
@@ -154,24 +182,26 @@ def _isolate_levels(alpha, beta, lo0, hi0, k, rel_tol, trail):
 
 def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
     """Numerov level j from a bracket [lo, hi] that holds it alone: Newton
-    steps of _numerov_newton from the midpoint, each pass's count moving the
-    bracket.  A step below 1e-10 |E| and 1e-3 of the distance from E to the
-    nearer end of the bracket it was computed in is the last (convergence is
-    quadratic only well inside the gap to the next level, which a bisected
-    bracket may not be).  A step that leaves the bracket, is not finite, or
-    is below 1e-10 |E| but above half the one before (stuck where E moves by
-    less than alpha_i + E can show) becomes a bisection.  A closed bracket
-    ends in its midpoint; trail, if given, gets each pass's energy.
+    steps of _twisted_step from the midpoint, each pass's count moving the
+    bracket.  The first pass twists where |gamma_r| is least, each later one
+    where the previous z peaked.  A step below 1e-10 |E| and 1e-3 of the
+    distance from E to the nearer end of the bracket it was computed in is
+    the last (convergence is quadratic only well inside the gap to the next
+    level, which a bisected bracket may not be).  A step that leaves the
+    bracket, is not finite, or is below 1e-10 |E| but above half the one
+    before (stuck where E moves by less than alpha_i + E can show) becomes a
+    bisection.  A closed bracket ends in its midpoint; trail, if given, gets
+    the energy of each sweep over the rows (two for the first pass).
     AccuracyError, with the bracket, after twice the passes bisection needs."""
     lo, hi = float(lo), float(hi)  # Python floats: numpy scalars are slower
     passes = 2 * max(1, math.ceil(math.log2(max(hi - lo, rel_tol) / rel_tol))) + 4
-    energy, last = 0.5 * (lo + hi), math.inf
+    energy, last, twist = 0.5 * (lo + hi), math.inf, None
     for _ in range(passes):
         if _closed(lo, hi, rel_tol):
             return 0.5 * (lo + hi)
-        count, step = _numerov_newton(alpha, beta, energy)
         if trail is not None:
-            trail.append(energy)
+            trail.extend([energy] * (2 if twist is None else 1))
+        count, step, twist = _twisted_step(alpha, beta, energy, twist)
         near = min(energy - lo, hi - energy)
         if count <= j:
             lo = energy
@@ -245,17 +275,23 @@ def tridiagonal_eigenvalues(diag, off):
 
 def _pivots(a, e2, tiny):
     """Pivots D_i = a_i - e2_{i-1} / D_{i-1} (D_0 = a_0) of the LDL^T
-    factorization of the tridiagonal matrix with diagonal a and squared
-    off-diagonal e2 (lists of Python floats), as an array, each nudged away
-    from zero to +-tiny."""
-    out = []
+    factorization of the tridiagonal matrix with diagonal a (a list of Python
+    floats) and squared off-diagonal e2 (an iterable of Python floats,
+    repeat(1.0) for a unit off-diagonal), as an array, each nudged away from
+    zero to +-tiny: an exact +0 pivot becomes +tiny, and the next one turns
+    negative, as in Kahan's IEEE Sturm count."""
+    return np.fromiter(_pivot_recurrence(a, e2, tiny), float, len(a))
+
+
+def _pivot_recurrence(a, e2, tiny):
+    """The pivots of _pivots, one at a time (np.fromiter takes them without
+    the list a loop would build)."""
     q = math.inf
-    for ai, ei2 in zip(a, [0.0] + e2):
+    for ai, ei2 in zip(a, chain((0.0,), e2)):
         q = ai - ei2 / q
         if -tiny < q < tiny:
             q = tiny if q >= 0.0 else -tiny
-        out.append(q)
-    return np.array(out)
+        yield q
 
 
 def _twisted_vector(e, left, right):
@@ -375,7 +411,7 @@ class GridSolution:
     h: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # shape (k, npoints)
-    passes: int = 0  # scalar passes over the rows of T(E) that found the eigenvalues
+    passes: int = 0  # sweeps over the rows of T(E) that found the eigenvalues
 
 
 def _resolve_potential(model_or_potential):
@@ -394,9 +430,9 @@ def _resolve_potential(model_or_potential):
 # to spare, and a decaying tail still decays (h sqrt(U - E) < 2.45).
 STEP_BOUND = 0.5
 
-# Most interior rows a grid may have.  The default grids have 2.5k-6k rows;
-# at 0.4-0.8 us per row one scalar pass over 10^7 rows takes 4-8 s, and a
-# solve makes dozens of passes.
+# Most interior rows a grid may have.  The default grids have 0.4k-1.3k rows;
+# the pivot recurrence costs about 0.1 us per row (Python 3.11, x86-64), so
+# one pass over 10^7 rows takes about 1 s, and a solve makes dozens.
 MAX_GRID_ROWS = 10 ** 7
 
 
@@ -447,13 +483,17 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     y = (1 - h^2 g / 12) psi it reads T(E) y = 0 for the tridiagonal
     T(E) = tridiag(-1/h^2, 2/h^2 + g_i / (1 - h^2 g_i / 12), -1/h^2).  Its
     diagonal falls as E rises, so the Sturm count of T(E) is the number of
-    Numerov eigenvalues below E.  Bisection on that count, one scalar pass
-    of _numerov_newton per energy, runs only until each level j has a
-    bracket whose ends count exactly j and j + 1 (_isolate_levels); then
-    each level is converged alone by Newton's method on det h^2 T(E), the
-    continuant of the same pass, whose count moves the bracket (a step out
-    of it becomes a bisection).  GridSolution.passes counts the passes.  Each
-    eigenvector comes from one twisted factorization of T(E) at its
+    Numerov eigenvalues below E.  Bisection on that count, one forward pass
+    of the pivot recurrence per energy (_numerov_count), runs only until each
+    level j has a bracket whose ends count exactly j and j + 1
+    (_isolate_levels); then each level is converged alone by Newton's method
+    on the Rayleigh functional z^T h^2 T(E) z of a twisted factorization
+    (_twisted_step), whose count, equal to the forward one by Sylvester's
+    law, moves the bracket (a step out of it becomes a bisection).  A
+    level's first pass sweeps the rows both ways and twists where |gamma_r|
+    is least; each later one twists where the previous z peaked and sweeps
+    every row once.  GridSolution.passes counts the sweeps over the rows.
+    Each eigenvector comes from one twisted factorization of T(E) at its
     eigenvalue (tridiagonal_eigenvector; Dhillon and Parlett, Linear Algebra
     Appl. 387, 2004), psi = y / (1 - h^2 g / 12).  Levels within 1e-6
     relative of an earlier one form its cluster and are made orthogonal to
@@ -534,8 +574,7 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     if not np.all(np.isfinite(beta)):
         i = int(np.argmin(np.isfinite(beta)))
         raise DomainError("12 / (h^2 rho) overflows at x = %.15g; move x_min up" % x[i])
-    alpha = (sigma - w).tolist()
-    beta = beta.tolist()
+    alpha = sigma - w
     trail = []
     lo, hi = _isolate_levels(alpha, beta, e_lo, _upper_bracket(w, rho, h, k), k, 1e-14, trail)
     vals = np.array([_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14, trail)

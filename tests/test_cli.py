@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from triwave import cli
+from triwave import models as md
+from triwave import oracle as oc
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +119,25 @@ def test_spectrum_verify_exit_codes(capsys):
     code, out, err = run_cli(capsys, *base, "--tol", "1e-12")
     assert code == 2
     assert "verification failed" in err
+
+
+def test_spectrum_verify_json_reports_the_oracle_solve(capsys):
+    # meta names the rows and passes of the grid solve behind the oracle
+    # column; CSV output has no meta and stays as it was
+    model = md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0)
+    sol = oc.grid_solve(model, *md.default_grid(model))
+    base = ("spectrum", "--model", "morse", "--A", "-6", "--B", "1", "--mu-scale", "2")
+    code, out, _ = run_cli(capsys, *base, "--verify", "--format", "json", "--epoch", "0")
+    assert code == 0
+    assert json.loads(out)["meta"]["oracle"] == {"rows": sol.x.size, "passes": sol.passes}
+    code, out, _ = run_cli(capsys, *base, "--format", "json", "--epoch", "0")
+    assert code == 0
+    assert "oracle" not in json.loads(out)["meta"]
+    code, out, _ = run_cli(capsys, *base, "--verify")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,epsilon,nu,mu,epsilon_alt,oracle,rel_dev"
+    assert len(lines) == 1 + 3
 
 
 def test_wavefunction_table(capsys):
