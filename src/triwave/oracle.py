@@ -107,29 +107,34 @@ def _twisted_step(alpha, beta, energy, twist=None):
     row r (Dhillon and Parlett, Linear Algebra Appl. 387, 2004).
 
     The forward pivots D+ of rows 0..r-1 and the backward pivots D- of rows
-    n-1..r+1 meet in gamma_r = d_r - 1 / D+_{r-1} - 1 / D-_{r+1}
-    (= D+_r + D-_r - d_r, the form the two-sided pass uses).  The factorization is a congruence, so by Sylvester's
-    law of inertia the count #(D+ < 0) + #(D- < 0) + (gamma_r < 0) is the
-    forward one.  z (_twisted_vector: z_r = 1, h^2 T(E) z = gamma_r e_r)
-    gives the Rayleigh functional z^T h^2 T(E) z = gamma_r, and since
+    n-1..r+1 meet in gamma_r = d_r - 1 / D+_{r-1} - 1 / D-_{r+1}.  The
+    factorization is a congruence, so by Sylvester's law of inertia the count
+    #(D+ < 0) + #(D- < 0) + (gamma_r < 0) is the forward one.  z
+    (_twisted_vector: z_r = 1, h^2 T(E) z = gamma_r e_r) gives the Rayleigh
+    functional z^T h^2 T(E) z = gamma_r, and since
     h^2 T'(E) = -diag(beta / (alpha + E)^2) the step is Newton's,
-    gamma_r / sum_i beta_i z_i^2 / (alpha_i + E)^2 (the matching-point energy
-    correction of Cooley, Math. Comp. 15, 1961); not finite where z
-    overflows.  twist None sweeps all rows both ways and twists at the least
-    |gamma_r|; otherwise r = twist and each row is swept once.
+    gamma_r / sum_i w_i with w_i = beta_i z_i^2 / (alpha_i + E)^2 (the
+    matching-point energy correction of Cooley, Math. Comp. 15, 1961); not
+    finite where z overflows.  The diagonal of row i is the one at the
+    energy E + delta_i, delta_i = fl(alpha_i + E) - alpha_i - E, up to half
+    an ulp of alpha_i (about 12 / h^2), and gamma_r moves by w_i delta_i
+    per row to first order, so the step adds sum_i w_i delta_i / sum_i w_i:
+    it aims at the level of alpha and beta, not of the rounded
+    alpha_i + E.  delta_i is formed as (fl(alpha_i + E) - alpha_i) - E,
+    exact (Sterbenz's lemma) wherever |E| <= alpha_i / 2 and within about
+    an ulp of E elsewhere.  twist None sweeps all rows both ways and twists
+    at the least |gamma_r| (_twist); otherwise r = twist and each row is
+    swept once.
     """
     s = alpha + energy
     d = beta / s - 10.0
-    rows = d.tolist()
-    n = len(rows)
+    n = d.size
     if twist is None:
-        dp = _pivots(rows, repeat(1.0), _TINY)
-        dm = _pivots(rows[::-1], repeat(1.0), _TINY)[::-1]
-        gammas = dp + dm - d
-        r = int(np.argmin(np.abs(gammas)))
-        left, right, gamma = dp[:r], dm[r + 1:], float(gammas[r])
+        dp, dm, r, gamma = _twist(d, [1.0] * (n - 1), _TINY)
+        left, right = dp[:r], dm[r + 1:]
     else:
         r = twist
+        rows = d.tolist()
         left = _pivots(rows[:r], repeat(1.0), _TINY)
         right = _pivots(rows[:r:-1], repeat(1.0), _TINY)[::-1]
         gamma = rows[r]
@@ -140,8 +145,10 @@ def _twisted_step(alpha, beta, energy, twist=None):
     count = int(np.count_nonzero(left < 0.0) + np.count_nonzero(right < 0.0)) + (gamma < 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         z = _twisted_vector(np.full(n - 1, -1.0), left, right)
-        slope = float(np.sum(beta * (z / s) ** 2))
-    step = gamma / slope if math.isfinite(slope) else math.nan
+        w = beta * (z / s) ** 2
+        slope = float(np.sum(w))
+        shift = float(w @ ((s - alpha) - energy))
+    step = (gamma + shift) / slope if math.isfinite(slope) else math.nan
     return count, step, int(np.argmax(np.abs(z)))
 
 
@@ -189,9 +196,9 @@ def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
     the last (convergence is quadratic only well inside the gap to the next
     level, which a bisected bracket may not be).  A step that leaves the
     bracket, is not finite, or is below 1e-10 |E| but above half the one
-    before (stuck where E moves by less than alpha_i + E can show) becomes a
-    bisection.  A closed bracket ends in its midpoint; trail, if given, gets
-    the energy of each sweep over the rows (two for the first pass).
+    before (stuck at the rounding floor) becomes a bisection.  A closed
+    bracket ends in its midpoint; trail, if given, gets the energy of each
+    sweep over the rows (two for the first pass).
     AccuracyError, with the bracket, after twice the passes bisection needs."""
     lo, hi = float(lo), float(hi)  # Python floats: numpy scalars are slower
     passes = 2 * max(1, math.ceil(math.log2(max(hi - lo, rel_tol) / rel_tol))) + 4
@@ -294,6 +301,20 @@ def _pivot_recurrence(a, e2, tiny):
         yield q
 
 
+def _twist(a, e2, tiny):
+    """(D+, D-, r, gamma_r) of the tridiagonal matrix with diagonal a (an
+    array) and squared off-diagonal e2 (a list of Python floats): the forward
+    pivots D+ of LDL^T and the backward pivots D- of UDU^T (_pivots, nudged
+    away from zero to +-tiny), and the twist r where the two factorizations
+    meet in the least |gamma_r|, gamma_r = D+_r + D-_r - a_r."""
+    rows = a.tolist()
+    dp = _pivots(rows, e2, tiny)
+    dm = _pivots(rows[::-1], e2[::-1], tiny)[::-1]
+    gammas = dp + dm - a
+    r = int(np.argmin(np.abs(gammas)))
+    return dp, dm, r, float(gammas[r])
+
+
 def _twisted_vector(e, left, right):
     """The vector z of a twisted factorization, twisted at r = len(left):
     z_r = 1 and the rows of (T - lam I) z = gamma_r e_r other than r, solved
@@ -365,10 +386,7 @@ def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
     tiny = 1e-300 * max(1.0, float(np.max(e2)))
     if not np.all(np.isfinite(a)):
         raise ParameterDomainError("matrix entries overflow the twisted factorization")
-    a_list, e2_list = a.tolist(), e2.tolist()
-    dp = _pivots(a_list, e2_list, tiny)
-    dm = _pivots(a_list[::-1], e2_list[::-1], tiny)[::-1]
-    r = int(np.argmin(np.abs(dp + dm - a)))
+    dp, dm, r, _ = _twist(a, e2.tolist(), tiny)
     v = _twisted_vector(e, dp[:r], dm[r + 1:])
     if u.size:
         v = v / np.linalg.norm(v)
@@ -489,7 +507,11 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     (_isolate_levels); then each level is converged alone by Newton's method
     on the Rayleigh functional z^T h^2 T(E) z of a twisted factorization
     (_twisted_step), whose count, equal to the forward one by Sylvester's
-    law, moves the bracket (a step out of it becomes a bisection).  A
+    law, moves the bracket (a step out of it becomes a bisection).  Forming
+    alpha_i + E rounds E by up to half an ulp of alpha_i.  The count keeps
+    that floor, but the step adds the rounding back, so Newton's method aims
+    at the level of the unrounded pencil; a last step that points out of the
+    count's bracket ends at the bracket's end, within the floor.  A
     level's first pass sweeps the rows both ways and twists where |gamma_r|
     is least; each later one twists where the previous z peaked and sweeps
     every row once.  GridSolution.passes counts the sweeps over the rows.

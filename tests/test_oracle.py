@@ -584,6 +584,14 @@ def _mpmath_levels(alpha, beta, approx):
     (lambda x: -6.0 * np.exp(-x) + np.exp(-2.0 * x), -2.0, 6.0, 0.1, 5),
 ])
 def test_grid_solve_matches_mpmath_bisection(monkeypatch, model, x_min, x_max, h, k):
+    sol, ref = _solve_with_mpmath_levels(monkeypatch, model, x_min, x_max, h, k)
+    assert sol.x.size <= 300
+    np.testing.assert_allclose(sol.eigenvalues, ref, rtol=1e-11)
+
+
+def _solve_with_mpmath_levels(monkeypatch, model, x_min, x_max, h, k):
+    # grid_solve's levels and the 40-digit bisection of the alpha and beta
+    # its Newton passes saw
     seen = {}
     step = oc._twisted_step
 
@@ -593,9 +601,22 @@ def test_grid_solve_matches_mpmath_bisection(monkeypatch, model, x_min, x_max, h
 
     monkeypatch.setattr(oc, "_twisted_step", capture)
     sol = oc.grid_solve(model, x_min, x_max, h, k, check_boundaries="none")
-    assert sol.x.size <= 300
-    ref = _mpmath_levels(seen["alpha"], seen["beta"], sol.eigenvalues)
-    np.testing.assert_allclose(sol.eigenvalues, ref, rtol=1e-11)
+    return sol, _mpmath_levels(seen["alpha"], seen["beta"], sol.eigenvalues)
+
+
+@pytest.mark.parametrize("model, x_min, x_max", [
+    (lambda x: x * x, -8.0, 8.0),
+    (lambda x: x * x + np.sin(3.0 * x), -6.0, 6.0),
+])
+def test_newton_levels_take_out_the_rounding_of_alpha_plus_e(monkeypatch, model, x_min, x_max):
+    # at h = 1/16, alpha_i + E (alpha_i about 12 / h^2 = 3072) moves E by up
+    # to 2.3e-13, by the same amount on every row whose alpha_i shares a
+    # binade; Newton's step adds that shift back, so its levels meet the
+    # 40-digit bisection of the same floats to an eighth of an ulp of 3072.
+    # A step on the rounded diagonal alone read 1.7e-13 off on the
+    # oscillator's level 0
+    sol, ref = _solve_with_mpmath_levels(monkeypatch, model, x_min, x_max, 1.0 / 16.0, 4)
+    np.testing.assert_allclose(sol.eigenvalues, ref, rtol=0, atol=math.ulp(12.0 * 16.0 ** 2) / 8)
 
 
 def _ho_grid_solve():
@@ -603,10 +624,6 @@ def _ho_grid_solve():
 
 
 def test_grid_solve_bisects_when_newton_steps_are_nan(monkeypatch):
-    # bisection and Newton's method each end within the rounding floor of
-    # alpha_i + E (alpha_i about 12 / h^2 = 3072), not closer to each other:
-    # on level 0 they read 0.99999988072591 and 0.99999988072618 about the
-    # 40-digit 0.99999988072600
     want = _ho_grid_solve().eigenvalues
     step = oc._twisted_step
 
@@ -617,7 +634,7 @@ def test_grid_solve_bisects_when_newton_steps_are_nan(monkeypatch):
     monkeypatch.setattr(oc, "_twisted_step", nan_step)
     got = _ho_grid_solve().eigenvalues
     assert np.all(np.isfinite(got))
-    np.testing.assert_allclose(got, want, rtol=0, atol=math.ulp(12.0 * 16.0 ** 2))
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_newton_level_takes_a_closed_bracket_as_it_is():
