@@ -77,8 +77,8 @@ def _emit(names, columns, args, out, extra_meta=None):
     """Write the table whose columns (parallel to names) are arrays, lists or
     constants (a scalar, or None for an empty column) as CSV or JSON."""
     n_rows = max((len(c) for c in columns if np.ndim(c)), default=0)
-    _start_output(out)
     if args.format == "csv":
+        _start_output(out)
         formats, values = zip(*map(_csv_column, columns))
         # every row in one printf pass over the row-major values
         cells = tuple(itertools.chain.from_iterable(zip(*(v for v in values if v))))
@@ -90,9 +90,15 @@ def _emit(names, columns, args, out, extra_meta=None):
             meta.update(extra_meta)
         values = [c.tolist() if isinstance(c, np.ndarray)
                   else c if np.ndim(c) else [c] * n_rows for c in columns]
-        doc = {"meta": meta, "columns": names, "rows": [list(r) for r in zip(*values)]}
-        json.dump(doc, out, indent=2, default=float)
-        out.write("\n")
+        _write_json({"meta": meta, "columns": names, "rows": [list(r) for r in zip(*values)]},
+                    out)
+
+
+def _write_json(doc, out):
+    """doc as out's whole content: JSON (numpy scalars as floats), newline."""
+    _start_output(out)
+    json.dump(doc, out, indent=2, default=float)
+    out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -101,46 +107,33 @@ def _emit(names, columns, args, out, extra_meta=None):
 
 def _build_model(args):
     name = args.model
+    a = args.a if args.a is not None else 1.0
     if name == "ho":
-        return md.HarmonicOscillator(a=args.a if args.a is not None else 1.0,
-                                     parity=args.parity)
-    if name == "osc-inv-sq":
+        return md.HarmonicOscillator(a=a, parity=args.parity)
+    if name in ("osc-inv-sq", "osc-inv-sq-super"):
         if args.b is None:
-            raise TriwaveError("osc-inv-sq needs --b")
-        return md.OscillatorInverseSquare(a=args.a if args.a is not None else 1.0,
-                                          b=args.b, branch=args.branch)
-    if name == "osc-inv-sq-super":
-        if args.b is None:
-            raise TriwaveError("osc-inv-sq-super needs --b")
+            raise TriwaveError("%s needs --b" % name)
+        if name == "osc-inv-sq":
+            return md.OscillatorInverseSquare(a=a, b=args.b, branch=args.branch)
         return md.SupercriticalInverseSquare(b=args.b, nu=args.nu)
     if name == "morse":
         if args.big_a is None or args.big_b is None or args.mu_scale is None:
             raise TriwaveError("morse needs --A, --B and --mu-scale")
         return md.GeneralizedMorse(A=args.big_a, B=args.big_b, mu_scale=args.mu_scale)
-    if name == "rosen-morse":
-        if args.big_a is None or args.big_b is None:
-            raise TriwaveError("rosen-morse needs --A and --B")
-        return md.RosenMorse(A=args.big_a, B=args.big_b)
-    raise TriwaveError("unknown model %r" % name)
+    if args.big_a is None or args.big_b is None:  # rosen-morse, the last --model choice
+        raise TriwaveError("rosen-morse needs --A and --B")
+    return md.RosenMorse(A=args.big_a, B=args.big_b)
 
 
 @lru_cache(maxsize=16)
 def _grid_solve_cached(model, x_min, x_max, h, k):
-    return oc.grid_solve(model, x_min, x_max, h, k)
+    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
 
 
 def _oracle_levels(model, n_levels):
-    """(grid-oracle eigenvalues aligned with the model's level indices, the
-    GridSolution they come from)."""
-    x_min, x_max, h, k = md.default_grid(model, n_levels)
-    key_model = model
-    if isinstance(model, md.HarmonicOscillator):
-        key_model = md.HarmonicOscillator(a=model.a, parity="even")  # shared grid
-    sol = _grid_solve_cached(key_model, x_min, x_max, h, k)
-    if isinstance(model, md.HarmonicOscillator):
-        start = 0 if model.parity == "even" else 1
-        return sol.eigenvalues[start::2][:n_levels], sol
-    return sol.eigenvalues[:n_levels], sol
+    """(grid-oracle levels in the model's level order, their GridSolution)."""
+    sol = _grid_solve_cached(model.oracle_model, *md.default_grid(model, n_levels))
+    return sol.eigenvalues[model.oracle_levels][:n_levels], sol
 
 
 def _rel_dev(oracle_vals, epsilons):
@@ -361,9 +354,7 @@ def cmd_verify(args, out):
                    for n, m, t in checks],
     }
     report["passed"] = all(c["pass"] for c in report["checks"])
-    _start_output(out)
-    json.dump(report, out, indent=2, default=float)
-    out.write("\n")
+    _write_json(report, out)
     return 0 if report["passed"] else 2
 
 

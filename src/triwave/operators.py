@@ -12,12 +12,11 @@ the recursion (including the diagonal and terminating limits used by bound
 states); symmetric_form gives the (diag, off) arrays of the symmetric view; and an
 independent quadrature route integrates the block <phi_m | (H - eps) | phi_n>
 directly to verify tridiagonality without using any of the closed forms.
-The level rules of the discrete spectra live in models.spectrum.
+The level rules of the discrete spectra live in the model classes (models).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -295,88 +294,8 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int) -> Coeffi
 
 
 # ---------------------------------------------------------------------------
-# Rosen-Morse level conditions
-# ---------------------------------------------------------------------------
-
-def rosen_morse_level(A, B, n, mu_floor=1e-12):
-    """Solve the two diagonal conditions for (mu, nu) at level n.
-
-    The coupling condition fixes mu + nu = 2*gamma - 2(n+1) with
-    gamma = sqrt(1/4 - B); the diagonal condition then is one equation in mu,
-    solved by safeguarded bisection on (mu_floor, mu_upper) with mu_upper set
-    by eps > U_min.  Roots are accepted only with mu > 0 and nu > -1.
-    Returns (mu, nu) or None.
-    """
-    if B > 0.25:
-        raise ParameterDomainError("bound levels need B <= 1/4")
-    gamma = math.sqrt(0.25 - B)
-    s = 2.0 * gamma - 2.0 * (n + 1.0)  # mu + nu
-
-    def residual(mu):
-        nu = s - mu
-        t = 2 * n + s
-        if abs(t) < 1e-12:
-            return None
-        return (0.5 * (nu + mu + 1.0) * (nu - mu + 1.0)
-                + 2.0 * n * (n + mu) / t - A)
-
-    u_min = rosen_morse_potential_min(A, B)
-    if u_min >= 0.0:
-        return None
-    mu_upper = math.sqrt(-u_min)
-    lo, hi = mu_floor, mu_upper
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo is None or r_hi is None:
-        raise SingularParameterError("level condition singular (2n+mu+nu = 0)")
-    if r_lo == 0.0:
-        root = lo
-    elif r_hi == 0.0:
-        root = hi
-    elif r_lo * r_hi > 0.0:
-        return None
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            r_mid = residual(mid)
-            if r_mid == 0.0 or hi - lo < 1e-15 * max(1.0, abs(mid)):
-                break
-            if r_lo * r_mid < 0.0:
-                hi, r_hi = mid, r_mid
-            else:
-                lo, r_lo = mid, r_mid
-        root = 0.5 * (lo + hi)
-    mu = root
-    nu = s - mu
-    if mu <= 0.0 or nu <= -1.0:
-        return None
-    return mu, nu
-
-
-def rosen_morse_potential_min(A, B):
-    """Minimum of U(y) = A(1-y) + B(1-y^2) over y in [-1, 1]."""
-    cands = [0.0, 2.0 * A]  # ends y=+1, y=-1
-    if B != 0.0:
-        y_star = -A / (2.0 * B)
-        if -1.0 < y_star < 1.0:
-            cands.append(A * (1.0 - y_star) + B * (1.0 - y_star * y_star))
-    return min(cands)
-
-
-# ---------------------------------------------------------------------------
 # Quadrature J-matrix (independent of the closed forms)
 # ---------------------------------------------------------------------------
-
-def _u_oscillator(model):
-    """(linear, inverse) coefficients of U(y) = u1*y + um1/y on the half line."""
-    from . import models  # late import: models depends on this module
-    if isinstance(model, models.HarmonicOscillator):
-        return model.a, 0.0
-    if isinstance(model, models.OscillatorInverseSquare):
-        return model.a, model.b
-    if isinstance(model, models.SupercriticalInverseSquare):
-        return 1.0, model.b
-    raise UnsupportedStructureError("model does not map to the oscillator form")
-
 
 def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
                     size: int, n_nodes=None):
@@ -393,27 +312,23 @@ def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
     enough to expose the broken structure.  n_nodes defaults to
     max(64, size + 2); fewer than size + 2 nodes cannot integrate the top
     entry exactly.  The weight is basis._pair_weight(spec, cmap), which
-    raises DomainError where the measure's integral diverges.
+    raises DomainError where the measure's integral diverges.  The potential
+    comes from model.jmatrix_potential() as (map kind, c1, c2):
+    U = c1 y + c2 / y (oscillator), c1 y + c2 y^2 (morse) or
+    c1 (1 - y) + c2 (1 - y^2) (rosen_morse); UnsupportedStructureError where
+    that kind is not cmap's.
     """
-    from . import models  # late import
     if n_nodes is None:
         n_nodes = max(64, size + 2)
     if n_nodes < size + 2:
         raise ParameterDomainError("n_nodes too small for these indices")
-    eps = float(epsilon)
     weight = basis_mod._pair_weight(spec, cmap)
-    if cmap.kind == "oscillator":
-        u1, um1 = _u_oscillator(model)
-        return _jmatrix_laguerre_oscillator(spec, weight, u1, um1, eps, size, n_nodes)
-    if cmap.kind == "morse":
-        if not isinstance(model, models.GeneralizedMorse):
-            raise UnsupportedStructureError("model does not map to the morse form")
-        u1 = model.A / cmap.mu_scale
-        u2 = model.B / cmap.mu_scale ** 2
-        return _jmatrix_laguerre_morse(spec, weight, u1, u2, eps, size, n_nodes)
-    if not isinstance(model, models.RosenMorse):
-        raise UnsupportedStructureError("model does not map to the rosen_morse form")
-    return _jmatrix_jacobi(spec, weight, model.A, model.B, eps, size, n_nodes)
+    kind, c1, c2 = model.jmatrix_potential()
+    if kind != cmap.kind:
+        raise UnsupportedStructureError("model does not map to the %s form" % cmap.kind)
+    assemble = {"oscillator": _jmatrix_laguerre_oscillator, "morse": _jmatrix_laguerre_morse,
+                "rosen_morse": _jmatrix_jacobi}[kind]
+    return assemble(spec, weight, c1, c2, float(epsilon), size, n_nodes)
 
 
 def _lowered(spec, vals):

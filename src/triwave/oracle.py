@@ -51,6 +51,7 @@ __all__ = [
     "tridiagonal_eigenvalues",
     "tridiagonal_eigenvector",
     "grid_solve",
+    "step_margin",
     "gauss_rule",
     "adaptive_quad",
     "node_count",
@@ -432,17 +433,6 @@ class GridSolution:
     passes: int = 0  # sweeps over the rows of T(E) that found the eigenvalues
 
 
-def _resolve_potential(model_or_potential):
-    """(U as a vectorized function of x, whether the model gets the Langer
-    grid): the inverse-square models do, a plain callable never does."""
-    if callable(model_or_potential):
-        return model_or_potential, False
-    from . import models  # local import avoids a module cycle
-    langer = isinstance(model_or_potential, (models.OscillatorInverseSquare,
-                                             models.SupercriticalInverseSquare))
-    return (lambda x: models.potential_eval(model_or_potential, x)), langer
-
-
 # Largest h^2 max(U - E_lo rho) / 12 a grid may have.  The Numerov diagonal
 # has its pole at 1; below this bound the count is monotone in E with room
 # to spare, and a decaying tail still decays (h sqrt(U - E) < 2.45).
@@ -491,7 +481,49 @@ def _upper_bracket(w, rho, h, k):
     return best
 
 
-def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
+def _numerov_grid(potential, x_min, x_max, h, k, langer):
+    """(x, rho, u = U rho (x^2 U + 1/4 on the Langer grid), w = u / rho,
+    E_lo = min w, step margin) with grid_solve's checks but the step bound."""
+    if x_max <= x_min:
+        raise DomainError("x_max must exceed x_min")
+    t_min, t_max = x_min, x_max
+    if langer:
+        if not x_min > 0.0:
+            raise DomainError("the Langer grid of an inverse-square model needs x_min > 0")
+        t_min, t_max = math.log(x_min), math.log(x_max)
+    span = (t_max - t_min) / h
+    if not span <= MAX_GRID_ROWS + 1:  # also an infinite span
+        raise DomainError(
+            "the grid on [%r, %r] with h = %r has %r interior rows, more than "
+            "MAX_GRID_ROWS = %d" % (x_min, x_max, h, span - 1.0, MAX_GRID_ROWS))
+    n_int = int(round(span)) - 1
+    if n_int < 3:
+        raise DomainError("grid too coarse for the requested domain")
+    if not 1 <= k <= n_int:
+        raise ParameterDomainError("need 1 <= k <= number of interior points")
+    x = t_min + h * np.arange(1, n_int + 1)
+    rho = np.ones(n_int)
+    if langer:
+        x = np.exp(x)
+        rho = x * x
+    ux = np.asarray(potential(x), dtype=float)
+    finite = np.isfinite(ux)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError("U(x) = %r is not finite at x = %.15g" % (float(ux[i]), x[i]))
+    if langer:
+        ux = rho * ux + 0.25
+    w = ux / rho
+    e_lo = float(np.min(w))
+    return x, rho, ux, w, e_lo, h * h / 12.0 * float(np.max(ux - e_lo * rho))
+
+
+def step_margin(potential, x_min, x_max, h, langer=False):
+    """h^2 max(U - E_lo rho) / 12 on grid_solve's grid (refused from STEP_BOUND)."""
+    return _numerov_grid(potential, x_min, x_max, h, 1, langer)[-1]
+
+
+def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="both"):
     """Lowest k eigenpairs of Numerov's fourth-order discretization of
     -psi'' + U psi = E psi on [x_min, x_max] with Dirichlet ends.
 
@@ -524,13 +556,14 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     bound passes 1e-10, psi is also made orthogonal to the earlier level
     under the pencil's weight rho.
 
-    Model objects of the inverse-square families (a wall at x = 0) get the
-    Langer grid: x = e^t with t uniform of step h on [ln x_min, ln x_max] and
-    psi = e^{t/2} phi, which gives the same kind of problem in t,
-    -phi'' + (x^2 U + 1/4) phi = E x^2 phi, with rho = x^2 and no wall.
-    models.default_grid gives the settings the CLI uses: h = 1/32 (1/16 for
-    Rosen-Morse) and each edge where the top level's WKB exponent
-    int sqrt(U - E_top) dx (dt on the Langer grid) reaches 16.
+    U = potential(x), vectorized.  langer=True (an inverse-square wall at
+    x = 0) picks the Langer grid: x = e^t with t uniform of step h on
+    [ln x_min, ln x_max] and psi = e^{t/2} phi, which gives the same kind of
+    problem in t, -phi'' + (x^2 U + 1/4) phi = E x^2 phi, with rho = x^2 and
+    no wall.  models.default_grid gives the settings the CLI uses: h = 1/32
+    (1/16 for Rosen-Morse, halved until the step bound holds) and each edge
+    where the top level's WKB exponent int sqrt(U - E_top) dx (dt on the
+    Langer grid) reaches 16.
 
     Raises DomainError, before any grid array is built, when the grid would
     have more than MAX_GRID_ROWS interior rows; DomainError when
@@ -551,44 +584,12 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
             raise ParameterDomainError("%s = %r must be finite" % (name, value))
     if not h > 0.0:
         raise ParameterDomainError("h = %r must be positive" % h)
-    if x_max <= x_min:
-        raise DomainError("x_max must exceed x_min")
-    u, langer = _resolve_potential(model)
-    t_min, t_max = x_min, x_max
-    if langer:
-        if not x_min > 0.0:
-            raise DomainError("the Langer grid of an inverse-square model needs x_min > 0")
-        t_min, t_max = math.log(x_min), math.log(x_max)
-    span = (t_max - t_min) / h
-    if not span <= MAX_GRID_ROWS + 1:  # also an infinite span
-        raise DomainError(
-            "the grid on [%r, %r] with h = %r has %r interior rows, more than "
-            "MAX_GRID_ROWS = %d" % (x_min, x_max, h, span - 1.0, MAX_GRID_ROWS))
-    n_int = int(round(span)) - 1
-    if n_int < 3:
-        raise DomainError("grid too coarse for the requested domain")
-    if not 1 <= k <= n_int:
-        raise ParameterDomainError("need 1 <= k <= number of interior points")
-    x = t_min + h * np.arange(1, n_int + 1)
-    rho = np.ones(n_int)
-    if langer:
-        x = np.exp(x)
-        rho = x * x
-    ux = np.asarray(u(x), dtype=float)
-    finite = np.isfinite(ux)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DomainError("U(x) = %r is not finite at x = %.15g" % (float(ux[i]), x[i]))
-    if langer:
-        ux = rho * ux + 0.25
-    w = ux / rho
-    e_lo = float(np.min(w))
-    c = h * h / 12.0
-    margin = c * float(np.max(ux - e_lo * rho))
+    x, rho, ux, w, e_lo, margin = _numerov_grid(potential, x_min, x_max, h, k, langer)
     if margin >= STEP_BOUND:
         raise DomainError(
             "h^2 max(U - E_lo) / 12 = %.3g >= %g; reduce h below %.3g"
             % (margin, STEP_BOUND, h * math.sqrt(STEP_BOUND / margin)))
+    c = h * h / 12.0
     # diagonal of h^2 T(E): 2 + 12 c g / (1 - c g) = -10 + beta / (alpha + E)
     with np.errstate(over="ignore", divide="ignore"):
         sigma = 1.0 / (c * rho)
@@ -602,7 +603,7 @@ def grid_solve(model, x_min, x_max, h, k, check_boundaries="both"):
     vals = np.array([_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14, trail)
                      for j in range(k)])
     inv_h2 = 1.0 / (h * h)
-    off = np.full(n_int - 1, -inv_h2)
+    off = np.full(x.size - 1, -inv_h2)
     diags, ys, vecs = [], [], []
     for i in range(k):
         prev = [ys[j] for j in range(i)

@@ -9,7 +9,7 @@ def _solve(model, n_levels=None, **overrides):
     x_min, x_max, h, k = md.default_grid(model, n_levels)
     x_min = overrides.get("x_min", x_min)
     h = overrides.get("h", h)
-    return oc.grid_solve(model, x_min, x_max, h, k)
+    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +34,7 @@ def oscinv_b075_oracle():
 def oscinv_b075_oracle_halfcut():
     model = md.OscillatorInverseSquare(a=1.0, b=0.75)
     x_min, x_max, h, k = md.default_grid(model, 3)
-    return oc.grid_solve(model, x_min / 2.0, x_max, h, k)
+    return oc.grid_solve(model.potential, x_min / 2.0, x_max, h, k, langer=True)
 
 
 @pytest.fixture(scope="session")
@@ -52,7 +52,7 @@ def morse_a3_oracle_extra():
     """Same Morse well but with one extra state, to expose the continuum edge."""
     model = md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0)
     x_min, x_max, h, k = md.default_grid(model)
-    return oc.grid_solve(model, x_min, x_max, h, k + 1, check_boundaries="none")
+    return oc.grid_solve(model.potential, x_min, x_max, h, k + 1, check_boundaries="none")
 
 
 @pytest.fixture(scope="session")

@@ -43,7 +43,7 @@ def test_criterion_1_harmonic_oscillator():
     # closed forms are exact: E_n = hw (2n + 1/2), hw (2n + 3/2), hw = 2 E0
     assert list(even.epsilons) == [2.0 * (2 * n + 0.5) for n in range(4)]
     assert list(odd.epsilons) == [2.0 * (2 * n + 1.5) for n in range(4)]
-    sol = oc.grid_solve(md.HarmonicOscillator(a=1.0), -8.0, 8.0, 1.0 / 256.0, 8)
+    sol = oc.grid_solve(md.HarmonicOscillator(a=1.0).potential, -8.0, 8.0, 1.0 / 256.0, 8)
     dev_even = _rel(sol.eigenvalues[0::2], even.epsilons)
     dev_odd = _rel(sol.eigenvalues[1::2], odd.epsilons)
     elapsed = time.monotonic() - t0

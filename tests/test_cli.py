@@ -125,7 +125,7 @@ def test_spectrum_verify_json_reports_the_oracle_solve(capsys):
     # meta names the rows and passes of the grid solve behind the oracle
     # column; CSV output has no meta and stays as it was
     model = md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0)
-    sol = oc.grid_solve(model, *md.default_grid(model))
+    sol = oc.grid_solve(model.potential, *md.default_grid(model))
     base = ("spectrum", "--model", "morse", "--A", "-6", "--B", "1", "--mu-scale", "2")
     code, out, _ = run_cli(capsys, *base, "--verify", "--format", "json", "--epoch", "0")
     assert code == 0
@@ -531,3 +531,21 @@ def test_value_token_named_like_a_subcommand(capsys, monkeypatch, tmp_path):
     assert code == 0 and out == "", err
     assert (tmp_path / "verify").read_text().splitlines() == [
         "n,epsilon,nu,mu,epsilon_alt,oracle,rel_dev", "0,1,-0.5,,,,", "1,5,-0.5,,,,"]
+
+
+@pytest.mark.parametrize("levels", ["8", "32"])
+def test_spectrum_verify_deep_osc_inv_sq_levels(capsys, levels):
+    # the default grid halves h until the Numerov step bound holds, so a
+    # deep request verifies instead of asking for a smaller h
+    code, out, err = run_cli(capsys, "spectrum", "--model", "osc-inv-sq", "--b", "0.75",
+                             "--levels", levels, "--verify")
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == int(levels) + 1
+
+
+def test_spectrum_verify_rosen_morse_above_the_default_level_count(capsys):
+    # the oracle grid is sized from the requested 9 levels, not from 8
+    code, out, err = run_cli(capsys, "spectrum", "--model", "rosen-morse", "--A", "0.5",
+                             "--B", "-200", "--levels", "9", "--verify")
+    assert code in (1, 2)
+    assert "ValueError" not in err and "broadcast" not in err

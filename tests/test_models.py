@@ -44,6 +44,13 @@ def test_model_invariants():
         md.HarmonicOscillator(a=1.0, parity="sideways")
 
 
+@pytest.mark.parametrize("nu", [-1.5, -1.0])
+def test_supercritical_exponent_takes_the_dual_hahn_basis_domain(nu):
+    # nu > -1 is the dual-Hahn basis's rule; the model refuses at construction
+    with pytest.raises(ParameterDomainError, match="nu > -1"):
+        md.SupercriticalInverseSquare(b=-0.5, nu=nu)
+
+
 @pytest.mark.parametrize("make", [
     lambda v: md.HarmonicOscillator(a=v),
     lambda v: md.OscillatorInverseSquare(a=1.0, b=v),
@@ -470,3 +477,35 @@ def test_series_node_counts():
     for n, eps in enumerate([-6.25, -2.25, -0.25]):
         psi, _ = md.wavefunction(mm, eps, 30, xm)
         assert oc.node_count(psi) == n
+
+
+# ---------------------------------------------------------------------------
+# Grid-oracle defaults
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("levels, h", [(3, 1.0 / 32.0), (5, 1.0 / 32.0), (6, 1.0 / 64.0),
+                                       (16, 1.0 / 64.0), (32, 1.0 / 128.0)])
+def test_default_grid_halves_h_until_the_step_bound_holds(levels, h):
+    # at 6 or more osc-inv-sq levels the top level's edges reach where
+    # h^2 max(U - E_lo rho) / 12 passes the bound at h = 1/32
+    model = md.OscillatorInverseSquare(a=1.0, b=0.75)
+    x_min, x_max, got, k = md.default_grid(model, levels)
+    assert (got, k) == (h, levels)
+    assert oc.step_margin(model.potential, x_min, x_max, h, langer=True) < oc.STEP_BOUND
+    if h < 1.0 / 32.0:  # the halving stops at the first h that meets the bound
+        margin = oc.step_margin(model.potential, x_min, x_max, 2.0 * h, langer=True)
+        assert margin >= oc.STEP_BOUND
+
+
+def test_default_grid_sizes_rosen_morse_from_the_requested_levels():
+    model = md.RosenMorse(A=0.5, B=-200.0)
+    assert len(md.spectrum(model).levels) == 8  # the default count, below 9
+    for n_levels in (2, 9, 12):
+        k = md.default_grid(model, n_levels)[3]
+        assert k == len(md.spectrum(model, n_levels).levels) >= n_levels
+
+
+def test_morse_spectrum_and_grid_keep_every_bound_level():
+    model = md.GeneralizedMorse(A=-9.0, B=1.0, mu_scale=2.0)
+    assert len(md.spectrum(model, 1).levels) == 4
+    assert md.default_grid(model, 1)[3] == 4

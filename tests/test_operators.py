@@ -124,7 +124,7 @@ def test_solve_recursion_diagonal_limit():
 
 def test_solve_recursion_terminating_series():
     # parameters on the rosen-morse level conditions terminate the series
-    mu, nu = op.rosen_morse_level(1.0, -2.0, 0)
+    mu, nu = md.RosenMorse(1.0, -2.0)._level(0)
     rc = op.build_rosen_morse(1.0, -2.0, mu, nu)
     series = op.solve_recursion(rc, -mu * mu, 10)
     assert series.d[0] == 1.0
@@ -243,7 +243,7 @@ def test_solve_recursion_matches_scalar_reference():
     # diagonal limits (oscillator and Morse) and a terminating series
     _assert_same_series(op.build_oscillator_pollaczek(-0.5, 1.0), 9.0, 12)
     _assert_same_series(op.build_morse(-3.0, 0.25, 5.0), -6.25, 12)
-    mu, nu = op.rosen_morse_level(1.0, -2.0, 0)
+    mu, nu = md.RosenMorse(1.0, -2.0)._level(0)
     _assert_same_series(op.build_rosen_morse(1.0, -2.0, mu, nu), -mu * mu, 10)
     # breakdowns: no diagonal-limit level, and C_0 = 0 off the level condition
     big_b = 0.25 - 0.25 * (0.5 + 0.5 + 2.0) ** 2
@@ -305,8 +305,8 @@ def test_diagonalization_scan_dual_hahn_empty():
 
 def test_rosen_morse_level_count_deeper_well():
     # B = -6 supports two levels under the per-level conditions with mu > 0
-    assert op.rosen_morse_level(1.0, -6.0, 0) is not None
-    assert op.rosen_morse_level(1.0, -2.0, 1) is None
+    assert md.RosenMorse(1.0, -6.0)._level(0) is not None
+    assert md.RosenMorse(1.0, -2.0)._level(1) is None
 
 
 def test_symmetric_nonsymmetric_consistency(rng):

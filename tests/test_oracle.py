@@ -341,12 +341,12 @@ def test_richardson_consistency(ho_oracle, ho_oracle_coarse):
 
 def test_grid_domain_too_small():
     with pytest.raises(DomainError):
-        oc.grid_solve(md.HarmonicOscillator(a=1.0), -3.0, 3.0, 1.0 / 128.0, 4)
+        oc.grid_solve(md.HarmonicOscillator(a=1.0).potential, -3.0, 3.0, 1.0 / 128.0, 4)
 
 
 def test_grid_step_too_coarse():
     with pytest.raises(DomainError):
-        oc.grid_solve(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0),
+        oc.grid_solve(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0).potential,
                       -6.0, 20.0, 1.0 / 16.0, 2)
 
 
@@ -464,7 +464,8 @@ def test_grid_solve_matches_dense_numerov():
 def test_langer_grid_matches_dense_reference():
     model = md.OscillatorInverseSquare(a=1.0, b=0.3)
     h, x_min, x_max = 1.0 / 8.0, math.exp(-6.0), math.exp(1.5)
-    sol = oc.grid_solve(model, x_min, x_max, h, 3, check_boundaries="none")
+    sol = oc.grid_solve(model.potential, x_min, x_max, h, 3, langer=True,
+                        check_boundaries="none")
     n = sol.x.size
     t = -6.0 + h * np.arange(1, n + 1)
     np.testing.assert_allclose(sol.x, np.exp(t), rtol=1e-12)
@@ -496,7 +497,7 @@ def test_numerov_sweep_count_on_default_grids(monkeypatch):
                             (md.GeneralizedMorse(A=-5.078472251771057, B=1.3204407989787743,
                                                  mu_scale=2.298208692855176), None)]:
         x_min, x_max, h, k = md.default_grid(model, n_levels)
-        sol = oc.grid_solve(model, x_min, x_max, h, k)
+        sol = oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
         assert sweeps == [], model
         assert 1 <= sol.passes <= 6 * k + 10, model
 
@@ -600,7 +601,9 @@ def _solve_with_mpmath_levels(monkeypatch, model, x_min, x_max, h, k):
         return step(alpha, beta, *rest)
 
     monkeypatch.setattr(oc, "_twisted_step", capture)
-    sol = oc.grid_solve(model, x_min, x_max, h, k, check_boundaries="none")
+    # model is U itself, on the plain grid, or a model with a wall at x = 0
+    potential, langer = (model, False) if callable(model) else (model.potential, True)
+    sol = oc.grid_solve(potential, x_min, x_max, h, k, langer=langer, check_boundaries="none")
     return sol, _mpmath_levels(seen["alpha"], seen["beta"], sol.eigenvalues)
 
 
@@ -675,7 +678,7 @@ def test_newton_stops_at_the_rounding_floor(A, B, mu_scale, levels, want):
     # test_near_degenerate_levels_orthonormal), met to that resolution.
     model = md.GeneralizedMorse(A=A, B=B, mu_scale=mu_scale)
     x_min, x_max, h, k = md.default_grid(model, levels)
-    sol = oc.grid_solve(model, x_min, x_max, h, k)
+    sol = oc.grid_solve(model.potential, x_min, x_max, h, k)
     np.testing.assert_allclose(sol.eigenvalues, want, rtol=0, atol=math.ulp(12.0 / (h * h)))
 
 
@@ -722,9 +725,10 @@ def test_upper_bracket_matches_the_window_scan_on_grids(monkeypatch):
                             (md.OscillatorInverseSquare(a=1.0, b=2.0), 3),
                             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
                             (md.RosenMorse(A=1.0, B=-2.0), None)]:
-        oc.grid_solve(model, *md.default_grid(model, n_levels))
-    oc.grid_solve(md.SupercriticalInverseSquare(b=-0.5), 0.3, 3.0, 1.0 / 32.0, 3,
-                  check_boundaries="none")
+        oc.grid_solve(model.potential, *md.default_grid(model, n_levels),
+                      langer=model.half_line)
+    oc.grid_solve(md.SupercriticalInverseSquare(b=-0.5).potential, 0.3, 3.0, 1.0 / 32.0, 3,
+                  langer=True, check_boundaries="none")
     assert len(calls) == 6
     assert sum(not np.all(rho == 1.0) for _, rho, _, _ in calls) == 3
     for w, rho, h, k in calls:
@@ -748,10 +752,12 @@ def test_grid_step_rule_and_boundary_options():
         with pytest.raises(ParameterDomainError):
             oc.grid_solve(lambda x: x * x, -5.0, 5.0, 0.1, 1, check_boundaries=side)
     with pytest.raises(DomainError, match="x_min > 0"):
-        oc.grid_solve(md.OscillatorInverseSquare(a=1.0, b=0.75), 0.0, 5.0, 0.1, 1)
+        oc.grid_solve(md.OscillatorInverseSquare(a=1.0, b=0.75).potential, 0.0, 5.0, 0.1, 1,
+                      langer=True)
     # rho = x^2 so small that the Numerov diagonal's constants overflow
     with pytest.raises(DomainError, match="overflows at x = 1.0"):
-        oc.grid_solve(md.OscillatorInverseSquare(a=1.0, b=0.75), 1e-154, 6.0, 1.0 / 32.0, 2)
+        oc.grid_solve(md.OscillatorInverseSquare(a=1.0, b=0.75).potential, 1e-154, 6.0,
+                      1.0 / 32.0, 2, langer=True)
 
 
 def test_node_count():

@@ -28,3 +28,34 @@ def test_package_imports_only_public_names():
         assert node.level == 1 and node.module in _MODULES
         public = importlib.import_module("triwave." + node.module).__all__
         assert [a.name for a in node.names if a.name not in public] == []
+
+
+def _tree(name):
+    return ast.parse((_PACKAGE_DIR / (name + ".py")).read_text())
+
+
+@pytest.mark.parametrize("name", ["oracle", "operators"])
+def test_lower_layers_never_import_models(name):
+    # the oracle and the operators take potentials and coefficients from the
+    # caller, so models can import them and never the other way round
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "models" and "models" not in (node.module or "").split(".")
+            assert "models" not in [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            assert not any("models" in a.name.split(".") for a in node.names)
+
+
+def test_no_module_tests_model_types():
+    # each model class states its own rules: no module asks which model it
+    # was given, not even models itself
+    classes = {"HarmonicOscillator", "OscillatorInverseSquare", "SupercriticalInverseSquare",
+               "GeneralizedMorse", "RosenMorse"}
+    for path in sorted(_PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"):
+                named = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.args[1])
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                assert not named & classes, (path.name, node.lineno)

@@ -1,0 +1,132 @@
+"""Byte-identity fingerprints of triwave's outputs, one SHA-256 per group.
+
+    python3 tools/fingerprint.py [--root CHECKOUT] [--runs]
+
+Run it on two checkouts (say a commit and its parent) and compare the
+lines: a refactor that claims identical outputs prints identical hashes.
+--root picks the checkout whose ./src and ./perfbench are imported (default:
+the one this script lives in), so an older checkout without this file can
+be fingerprinted too.  --runs also prints one hash per run under its group,
+to name the runs where two checkouts differ.
+
+The groups:
+
+* oracle, quadrature, series: the first 300, 400 and 150 operations of the
+  benchmark workloads at seed 7, each output through
+  perfbench.workloads.fingerprint, each operation starting with the caches
+  cleared as the benchmark does;
+* verify: `verify --suite all --epoch 0`, with and without
+  `--perturb-alpha 0.1`;
+* jmatrix: `jmatrix`, analytic and `--numeric`, for six model settings;
+* spectrum: `spectrum` as CSV and as JSON, with and without `--verify`, for
+  the spectrum-oracle suite's settings and a few deeper ones;
+* spectrum-grid-fixes: the same for settings whose default oracle grid
+  changed on purpose (osc-inv-sq at 6 or more levels, where h is now halved
+  until the step bound holds; Rosen-Morse where --levels and the former
+  default of 8 give different level counts, since the grid is now sized from
+  the requested levels).  Only their --verify runs may differ across that
+  change.
+
+CLI runs go through perfbench.workloads.call_cli, so a run's exit code,
+stdout and stderr (a traceback included) all enter its hash.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import json
+import sys
+from pathlib import Path
+
+SEED = 7
+OPERATIONS = {"oracle": 300, "quadrature": 400, "series": 150}
+
+_JSON = ["--format", "json", "--epoch", "0"]
+
+JMATRIX_MODELS = [
+    ["--model", "ho", "--a", "2"],
+    ["--model", "ho", "--a", "2", "--parity", "odd"],
+    ["--model", "osc-inv-sq", "--a", "2", "--b", "0.75"],
+    ["--model", "osc-inv-sq-super", "--b", "-0.5", "--nu", "0.5"],
+    ["--model", "morse", "--A", "-6", "--B", "-4", "--mu-scale", "2"],
+    ["--model", "rosen-morse", "--A", "1", "--B", "-2"],
+]
+JMATRIX_EPSILONS = ["1.3", "1.3", "0.7", "1.3", "-0.36", "-0.64"]
+
+SPECTRUM_MODELS = [
+    ["--model", "ho", "--levels", "4"],
+    ["--model", "ho", "--parity", "odd", "--levels", "4"],
+    ["--model", "ho", "--levels", "8", "--hbar-omega"],
+    ["--model", "osc-inv-sq", "--b", "0.75", "--levels", "3"],
+    ["--model", "osc-inv-sq", "--b", "2", "--levels", "5"],
+    ["--model", "osc-inv-sq-super", "--b", "-0.5"],
+    ["--model", "morse", "--A", "-6", "--B", "1", "--mu-scale", "2"],
+    ["--model", "morse", "--A", "-9", "--B", "2", "--mu-scale", "2.8284271247461903"],
+    ["--model", "rosen-morse", "--A", "1", "--B", "-2"],
+]
+GRID_FIX_MODELS = [
+    ["--model", "osc-inv-sq", "--b", "0.75", "--levels", "8"],
+    ["--model", "osc-inv-sq", "--b", "0.75", "--levels", "32"],
+    ["--model", "osc-inv-sq", "--b", "-0.1", "--levels", "6"],
+    ["--model", "rosen-morse", "--A", "0.5", "--B", "-12", "--levels", "2"],
+    ["--model", "rosen-morse", "--A", "0.5", "--B", "-200", "--levels", "9"],
+]
+
+
+def _groups(workloads):
+    """{group: [(label, thunk giving the run's output)]}."""
+    def op_runs(name):
+        ops = itertools.islice(workloads.operations(name, SEED), OPERATIONS[name])
+        return [("%d %s %s" % (op.index, op.kind,
+                               json.dumps(op.params, sort_keys=True, default=repr)), op.run)
+                for op in ops]
+
+    def cli_run(argv):
+        return " ".join(argv), lambda: workloads.call_cli(argv)
+
+    verify = [cli_run(["verify", "--suite", "all", "--epoch", "0"] + extra)
+              for extra in ([], ["--perturb-alpha", "0.1"])]
+    jmatrix = [cli_run(["jmatrix", "--epsilon", eps, "--size", "8"] + model + numeric)
+               for model, eps in zip(JMATRIX_MODELS, JMATRIX_EPSILONS)
+               for numeric in ([], ["--numeric"])]
+
+    def spectrum(models):
+        return [cli_run(["spectrum"] + model + fmt + verify_flag)
+                for model in models
+                for fmt in ([], _JSON)
+                for verify_flag in ([], ["--verify"])]
+
+    groups = {name: op_runs(name) for name in OPERATIONS}
+    groups.update({"verify": verify, "jmatrix": jmatrix,
+                   "spectrum": spectrum(SPECTRUM_MODELS),
+                   "spectrum-grid-fixes": spectrum(GRID_FIX_MODELS)})
+    return groups
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="source checkout to fingerprint")
+    parser.add_argument("--runs", action="store_true", help="also print one hash per run")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.root / "src"), str(args.root / "perfbench")]
+    import workloads
+
+    for group, runs in _groups(workloads).items():
+        digest = hashlib.sha256()
+        lines = []
+        for label, run in runs:
+            workloads.clear_caches()
+            data = workloads.fingerprint(run())
+            digest.update(hashlib.sha256(data).digest())
+            lines.append("%s  %s/%s" % (hashlib.sha256(data).hexdigest(), group, label))
+        print("%s  %s" % (digest.hexdigest(), group))
+        if args.runs:
+            print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
