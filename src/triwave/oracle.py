@@ -25,8 +25,9 @@ bisects until each level is alone in its bracket, then converges each level
 by Newton's method on the Rayleigh functional of a twisted factorization of
 T(E) (Dhillon and Parlett, Linear Algebra Appl. 387, 2004; the same pass
 gives the step and the count, so the bracket keeps every step safe), and
-adds each eigenvector from one twisted factorization of T(E) at its
-eigenvalue.  Output is deterministic.
+takes each eigenvector from the twisted vector of that level's last Newton
+pass; only a level of a cluster, or one with no usable vector, is
+factorized again at its eigenvalue.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def _numerov_count(alpha, beta, energy):
 
 
 def _twisted_step(alpha, beta, energy, twist=None):
-    """(Sturm count, Newton step, row of the largest |z|) at E = energy of
-    h^2 T(E) (see _numerov_count), from one twisted factorization twisted at
-    row r (Dhillon and Parlett, Linear Algebra Appl. 387, 2004).
+    """(Sturm count, Newton step, row of the largest |z|, z) at E = energy
+    of h^2 T(E) (see _numerov_count), from one twisted factorization twisted
+    at row r (Dhillon and Parlett, Linear Algebra Appl. 387, 2004).
 
     The forward pivots D+ of rows 0..r-1 and the backward pivots D- of rows
     n-1..r+1 meet in gamma_r = d_r - 1 / D+_{r-1} - 1 / D-_{r+1}.  The
@@ -150,7 +151,7 @@ def _twisted_step(alpha, beta, energy, twist=None):
         slope = float(np.sum(w))
         shift = float(w @ ((s - alpha) - energy))
     step = (gamma + shift) / slope if math.isfinite(slope) else math.nan
-    return count, step, int(np.argmax(np.abs(z)))
+    return count, step, int(np.argmax(np.abs(z))), z
 
 
 def _closed(lo, hi, rel_tol):
@@ -189,13 +190,14 @@ def _isolate_levels(alpha, beta, lo0, hi0, k, rel_tol, trail):
 
 
 def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
-    """Numerov level j from a bracket [lo, hi] that holds it alone: Newton
-    steps of _twisted_step from the midpoint, each pass's count moving the
-    bracket.  The first pass twists where |gamma_r| is least, each later one
-    where the previous z peaked.  A step below 1e-10 |E| and 1e-3 of the
-    distance from E to the nearer end of the bracket it was computed in is
-    the last (convergence is quadratic only well inside the gap to the next
-    level, which a bisected bracket may not be).  A step that leaves the
+    """(E, z) of Numerov level j from a bracket [lo, hi] that holds it
+    alone: Newton steps of _twisted_step from the midpoint, each pass's
+    count moving the bracket, and the twisted vector z of the last pass
+    (None if no pass ran).  The first pass twists where |gamma_r| is least,
+    each later one where the previous z peaked.  A step below 1e-10 |E| and
+    1e-3 of the distance from E to the nearer end of the bracket it was
+    computed in is the last (convergence is quadratic only well inside the
+    gap to the next level, which a bisected bracket may not be).  A step that leaves the
     bracket, is not finite, or is below 1e-10 |E| but above half the one
     before (stuck at the rounding floor) becomes a bisection.  A closed
     bracket ends in its midpoint; trail, if given, gets the energy of each
@@ -203,13 +205,13 @@ def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
     AccuracyError, with the bracket, after twice the passes bisection needs."""
     lo, hi = float(lo), float(hi)  # Python floats: numpy scalars are slower
     passes = 2 * max(1, math.ceil(math.log2(max(hi - lo, rel_tol) / rel_tol))) + 4
-    energy, last, twist = 0.5 * (lo + hi), math.inf, None
+    energy, last, twist, z = 0.5 * (lo + hi), math.inf, None, None
     for _ in range(passes):
         if _closed(lo, hi, rel_tol):
-            return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi), z
         if trail is not None:
             trail.extend([energy] * (2 if twist is None else 1))
-        count, step, twist = _twisted_step(alpha, beta, energy, twist)
+        count, step, twist, z = _twisted_step(alpha, beta, energy, twist)
         near = min(energy - lo, hi - energy)
         if count <= j:
             lo = energy
@@ -217,7 +219,7 @@ def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
             hi = energy
         small = abs(step) <= 1e-10 * abs(energy)
         if small and abs(step) <= 1e-3 * near:
-            return min(max(energy + step, lo), hi)
+            return min(max(energy + step, lo), hi), z
         stuck = small and abs(step) > 0.5 * last
         energy, last = energy + step, abs(step)
         if stuck or not lo < energy < hi:
@@ -404,11 +406,14 @@ def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
     nrm = np.linalg.norm(v)
     if not (np.isfinite(nrm) and nrm > 0.0):
         raise AccuracyError("twisted factorization gave a zero or non-finite eigenvector")
-    v /= nrm
+    return _signed(v / nrm)
+
+
+def _signed(v):
+    """v or -v, whichever has its leading significant entry (above 1e-3 of
+    the largest) positive."""
     lead = int(np.argmax(np.abs(v) > 1e-3 * np.max(np.abs(v))))
-    if v[lead] < 0.0:
-        v = -v
-    return v
+    return -v if v[lead] < 0.0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +552,21 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     level's first pass sweeps the rows both ways and twists where |gamma_r|
     is least; each later one twists where the previous z peaked and sweeps
     every row once.  GridSolution.passes counts the sweeps over the rows.
-    Each eigenvector comes from one twisted factorization of T(E) at its
-    eigenvalue (tridiagonal_eigenvector; Dhillon and Parlett, Linear Algebra
-    Appl. 387, 2004), psi = y / (1 - h^2 g / 12).  Levels within 1e-6
-    relative of an earlier one form its cluster and are made orthogonal to
-    it there.  Rounding in T(E) and its factorization, about eps |T|, still
-    mixes close levels into a vector by up to eps |T| / gap; wherever that
-    bound passes 1e-10, psi is also made orthogonal to the earlier level
-    under the pencil's weight rho.
+    Each eigenvector is y = z / |z|, the twisted vector z of its level's
+    last Newton pass (h^2 T(E) z = gamma_r e_r, a scaled column of
+    T(E)^{-1}), with tridiagonal_eigenvector's sign rule, and
+    psi = y / (1 - h^2 g / 12).
+    That pass is one step, at most 1e-10 |E|, short of the returned E, so
+    it mixes a close level into y by up to that step over the gap.  A level
+    within 1e-6 relative of an earlier one joins its cluster; it, and a
+    level with no z (a bracket closed before any pass) or a z whose norm is
+    not finite, is factorized again at its eigenvalue
+    (tridiagonal_eigenvector; Dhillon and Parlett, Linear Algebra Appl. 387,
+    2004), a cluster level made orthogonal to the cluster there.  Rounding
+    in T(E) and its factorization, about eps |T|, still mixes close levels
+    into a vector by up to eps |T| / gap; wherever that bound passes 1e-10,
+    psi is also made orthogonal to the earlier level under the pencil's
+    weight rho.
 
     U = potential(x), vectorized.  langer=True (an inverse-square wall at
     x = 0) picks the Langer grid: x = e^t with t uniform of step h on
@@ -600,18 +612,22 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     alpha = sigma - w
     trail = []
     lo, hi = _isolate_levels(alpha, beta, e_lo, _upper_bracket(w, rho, h, k), k, 1e-14, trail)
-    vals = np.array([_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14, trail)
-                     for j in range(k)])
+    levels = [_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14, trail) for j in range(k)]
+    vals = np.array([energy for energy, _ in levels])
     inv_h2 = 1.0 / (h * h)
     off = np.full(x.size - 1, -inv_h2)
     diags, ys, vecs = [], [], []
-    for i in range(k):
+    for i, (_, z) in enumerate(levels):
         prev = [ys[j] for j in range(i)
                 if abs(vals[i] - vals[j]) < 1e-6 * max(1.0, abs(vals[i]))]
         g = ux - vals[i] * rho
         scale = 1.0 - c * g
         diags.append(2.0 * inv_h2 + g / scale)
-        ys.append(tridiagonal_eigenvector(diags[i], off, 0.0, orthogonalize=prev))
+        nrm = math.nan if z is None else float(np.linalg.norm(z))
+        if prev or not math.isfinite(nrm):
+            ys.append(tridiagonal_eigenvector(diags[i], off, 0.0, orthogonalize=prev))
+        else:
+            ys.append(_signed(z / nrm))
         v = ys[i] / scale
         # level j's gap on T(E_i): y_j^T T(E_i) y_j = y_j^T (T(E_i) - T(E_j)) y_j
         noise = 2.2e-16 * (float(np.max(np.abs(diags[i]))) + 2.0 * inv_h2)

@@ -631,8 +631,8 @@ def test_grid_solve_bisects_when_newton_steps_are_nan(monkeypatch):
     step = oc._twisted_step
 
     def nan_step(alpha, beta, energy, twist=None):
-        count, _, peak = step(alpha, beta, energy, twist)
-        return count, math.nan, peak
+        count, _, peak, z = step(alpha, beta, energy, twist)
+        return count, math.nan, peak, z
 
     monkeypatch.setattr(oc, "_twisted_step", nan_step)
     got = _ho_grid_solve().eigenvalues
@@ -643,7 +643,8 @@ def test_grid_solve_bisects_when_newton_steps_are_nan(monkeypatch):
 def test_newton_level_takes_a_closed_bracket_as_it_is():
     # a bracket of zero width, as multisection can leave between adjacent
     # floats, needs no pass
-    assert oc._newton_level(np.full(3, 1.5), np.full(3, 20.0), 0, 0.5, 0.5, 1e-14) == 0.5
+    # and so has no twisted vector
+    assert oc._newton_level(np.full(3, 1.5), np.full(3, 20.0), 0, 0.5, 0.5, 1e-14) == (0.5, None)
 
 
 def test_newton_pass_cap_raises_with_the_bracket(monkeypatch):
@@ -652,14 +653,99 @@ def test_newton_pass_cap_raises_with_the_bracket(monkeypatch):
     step = oc._twisted_step
 
     def creeping_step(alpha, beta, energy, twist=None):
-        count, _, peak = step(alpha, beta, energy, twist)
-        return count, 1e-9 * abs(energy), peak
+        count, _, peak, z = step(alpha, beta, energy, twist)
+        return count, 1e-9 * abs(energy), peak, z
 
     monkeypatch.setattr(oc, "_twisted_step", creeping_step)
     with pytest.raises(AccuracyError, match="level 0") as info:
         _ho_grid_solve()
     lo, hi = info.value.estimates
     assert lo < want[0] < hi
+
+
+_ISOLATED = [md.HarmonicOscillator(a=1.0), md.OscillatorInverseSquare(a=1.0, b=0.75),
+             md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0),
+             md.GeneralizedMorse(A=-9.0, B=4.0, mu_scale=4.0), md.RosenMorse(A=1.0, B=-2.0)]
+
+
+def _default_solve(model):
+    x_min, x_max, h, k = md.default_grid(model)
+    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
+
+
+def _refactorized_vectors(model, vals):
+    # grid_solve's eigenvector stage with every level factorized again by
+    # tridiagonal_eigenvector at its eigenvalue: for levels far apart (no
+    # cluster, no re-orthogonalization) this is its fallback path, step for
+    # step
+    x_min, x_max, h, _ = md.default_grid(model)
+    x, rho, ux = oc._numerov_grid(model.potential, x_min, x_max, h, len(vals),
+                                  model.half_line)[:3]
+    off = np.full(x.size - 1, -1.0 / (h * h))
+    out = []
+    for e in vals:
+        g = ux - e * rho
+        scale = 1.0 - h * h / 12.0 * g
+        psi = oc.tridiagonal_eigenvector(2.0 / (h * h) + g / scale, off, 0.0) / scale
+        psi = psi / np.sqrt(h * np.sum(rho * psi * psi))
+        out.append(psi * np.sqrt(x) if model.half_line else psi)
+    return np.array(out)
+
+
+def _count_eigenvector_calls(monkeypatch):
+    calls = []
+    eigenvector = oc.tridiagonal_eigenvector
+
+    def counted(*args, **kwargs):
+        calls.append(len(kwargs.get("orthogonalize", ())))
+        return eigenvector(*args, **kwargs)
+
+    monkeypatch.setattr(oc, "tridiagonal_eigenvector", counted)
+    return calls
+
+
+@pytest.mark.parametrize("solve, want", [
+    (lambda: _default_solve(_ISOLATED[0]), []),
+    (lambda: _default_solve(_ISOLATED[2]), []),
+    (lambda: oc.grid_solve(_triple_well, -14.0, 14.0, 1.0 / 64.0, 6), [0, 1, 2, 1, 2]),
+], ids=["ho", "morse", "triple-well"])
+def test_only_clusters_are_factorized_again(monkeypatch, solve, want):
+    # want: the cluster size handed to each tridiagonal_eigenvector call.
+    # A level far from the others takes the twisted vector of its last
+    # Newton pass.  The triple well's levels 1-2 and 4-5 fall in the 1e-6
+    # cluster of the levels below them; level 0 is factorized too, alone,
+    # because bisection closed its bracket, so no Newton pass ran
+    calls = _count_eigenvector_calls(monkeypatch)
+    solve()
+    assert calls == want
+
+
+@pytest.mark.parametrize("model", _ISOLATED, ids=["ho", "osc-inv-sq", "morse-6", "morse-9",
+                                                  "rosen-morse"])
+def test_newton_vectors_match_a_fresh_factorization(model):
+    # Newton's last pass is one step (at most 1e-10 |E|) short of the
+    # returned E, so its z differs from the eigenvector there by about that
+    # step over the gap to the next level: 3.6e-11 at most on these grids
+    sol = _default_solve(model)
+    want = _refactorized_vectors(model, sol.eigenvalues)
+    np.testing.assert_allclose(sol.eigenvectors, want, rtol=0, atol=1e-9)
+
+
+def test_non_finite_newton_vectors_fall_back_to_a_fresh_factorization(monkeypatch):
+    model = md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0)
+    want = _default_solve(model).eigenvalues
+    step = oc._twisted_step
+
+    def overflowed_step(alpha, beta, energy, twist=None):
+        count, newton, peak, z = step(alpha, beta, energy, twist)
+        return count, newton, peak, np.full_like(z, np.inf)
+
+    monkeypatch.setattr(oc, "_twisted_step", overflowed_step)
+    calls = _count_eigenvector_calls(monkeypatch)
+    sol = _default_solve(model)
+    np.testing.assert_array_equal(sol.eigenvalues, want)
+    assert calls == [0] * want.size
+    np.testing.assert_array_equal(sol.eigenvectors, _refactorized_vectors(model, want))
 
 
 @pytest.mark.parametrize("A, B, mu_scale, levels, want", [
