@@ -15,19 +15,21 @@ Two unrelated work horses live here:
 
 The Gauss nodes are the eigenvalues of a small symmetric tridiagonal matrix
 (Golub and Welsch, Math. Comp. 23, 1969): numpy's dense symmetric
-eigensolver gives each to a few eps |T|, and one Newton step on the
-determinant, all of them in one vectorized sweep over the LDL^T pivots,
-brings each within a fraction of eps |T|.  The grid oracle is
-dependency-free: it counts the eigenvalues of Numerov's pencil by Sturm
-sequences, through a tridiagonal matrix T(E) whose diagonal depends on E,
-one energy per scalar pass of the LDL^T pivot recurrence over the rows: it
-bisects until each level is alone in its bracket, then converges each level
-by Newton's method on the Rayleigh functional of a twisted factorization of
-T(E) (Dhillon and Parlett, Linear Algebra Appl. 387, 2004; the same pass
-gives the step and the count, so the bracket keeps every step safe), and
-takes each eigenvector from the twisted vector of that level's last Newton
-pass; only a level of a cluster, or one with no usable vector, is
-factorized again at its eigenvalue.  Output is deterministic.
+eigensolver gives each to a few eps |T|, and the pass of the orthonormal
+recurrence that gives the Christoffel weights also takes one Newton step on
+p_n at every node, which brings each within a fraction of eps |T|.  The
+grid oracle is dependency-free: it counts the eigenvalues of Numerov's
+pencil by Sturm sequences, through a tridiagonal matrix T(E) whose diagonal
+depends on E, one energy per scalar pass of the LDL^T pivot recurrence over
+the rows: it bisects until each level is alone in its bracket, then
+converges each level by Newton's method on the Rayleigh functional of a
+twisted factorization of T(E) (Dhillon and Parlett, Linear Algebra Appl.
+387, 2004; the same pass gives the step and the count, so the bracket keeps
+every step safe), and takes each eigenvector from the twisted vector of
+that level's last Newton pass; only a level of a cluster, one with no
+usable vector, or one whose last step is not small against its gap to the
+nearest level is factorized again at its eigenvalue.  Output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -60,35 +62,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigensolver (dense eigvalsh, Newton, twisted factorization)
+# Symmetric tridiagonal eigensolver (dense eigvalsh, twisted factorization)
 # ---------------------------------------------------------------------------
-
-def _sturm_newton(diag, off2, shifts, pivmin):
-    """(Sturm counts, Newton steps) at each shift E, in one sweep over the
-    rows vectorized over the shifts.
-
-    The LDL^T pivots of T - E are q_i = d_i - E - e^2_{i-1} / q_{i-1}, each
-    with |q_i| < pivmin set to -pivmin (off2 holds the squared off-diagonal
-    entries), and the count is the number of negative ones, the number of
-    eigenvalues below E.  Their E-derivatives follow
-    q'_i = -1 + e^2_{i-1} q'_{i-1} / q_{i-1}^2 (q'_0 = -1), and since
-    det(T - E) is the product of the pivots, the step -det / det' is
-    -1 / sum_i q'_i / q_i.  Where that sum overflows the step is zero or not
-    finite.  The pivots and ratios fill two rows x shifts tables, no larger
-    than the dense matrix tridiagonal_eigenvalues hands to eigvalsh.
-    """
-    pivots = np.subtract.outer(diag, shifts)  # d_i - E, overwritten by q_i
-    ratios = np.empty_like(pivots)  # row i holds q'_i / q_i
-    q, ratio = math.inf, 0.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for ei2, row, ratio_row in zip([0.0] + off2.tolist(), pivots, ratios):
-            r = ei2 / q
-            row -= r
-            np.putmask(row, np.abs(row) < pivmin, -pivmin)
-            np.divide(r * ratio - 1.0, row, out=ratio_row)
-            q, ratio = row, ratio_row
-        return np.count_nonzero(pivots < 0.0, axis=0), -1.0 / ratios.sum(axis=0)
-
 
 # Pivots of h^2 T(E) are nudged away from zero to +-_TINY (see _pivots).
 _TINY = 1e-300
@@ -190,27 +165,30 @@ def _isolate_levels(alpha, beta, lo0, hi0, k, rel_tol, trail):
 
 
 def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
-    """(E, z) of Numerov level j from a bracket [lo, hi] that holds it
-    alone: Newton steps of _twisted_step from the midpoint, each pass's
-    count moving the bracket, and the twisted vector z of the last pass
-    (None if no pass ran).  The first pass twists where |gamma_r| is least,
-    each later one where the previous z peaked.  A step below 1e-10 |E| and
-    1e-3 of the distance from E to the nearer end of the bracket it was
-    computed in is the last (convergence is quadratic only well inside the
-    gap to the next level, which a bisected bracket may not be).  A step that leaves the
-    bracket, is not finite, or is below 1e-10 |E| but above half the one
-    before (stuck at the rounding floor) becomes a bisection.  A closed
-    bracket ends in its midpoint; trail, if given, gets the energy of each
-    sweep over the rows (two for the first pass).
+    """(E, z, lag) of Numerov level j from a bracket [lo, hi] that holds it
+    alone: Newton steps of _twisted_step from the midpoint, each pass's count
+    moving the bracket, the twisted vector z of the last pass (None if no pass
+    ran) and lag, E less that pass's energy (0 if none ran).  The first pass
+    twists where |gamma_r| is least, each later one where the previous z
+    peaked.  A step below 1e-10 |E| and 1e-3 of the distance from E to the
+    nearer end of the bracket it was computed in is the last (convergence is
+    quadratic only well inside the gap to the next level, which a bisected
+    bracket may not be).  A step that leaves the bracket, is not finite, or is
+    below 1e-10 |E| but above half the one before (stuck at the rounding floor)
+    becomes a bisection.  A closed bracket ends in its midpoint; trail, if
+    given, gets the energy of each sweep over the rows (two for the first
+    pass).
     AccuracyError, with the bracket, after twice the passes bisection needs."""
     lo, hi = float(lo), float(hi)  # Python floats: numpy scalars are slower
     passes = 2 * max(1, math.ceil(math.log2(max(hi - lo, rel_tol) / rel_tol))) + 4
     energy, last, twist, z = 0.5 * (lo + hi), math.inf, None, None
+    at = energy  # the energy of z's pass
     for _ in range(passes):
         if _closed(lo, hi, rel_tol):
-            return 0.5 * (lo + hi), z
+            return 0.5 * (lo + hi), z, 0.5 * (lo + hi) - at
         if trail is not None:
             trail.extend([energy] * (2 if twist is None else 1))
+        at = energy
         count, step, twist, z = _twisted_step(alpha, beta, energy, twist)
         near = min(energy - lo, hi - energy)
         if count <= j:
@@ -219,7 +197,8 @@ def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
             hi = energy
         small = abs(step) <= 1e-10 * abs(energy)
         if small and abs(step) <= 1e-3 * near:
-            return min(max(energy + step, lo), hi), z
+            result = min(max(energy + step, lo), hi)
+            return result, z, result - energy
         stuck = small and abs(step) > 0.5 * last
         energy, last = energy + step, abs(step)
         if stuck or not lo < energy < hi:
@@ -250,37 +229,19 @@ def tridiagonal_eigenvalues(diag, off):
     the given diagonal and off-diagonal.
 
     np.linalg.eigvalsh on the dense matrix (upper triangle) gives each to a
-    few eps |T|, where |T| = max|d| + 2 max|e|.  One _sturm_newton pass over
-    the rows at those estimates then takes a Newton step on det(T - E) for
-    every eigenvalue at once, which brings the nodes of a Gauss rule (the
-    eigenvalues of its Jacobi matrix; Golub and Welsch, Math. Comp. 23, 1969)
-    to within a fraction of eps |T| of the exact ones.  Within a cluster the
-    determinant's other roots bend the step, so estimate j takes it only
-    where it is finite, at most 64 eps |T|, and points the way the pass's
-    Sturm count says eigenvalue j lies (up where at most j eigenvalues are
-    below the estimate).  The cap alone lets pairs that agree below float
-    resolution swap: on W57+ one estimate stepped 12 eps |T| past its twin.
-    ParameterDomainError unless the entries are finite and the width of the
-    Gershgorin interval is too.
+    few eps |T|, where |T| = max|d| + 2 max|e|; a Gauss rule refines its
+    nodes itself (_gauss_rule_cached).  ParameterDomainError unless the
+    entries are finite and the width of the Gershgorin interval is too.
     """
-    d, e, off2 = _tridiagonal_entries(diag, off)
-    n = d.size
-    radius = np.zeros(n)
+    d, e, _ = _tridiagonal_entries(diag, off)
+    radius = np.zeros(d.size)
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
     with np.errstate(over="ignore"):
         width = float(np.max(d + radius)) - float(np.min(d - radius))
     if not math.isfinite(width):
-        raise ParameterDomainError("matrix entries overflow the Sturm count")
-    if n == 1:
-        return d.copy()
-    vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1), UPLO="U")
-    cap = 64.0 * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
-    pivmin = max(1e-290, float(np.max(off2)) * 1e-28)
-    count, step = _sturm_newton(d, off2, vals, pivmin)
-    toward = np.where(count <= np.arange(n), step >= 0.0, step <= 0.0)
-    usable = toward & (np.abs(step) <= cap)  # False where the step is not finite
-    return np.where(usable, vals + step, vals)
+        raise ParameterDomainError("matrix entries overflow the Gershgorin interval")
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1), UPLO="U")
 
 
 def _pivots(a, e2, tiny):
@@ -559,8 +520,9 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     That pass is one step, at most 1e-10 |E|, short of the returned E, so
     it mixes a close level into y by up to that step over the gap.  A level
     within 1e-6 relative of an earlier one joins its cluster; it, and a
-    level with no z (a bracket closed before any pass) or a z whose norm is
-    not finite, is factorized again at its eigenvalue
+    level with no z (a bracket closed before any pass), a z whose norm is
+    not finite, or a last step above 1e-9 of the gap to the nearest other
+    level, is factorized again at its eigenvalue
     (tridiagonal_eigenvector; Dhillon and Parlett, Linear Algebra Appl. 387,
     2004), a cluster level made orthogonal to the cluster there.  Rounding
     in T(E) and its factorization, about eps |T|, still mixes close levels
@@ -613,18 +575,20 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     trail = []
     lo, hi = _isolate_levels(alpha, beta, e_lo, _upper_bracket(w, rho, h, k), k, 1e-14, trail)
     levels = [_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14, trail) for j in range(k)]
-    vals = np.array([energy for energy, _ in levels])
+    vals = np.array([energy for energy, _, _ in levels])
+    spacing = np.abs(np.diff(vals, prepend=-math.inf, append=math.inf))
+    gaps = np.minimum(spacing[:-1], spacing[1:])  # to the nearest other level
     inv_h2 = 1.0 / (h * h)
     off = np.full(x.size - 1, -inv_h2)
     diags, ys, vecs = [], [], []
-    for i, (_, z) in enumerate(levels):
+    for i, (_, z, lag) in enumerate(levels):
         prev = [ys[j] for j in range(i)
                 if abs(vals[i] - vals[j]) < 1e-6 * max(1.0, abs(vals[i]))]
         g = ux - vals[i] * rho
         scale = 1.0 - c * g
         diags.append(2.0 * inv_h2 + g / scale)
         nrm = math.nan if z is None else float(np.linalg.norm(z))
-        if prev or not math.isfinite(nrm):
+        if prev or not math.isfinite(nrm) or abs(lag) > 1e-9 * gaps[i]:
             ys.append(tridiagonal_eigenvector(diags[i], off, 0.0, orthogonalize=prev))
         else:
             ys.append(_signed(z / nrm))
@@ -720,27 +684,40 @@ def _monic_coefficients(weight_id, n):
 def _gauss_rule_cached(weight_id, n):
     alpha, beta, m0 = _monic_coefficients(weight_id, n)
     root_beta = np.sqrt(beta)
-    nodes = tridiagonal_eigenvalues(alpha, root_beta[1:])
-    # Christoffel function: w_i = m0 / sum_k p_k(x_i)^2 over the orthonormal
-    # recurrence sqrt(beta_{k+1}) p_{k+1} = (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}.
-    # The p_k overflow at the outer nodes of large rules, so the pair
-    # (p_{k-1}, p_k) and the running sum are rescaled by 1/s (the sum by
-    # 1/s^2) whenever s = max|p| passes 1e100, and log s is carried apart.
-    p_prev = np.zeros(n)
-    p = np.ones(n)
-    total = np.ones(n)
+    x = tridiagonal_eigenvalues(alpha, root_beta[1:])
+    # Christoffel function: w_i = m0 / K(x_i), K = sum_{k<n} p_k^2 over the
+    # orthonormal recurrence
+    # sqrt(beta_{k+1}) p_{k+1} = (x - alpha_k) p_k - sqrt(beta_k) p_{k-1}.
+    # The loop also carries p'_k and K' = sum 2 p_k p'_k.  eigvalsh leaves
+    # each node a few eps |T| off.  det(x - J_n) is proportional to p_n, so
+    # one more step, unscaled, gives t ~ p_n and dt ~ p'_n, and the Newton
+    # step -t / dt brings each node within a fraction of eps |T|; K + step K'
+    # is K at the refined node to first order.  The p_k overflow at the
+    # outer nodes of large rules, so p and p' are rescaled by 1/s and K, K'
+    # by 1/s^2 whenever s = max|p| passes 1e100, and log s is carried apart.
+    p_prev, p = np.zeros(n), np.ones(n)
+    dp_prev, dp = np.zeros(n), np.zeros(n)
+    total, slope = np.ones(n), np.zeros(n)
     log_scale = np.zeros(n)
-    for k in range(n - 1):
-        p_prev, p = p, ((nodes - alpha[k]) * p - root_beta[k] * p_prev) / root_beta[k + 1]
+    for k in range(n):
+        t = (x - alpha[k]) * p - root_beta[k] * p_prev
+        dt = (x - alpha[k]) * dp + p - root_beta[k] * dp_prev
+        if k == n - 1:
+            break
+        p_prev, p = p, t / root_beta[k + 1]
+        dp_prev, dp = dp, dt / root_beta[k + 1]
         total += p * p
+        slope += 2.0 * p * dp
         s = np.maximum(np.abs(p), np.abs(p_prev))
         big = s > 1e100
         if big.any():
             s = np.where(big, s, 1.0)
-            p, p_prev, total = p / s, p_prev / s, total / (s * s)
+            p, p_prev, dp, dp_prev = p / s, p_prev / s, dp / s, dp_prev / s
+            total, slope = total / (s * s), slope / (s * s)
             log_scale += 2.0 * np.log(s)
-    weights = m0 / total * np.exp(-log_scale)
-    return QuadratureRule(nodes=nodes, weights=weights, weight_id=weight_id)
+    step = -t / dt
+    weights = m0 / (total + step * slope) * np.exp(-log_scale)
+    return QuadratureRule(nodes=x + step, weights=weights, weight_id=weight_id)
 
 
 # Exponents each weight family takes after its name in a weight id.

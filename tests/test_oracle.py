@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -191,9 +192,8 @@ def test_eigenvalues_wilkinson_w21():
 
 @pytest.mark.parametrize("case", ["w21", "w57", "w79", "split-blocks", "scalar"])
 def test_eigenvalue_newton_pass_keeps_clusters_in_order(case):
-    # close pairs and repeated eigenvalues bend the Newton step.  Capped at
-    # 64 eps |T| but not steered by the Sturm count it swaps a pair of W57+;
-    # steered but not capped it moves a W79+ estimate by 7e12 eps |T|
+    # close pairs and repeated eigenvalues stay finite, ascending and
+    # accurate
     m = {"w21": 10, "w57": 28, "w79": 39}.get(case)
     diag, off = {"split-blocks": _split_blocks()[2:],
                  "scalar": ([2.0] * 6, [0.0] * 5)}.get(case) or _wilkinson(m)
@@ -223,20 +223,6 @@ def test_eigenvalues_stop_at_adjacent_floats():
     vals = oc.tridiagonal_eigenvalues(diag, off)[:5]
     want = 2.0 - 2.0 * np.cos(np.arange(1, 6) * math.pi / 51)
     np.testing.assert_allclose(vals, want, rtol=0, atol=1e-15)
-
-
-def _count_sweeps(monkeypatch):
-    """A list that gets the shift count of every _sturm_newton sweep over
-    the rows."""
-    sweeps = []
-    newton = oc._sturm_newton
-
-    def counted(d, off2, shifts, pivmin):
-        sweeps.append(np.size(shifts))
-        return newton(d, off2, shifts, pivmin)
-
-    monkeypatch.setattr(oc, "_sturm_newton", counted)
-    return sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +469,11 @@ def test_langer_eigenvectors_orthonormal_under_x_h(oscinv_b075_oracle):
     assert np.max(np.abs(gram - np.eye(3))) < 1e-8
 
 
-def test_numerov_sweep_count_on_default_grids(monkeypatch):
-    # scalar passes only: bisection until every level is alone in its
-    # bracket, then Newton's method on each level's twisted factorization;
-    # no vector sweep, whose cost per row is that of 30-40 scalar passes.
-    # On the two Morse wells Newton's method on det T(E) took 41 and 36
-    # passes: its step feels every state above the level, so it crept
-    sweeps = _count_sweeps(monkeypatch)
+def test_numerov_sweep_count_on_default_grids():
+    # bisection until every level is alone in its bracket, then Newton's
+    # method on each level's twisted factorization.  On the two Morse wells
+    # Newton's method on det T(E) took 41 and 36 passes: its step feels every
+    # state above the level, so it crept
     for model, n_levels in [(md.HarmonicOscillator(a=1.0), 4),
                             (md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
                             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
@@ -498,7 +482,6 @@ def test_numerov_sweep_count_on_default_grids(monkeypatch):
                                                  mu_scale=2.298208692855176), None)]:
         x_min, x_max, h, k = md.default_grid(model, n_levels)
         sol = oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
-        assert sweeps == [], model
         assert 1 <= sol.passes <= 6 * k + 10, model
 
 
@@ -644,7 +627,8 @@ def test_newton_level_takes_a_closed_bracket_as_it_is():
     # a bracket of zero width, as multisection can leave between adjacent
     # floats, needs no pass
     # and so has no twisted vector
-    assert oc._newton_level(np.full(3, 1.5), np.full(3, 20.0), 0, 0.5, 0.5, 1e-14) == (0.5, None)
+    assert oc._newton_level(np.full(3, 1.5), np.full(3, 20.0), 0, 0.5, 0.5,
+                            1e-14) == (0.5, None, 0.0)
 
 
 def test_newton_pass_cap_raises_with_the_bracket(monkeypatch):
@@ -673,14 +657,13 @@ def _default_solve(model):
     return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
 
 
-def _refactorized_vectors(model, vals):
-    # grid_solve's eigenvector stage with every level factorized again by
-    # tridiagonal_eigenvector at its eigenvalue: for levels far apart (no
-    # cluster, no re-orthogonalization) this is its fallback path, step for
-    # step
-    x_min, x_max, h, _ = md.default_grid(model)
-    x, rho, ux = oc._numerov_grid(model.potential, x_min, x_max, h, len(vals),
-                                  model.half_line)[:3]
+def _refactorized_vectors(potential, grid, vals, langer=False):
+    # grid_solve's eigenvector stage on grid = (x_min, x_max, h) with every
+    # level factorized again by tridiagonal_eigenvector at its eigenvalue:
+    # for levels far apart (no cluster, no re-orthogonalization) this is its
+    # fallback path, step for step
+    x_min, x_max, h = grid
+    x, rho, ux = oc._numerov_grid(potential, x_min, x_max, h, len(vals), langer)[:3]
     off = np.full(x.size - 1, -1.0 / (h * h))
     out = []
     for e in vals:
@@ -688,7 +671,7 @@ def _refactorized_vectors(model, vals):
         scale = 1.0 - h * h / 12.0 * g
         psi = oc.tridiagonal_eigenvector(2.0 / (h * h) + g / scale, off, 0.0) / scale
         psi = psi / np.sqrt(h * np.sum(rho * psi * psi))
-        out.append(psi * np.sqrt(x) if model.half_line else psi)
+        out.append(psi * np.sqrt(x) if langer else psi)
     return np.array(out)
 
 
@@ -708,13 +691,16 @@ def _count_eigenvector_calls(monkeypatch):
     (lambda: _default_solve(_ISOLATED[0]), []),
     (lambda: _default_solve(_ISOLATED[2]), []),
     (lambda: oc.grid_solve(_triple_well, -14.0, 14.0, 1.0 / 64.0, 6), [0, 1, 2, 1, 2]),
-], ids=["ho", "morse", "triple-well"])
+    (lambda: oc.grid_solve(_double_well(3.07), -9.07, 9.07, 1.0 / 64.0, 4), [0, 1, 0]),
+], ids=["ho", "morse", "triple-well", "double-well-3.07"])
 def test_only_clusters_are_factorized_again(monkeypatch, solve, want):
     # want: the cluster size handed to each tridiagonal_eigenvector call.
     # A level far from the others takes the twisted vector of its last
     # Newton pass.  The triple well's levels 1-2 and 4-5 fall in the 1e-6
     # cluster of the levels below them; level 0 is factorized too, alone,
-    # because bisection closed its bracket, so no Newton pass ran
+    # because bisection closed its bracket, so no Newton pass ran.  On the
+    # double well level 1 joins level 0's cluster, and levels 0 and 3 are
+    # factorized alone: their last steps are 4.1e-8 and 6.9e-8 of their gaps
     calls = _count_eigenvector_calls(monkeypatch)
     solve()
     assert calls == want
@@ -727,8 +713,20 @@ def test_newton_vectors_match_a_fresh_factorization(model):
     # returned E, so its z differs from the eigenvector there by about that
     # step over the gap to the next level: 3.6e-11 at most on these grids
     sol = _default_solve(model)
-    want = _refactorized_vectors(model, sol.eigenvalues)
+    want = _refactorized_vectors(model.potential, md.default_grid(model)[:3], sol.eigenvalues,
+                                 model.half_line)
     np.testing.assert_allclose(sol.eigenvectors, want, rtol=0, atol=1e-9)
+
+
+def test_close_pair_levels_match_a_fresh_factorization():
+    # level 0 of this double well lies 3e-7 below level 1, and its last
+    # Newton pass is 4.1e-8 of that gap short of it, more than 1e-9.  That
+    # pass's twisted vector mixes level 1 in (7.8e-6 off the 40-digit vector,
+    # a fresh factorization 2.1e-8), so the level is factorized again
+    grid = (-9.07, 9.07, 1.0 / 64.0)
+    sol = oc.grid_solve(_double_well(3.07), *grid, 4)
+    want = _refactorized_vectors(_double_well(3.07), grid, sol.eigenvalues[:1])
+    np.testing.assert_array_equal(sol.eigenvectors[:1], want)
 
 
 def test_non_finite_newton_vectors_fall_back_to_a_fresh_factorization(monkeypatch):
@@ -745,7 +743,8 @@ def test_non_finite_newton_vectors_fall_back_to_a_fresh_factorization(monkeypatc
     sol = _default_solve(model)
     np.testing.assert_array_equal(sol.eigenvalues, want)
     assert calls == [0] * want.size
-    np.testing.assert_array_equal(sol.eigenvectors, _refactorized_vectors(model, want))
+    np.testing.assert_array_equal(sol.eigenvectors, _refactorized_vectors(
+        model.potential, md.default_grid(model)[:3], want, model.half_line))
 
 
 @pytest.mark.parametrize("A, B, mu_scale, levels, want", [
@@ -1004,7 +1003,7 @@ def test_eigensolver_input_contract(call, name):
 
 def _mpmath_eigenvalues(diag, off, approx):
     # reference: the eigenvalues of the same float matrix at 40 digits, by
-    # two Newton steps on det(T - x I) from each approximate eigenvalue, the
+    # three Newton steps on det(T - x I) from each approximate eigenvalue, the
     # lowest len(approx) of them.  The Sturm counts at the midpoints between
     # the results, below the first and just above the last, confirm that each
     # lies alone between its two, so each converged root is eigenvalue j.
@@ -1031,7 +1030,7 @@ def _mpmath_eigenvalues(diag, off, approx):
         out = []
         for v in approx:
             x = mpmath.mpf(float(v))
-            for _ in range(2):
+            for _ in range(3):
                 p, dp = det(x)
                 x -= p / dp
             assert abs(p / dp) <= abs(x) / 10**25 + mpmath.mpf(10) ** -30
@@ -1040,6 +1039,16 @@ def _mpmath_eigenvalues(diag, off, approx):
         cuts = [out[0] - 1] + [(a + b) / 2 for a, b in zip(out, out[1:])] + [top]
         assert [count(c) for c in cuts] == list(range(len(out) + 1))
     return out
+
+
+@lru_cache(maxsize=None)
+def _mpmath_gauss_nodes(weight_id, n_nodes):
+    """The eigenvalues of the float Jacobi matrix of the n_nodes-node rule
+    at 40 digits (_mpmath_eigenvalues from the rule's nodes), shared by the
+    node and weight checks."""
+    alpha, beta, _ = oc._monic_coefficients(weight_id, n_nodes)
+    return tuple(_mpmath_eigenvalues(alpha, np.sqrt(beta[1:]),
+                                     oc.gauss_rule(weight_id, n_nodes).nodes))
 
 
 @pytest.mark.parametrize("weight_id", [("laguerre", -0.5), ("laguerre", 0.7),
@@ -1051,8 +1060,7 @@ def test_gauss_nodes_match_mpmath(weight_id, n_nodes):
     # that bisected every node to 1e-14 came within 2.5 eps |T| here
     oc._gauss_rule_cached.cache_clear()
     rule = oc.gauss_rule(weight_id, n_nodes)
-    alpha, beta, _ = oc._monic_coefficients(weight_id, n_nodes)
-    want = _mpmath_eigenvalues(alpha, np.sqrt(beta[1:]), rule.nodes)
+    want = _mpmath_gauss_nodes(weight_id, n_nodes)
     radius = float(max(abs(w) for w in want))
     err = max(abs(float(x - w)) for x, w in zip(rule.nodes.tolist(), want))
     assert err <= 3.0 * np.finfo(float).eps * radius
@@ -1063,17 +1071,49 @@ def test_gauss_nodes_match_mpmath(weight_id, n_nodes):
     np.testing.assert_array_equal(again.weights, rule.weights)
 
 
+@pytest.mark.parametrize("weight_id", [("laguerre", -0.5), ("laguerre", 0.7), ("laguerre", 2.5),
+                                       ("jacobi", 0.3, 1.2), ("jacobi", -0.5, -0.5)])
+@pytest.mark.parametrize("n_nodes", [16, 64, 128])
+def test_gauss_weights_match_mpmath(weight_id, n_nodes):
+    # the Christoffel weights m0 / sum_k p_k(x)^2 of the same float Jacobi
+    # matrix at its 40-digit eigenvalues, within 2e-13 relative (1.4e-13 at
+    # worst here); weights taken at the unrefined eigvalsh nodes are off by
+    # about 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    rule = oc.gauss_rule(weight_id, n_nodes)
+    alpha, beta, m0 = oc._monic_coefficients(weight_id, n_nodes)
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(v)) for v in alpha]
+        e = [mpmath.mpf(float(v)) for v in np.sqrt(beta)]
+        want = []
+        for x in _mpmath_gauss_nodes(weight_id, n_nodes):
+            p_prev, p, total = 0, mpmath.mpf(1), mpmath.mpf(1)
+            for k in range(n_nodes - 1):
+                p_prev, p = p, ((x - a[k]) * p - e[k] * p_prev) / e[k + 1]
+                total += p * p
+            want.append(float(m0 / total))
+    want = np.array(want)
+    assert np.max(np.abs(rule.weights - want) / want) <= 2e-13
+
+
 @pytest.mark.parametrize("weight_id", [("laguerre", -0.5), ("laguerre", 0.7),
                                        ("jacobi", 0.3, 1.2)])
 def test_gauss_rule_sweep_count(monkeypatch, weight_id):
-    # one Newton pass over the rows, for all the nodes at once, finishes the
-    # dense eigensolver's estimates
-    sweeps = _count_sweeps(monkeypatch)
+    # one dense eigensolve per rule; the Christoffel recurrence refines the
+    # nodes and gives the weights in the same pass
+    calls = []
+    eigenvalues = oc.tridiagonal_eigenvalues
+
+    def counted(diag, off):
+        calls.append(np.size(diag))
+        return eigenvalues(diag, off)
+
+    monkeypatch.setattr(oc, "tridiagonal_eigenvalues", counted)
     for n_nodes in (16, 64, 128):
         oc._gauss_rule_cached.cache_clear()
-        sweeps.clear()
+        calls.clear()
         oc.gauss_rule(weight_id, n_nodes)
-        assert sweeps == [n_nodes]
+        assert calls == [n_nodes]
     oc._gauss_rule_cached.cache_clear()
 
 
