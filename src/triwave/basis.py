@@ -173,10 +173,11 @@ def _log_norm(spec: BasisSpec, n: int) -> float:
 def normalization(spec: BasisSpec, n):
     """The constant A_n of the basis, computed through log-gamma sums so
     large n survives.  An index array n gives the array of A_n."""
-    require_degree("n", np.min(n, initial=0))
     if np.ndim(n):
-        return np.array([math.exp(_log_norm(spec, k)) for k in np.asarray(n).tolist()])
-    return math.exp(_log_norm(spec, n))
+        ks = np.asarray(n).tolist()
+        require_degree("n", min(ks, default=0))
+        return np.array([math.exp(_log_norm(spec, k)) for k in ks])
+    return math.exp(_log_norm(spec, require_degree("n", n)))
 
 
 def _envelope(spec: BasisSpec, y):
@@ -291,6 +292,7 @@ def overlap_matrix(spec: BasisSpec, cmap: CoordinateMap, nmax: int, extra=None,
     2*alpha = nu + 1/2 on the oscillator map, "1/y" for 2*alpha = nu + 3/2,
     "y" for nu = 2*alpha on the morse map, "1-y" on the rosen_morse map.
     """
+    nmax = require_degree("nmax", nmax)
     min_nodes = nmax + 2
     if n_nodes is None:
         n_nodes = min_nodes

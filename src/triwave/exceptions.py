@@ -93,6 +93,9 @@ def require_integer(name, value):
 
 
 def require_degree(name, n):
-    """Reject a negative polynomial degree or index bound, naming it."""
+    """n as an int: ParameterDomainError naming the argument unless it is an
+    integer >= 0 (a polynomial degree or index bound)."""
+    n = require_integer(name, n)
     if n < 0:
         raise ParameterDomainError("%s = %d must be >= 0" % (name, n))
+    return n

@@ -31,6 +31,7 @@ from .exceptions import (
     ParameterDomainError,
     SingularParameterError,
     UnsupportedStructureError,
+    require_degree,
     require_finite,
 )
 
@@ -447,7 +448,10 @@ def _diagonal_limit(coupling):
 
 def morse_bound_count(a):
     """Number of Morse levels under the normalizability rule nu_n =
-    -2(n + a + 1/2) > 0, i.e. levels with n < -a - 1/2."""
+    -2(n + a + 1/2) > 0, i.e. levels with n < -a - 1/2.  ParameterDomainError
+    unless a is finite."""
+    if not math.isfinite(a):
+        raise ParameterDomainError("a = %r must be finite" % a)
     limit = -a - 0.5
     if limit <= 0.0:
         return 0
@@ -460,7 +464,10 @@ def morse_bound_count(a):
 def morse_alternative_bound_count(a):
     """Level count implied by the alternative closed-form bound
     n_max = floor(-2a - 1/2); kept for comparison, the grid oracle supports
-    the normalizability rule instead."""
+    the normalizability rule instead.  ParameterDomainError unless a is
+    finite."""
+    if not math.isfinite(a):
+        raise ParameterDomainError("a = %r must be finite" % a)
     val = -2.0 * a - 0.5
     if val < 0.0:
         return 0
@@ -484,8 +491,9 @@ def rosen_morse_alt_energy(A, B, n):
 def spectrum(model, n_levels=8):
     """Closed-form bound spectrum of the model (diagonalization route): each
     level is a parameter point where all couplings vanish and the diagonal
-    vanishes at the level index.  The level rules are the model's."""
-    return model.spectrum(n_levels)
+    vanishes at the level index.  The level rules are the model's.
+    ParameterDomainError, naming n_levels, unless it is an integer >= 0."""
+    return model.spectrum(require_degree("n_levels", n_levels))
 
 
 def recursion_for(model, epsilon):

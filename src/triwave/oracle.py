@@ -21,9 +21,9 @@ p_n at every node, which brings each within a fraction of eps |T|.  The
 grid oracle is dependency-free: it counts the eigenvalues of Numerov's
 pencil by Sturm sequences, through a tridiagonal matrix T(E) whose diagonal
 depends on E, one energy per scalar pass of the LDL^T pivot recurrence over
-the rows: it bisects until each level is alone in its bracket, then
-converges each level by Newton's method on the Rayleigh functional of a
-twisted factorization of T(E) (Dhillon and Parlett, Linear Algebra Appl.
+the rows.  One loop per level (_levels) bisects until the level is alone in
+its bracket, then converges it by Newton's method on the Rayleigh functional
+of a twisted factorization of T(E) (Dhillon and Parlett, Linear Algebra Appl.
 387, 2004; the same pass gives the step and the count, so the bracket keeps
 every step safe), and takes each eigenvector from the twisted vector of
 that level's last Newton pass; only a level of a cluster, one with no
@@ -129,82 +129,79 @@ def _twisted_step(alpha, beta, energy, twist=None):
     return count, step, int(np.argmax(np.abs(z))), z
 
 
-def _closed(lo, hi, rel_tol):
-    """Whether [lo, hi] is within rel_tol * max(1, |E|), or adjacent floats."""
-    return hi - lo <= rel_tol * max(1.0, abs(0.5 * (lo + hi))) or math.nextafter(lo, hi) >= hi
+# Brackets are closed at this width relative to max(1, |E|) (_closed).
+_REL_TOL = 1e-14
 
 
-def _isolate_levels(alpha, beta, lo0, hi0, k, rel_tol, trail):
-    """Brackets (lo, hi), as lists, of the lowest k Numerov levels within
-    [lo0, hi0], which has no level below lo0 and at least k below hi0: Sturm
-    bisection (Barth, Martin and Wilkinson, Numer. Math. 9, 1967) on
-    _numerov_count of level j's bracket, j = 0, 1, ..., until its ends count
-    exactly j and j + 1, or it is closed (as an exactly degenerate pair
-    ends).  Each pass's count also tightens the later levels' brackets, and
-    trail gets its energy.  AccuracyError, with the bracket, 3 passes after
-    halving to rel_tol."""
+def _closed(lo, hi):
+    """Whether [lo, hi] is within _REL_TOL * max(1, |E|), or adjacent floats."""
+    return hi - lo <= _REL_TOL * max(1.0, abs(0.5 * (lo + hi))) or math.nextafter(lo, hi) >= hi
+
+
+def _levels(alpha, beta, lo0, hi0, k):
+    """([(E, z, lag)] of the lowest k Numerov levels within [lo0, hi0], which
+    has no level below lo0 and at least k below hi0, and the number of sweeps
+    over the rows that found them).
+
+    Level j is found in one loop of passes on its bracket.  Sturm bisection
+    (Barth, Martin and Wilkinson, Numer. Math. 9, 1967) on _numerov_count
+    runs until the bracket's ends count exactly j and j + 1; then Newton
+    steps of _twisted_step start from its midpoint.  Every pass's count moves
+    the brackets of levels j..k-1 (a Newton pass lies below level j's upper
+    end, which counts j + 1 and so has already raised the next level's lower
+    end: it moves only level j's).  The first Newton pass sweeps the rows
+    both ways and twists where |gamma_r| is least, each later one twists
+    where the previous z peaked.  A step below 1e-10 |E| and 1e-3 of the
+    distance from E to the nearer end of the bracket it was computed in is
+    the last (convergence is quadratic only well inside the gap to the next
+    level, which a bisected bracket may not be), clamped to the bracket.  A
+    step that leaves the bracket, is not finite, or is below 1e-10 |E| but
+    above half the one before (stuck at the rounding floor) becomes a
+    bisection.  A closed bracket (as an exactly degenerate pair ends) ends in
+    its midpoint.  z is the twisted vector of the level's last Newton pass
+    (None if none ran) and lag is E less that pass's energy (0 if none ran).
+    AccuracyError, with the bracket, after three times the passes bisection
+    from [lo0, hi0] to _REL_TOL needs, and 7 more."""
     lo, hi = [float(lo0)] * k, [float(hi0)] * k
     c_lo, c_hi = [0] * k, [-1] * k  # counts at the ends; at hi0 not known
-    max_passes = max(0, math.ceil(math.log2(hi0 - lo0) - math.log2(rel_tol))) + 3
+    budget = 3 * max(1, math.ceil(math.log2(hi0 - lo0) - math.log2(_REL_TOL))) + 7
+    levels, sweeps = [], 0
     for j in range(k):
-        for used in range(max_passes + 1):
-            if (c_lo[j] == j and c_hi[j] == j + 1) or _closed(lo[j], hi[j], rel_tol):
+        guess, last, twist, z = None, math.inf, None, None
+        for _ in range(budget):
+            mid = 0.5 * (lo[j] + hi[j])
+            if _closed(lo[j], hi[j]):
+                levels.append((mid, z, 0.0 if z is None else mid - energy))
                 break
-            if used == max_passes:
-                raise AccuracyError("Sturm bisection left Numerov level %d shared after %d "
-                                    "passes" % (j, max_passes), estimates=(lo[j], hi[j]))
-            energy = 0.5 * (lo[j] + hi[j])
-            count = _numerov_count(alpha, beta, energy)
-            trail.append(energy)
+            newton = c_lo[j] == j and c_hi[j] == j + 1
+            energy = mid if guess is None else guess
+            if newton:
+                sweeps += 2 if twist is None else 1
+                count, step, twist, z = _twisted_step(alpha, beta, energy, twist)
+            else:
+                sweeps += 1
+                count = _numerov_count(alpha, beta, energy)
+            near = min(energy - lo[j], hi[j] - energy)
             for i in range(j, k):  # hi[i] >= hi[j] > energy
                 if count > i:
                     hi[i], c_hi[i] = energy, count
                 elif energy > lo[i]:
                     lo[i], c_lo[i] = energy, count
-    return lo, hi
-
-
-def _newton_level(alpha, beta, j, lo, hi, rel_tol, trail=None):
-    """(E, z, lag) of Numerov level j from a bracket [lo, hi] that holds it
-    alone: Newton steps of _twisted_step from the midpoint, each pass's count
-    moving the bracket, the twisted vector z of the last pass (None if no pass
-    ran) and lag, E less that pass's energy (0 if none ran).  The first pass
-    twists where |gamma_r| is least, each later one where the previous z
-    peaked.  A step below 1e-10 |E| and 1e-3 of the distance from E to the
-    nearer end of the bracket it was computed in is the last (convergence is
-    quadratic only well inside the gap to the next level, which a bisected
-    bracket may not be).  A step that leaves the bracket, is not finite, or is
-    below 1e-10 |E| but above half the one before (stuck at the rounding floor)
-    becomes a bisection.  A closed bracket ends in its midpoint; trail, if
-    given, gets the energy of each sweep over the rows (two for the first
-    pass).
-    AccuracyError, with the bracket, after twice the passes bisection needs."""
-    lo, hi = float(lo), float(hi)  # Python floats: numpy scalars are slower
-    passes = 2 * max(1, math.ceil(math.log2(max(hi - lo, rel_tol) / rel_tol))) + 4
-    energy, last, twist, z = 0.5 * (lo + hi), math.inf, None, None
-    at = energy  # the energy of z's pass
-    for _ in range(passes):
-        if _closed(lo, hi, rel_tol):
-            return 0.5 * (lo + hi), z, 0.5 * (lo + hi) - at
-        if trail is not None:
-            trail.extend([energy] * (2 if twist is None else 1))
-        at = energy
-        count, step, twist, z = _twisted_step(alpha, beta, energy, twist)
-        near = min(energy - lo, hi - energy)
-        if count <= j:
-            lo = energy
+            if not newton:
+                continue
+            small = abs(step) <= 1e-10 * abs(energy)
+            if small and abs(step) <= 1e-3 * near:
+                result = min(max(energy + step, lo[j]), hi[j])
+                levels.append((result, z, result - energy))
+                break
+            stuck = small and abs(step) > 0.5 * last
+            guess, last = energy + step, abs(step)
+            if stuck or not lo[j] < guess < hi[j]:
+                guess = None
         else:
-            hi = energy
-        small = abs(step) <= 1e-10 * abs(energy)
-        if small and abs(step) <= 1e-3 * near:
-            result = min(max(energy + step, lo), hi)
-            return result, z, result - energy
-        stuck = small and abs(step) > 0.5 * last
-        energy, last = energy + step, abs(step)
-        if stuck or not lo < energy < hi:
-            energy = 0.5 * (lo + hi)
-    raise AccuracyError("Newton's method left Numerov level %d open after %d passes"
-                        % (j, passes), estimates=(lo, hi))
+            raise AccuracyError("Numerov level %d left open after %d passes" % (j, budget),
+                                estimates=(lo[j], hi[j]))
+    return levels, sweeps
 
 
 def _tridiagonal_entries(diag, off):
@@ -500,17 +497,17 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     T(E) = tridiag(-1/h^2, 2/h^2 + g_i / (1 - h^2 g_i / 12), -1/h^2).  Its
     diagonal falls as E rises, so the Sturm count of T(E) is the number of
     Numerov eigenvalues below E.  Bisection on that count, one forward pass
-    of the pivot recurrence per energy (_numerov_count), runs only until each
-    level j has a bracket whose ends count exactly j and j + 1
-    (_isolate_levels); then each level is converged alone by Newton's method
-    on the Rayleigh functional z^T h^2 T(E) z of a twisted factorization
+    of the pivot recurrence per energy (_numerov_count), runs only until
+    level j has a bracket whose ends count exactly j and j + 1; then the
+    same loop (_levels) converges that level alone by Newton's method on the
+    Rayleigh functional z^T h^2 T(E) z of a twisted factorization
     (_twisted_step), whose count, equal to the forward one by Sylvester's
     law, moves the bracket (a step out of it becomes a bisection).  Forming
     alpha_i + E rounds E by up to half an ulp of alpha_i.  The count keeps
     that floor, but the step adds the rounding back, so Newton's method aims
     at the level of the unrounded pencil; a last step that points out of the
     count's bracket ends at the bracket's end, within the floor.  A
-    level's first pass sweeps the rows both ways and twists where |gamma_r|
+    level's first Newton pass sweeps the rows both ways and twists where |gamma_r|
     is least; each later one twists where the previous z peaked and sweeps
     every row once.  GridSolution.passes counts the sweeps over the rows.
     Each eigenvector is y = z / |z|, the twisted vector z of its level's
@@ -572,9 +569,7 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
         i = int(np.argmin(np.isfinite(beta)))
         raise DomainError("12 / (h^2 rho) overflows at x = %.15g; move x_min up" % x[i])
     alpha = sigma - w
-    trail = []
-    lo, hi = _isolate_levels(alpha, beta, e_lo, _upper_bracket(w, rho, h, k), k, 1e-14, trail)
-    levels = [_newton_level(alpha, beta, j, lo[j], hi[j], 1e-14, trail) for j in range(k)]
+    levels, sweeps = _levels(alpha, beta, e_lo, _upper_bracket(w, rho, h, k), k)
     vals = np.array([energy for energy, _, _ in levels])
     spacing = np.abs(np.diff(vals, prepend=-math.inf, append=math.inf))
     gaps = np.minimum(spacing[:-1], spacing[1:])  # to the nearest other level
@@ -615,13 +610,16 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     vecs = vecs / norms[:, None]
     if langer:
         vecs = vecs * np.sqrt(x)
-    return GridSolution(x=x, h=h, eigenvalues=vals, eigenvectors=vecs, passes=len(trail))
+    return GridSolution(x=x, h=h, eigenvalues=vals, eigenvectors=vecs, passes=sweeps)
 
 
 def node_count(vector):
     """Strict sign changes of a sampled eigenvector, ignoring entries below
-    1e-9 of the maximum amplitude."""
+    1e-9 of the maximum amplitude.  ParameterDomainError unless the vector
+    is non-empty and finite."""
     v = np.asarray(vector, dtype=float)
+    if v.size == 0 or not np.all(np.isfinite(v)):
+        raise ParameterDomainError("vector must be non-empty and finite")
     keep = np.abs(v) > 1e-9 * np.max(np.abs(v))
     signs = np.sign(v[keep])
     return int(np.sum(signs[1:] * signs[:-1] < 0))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,35 +113,21 @@ class PollaczekFamily:
 
 @dataclass(frozen=True)
 class DualHahnFamily:
-    """Continuous dual Hahn polynomials S_n^mu(x^2; a, b).
-
-    Parameters are positive reals, or (a, b) may be a complex-conjugate pair
-    with positive real parts.  Only the all-real-positive branch is exercised
-    by the potential models; the complex pair is accepted at construction and
-    evaluated through the real invariants a+b and a*b.
-    """
+    """Continuous dual Hahn polynomials S_n^mu(x^2; a, b), for real
+    parameters mu, a, b > 0."""
 
     mu: float
-    a: complex
-    b: complex
+    a: float
+    b: float
 
     def __post_init__(self):
         require_finite(self)
-        if not self.mu > 0.0:
-            raise ParameterDomainError("dual Hahn family requires mu > 0, got mu=%g" % self.mu)
-        a, b = complex(self.a), complex(self.b)
-        real_ok = a.imag == 0.0 and b.imag == 0.0 and a.real > 0.0 and b.real > 0.0
-        pair_ok = (a.imag != 0.0 and cmath.isclose(a, b.conjugate(), rel_tol=1e-12)
-                   and a.real > 0.0)
-        if not (real_ok or pair_ok):
-            raise ParameterDomainError(
-                "dual Hahn parameters must be positive, or a complex-conjugate "
-                "pair with positive real parts")
-
-    @property
-    def _sum_prod(self):
-        a, b = complex(self.a), complex(self.b)
-        return (a + b).real, (a * b).real
+        if not all(isinstance(v, numbers.Real) for v in (self.mu, self.a, self.b)):
+            raise ParameterDomainError("dual Hahn parameters must be real, got mu=%r, a=%r, "
+                                       "b=%r" % (self.mu, self.a, self.b))
+        if not (self.mu > 0.0 and self.a > 0.0 and self.b > 0.0):
+            raise ParameterDomainError("dual Hahn parameters must be positive, got mu=%g, "
+                                       "a=%g, b=%g" % (self.mu, self.a, self.b))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +235,8 @@ def _recurrence(family, nmax):
         abc = np.array([2.0 * (n + mu + a), np.full(nmax, 2.0 * b),
                         n - 1.0 + 2.0 * mu]) / (n + 1.0)
     elif isinstance(family, DualHahnFamily):
-        # run through the real invariants a+b and a*b so conjugate-pair
-        # parameters stay in real arithmetic
         mu = family.mu
-        sab, pab = family._sum_prod
+        sab, pab = family.a + family.b, family.a * family.b
         denom = (n + mu) ** 2 + (n + mu) * sab + pab  # (n+mu+a)(n+mu+b)
         if np.any(denom == 0.0):
             k = int(np.argmax(denom == 0.0))
@@ -300,7 +285,7 @@ def _rows(family, nmax: int, x, rows):
 def sequence(family, nmax: int, x):
     """p_0 .. p_nmax of the family at x (at x^2 for the dual Hahn family) by
     upward recurrence; returns shape (nmax+1,) + shape(x)."""
-    require_degree("nmax", nmax)
+    nmax = require_degree("nmax", nmax)
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1,) + x.shape)
     for _ in _rows(family, nmax, x, out):
@@ -311,7 +296,7 @@ def sequence(family, nmax: int, x):
 def evaluate(family, n: int, x):
     """p_n of the family at x (at x^2 for the dual Hahn family) by upward
     recurrence, holding three rows only."""
-    require_degree("n", n)
+    n = require_degree("n", n)
     x = np.asarray(x, dtype=float)
     for val in _rows(family, n, x, np.empty((3,) + x.shape)):
         pass
@@ -338,7 +323,7 @@ def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
     which avoids the exponentially growing alternating terms of the direct
     argument 1 - e^{2 theta}.
     """
-    require_degree("n", n)
+    n = require_degree("n", n)
     x = float(x)
     _pollaczek_domain_check(family, x)
     mu, a, b = family.mu, family.a, family.b
@@ -384,9 +369,9 @@ def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
 
 def dual_hahn_closed_form(family: DualHahnFamily, n: int, x_squared: float) -> float:
     """Terminating 3F2(-n, mu+ix, mu-ix; mu+a, mu+b; 1) cross-check value."""
-    require_degree("n", n)
+    n = require_degree("n", n)
     mu = family.mu
-    sab, pab = family._sum_prod
+    sab, pab = family.a + family.b, family.a * family.b
     x2 = float(x_squared)
     terms = [1.0]
     for k in range(n):
@@ -483,12 +468,7 @@ def _pollaczek_weight(family: PollaczekFamily, x):
 
 
 def _dual_hahn_weight(family: DualHahnFamily, x):
-    mu = family.mu
-    a, b = complex(family.a), complex(family.b)
-    if a.imag != 0.0:
-        raise ParameterDomainError(
-            "dual Hahn weight implemented for the all-real-positive branch only")
-    a, b = a.real, b.real
+    mu, a, b = family.mu, family.a, family.b
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise DomainError("dual Hahn weight is supported on x >= 0")

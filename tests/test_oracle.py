@@ -255,11 +255,11 @@ def _triple_well(x):
 # cannot make them, as it needs each level alone in its start bracket; they
 # were made by
 #
-#     newton, seen = oc._newton_level, {}
+#     levels, seen = oc._levels, {}
 #     def capture(alpha, beta, *rest):
 #         seen["ab"] = alpha, beta
-#         return newton(alpha, beta, *rest)
-#     oc._newton_level = capture
+#         return levels(alpha, beta, *rest)
+#     oc._levels = capture
 #     sol = oc.grid_solve(potential, x_min, x_max, 1.0 / 64.0, k)
 #     with mpmath.workdps(40):
 #         a, b = ([mpmath.mpf(v) for v in seq] for seq in seen["ab"])
@@ -470,10 +470,11 @@ def test_langer_eigenvectors_orthonormal_under_x_h(oscinv_b075_oracle):
 
 
 def test_numerov_sweep_count_on_default_grids():
-    # bisection until every level is alone in its bracket, then Newton's
-    # method on each level's twisted factorization.  On the two Morse wells
-    # Newton's method on det T(E) took 41 and 36 passes: its step feels every
-    # state above the level, so it crept
+    # one loop per level: bisection until the level is alone in its
+    # bracket, then Newton's method on its twisted factorization, each pass
+    # counted by the rows it sweeps (two for a level's first Newton pass).
+    # On the two Morse wells Newton's method on det T(E) took 41 and 36
+    # passes: its step feels every state above the level, so it crept
     for model, n_levels in [(md.HarmonicOscillator(a=1.0), 4),
                             (md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
                             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
@@ -623,12 +624,11 @@ def test_grid_solve_bisects_when_newton_steps_are_nan(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
-def test_newton_level_takes_a_closed_bracket_as_it_is():
-    # a bracket of zero width, as multisection can leave between adjacent
-    # floats, needs no pass
-    # and so has no twisted vector
-    assert oc._newton_level(np.full(3, 1.5), np.full(3, 20.0), 0, 0.5, 0.5,
-                            1e-14) == (0.5, None, 0.0)
+def test_levels_take_a_closed_bracket_as_it_is():
+    # a bracket between adjacent floats, as multisection can leave, needs no
+    # pass and so has no twisted vector
+    assert oc._levels(np.full(3, 1.5), np.full(3, 20.0), 0.5, math.nextafter(0.5, 1.0),
+                      1) == ([(0.5, None, 0.0)], 0)
 
 
 def test_newton_pass_cap_raises_with_the_bracket(monkeypatch):
@@ -767,17 +767,23 @@ def test_newton_stops_at_the_rounding_floor(A, B, mu_scale, levels, want):
     np.testing.assert_allclose(sol.eigenvalues, want, rtol=0, atol=math.ulp(12.0 / (h * h)))
 
 
-def test_isolation_pass_cap_raises_with_the_bracket(monkeypatch):
+def test_level_pass_cap_raises_with_the_bracket(monkeypatch):
     # every pass halves the bracket, so only a bracket never taken as closed
-    # (here with counts that never split level 0 from level 1) meets the cap
-    monkeypatch.setattr(oc, "_closed", lambda lo, hi, rel_tol: False)
-    monkeypatch.setattr(oc, "_numerov_count", lambda alpha, beta, energy: 0)
-    trail = []
+    # (here with counts that never split level 0 from level 1) meets the cap;
+    # the floats below 0 are fine enough that the cap comes first
+    energies = []
+
+    def count(alpha, beta, energy):
+        energies.append(energy)
+        return 0
+
+    monkeypatch.setattr(oc, "_closed", lambda lo, hi: False)
+    monkeypatch.setattr(oc, "_numerov_count", count)
     with pytest.raises(AccuracyError, match="level 0") as info:
-        oc._isolate_levels(np.ones(1), np.ones(1), 0.0, 1.0, 2, 1e-14, trail)
+        oc._levels(np.ones(1), np.ones(1), -1.0, 0.0, 2)
     lo, hi = info.value.estimates
-    assert 0.0 < lo < hi == 1.0
-    assert len(trail) == math.ceil(math.log2(1e14)) + 3
+    assert -1.0 < lo < hi == 0.0
+    assert len(energies) == 3 * math.ceil(math.log2(1e14)) + 7
 
 
 def _upper_bracket_scan(w, rho, h, k):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from triwave import basis as bs
+from triwave import models as md
 from triwave import oracle as oc
 from triwave import orthopoly as op
 from triwave.exceptions import (
@@ -12,6 +13,7 @@ from triwave.exceptions import (
     EvaluationOverflowError,
     ParameterDomainError,
     SingularParameterError,
+    TriwaveError,
 )
 
 import helpers
@@ -492,11 +494,10 @@ def test_family_validation():
         op.PollaczekFamily(1.0, 1.0, 0.0, "circular")
     with pytest.raises(ParameterDomainError):
         op.DualHahnFamily(1.0, -0.5, 2.0)
-    # complex-conjugate pair with positive real parts is representable
-    fam = op.DualHahnFamily(1.0, 1.0 + 2.0j, 1.0 - 2.0j)
-    assert np.isfinite(op.evaluate(fam, 3, 1.5))
-    with pytest.raises(ParameterDomainError):
-        op.DualHahnFamily(1.0, 1.0 + 2.0j, 1.0 - 1.9j)
+    # complex parameters are refused by name, a conjugate pair included
+    for a, b in [(1.0 + 2.0j, 1.0 - 2.0j), (1.0 + 2.0j, 1.0 - 1.9j)]:
+        with pytest.raises(ParameterDomainError, match="must be real"):
+            op.DualHahnFamily(1.0, a, b)
 
 
 @pytest.mark.parametrize("make", [
@@ -540,4 +541,35 @@ def test_pollaczek_domain_errors():
         "normalization", "normalization-array", "basis-eval"])
 def test_negative_degree_names_n(call):
     with pytest.raises(ParameterDomainError, match=r"^n = -1 must be >= 0$"):
+        call()
+
+
+_MODELS = [md.HarmonicOscillator(a=1.0), md.OscillatorInverseSquare(a=1.0, b=0.75),
+           md.SupercriticalInverseSquare(b=-1.0), md.GeneralizedMorse(A=-6.0, B=1.0,
+                                                                     mu_scale=2.0),
+           md.RosenMorse(A=1.0, B=-2.0)]
+
+
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda: op.evaluate(op.LaguerreFamily(0.5), 2.5, 0.3)),
+    ("nmax", lambda: op.sequence(op.JacobiFamily(0.5, 0.5), math.nan, 0.3)),
+    ("n", lambda: op.pollaczek_closed_form(op.PollaczekFamily(1.0, 1.0, 0.0), 2.5, 0.3)),
+    ("n", lambda: op.dual_hahn_closed_form(op.DualHahnFamily(1.0, 1.0, 2.0), 2.5, 0.3)),
+    ("n", lambda: bs.basis_eval(bs.morse_basis(1.2), 2.5, 0.3)),
+    ("n", lambda: bs.normalization(bs.morse_basis(1.2), 2.5)),
+    ("nmax", lambda: bs.overlap_matrix(bs.morse_basis(1.2), bs.morse_map(2.0), 2.5)),
+    ("vector", lambda: oc.node_count([])),
+    ("vector", lambda: oc.node_count([1.0, math.nan, -1.0])),
+    ("a", lambda: md.morse_bound_count(math.nan)),
+    ("a", lambda: md.morse_alternative_bound_count(math.nan)),
+] + [("n_levels", lambda model=model, n=n: md.spectrum(model, n))
+     for model in _MODELS for n in (2.5, -1)],
+    ids=["evaluate", "sequence", "pollaczek-closed-form", "dual-hahn-closed-form",
+         "basis-eval", "normalization", "overlap-matrix", "node-count-empty",
+         "node-count-nan", "morse-bound-count", "morse-alternative-bound-count"]
+    + ["spectrum-%s-%s" % (type(model).__name__, n) for model in _MODELS for n in (2.5, -1)])
+def test_non_integer_or_non_finite_arguments_are_named(name, call):
+    # a degree, index bound or level count that is no integer >= 0, and a
+    # vector or Morse parameter that is not finite, is refused by name
+    with pytest.raises(TriwaveError, match=r"^%s " % name):
         call()
