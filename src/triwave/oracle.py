@@ -74,8 +74,7 @@ def _numerov_count(alpha, beta, energy):
     h^2 T(E) = tridiag(-1, beta_i / (alpha_i + E) - 10, -1) (alpha, beta:
     arrays; see grid_solve): the number of negative forward pivots, which is
     the number of Numerov eigenvalues below E."""
-    d = (beta / (alpha + energy) - 10.0).tolist()
-    return int(np.count_nonzero(_pivots(d, repeat(1.0), _TINY) < 0.0))
+    return _unit_count((beta / (alpha + energy) - 10.0).tolist())
 
 
 def _twisted_step(alpha, beta, energy, twist=None):
@@ -106,14 +105,15 @@ def _twisted_step(alpha, beta, energy, twist=None):
     s = alpha + energy
     d = beta / s - 10.0
     n = d.size
+    rows = d.tolist()
     if twist is None:
-        dp, dm, r, gamma = _twist(d, [1.0] * (n - 1), _TINY)
+        dp, dm = _unit_pivots(rows), _unit_pivots(rows[::-1])[::-1]
+        r, gamma = _twist(d, dp, dm)
         left, right = dp[:r], dm[r + 1:]
     else:
         r = twist
-        rows = d.tolist()
-        left = _pivots(rows[:r], repeat(1.0), _TINY)
-        right = _pivots(rows[:r:-1], repeat(1.0), _TINY)[::-1]
+        left = _unit_pivots(rows[:r])
+        right = _unit_pivots(rows[:r:-1])[::-1]
         gamma = rows[r]
         if r > 0:
             gamma -= 1.0 / float(left[-1])
@@ -247,7 +247,8 @@ def _pivots(a, e2, tiny):
     floats) and squared off-diagonal e2 (an iterable of Python floats,
     repeat(1.0) for a unit off-diagonal), as an array, each nudged away from
     zero to +-tiny: an exact +0 pivot becomes +tiny, and the next one turns
-    negative, as in Kahan's IEEE Sturm count."""
+    negative, as in Kahan's IEEE Sturm count.  The reference of the unit
+    off-diagonal kernels _unit_pivots and _unit_count."""
     return np.fromiter(_pivot_recurrence(a, e2, tiny), float, len(a))
 
 
@@ -262,18 +263,47 @@ def _pivot_recurrence(a, e2, tiny):
         yield q
 
 
-def _twist(a, e2, tiny):
-    """(D+, D-, r, gamma_r) of the tridiagonal matrix with diagonal a (an
-    array) and squared off-diagonal e2 (a list of Python floats): the forward
-    pivots D+ of LDL^T and the backward pivots D- of UDU^T (_pivots, nudged
-    away from zero to +-tiny), and the twist r where the two factorizations
+def _unit_pivots(a):
+    """_pivots(a, repeat(1.0), _TINY) bit for bit, for a unit off-diagonal:
+    one list comprehension of D_i = a_i - 1 / D_{i-1}, cheaper per row than
+    resuming _pivot_recurrence.  Where a pivot is exactly 0 or below _TINY in
+    magnitude, so that _pivots would nudge it, the pivots are taken again
+    from _pivots."""
+    q = math.inf
+    try:
+        dp = np.fromiter([q := ai - 1.0 / q for ai in a], float, len(a))
+    except ZeroDivisionError:  # an exact 0 pivot before the last row
+        return _pivots(a, repeat(1.0), _TINY)
+    if (np.abs(dp) < _TINY).any():
+        return _pivots(a, repeat(1.0), _TINY)
+    return dp
+
+
+def _unit_count(a):
+    """The number of negative pivots of _pivots(a, repeat(1.0), _TINY) (a
+    unit off-diagonal), from one loop of the same recurrence and nudge that
+    keeps no pivots; the nudge sits behind the q < _TINY branch, which the
+    rows of a grid seldom take."""
+    count, q = 0, math.inf
+    for ai in a:
+        q = ai - 1.0 / q
+        if q < _TINY:
+            if q < 0.0:
+                count += 1
+                if q > -_TINY:
+                    q = -_TINY
+            else:
+                q = _TINY
+    return count
+
+
+def _twist(a, dp, dm):
+    """(r, gamma_r): the twist r where the forward pivots D+ of LDL^T and the
+    backward pivots D- of UDU^T of the tridiagonal matrix with diagonal a
     meet in the least |gamma_r|, gamma_r = D+_r + D-_r - a_r."""
-    rows = a.tolist()
-    dp = _pivots(rows, e2, tiny)
-    dm = _pivots(rows[::-1], e2[::-1], tiny)[::-1]
     gammas = dp + dm - a
     r = int(np.argmin(np.abs(gammas)))
-    return dp, dm, r, float(gammas[r])
+    return r, float(gammas[r])
 
 
 def _twisted_vector(e, left, right):
@@ -347,7 +377,10 @@ def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
     tiny = 1e-300 * max(1.0, float(np.max(e2)))
     if not np.all(np.isfinite(a)):
         raise ParameterDomainError("matrix entries overflow the twisted factorization")
-    dp, dm, r, _ = _twist(a, e2.tolist(), tiny)
+    rows, e2 = a.tolist(), e2.tolist()
+    dp = _pivots(rows, e2, tiny)
+    dm = _pivots(rows[::-1], e2[::-1], tiny)[::-1]
+    r, _ = _twist(a, dp, dm)
     v = _twisted_vector(e, dp[:r], dm[r + 1:])
     if u.size:
         v = v / np.linalg.norm(v)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -486,14 +487,17 @@ def test_numerov_sweep_count_on_default_grids():
         assert 1 <= sol.passes <= 6 * k + 10, model
 
 
-@pytest.mark.parametrize("d", [
+_EXACT_ZERO_ROWS = [
     (0.0, 0.0, 0.0),           # p = 0, -1, 0: zeros after p > 0 and after p < 0
     (-1.0, 1.0, 0.5),          # p = -1, -2, 0
     (1.0, 2.0, 1.0),           # p = 1, 1, 0
     (2.0, 1.0, 3.0, 1.0),      # p = 2, 1, 1, 0
     (-2.0, -1.0, -3.0, -1.0),  # p = -2, 1, -1, 0
     (-1.0, 1.0, 0.5, 3.0),     # p = -1, -2, 0, 2
-])
+]
+
+
+@pytest.mark.parametrize("d", _EXACT_ZERO_ROWS)
 def test_newton_count_at_exact_float_eigenvalues(d):
     # alpha_i + E = 2 and beta_i = 2 (10 + d_i) make every d_i, and so every
     # minor p_i, exact at E = 0.5: an exact zero minor meets the count there.
@@ -507,6 +511,50 @@ def test_newton_count_at_exact_float_eigenvalues(d):
         dense = _dense(beta / (1.5 + e) - 10.0, -np.ones(d.size - 1))
         exact = int(np.sum(np.linalg.eigvalsh(dense) < -1e-12))
         assert oc._numerov_count(alpha, beta, e) == exact
+
+
+# rows whose pivots _pivots nudges: the exact zeros above, a -0, subnormal
+# and below-1e-300 first pivots, and later pivots 2^-1052 (subnormal) and
+# 2^-1013 (normal, below 1e-300) as differences from 2^-1000 = 1 / 2^1000
+_NUDGED_ROWS = _EXACT_ZERO_ROWS + [
+    (-0.0, 2.0, 1.0), (-0.0,), (5e-324, 1.0, 1.0), (-1e-310, 3.0), (1e-305, -1.0),
+    (2.0 ** 1000, 2.0 ** -1000 + 2.0 ** -1052, 1.0, 1.0),
+    (2.0 ** 1000, 2.0 ** -1000 + 2.0 ** -1013, -1.0)]
+
+
+def _reference_pivots(rows):
+    return oc._pivots(list(rows), repeat(1.0), oc._TINY)
+
+
+def test_unit_kernels_match_the_pivot_generator_on_random_rows(rng):
+    # the comprehension pivots and the count loop against the generator, bit
+    # for bit, on rows of Numerov-like diagonals near 2 and on rows that go
+    # negative often
+    for n in (1, 2, 7, 100, 1000):
+        for rows in (rng.uniform(1.9, 2.2, n), rng.uniform(-0.5, 2.5, n),
+                     rng.normal(0.0, 3.0, n)):
+            rows = rows.tolist()
+            want = _reference_pivots(rows)
+            assert oc._unit_pivots(rows).tobytes() == want.tobytes()
+            assert oc._unit_count(rows) == np.count_nonzero(want < 0.0)
+
+
+@pytest.mark.parametrize("rows", _NUDGED_ROWS)
+def test_unit_pivots_fall_back_to_the_generator_where_a_pivot_is_nudged(monkeypatch, rows):
+    rows = list(rows)
+    want = _reference_pivots(rows)
+    assert np.any(np.abs(want) == oc._TINY)  # a nudge happened
+    calls = []
+    pivots = oc._pivots
+
+    def spy(*args):
+        calls.append(args)
+        return pivots(*args)
+
+    monkeypatch.setattr(oc, "_pivots", spy)
+    assert oc._unit_pivots(rows).tobytes() == want.tobytes()
+    assert len(calls) == 1
+    assert oc._unit_count(rows) == np.count_nonzero(want < 0.0)
 
 
 def test_newton_step_matches_dense_determinant():
