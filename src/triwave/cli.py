@@ -127,13 +127,14 @@ def _build_model(args):
 
 @lru_cache(maxsize=16)
 def _grid_solve_cached(model, x_min, x_max, h, k):
-    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
+    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line,
+                         symmetry=model.symmetry)
 
 
 def _oracle_levels(model, n_levels):
     """(grid-oracle levels in the model's level order, their GridSolution)."""
-    sol = _grid_solve_cached(model.oracle_model, *md.default_grid(model, n_levels))
-    return sol.eigenvalues[model.oracle_levels][:n_levels], sol
+    sol = _grid_solve_cached(model, *md.default_grid(model, n_levels))
+    return sol.eigenvalues[:n_levels], sol
 
 
 def _rel_dev(oracle_vals, epsilons):

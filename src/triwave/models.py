@@ -61,19 +61,15 @@ __all__ = [
 
 class _Model:
     """Defaults of the rules every model states: potential, spectrum, recursion,
-    closed_form, oracle_grid (default_grid before h is fitted), oracle_model and
-    oracle_levels (whose grid levels are its own), jmatrix_potential, half_line,
-    parity_sign."""
+    closed_form, oracle_grid (default_grid before h is fitted), symmetry (the
+    parity the oracle solves on the half line x >= 0, or None),
+    jmatrix_potential, half_line, parity_sign."""
 
     half_line = False  # a wall at x = 0: series on x > 0, Langer oracle grid
-    oracle_levels = slice(None)
+    symmetry = None
 
     def closed_form(self, epsilon, N):
         return None
-
-    @property
-    def oracle_model(self):
-        return self
 
     def parity_sign(self, x):
         return 1.0
@@ -142,19 +138,14 @@ class HarmonicOscillator(_Pollaczek):
             return 1.0
         return np.sign(x) if x.ndim else math.copysign(1.0, float(x))
 
-    def oracle_grid(self, n_levels):
-        k = 2 * (n_levels or 4)  # both parities share the even model's grid
-        eps_top = spectrum(HarmonicOscillator(self.a, "odd"), k // 2).levels[-1].epsilon
-        x_max = _wkb_edge(lambda x: potential_eval(self, x) - eps_top, 0.0, 1)
-        return -x_max, x_max, 1.0 / 32.0, k
-
     @property
-    def oracle_model(self):
-        return HarmonicOscillator(self.a)
+    def symmetry(self):
+        return self.parity
 
-    @property
-    def oracle_levels(self):
-        return slice(0 if self.parity == "even" else 1, None, 2)
+    def oracle_grid(self, n_levels):  # its own parity on the half line x >= 0
+        k = n_levels or 4
+        eps_top = spectrum(self, k).levels[-1].epsilon
+        return 0.0, _wkb_edge(lambda x: potential_eval(self, x) - eps_top, 0.0, 1), 1.0 / 32.0, k
 
 
 @dataclass(frozen=True)
@@ -610,12 +601,14 @@ def _well_grid(model, n_levels, h, bottom):
 
 def default_grid(model, n_levels=None):
     """Grid-oracle settings (x_min, x_max, h, k) for verifying the model's
-    closed-form levels: the k lowest levels of model.oracle_model, each edge
-    where the WKB exponent of the top level reaches WKB_EXPONENT, and h = 1/32
-    (1/16 for Rosen-Morse) halved until oracle.step_margin < STEP_BOUND.  With
-    a wall at x = 0 (half_line) edges and h are in t = ln x (Langer grid)."""
+    closed-form levels: the model's k lowest levels, of its own parity on the
+    half line x >= 0 where it has a symmetry, each edge where the WKB
+    exponent of the top level reaches WKB_EXPONENT, and h = 1/32 (1/16 for
+    Rosen-Morse) halved until oracle.step_margin < STEP_BOUND on the rows
+    grid_solve builds.  With a wall at x = 0 (half_line) edges and h are in
+    t = ln x (Langer grid)."""
     x_min, x_max, h, k = model.oracle_grid(n_levels)
-    while oracle.step_margin(model.potential, x_min, x_max, h,
-                             langer=model.half_line) >= oracle.STEP_BOUND:
+    while oracle.step_margin(model.potential, x_min, x_max, h, langer=model.half_line,
+                             symmetry=model.symmetry) >= oracle.STEP_BOUND:
         h /= 2.0
     return x_min, x_max, h, k

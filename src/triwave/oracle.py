@@ -6,8 +6,10 @@ Two unrelated work horses live here:
   fourth-order discretization of the 1D Schrodinger equation with Dirichlet
   ends, on a uniform grid in x, or for the inverse-square models on the
   Langer grid x = e^t (uniform in t, psi = e^{t/2} phi, measure x dt), which
-  removes the wall at x = 0; default_grid in models puts each edge where the
-  top level's WKB exponent reaches 16;
+  removes the wall at x = 0, or for one parity of a potential even about
+  x_min (the harmonic oscillator) on the half line, its rows staggered half
+  a step from the symmetry plane; default_grid in models puts each edge
+  where the top level's WKB exponent reaches 16;
 * Gauss quadrature rule generation from monic recurrence coefficients
   (nodes as the Jacobi-matrix eigenvalues, weights from the Christoffel
   function of the orthonormal recurrence), plus adaptive Gauss-Kronrod
@@ -69,15 +71,18 @@ __all__ = [
 _TINY = 1e-300
 
 
-def _numerov_count(alpha, beta, energy):
+def _numerov_count(alpha, beta, edge, energy):
     """Sturm count at E = energy of the Numerov pencil
-    h^2 T(E) = tridiag(-1, beta_i / (alpha_i + E) - 10, -1) (alpha, beta:
-    arrays; see grid_solve): the number of negative forward pivots, which is
-    the number of Numerov eigenvalues below E."""
-    return _unit_count((beta / (alpha + energy) - 10.0).tolist())
+    h^2 T(E) = tridiag(-1, beta_i / (alpha_i + E) - 10, -1), its first
+    diagonal entry moved by edge (alpha, beta: arrays; edge: 0, or -1 / +1
+    at an even / odd symmetry plane; see grid_solve): the number of negative
+    forward pivots, which is the number of Numerov eigenvalues below E."""
+    d = (beta / (alpha + energy) - 10.0).tolist()
+    d[0] += edge
+    return _unit_count(d)
 
 
-def _twisted_step(alpha, beta, energy, twist=None):
+def _twisted_step(alpha, beta, edge, energy, twist=None):
     """(Sturm count, Newton step, row of the largest |z|, z) at E = energy
     of h^2 T(E) (see _numerov_count), from one twisted factorization twisted
     at row r (Dhillon and Parlett, Linear Algebra Appl. 387, 2004).
@@ -104,6 +109,7 @@ def _twisted_step(alpha, beta, energy, twist=None):
     """
     s = alpha + energy
     d = beta / s - 10.0
+    d[0] += edge
     n = d.size
     rows = d.tolist()
     if twist is None:
@@ -138,9 +144,9 @@ def _closed(lo, hi):
     return hi - lo <= _REL_TOL * max(1.0, abs(0.5 * (lo + hi))) or math.nextafter(lo, hi) >= hi
 
 
-def _levels(alpha, beta, lo0, hi0, k):
-    """([(E, z, lag)] of the lowest k Numerov levels within [lo0, hi0], which
-    has no level below lo0 and at least k below hi0, and the number of sweeps
+def _levels(alpha, beta, edge, lo0, hi0, k):
+    """([(E, z, lag)] of the lowest k levels of the Numerov pencil of alpha,
+    beta and edge (_numerov_count) within [lo0, hi0], which has no level below lo0 and at least k below hi0, and the number of sweeps
     over the rows that found them).
 
     Level j is found in one loop of passes on its bracket.  Sturm bisection
@@ -177,10 +183,10 @@ def _levels(alpha, beta, lo0, hi0, k):
             energy = mid if guess is None else guess
             if newton:
                 sweeps += 2 if twist is None else 1
-                count, step, twist, z = _twisted_step(alpha, beta, energy, twist)
+                count, step, twist, z = _twisted_step(alpha, beta, edge, energy, twist)
             else:
                 sweeps += 1
-                count = _numerov_count(alpha, beta, energy)
+                count = _numerov_count(alpha, beta, edge, energy)
             near = min(energy - lo[j], hi[j] - energy)
             for i in range(j, k):  # hi[i] >= hi[j] > energy
                 if count > i:
@@ -418,9 +424,12 @@ class GridSolution:
     x holds the interior grid points and eigenvectors the wavefunction
     sampled there, with the Dirichlet end values (zero) left out.  On the
     plain grid x is uniform with step h and the eigenvectors are orthonormal
-    under the measure h: sum_i psi(x_i) chi(x_i) h.  On the Langer grid of
-    the inverse-square models x = e^t with t uniform of step h, and the
-    measure is x h: sum_i psi(x_i) chi(x_i) x_i h (dx = x dt)."""
+    under the measure h: sum_i psi(x_i) chi(x_i) h.  With a symmetry the
+    rows are x_min + (i - 1/2) h on the half line and the sum runs over them
+    alone, so a full-line vector of the same parity, normalized over both
+    halves, is the half-line one over sqrt 2.  On the Langer grid of the
+    inverse-square models x = e^t with t uniform of step h, and the measure
+    is x h: sum_i psi(x_i) chi(x_i) x_i h (dx = x dt)."""
 
     x: np.ndarray
     h: float
@@ -477,9 +486,13 @@ def _upper_bracket(w, rho, h, k):
     return best
 
 
-def _numerov_grid(potential, x_min, x_max, h, k, langer):
+def _numerov_grid(potential, x_min, x_max, h, k, langer, symmetry=None):
     """(x, rho, u = U rho (x^2 U + 1/4 on the Langer grid), w = u / rho,
     E_lo = min w, step margin) with grid_solve's checks but the step bound."""
+    if symmetry not in (None, "even", "odd"):
+        raise ParameterDomainError("symmetry must be None, 'even' or 'odd'")
+    if symmetry is not None and langer:
+        raise ParameterDomainError("a symmetry plane needs the plain grid, not the Langer grid")
     if x_max <= x_min:
         raise DomainError("x_max must exceed x_min")
     t_min, t_max = x_min, x_max
@@ -495,9 +508,11 @@ def _numerov_grid(potential, x_min, x_max, h, k, langer):
     n_int = int(round(span)) - 1
     if n_int < 3:
         raise DomainError("grid too coarse for the requested domain")
-    if not 1 <= k <= n_int:
-        raise ParameterDomainError("need 1 <= k <= number of interior points")
-    x = t_min + h * np.arange(1, n_int + 1)
+    first = 0 if symmetry is None else 1  # the first row _upper_bracket bounds on
+    if not 1 <= k <= n_int - first:
+        raise ParameterDomainError("need 1 <= k <= %d, the interior points from row %d on"
+                                   % (n_int - first, first))
+    x = t_min + h * (np.arange(1, n_int + 1) - (0.0 if symmetry is None else 0.5))
     rho = np.ones(n_int)
     if langer:
         x = np.exp(x)
@@ -514,12 +529,14 @@ def _numerov_grid(potential, x_min, x_max, h, k, langer):
     return x, rho, ux, w, e_lo, h * h / 12.0 * float(np.max(ux - e_lo * rho))
 
 
-def step_margin(potential, x_min, x_max, h, langer=False):
-    """h^2 max(U - E_lo rho) / 12 on grid_solve's grid (refused from STEP_BOUND)."""
-    return _numerov_grid(potential, x_min, x_max, h, 1, langer)[-1]
+def step_margin(potential, x_min, x_max, h, langer=False, symmetry=None):
+    """h^2 max(U - E_lo rho) / 12 on the rows grid_solve builds (refused from
+    STEP_BOUND)."""
+    return _numerov_grid(potential, x_min, x_max, h, 1, langer, symmetry)[-1]
 
 
-def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="both"):
+def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="both",
+               symmetry=None):
     """Lowest k eigenpairs of Numerov's fourth-order discretization of
     -psi'' + U psi = E psi on [x_min, x_max] with Dirichlet ends.
 
@@ -569,16 +586,31 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     where the top level's WKB exponent int sqrt(U - E_top) dx (dt on the
     Langer grid) reaches 16.
 
+    symmetry "even" or "odd" (None: no symmetry) solves that parity of a
+    potential even about x_min on the half line [x_min, x_max].  The rows
+    sit at x_min + (i - 1/2) h, so x_min lies midway between row 1 and its
+    mirror image, row 0, and the Dirichlet end is at x_max - h/2.  Row 0's
+    y is +y_1 (even) or -y_1 (odd), which moves the first diagonal of
+    h^2 T(E) by -1 or +1 and leaves the matrix tridiagonal and symmetric; a
+    mirror row on x_min itself would instead change the first off-diagonal
+    in every kernel.  The upper bracket takes its windows from row 1 on,
+    where that diagonal does not enter, so k may be at most the rows less
+    one.  The eigenvectors are orthonormal on the half line (GridSolution).
+    x_min is a symmetry plane, not an edge, so it is not a checked boundary:
+    an even level has its largest amplitude there.  The Langer grid takes no
+    symmetry.
+
     Raises DomainError, before any grid array is built, when the grid would
     have more than MAX_GRID_ROWS interior rows; DomainError when
     h^2 max(U - E_lo rho) / 12 reaches STEP_BOUND
     (E_lo = min U / rho, the lower end of the spectrum), or when a converged
     eigenvector has not decayed at a checked boundary (relative amplitude of
-    psi, phi on the Langer grid, above 1e-6).  check_boundaries is "both" or
-    "none"; pass "none" when some of the k states are not bound (box states
-    above a continuum threshold).  ParameterDomainError, naming the argument,
-    unless x_min and x_max are finite, h is finite and positive and k is an
-    integer.
+    psi, phi on the Langer grid, above 1e-6; with a symmetry only x_max is
+    checked).  check_boundaries is "both" or "none"; pass "none" when some
+    of the k states are not bound (box states above a continuum threshold).
+    ParameterDomainError, naming the argument, unless x_min and x_max are
+    finite, h is finite and positive, k is an integer and symmetry is None,
+    "even" or "odd" (None on the Langer grid).
     """
     if check_boundaries not in ("both", "none"):
         raise ParameterDomainError("check_boundaries must be 'both' or 'none'")
@@ -588,7 +620,8 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
             raise ParameterDomainError("%s = %r must be finite" % (name, value))
     if not h > 0.0:
         raise ParameterDomainError("h = %r must be positive" % h)
-    x, rho, ux, w, e_lo, margin = _numerov_grid(potential, x_min, x_max, h, k, langer)
+    x, rho, ux, w, e_lo, margin = _numerov_grid(potential, x_min, x_max, h, k, langer,
+                                                symmetry)
     if margin >= STEP_BOUND:
         raise DomainError(
             "h^2 max(U - E_lo) / 12 = %.3g >= %g; reduce h below %.3g"
@@ -602,7 +635,10 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
         i = int(np.argmin(np.isfinite(beta)))
         raise DomainError("12 / (h^2 rho) overflows at x = %.15g; move x_min up" % x[i])
     alpha = sigma - w
-    levels, sweeps = _levels(alpha, beta, e_lo, _upper_bracket(w, rho, h, k), k)
+    edge = {"even": -1.0, "odd": 1.0}.get(symmetry, 0.0)
+    first = 0 if symmetry is None else 1  # min-max windows that miss the edge row
+    levels, sweeps = _levels(alpha, beta, edge, e_lo,
+                             _upper_bracket(w[first:], rho[first:], h, k), k)
     vals = np.array([energy for energy, _, _ in levels])
     spacing = np.abs(np.diff(vals, prepend=-math.inf, append=math.inf))
     gaps = np.minimum(spacing[:-1], spacing[1:])  # to the nearest other level
@@ -615,6 +651,7 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
         g = ux - vals[i] * rho
         scale = 1.0 - c * g
         diags.append(2.0 * inv_h2 + g / scale)
+        diags[i][0] += edge * inv_h2
         nrm = math.nan if z is None else float(np.linalg.norm(z))
         if prev or not math.isfinite(nrm) or abs(lag) > 1e-9 * gaps[i]:
             ys.append(tridiagonal_eigenvector(diags[i], off, 0.0, orthogonalize=prev))
@@ -633,7 +670,8 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
         for i in range(k):
             v = np.abs(vecs[i])
             vmax = v.max()
-            bad_left, bad_right = v[0] > 1e-6 * vmax, v[-1] > 1e-6 * vmax
+            bad_left = symmetry is None and v[0] > 1e-6 * vmax
+            bad_right = v[-1] > 1e-6 * vmax
             if bad_left or bad_right:
                 side = "left" if bad_left else "right"
                 raise DomainError(

@@ -1,3 +1,4 @@
+import helpers
 import numpy as np
 import pytest
 
@@ -9,20 +10,23 @@ def _solve(model, n_levels=None, **overrides):
     x_min, x_max, h, k = md.default_grid(model, n_levels)
     x_min = overrides.get("x_min", x_min)
     h = overrides.get("h", h)
-    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
+    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line,
+                         symmetry=model.symmetry)
 
 
 @pytest.fixture(scope="session")
 def ho_oracle():
-    """Harmonic oscillator on its default grid, both parities interleaved."""
-    return _solve(md.HarmonicOscillator(a=1.0), n_levels=4)
+    """Harmonic oscillator on the full line, both parities interleaved: the
+    mirror image of the odd parity's default half-line grid."""
+    return oc.grid_solve(md.HarmonicOscillator(a=1.0).potential, *helpers.ho_full_line_grid(4))
 
 
 @pytest.fixture(scope="session")
 def ho_oracle_coarse():
-    """The default harmonic-oscillator domain at twice the default step."""
-    return _solve(md.HarmonicOscillator(a=1.0), n_levels=4,
-                  h=2.0 * md.default_grid(md.HarmonicOscillator(a=1.0), 4)[2])
+    """The full-line harmonic-oscillator grid at twice the default step."""
+    h = 2.0 * md.default_grid(md.HarmonicOscillator(a=1.0, parity="odd"), 4)[2]
+    return oc.grid_solve(md.HarmonicOscillator(a=1.0).potential,
+                         *helpers.ho_full_line_grid(4, h))
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from triwave import models as md
+
 
 def laguerre_series(nu, n, x):
     """L_n^nu(x) from the confluent-hypergeometric series
@@ -96,6 +98,17 @@ def gamma_abs_squared_product(mu, y, terms=20000):
     fp = -2.0 * y * y / (u0 * (u0 * u0 + y * y))
     tail = integral + 0.5 * f0 - fp / 12.0
     return math.exp(2.0 * math.lgamma(mu) - head - tail)
+
+
+def ho_full_line_grid(n_levels, h=None):
+    """(x_min, x_max, h, k) of the full-line oscillator grid (a = 1) whose rows
+    are +-(i - 1/2) h: the mirror image of the odd parity's default half-line
+    grid (0, x_max), whose rows are (i - 1/2) h and whose Dirichlet end is
+    x_max - h / 2, at its h or the given one.  k = 2 n_levels holds both
+    parities, interleaved."""
+    _, x_max, step, k = md.default_grid(md.HarmonicOscillator(a=1.0, parity="odd"), n_levels)
+    h = h or step
+    return -(x_max - 0.5 * h), x_max - 0.5 * h, h, 2 * k
 
 
 def relative_deviation(computed, reference):

@@ -497,6 +497,21 @@ def test_default_grid_halves_h_until_the_step_bound_holds(levels, h):
         assert margin >= oc.STEP_BOUND
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_oscillator_oracle_grid_is_its_own_parity_on_the_half_line(parity):
+    # each parity is solved alone on x >= 0 (rows (i - 1/2) h), on a grid
+    # sized from its own top level; no other model has a symmetry
+    model = md.HarmonicOscillator(a=1.0, parity=parity)
+    assert model.symmetry == parity
+    assert md.default_grid(model)[3] == 4
+    x_min, x_max, h, k = md.default_grid(model, 3)
+    assert (x_min, h, k) == (0.0, 1.0 / 32.0, 3)
+    sol = oc.grid_solve(model.potential, x_min, x_max, h, k, symmetry=model.symmetry)
+    assert sol.x[0] == h / 2
+    np.testing.assert_allclose(sol.eigenvalues, md.spectrum(model, 3).epsilons, rtol=1e-6)
+    assert md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0).symmetry is None
+
+
 def test_default_grid_sizes_rosen_morse_from_the_requested_levels():
     model = md.RosenMorse(A=0.5, B=-200.0)
     assert len(md.spectrum(model).levels) == 8  # the default count, below 9

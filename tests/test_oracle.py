@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import helpers
 from triwave import models as md
 from triwave import oracle as oc
 from triwave import orthopoly
@@ -385,9 +386,12 @@ def test_grid_one_row_above_the_limit_raises_before_allocating():
     assert peak < 1e6
 
 
-def _numerov_kinetic(n, h):
-    # dense K = -(I + D2/12)^{-1} D2 / h^2 with Dirichlet ends (test reference)
+def _numerov_kinetic(n, h, edge=0.0):
+    # dense K = -(I + D2/12)^{-1} D2 / h^2 with Dirichlet ends (test reference);
+    # edge moves D2's first diagonal entry, as y_0 = -+y_1 does at an even /
+    # odd symmetry plane half a step before row 0 (edge -1 / +1 in h^2 T(E))
     d2 = _dense(np.full(n, -2.0), np.ones(n - 1))
+    d2[0, 0] -= edge
     return -np.linalg.solve(np.eye(n) + d2 / 12.0, d2) / (h * h)
 
 
@@ -401,37 +405,39 @@ def _numerov_arrays(h, rho, v):
     return sigma - v / rho, 12.0 * sigma
 
 
-def _twisted_counts(alpha, beta, energy):
+def _twisted_counts(alpha, beta, edge, energy):
     # the count of the twisted factorization at every twist row, and at the
     # least |gamma_r| of the two-sided pass
-    return {oc._twisted_step(alpha, beta, energy, r)[0] for r in range(alpha.size)} | {
-        oc._twisted_step(alpha, beta, energy)[0]}
+    return {oc._twisted_step(alpha, beta, edge, energy, r)[0] for r in range(alpha.size)} | {
+        oc._twisted_step(alpha, beta, edge, energy)[0]}
 
 
+@pytest.mark.parametrize("edge", [0.0, -1.0, 1.0])
 @pytest.mark.parametrize("langer", [False, True])
-def test_numerov_count_matches_dense_reference(langer):
+def test_numerov_count_matches_dense_reference(langer, edge):
     # the count of h^2 T(E), diagonal -10 + beta / (alpha + E) = -10 +
     # 12 / (1 - h^2 (V - E rho) / 12), equals the number of eigenvalues below
     # E of (K + V) psi = E rho psi, i.e. of rho^{-1/2} (K + V) rho^{-1/2}; a
     # twisted factorization is a congruence of the forward one, so by
-    # Sylvester's law of inertia its count is the same at every twist row
+    # Sylvester's law of inertia its count is the same at every twist row.
+    # edge -1 / +1 is the even / odd symmetry plane of a folded grid
     rng = np.random.default_rng(20261018 + langer)
     for n in (10, 37, 90, 200):
         h = rng.uniform(0.02, 0.2)
         rho = np.exp(rng.uniform(-3.0, 3.0, n)) if langer else np.ones(n)
         v = rho * rng.uniform(-1.0, 1.0) + rng.uniform(0.0, 0.4, n) * 12.0 / (h * h)
         scale = 1.0 / np.sqrt(rho)
-        ref = np.linalg.eigvalsh(scale[:, None] * (_numerov_kinetic(n, h) + np.diag(v))
+        ref = np.linalg.eigvalsh(scale[:, None] * (_numerov_kinetic(n, h, edge) + np.diag(v))
                                  * scale[None, :])
         mid = 0.5 * (ref[:-1] + ref[1:])
         shifts = np.concatenate([mid, [ref[0] - 1.0, ref[-1] + 1.0]])
         alpha, beta = _numerov_arrays(h, rho, v)
         want = _dense_counts(ref, shifts)
-        got = [oc._numerov_count(alpha, beta, float(e)) for e in shifts]
+        got = [oc._numerov_count(alpha, beta, edge, float(e)) for e in shifts]
         np.testing.assert_array_equal(got, want)
         stride = max(1, n // 20)  # every twist row at every stride-th shift
         for e, count in zip(shifts[::stride], want[::stride]):
-            assert _twisted_counts(alpha, beta, float(e)) == {count}
+            assert _twisted_counts(alpha, beta, edge, float(e)) == {count}
 
 
 def test_grid_solve_matches_dense_numerov():
@@ -446,6 +452,41 @@ def test_grid_solve_matches_dense_numerov():
     for i in range(5):
         want = vecs[:, i] / np.sqrt(h)
         assert np.max(np.abs(sol.eigenvectors[i] - np.sign(want @ sol.eigenvectors[i]) * want)) < 1e-9
+
+
+@pytest.mark.parametrize("levels", range(1, 9))
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_folded_oscillator_matches_the_full_line(parity, levels):
+    # one parity on its half-line grid, rows (i - 1/2) h, is the same
+    # discretization as the full-line grid whose rows are +-(i - 1/2) h,
+    # restricted to that parity: the mirror row y_0 = +-y_1 moves the first
+    # diagonal by -+1.  The full-line solve takes every level up to this
+    # parity's top one; a half-line vector is normalized on its half, and its
+    # sign rule reads its first row, not the full line's far left
+    model = md.HarmonicOscillator(a=1.0, parity=parity)
+    x_min, x_max, h, k = md.default_grid(model, levels)
+    half = oc.grid_solve(model.potential, x_min, x_max, h, k, symmetry=parity)
+    offset = 0 if parity == "even" else 1
+    full = oc.grid_solve(model.potential, -(x_max - 0.5 * h), x_max - 0.5 * h, h,
+                         2 * k - 1 + offset)
+    right = full.x > 0.0
+    np.testing.assert_allclose(half.x, full.x[right], rtol=1e-13)
+    np.testing.assert_allclose(half.eigenvalues, full.eigenvalues[offset::2], rtol=1e-12)
+    for got, want in zip(half.eigenvectors, full.eigenvectors[offset::2, right]):
+        want = math.sqrt(2.0) * np.sign(got @ want) * want
+        assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_grid_solve_refuses_an_unknown_or_langer_symmetry():
+    with pytest.raises(ParameterDomainError, match="symmetry must be"):
+        oc.grid_solve(lambda x: x * x, 0.0, 6.0, 1.0 / 32.0, 1, symmetry="mirror")
+    with pytest.raises(ParameterDomainError, match="plain grid"):
+        oc.grid_solve(md.OscillatorInverseSquare(a=1.0, b=0.75).potential, 0.01, 6.0,
+                      1.0 / 32.0, 1, langer=True, symmetry="even")
+    # a symmetry plane's row leaves the levels' upper bracket: k < rows
+    with pytest.raises(ParameterDomainError, match="k <= 2, the interior points from row 1"):
+        oc.grid_solve(lambda x: x * x, 0.0, 4.0, 1.0, 3, symmetry="odd",
+                      check_boundaries="none")
 
 
 def test_langer_grid_matches_dense_reference():
@@ -475,14 +516,16 @@ def test_numerov_sweep_count_on_default_grids():
     # bracket, then Newton's method on its twisted factorization, each pass
     # counted by the rows it sweeps (two for a level's first Newton pass).
     # On the two Morse wells Newton's method on det T(E) took 41 and 36
-    # passes: its step feels every state above the level, so it crept
-    for model, n_levels in [(md.HarmonicOscillator(a=1.0), 4),
-                            (md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
-                            (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
-                            (md.RosenMorse(A=1.0, B=-2.0), None),
-                            (md.GeneralizedMorse(A=-5.078472251771057, B=1.3204407989787743,
-                                                 mu_scale=2.298208692855176), None)]:
-        x_min, x_max, h, k = md.default_grid(model, n_levels)
+    # passes: its step feels every state above the level, so it crept.  The
+    # oscillator is solved on the full line, both parities interleaved
+    grids = [(md.OscillatorInverseSquare(a=1.0, b=0.75), md.default_grid(
+                 md.OscillatorInverseSquare(a=1.0, b=0.75), 3))]
+    for model in (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), md.RosenMorse(A=1.0, B=-2.0),
+                  md.GeneralizedMorse(A=-5.078472251771057, B=1.3204407989787743,
+                                      mu_scale=2.298208692855176)):
+        grids.append((model, md.default_grid(model)))
+    grids.append((md.HarmonicOscillator(a=1.0), helpers.ho_full_line_grid(4)))
+    for model, (x_min, x_max, h, k) in grids:
         sol = oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
         assert 1 <= sol.passes <= 6 * k + 10, model
 
@@ -510,7 +553,7 @@ def test_newton_count_at_exact_float_eigenvalues(d):
     for e in (0.5, 0.25, 0.75):
         dense = _dense(beta / (1.5 + e) - 10.0, -np.ones(d.size - 1))
         exact = int(np.sum(np.linalg.eigvalsh(dense) < -1e-12))
-        assert oc._numerov_count(alpha, beta, e) == exact
+        assert oc._numerov_count(alpha, beta, 0.0, e) == exact
 
 
 # rows whose pivots _pivots nudges: the exact zeros above, a -0, subnormal
@@ -575,7 +618,7 @@ def test_newton_step_matches_dense_determinant():
         for twist in (None, least, 0, n // 2, n - 1):
             r = least if twist is None else twist
             z = inverse[:, r] / inverse[r, r]
-            step = oc._twisted_step(a, b, e, twist)[1]
+            step = oc._twisted_step(a, b, 0.0, e, twist)[1]
             assert step == pytest.approx(-(z @ t @ z) / (z @ slope @ z), rel=1e-6)
 
 
@@ -662,8 +705,8 @@ def test_grid_solve_bisects_when_newton_steps_are_nan(monkeypatch):
     want = _ho_grid_solve().eigenvalues
     step = oc._twisted_step
 
-    def nan_step(alpha, beta, energy, twist=None):
-        count, _, peak, z = step(alpha, beta, energy, twist)
+    def nan_step(alpha, beta, edge, energy, twist=None):
+        count, _, peak, z = step(alpha, beta, edge, energy, twist)
         return count, math.nan, peak, z
 
     monkeypatch.setattr(oc, "_twisted_step", nan_step)
@@ -675,7 +718,7 @@ def test_grid_solve_bisects_when_newton_steps_are_nan(monkeypatch):
 def test_levels_take_a_closed_bracket_as_it_is():
     # a bracket between adjacent floats, as multisection can leave, needs no
     # pass and so has no twisted vector
-    assert oc._levels(np.full(3, 1.5), np.full(3, 20.0), 0.5, math.nextafter(0.5, 1.0),
+    assert oc._levels(np.full(3, 1.5), np.full(3, 20.0), 0.0, 0.5, math.nextafter(0.5, 1.0),
                       1) == ([(0.5, None, 0.0)], 0)
 
 
@@ -684,8 +727,8 @@ def test_newton_pass_cap_raises_with_the_bracket(monkeypatch):
     want = _ho_grid_solve().eigenvalues
     step = oc._twisted_step
 
-    def creeping_step(alpha, beta, energy, twist=None):
-        count, _, peak, z = step(alpha, beta, energy, twist)
+    def creeping_step(alpha, beta, edge, energy, twist=None):
+        count, _, peak, z = step(alpha, beta, edge, energy, twist)
         return count, 1e-9 * abs(energy), peak, z
 
     monkeypatch.setattr(oc, "_twisted_step", creeping_step)
@@ -702,22 +745,27 @@ _ISOLATED = [md.HarmonicOscillator(a=1.0), md.OscillatorInverseSquare(a=1.0, b=0
 
 def _default_solve(model):
     x_min, x_max, h, k = md.default_grid(model)
-    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
+    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line,
+                         symmetry=model.symmetry)
 
 
-def _refactorized_vectors(potential, grid, vals, langer=False):
+def _refactorized_vectors(potential, grid, vals, langer=False, symmetry=None):
     # grid_solve's eigenvector stage on grid = (x_min, x_max, h) with every
     # level factorized again by tridiagonal_eigenvector at its eigenvalue:
     # for levels far apart (no cluster, no re-orthogonalization) this is its
     # fallback path, step for step
     x_min, x_max, h = grid
-    x, rho, ux = oc._numerov_grid(potential, x_min, x_max, h, len(vals), langer)[:3]
+    x, rho, ux = oc._numerov_grid(potential, x_min, x_max, h, len(vals), langer,
+                                  symmetry)[:3]
     off = np.full(x.size - 1, -1.0 / (h * h))
+    edge = {"even": -1.0, "odd": 1.0}.get(symmetry, 0.0)
     out = []
     for e in vals:
         g = ux - e * rho
         scale = 1.0 - h * h / 12.0 * g
-        psi = oc.tridiagonal_eigenvector(2.0 / (h * h) + g / scale, off, 0.0) / scale
+        diag = 2.0 / (h * h) + g / scale
+        diag[0] += edge / (h * h)
+        psi = oc.tridiagonal_eigenvector(diag, off, 0.0) / scale
         psi = psi / np.sqrt(h * np.sum(rho * psi * psi))
         out.append(psi * np.sqrt(x) if langer else psi)
     return np.array(out)
@@ -736,7 +784,7 @@ def _count_eigenvector_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("solve, want", [
-    (lambda: _default_solve(_ISOLATED[0]), []),
+    (lambda: oc.grid_solve(_ISOLATED[0].potential, *helpers.ho_full_line_grid(4)), []),
     (lambda: _default_solve(_ISOLATED[2]), []),
     (lambda: oc.grid_solve(_triple_well, -14.0, 14.0, 1.0 / 64.0, 6), [0, 1, 2, 1, 2]),
     (lambda: oc.grid_solve(_double_well(3.07), -9.07, 9.07, 1.0 / 64.0, 4), [0, 1, 0]),
@@ -762,7 +810,7 @@ def test_newton_vectors_match_a_fresh_factorization(model):
     # step over the gap to the next level: 3.6e-11 at most on these grids
     sol = _default_solve(model)
     want = _refactorized_vectors(model.potential, md.default_grid(model)[:3], sol.eigenvalues,
-                                 model.half_line)
+                                 model.half_line, model.symmetry)
     np.testing.assert_allclose(sol.eigenvectors, want, rtol=0, atol=1e-9)
 
 
@@ -782,8 +830,8 @@ def test_non_finite_newton_vectors_fall_back_to_a_fresh_factorization(monkeypatc
     want = _default_solve(model).eigenvalues
     step = oc._twisted_step
 
-    def overflowed_step(alpha, beta, energy, twist=None):
-        count, newton, peak, z = step(alpha, beta, energy, twist)
+    def overflowed_step(alpha, beta, edge, energy, twist=None):
+        count, newton, peak, z = step(alpha, beta, edge, energy, twist)
         return count, newton, peak, np.full_like(z, np.inf)
 
     monkeypatch.setattr(oc, "_twisted_step", overflowed_step)
@@ -821,14 +869,14 @@ def test_level_pass_cap_raises_with_the_bracket(monkeypatch):
     # the floats below 0 are fine enough that the cap comes first
     energies = []
 
-    def count(alpha, beta, energy):
+    def count(alpha, beta, edge, energy):
         energies.append(energy)
         return 0
 
     monkeypatch.setattr(oc, "_closed", lambda lo, hi: False)
     monkeypatch.setattr(oc, "_numerov_count", count)
     with pytest.raises(AccuracyError, match="level 0") as info:
-        oc._levels(np.ones(1), np.ones(1), -1.0, 0.0, 2)
+        oc._levels(np.ones(1), np.ones(1), 0.0, -1.0, 0.0, 2)
     lo, hi = info.value.estimates
     assert -1.0 < lo < hi == 0.0
     assert len(energies) == 3 * math.ceil(math.log2(1e14)) + 7
@@ -865,7 +913,7 @@ def test_upper_bracket_matches_the_window_scan_on_grids(monkeypatch):
                             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
                             (md.RosenMorse(A=1.0, B=-2.0), None)]:
         oc.grid_solve(model.potential, *md.default_grid(model, n_levels),
-                      langer=model.half_line)
+                      langer=model.half_line, symmetry=model.symmetry)
     oc.grid_solve(md.SupercriticalInverseSquare(b=-0.5).potential, 0.3, 3.0, 1.0 / 32.0, 3,
                   langer=True, check_boundaries="none")
     assert len(calls) == 6
