@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the finiteness check that the
-model and family constructors share, and the integer and polynomial degree
-checks."""
+"""Exception types shared across the package, the finite-and-real check that
+the model and family constructors share, and the integer and polynomial
+degree checks."""
 
 import cmath
 import numbers
@@ -72,12 +72,18 @@ class QuadratureOrderError(TriwaveError, ValueError):
 
 
 def require_finite(obj):
-    """Reject a NaN or infinite numeric field of the dataclass obj (real, or
-    complex in either part) before any rule compares it."""
+    """Reject a numeric field of the dataclass obj that is NaN or infinite
+    (in either part, if complex), or not real, before any rule compares it:
+    ParameterDomainError naming the field."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, numbers.Complex) and not cmath.isfinite(value):
+        if not isinstance(value, numbers.Complex):
+            continue
+        if not cmath.isfinite(value):
             raise ParameterDomainError("%s parameter %s = %r is not finite"
+                                       % (type(obj).__name__, f.name, value))
+        if not isinstance(value, numbers.Real):
+            raise ParameterDomainError("%s parameter %s = %r must be real"
                                        % (type(obj).__name__, f.name, value))
 
 

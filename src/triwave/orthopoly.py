@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +121,6 @@ class DualHahnFamily:
 
     def __post_init__(self):
         require_finite(self)
-        if not all(isinstance(v, numbers.Real) for v in (self.mu, self.a, self.b)):
-            raise ParameterDomainError("dual Hahn parameters must be real, got mu=%r, a=%r, "
-                                       "b=%r" % (self.mu, self.a, self.b))
         if not (self.mu > 0.0 and self.a > 0.0 and self.b > 0.0):
             raise ParameterDomainError("dual Hahn parameters must be positive, got mu=%g, "
                                        "a=%g, b=%g" % (self.mu, self.a, self.b))

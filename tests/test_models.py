@@ -67,6 +67,20 @@ def test_model_parameters_must_be_finite(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: md.HarmonicOscillator(a=1j), "a"),
+    (lambda: md.GeneralizedMorse(A=-6.0 + 1j, B=1.0, mu_scale=2.0), "A"),
+    (lambda: orthopoly.LaguerreFamily(1j), "nu"),
+    (lambda: orthopoly.JacobiFamily(0.5, 1j), "nu"),
+    (lambda: orthopoly.PollaczekFamily(1.0 + 2.0j, 1.0, 0.0), "mu"),
+], ids=["ho", "morse", "laguerre", "jacobi", "pollaczek"])
+def test_complex_parameters_are_refused_by_name(make, field):
+    # the constructors compared these with > (a raw TypeError), or built a
+    # model whose spectrum then raised one
+    with pytest.raises(ParameterDomainError, match=r"parameter %s = .* must be real$" % field):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # Closed-form spectra
 # ---------------------------------------------------------------------------
