@@ -146,8 +146,9 @@ def _closed(lo, hi):
 
 def _levels(alpha, beta, edge, lo0, hi0, k):
     """([(E, z, lag)] of the lowest k levels of the Numerov pencil of alpha,
-    beta and edge (_numerov_count) within [lo0, hi0], which has no level below lo0 and at least k below hi0, and the number of sweeps
-    over the rows that found them).
+    beta and edge (_numerov_count) within [lo0, hi0], which has no level
+    below lo0 and at least k below hi0, and the number of sweeps over the
+    rows that found them).
 
     Level j is found in one loop of passes on its bracket.  Sturm bisection
     (Barth, Martin and Wilkinson, Numer. Math. 9, 1967) on _numerov_count
@@ -597,7 +598,7 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     where that diagonal does not enter, so k may be at most the rows less
     one.  The eigenvectors are orthonormal on the half line (GridSolution).
     x_min is a symmetry plane, not an edge, so it is not a checked boundary:
-    an even level has its largest amplitude there.  The Langer grid takes no
+    an even level need not vanish there.  The Langer grid takes no
     symmetry.
 
     Raises DomainError, before any grid array is built, when the grid would
