@@ -23,10 +23,9 @@ def ho_oracle():
 
 @pytest.fixture(scope="session")
 def ho_oracle_coarse():
-    """The full-line harmonic-oscillator grid at twice the default step."""
-    h = 2.0 * md.default_grid(md.HarmonicOscillator(a=1.0, parity="odd"), 4)[2]
+    """The full-line harmonic-oscillator grid at twice the default step 1/32."""
     return oc.grid_solve(md.HarmonicOscillator(a=1.0).potential,
-                         *helpers.ho_full_line_grid(4, h))
+                         *helpers.ho_full_line_grid(4, h=1.0 / 16.0))
 
 
 @pytest.fixture(scope="session")

@@ -388,8 +388,9 @@ def test_grid_one_row_above_the_limit_raises_before_allocating():
 
 def _numerov_kinetic(n, h, edge=0.0):
     # dense K = -(I + D2/12)^{-1} D2 / h^2 with Dirichlet ends (test reference);
-    # edge moves D2's first diagonal entry, as y_0 = -+y_1 does at an even /
-    # odd symmetry plane half a step before row 0 (edge -1 / +1 in h^2 T(E))
+    # edge -1 / +1 is a mirror row y = +-y_first half a step before the first
+    # row, an even / odd symmetry plane: D2's first diagonal entry moves by
+    # -edge, and that of h^2 T(E) by edge
     d2 = _dense(np.full(n, -2.0), np.ones(n - 1))
     d2[0, 0] -= edge
     return -np.linalg.solve(np.eye(n) + d2 / 12.0, d2) / (h * h)
@@ -518,12 +519,12 @@ def test_numerov_sweep_count_on_default_grids():
     # On the two Morse wells Newton's method on det T(E) took 41 and 36
     # passes: its step feels every state above the level, so it crept.  The
     # oscillator is solved on the full line, both parities interleaved
-    grids = [(md.OscillatorInverseSquare(a=1.0, b=0.75), md.default_grid(
-                 md.OscillatorInverseSquare(a=1.0, b=0.75), 3))]
-    for model in (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), md.RosenMorse(A=1.0, B=-2.0),
-                  md.GeneralizedMorse(A=-5.078472251771057, B=1.3204407989787743,
-                                      mu_scale=2.298208692855176)):
-        grids.append((model, md.default_grid(model)))
+    cases = [(md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
+             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
+             (md.RosenMorse(A=1.0, B=-2.0), None),
+             (md.GeneralizedMorse(A=-5.078472251771057, B=1.3204407989787743,
+                                  mu_scale=2.298208692855176), None)]
+    grids = [(model, md.default_grid(model, n_levels)) for model, n_levels in cases]
     grids.append((md.HarmonicOscillator(a=1.0), helpers.ho_full_line_grid(4)))
     for model, (x_min, x_max, h, k) in grids:
         sol = oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line)
