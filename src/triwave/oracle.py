@@ -23,15 +23,16 @@ p_n at every node, which brings each within a fraction of eps |T|.  The
 grid oracle is dependency-free: it counts the eigenvalues of Numerov's
 pencil by Sturm sequences, through a tridiagonal matrix T(E) whose diagonal
 depends on E, one energy per scalar pass of the LDL^T pivot recurrence over
-the rows.  One loop per level (_levels) bisects until the level is alone in
-its bracket, then converges it by Newton's method on the Rayleigh functional
-of a twisted factorization of T(E) (Dhillon and Parlett, Linear Algebra Appl.
-387, 2004; the same pass gives the step and the count, so the bracket keeps
-every step safe), and takes each eigenvector from the twisted vector of
-that level's last Newton pass; only a level of a cluster, one with no
-usable vector, or one whose last step is not small against its gap to the
-nearest level is factorized again at its eigenvalue.  Output is
-deterministic.
+the rows of its unit form h^2 T(E) = tridiag(-1, d(E), -1), the one form
+every pivot kernel here takes.  One loop per level (_levels) bisects until
+the level is alone in its bracket, then converges it by Newton's method on
+the Rayleigh functional of a twisted factorization of T(E) (Dhillon and
+Parlett, Linear Algebra Appl. 387, 2004; the same pass gives the step and
+the count, so the bracket keeps every step safe), and takes each
+eigenvector from the twisted vector of that level's last Newton pass; only
+a level of a cluster, one with no usable vector, or one whose last step is
+not small against its gap to the nearest level is factorized again at its
+eigenvalue.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "GridSolution",
     "QuadratureRule",
     "tridiagonal_eigenvalues",
-    "tridiagonal_eigenvector",
     "grid_solve",
     "step_margin",
     "gauss_rule",
@@ -64,10 +63,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigensolver (dense eigvalsh, twisted factorization)
+# Tridiagonal kernels (dense eigvalsh; pivots and twisted factorization of
+# the unit form tridiag(-1, d, -1))
 # ---------------------------------------------------------------------------
 
-# Pivots of h^2 T(E) are nudged away from zero to +-_TINY (see _pivots).
+# Pivots of h^2 T(E) are nudged away from zero to +-_TINY (see _unit_pivots).
 _TINY = 1e-300
 
 
@@ -127,7 +127,7 @@ def _twisted_step(alpha, beta, edge, energy, twist=None):
             gamma -= 1.0 / float(right[0])
     count = int(np.count_nonzero(left < 0.0) + np.count_nonzero(right < 0.0)) + (gamma < 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        z = _twisted_vector(np.full(n - 1, -1.0), left, right)
+        z = _twisted_vector(left, right)
         w = beta * (z / s) ** 2
         slope = float(np.sum(w))
         shift = float(w @ ((s - alpha) - energy))
@@ -211,86 +211,62 @@ def _levels(alpha, beta, edge, lo0, hi0, k):
     return levels, sweeps
 
 
-def _tridiagonal_entries(diag, off):
-    """(d, e, e^2) as float arrays: ParameterDomainError unless there are
-    n >= 1 rows, the off-diagonal has length n - 1 and every entry, e^2
-    included, is finite."""
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(off, dtype=float)
-    if d.size == 0 or e.size != d.size - 1:
-        raise ParameterDomainError("need n >= 1 rows and an off-diagonal of length n-1")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ParameterDomainError("matrix entries must be finite")
-    with np.errstate(over="ignore"):
-        e2 = e * e
-    if not np.all(np.isfinite(e2)):
-        raise ParameterDomainError("squared off-diagonal entries overflow")
-    return d, e, e2
-
-
 def tridiagonal_eigenvalues(diag, off):
     """All eigenvalues (ascending) of the symmetric tridiagonal matrix T with
     the given diagonal and off-diagonal.
 
     np.linalg.eigvalsh on the dense matrix (upper triangle) gives each to a
     few eps |T|, where |T| = max|d| + 2 max|e|; a Gauss rule refines its
-    nodes itself (_gauss_rule_cached).  ParameterDomainError unless the
-    entries are finite and the width of the Gershgorin interval is too.
+    nodes itself (_gauss_rule_cached).  ParameterDomainError unless there
+    are n >= 1 rows, the off-diagonal has length n - 1, and the entries,
+    their squares and the width of the Gershgorin interval are finite.
     """
-    d, e, _ = _tridiagonal_entries(diag, off)
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(off, dtype=float)
+    if d.size == 0 or e.size != d.size - 1:
+        raise ParameterDomainError("need n >= 1 rows and an off-diagonal of length n-1")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ParameterDomainError("matrix entries must be finite")
     radius = np.zeros(d.size)
     radius[:-1] += np.abs(e)
     radius[1:] += np.abs(e)
     with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(e * e)):
+            raise ParameterDomainError("squared off-diagonal entries overflow")
         width = float(np.max(d + radius)) - float(np.min(d - radius))
     if not math.isfinite(width):
         raise ParameterDomainError("matrix entries overflow the Gershgorin interval")
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1), UPLO="U")
 
 
-def _pivots(a, e2, tiny):
-    """Pivots D_i = a_i - e2_{i-1} / D_{i-1} (D_0 = a_0) of the LDL^T
-    factorization of the tridiagonal matrix with diagonal a (a list of Python
-    floats) and squared off-diagonal e2 (an iterable of Python floats,
-    repeat(1.0) for a unit off-diagonal), as an array, each nudged away from
-    zero to +-tiny: an exact +0 pivot becomes +tiny, and the next one turns
-    negative, as in Kahan's IEEE Sturm count.  The reference of the unit
-    off-diagonal kernels _unit_pivots and _unit_count."""
-    return np.fromiter(_pivot_recurrence(a, e2, tiny), float, len(a))
-
-
-def _pivot_recurrence(a, e2, tiny):
-    """The pivots of _pivots, one at a time (np.fromiter takes them without
-    the list a loop would build)."""
-    q = math.inf
-    for ai, ei2 in zip(a, chain((0.0,), e2)):
-        q = ai - ei2 / q
-        if -tiny < q < tiny:
-            q = tiny if q >= 0.0 else -tiny
-        yield q
-
-
 def _unit_pivots(a):
-    """_pivots(a, repeat(1.0), _TINY) bit for bit, for a unit off-diagonal:
-    one list comprehension of D_i = a_i - 1 / D_{i-1}, cheaper per row than
-    resuming _pivot_recurrence.  Where a pivot is exactly 0 or below _TINY in
-    magnitude, so that _pivots would nudge it, the pivots are taken again
-    from _pivots."""
+    """Pivots D_i = a_i - 1 / D_{i-1} (D_0 = a_0) of the LDL^T factorization
+    of tridiag(-1, a, -1) (a: a list of Python floats), as an array, each
+    nudged away from zero to +-_TINY: an exact +0 pivot becomes +_TINY, and
+    the next one turns negative, as in Kahan's IEEE Sturm count.  One list
+    comprehension; where a pivot is exactly 0 or below _TINY in magnitude,
+    the pivots are taken again from one loop with the recurrence and nudge
+    of _unit_count."""
     q = math.inf
     try:
         dp = np.fromiter([q := ai - 1.0 / q for ai in a], float, len(a))
+        if not (np.abs(dp) < _TINY).any():
+            return dp
     except ZeroDivisionError:  # an exact 0 pivot before the last row
-        return _pivots(a, repeat(1.0), _TINY)
-    if (np.abs(dp) < _TINY).any():
-        return _pivots(a, repeat(1.0), _TINY)
-    return dp
+        pass
+    dp, q = [], math.inf
+    for ai in a:
+        q = ai - 1.0 / q
+        if -_TINY < q < _TINY:
+            q = _TINY if q >= 0.0 else -_TINY
+        dp.append(q)
+    return np.array(dp)
 
 
 def _unit_count(a):
-    """The number of negative pivots of _pivots(a, repeat(1.0), _TINY) (a
-    unit off-diagonal), from one loop of the same recurrence and nudge that
-    keeps no pivots; the nudge sits behind the q < _TINY branch, which the
-    rows of a grid seldom take."""
+    """The number of negative pivots of _unit_pivots(a), from one loop of the
+    same recurrence and nudge that keeps no pivots; the nudge sits behind
+    the q < _TINY branch, which the rows of a grid seldom take."""
     count, q = 0, math.inf
     for ai in a:
         q = ai - 1.0 / q
@@ -313,92 +289,84 @@ def _twist(a, dp, dm):
     return r, float(gammas[r])
 
 
-def _twisted_vector(e, left, right):
-    """The vector z of a twisted factorization, twisted at r = len(left):
-    z_r = 1 and the rows of (T - lam I) z = gamma_r e_r other than r, solved
-    outward with z_i = -e_i z_{i+1} / D+_i above r (left = D+_0..D+_{r-1}) and
-    z_{i+1} = -e_i z_i / D-_{i+1} below it (right = D-_{r+1}..D-_{n-1})."""
+def _twisted_vector(left, right):
+    """The vector z of a twisted factorization of tridiag(-1, a, -1), twisted
+    at r = len(left): z_r = 1 and the rows of its z = gamma_r e_r other than
+    r, solved outward with z_i = z_{i+1} / D+_i above r (left =
+    D+_0..D+_{r-1}) and z_{i+1} = z_i / D-_{i+1} below it (right =
+    D-_{r+1}..D-_{n-1})."""
     r = len(left)
     z = np.ones(r + 1 + len(right))
-    z[:r] = np.cumprod(-e[:r][::-1] / left[::-1])[::-1]
-    z[r + 1:] = np.cumprod(-e[r:] / right)
+    z[:r] = np.cumprod(1.0 / left[::-1])[::-1]
+    z[r + 1:] = np.cumprod(1.0 / right)
     return z
 
 
-def _ldl_solve(e, dp, b):
-    """x with (T - lam I) x = b, from the pivots dp of its LDL^T factorization
-    (see _pivots): L y = b downward, then D L^T x = y upward, with
-    L_{i+1,i} = e_i / D+_i."""
-    e, dp, x = e.tolist(), dp.tolist(), b.tolist()
+def _ldl_solve(dp, b):
+    """x with tridiag(-1, a, -1) x = b, from the pivots dp of its LDL^T
+    factorization (_unit_pivots): L y = b downward, then D L^T x = y upward,
+    with L_{i+1,i} = -1 / D+_i."""
+    dp, x = dp.tolist(), b.tolist()
     for i in range(1, len(x)):
-        x[i] -= e[i - 1] / dp[i - 1] * x[i - 1]
+        x[i] += 1.0 / dp[i - 1] * x[i - 1]
     x[-1] /= dp[-1]
     for i in range(len(x) - 2, -1, -1):
-        x[i] = (x[i] - e[i] * x[i + 1]) / dp[i]
+        x[i] = (x[i] + x[i + 1]) / dp[i]
     return np.array(x)
 
 
-def tridiagonal_eigenvector(diag, off, eigenvalue, orthogonalize=()):
-    """Unit eigenvector of the symmetric tridiagonal matrix T (diagonal,
-    off-diagonal) for an accurate eigenvalue lam, with its leading
-    significant entry (above 1e-3 of the largest) positive.
+def tridiagonal_eigenvector(diag, orthogonalize=()):
+    """Unit eigenvector of tridiag(-1, diag, -1) for its eigenvalue 0, with
+    its leading significant entry (above 1e-3 of the largest) positive:
+    grid_solve's fallback, diag (a finite float array) the diagonal of
+    h^2 T(E) at a level E.  perfbench/tracing.py wraps it by this name and
+    reads diag, so both stay until ROADMAP item 1's benchmark change.
 
-    One twisted factorization of T - lam I (Fernando, SIAM J. Matrix Anal.
-    Appl. 18, 1997; Dhillon and Parlett, Linear Algebra Appl. 387, 2004;
-    LAPACK dlar1v): the forward pivots D+ of LDL^T and the backward pivots D-
-    of UDU^T, nudged away from zero to +-1e-300 max(1, max e^2), give
-    gamma_r = D+_r + D-_r - (d_r - lam), the last pivot when the two
-    factorizations meet at row r, and 1 / gamma_r is the (r, r) entry of
-    (T - lam I)^{-1}.  At the twist r of least |gamma_r| the solution of
-    (T - lam I) z = gamma_r e_r with z_r = 1 is the eigenvector, found by two
-    cumulative products.
+    One twisted factorization (Fernando, SIAM J. Matrix Anal. Appl. 18,
+    1997; Dhillon and Parlett, Linear Algebra Appl. 387, 2004; LAPACK
+    dlar1v): the forward pivots D+ of LDL^T and the backward pivots D- of
+    UDU^T (_unit_pivots) give gamma_r = D+_r + D-_r - diag_r, the last pivot
+    when the two factorizations meet at row r, and 1 / gamma_r is the (r, r)
+    entry of the inverse.  At the twist r of least |gamma_r| the solution of
+    tridiag(-1, diag, -1) z = gamma_r e_r with z_r = 1 is the eigenvector,
+    found by two cumulative products.
 
     orthogonalize holds earlier unit eigenvectors of the same cluster (levels
     too close for their twisted vectors to be told apart).  The vector is
     made orthogonal to them by one Gram-Schmidt step.  Every twisted vector
-    is a column of (T - lam I)^{-1}, and within a cluster those columns can
-    all lie along the earlier vectors (on a symmetric double well the
-    columns of one well all point the same way), so where the step leaves
-    less than 1e-3 of it the vector is instead (T - lam I)^{-1} b, solved
-    with the LDL^T pivots, and gets two Gram-Schmidt steps.  b is the ramp
-    b_i = 1 + i / (n - 1): a symmetric b would have no part along the odd
-    level of a symmetric pair.  AccuracyError if that leaves less than 1e-8
-    of it, or if the vector is zero or not finite.
+    is a column of the inverse, and within a cluster those columns can all
+    lie along the earlier vectors (on a symmetric double well the columns of
+    one well all point the same way), so where the step leaves less than
+    1e-3 of it the vector is instead the solution x of tridiag(-1, diag, -1)
+    x = b, solved with the LDL^T pivots, and gets two Gram-Schmidt steps.  b
+    is the ramp b_i = 1 + i / (n - 1): a symmetric b would have no part
+    along the odd level of a symmetric pair.  Where that leaves less than
+    1e-8 of it (the third level of a three-fold cluster can keep 1e-16), the
+    remainder, normalized, is b for one more such solve, as inverse
+    iteration does (LAPACK dstein), and again once more.  AccuracyError if
+    the last leaves less than 1e-8, or if the vector is zero or not finite.
     """
-    d, e, e2 = _tridiagonal_entries(diag, off)
-    if not math.isfinite(eigenvalue):
-        raise ParameterDomainError("eigenvalue must be finite")
-    n = d.size
-    try:
-        u = np.asarray(orthogonalize, dtype=float)
-    except (TypeError, ValueError):
-        u = None
-    if u is None or (u.size and not (u.ndim == 2 and u.shape[1] == n
-                                     and np.all(np.isfinite(u)))):
-        raise ParameterDomainError("orthogonalize must hold finite vectors of length n = %d"
-                                   % n)
-    if n == 1:
-        return np.ones(1)
-    with np.errstate(over="ignore"):
-        a = d - eigenvalue
-    tiny = 1e-300 * max(1.0, float(np.max(e2)))
-    if not np.all(np.isfinite(a)):
-        raise ParameterDomainError("matrix entries overflow the twisted factorization")
-    rows, e2 = a.tolist(), e2.tolist()
-    dp = _pivots(rows, e2, tiny)
-    dm = _pivots(rows[::-1], e2[::-1], tiny)[::-1]
-    r, _ = _twist(a, dp, dm)
-    v = _twisted_vector(e, dp[:r], dm[r + 1:])
+    rows = diag.tolist()
+    dp, dm = _unit_pivots(rows), _unit_pivots(rows[::-1])[::-1]
+    r, _ = _twist(diag, dp, dm)
+    v = _twisted_vector(dp[:r], dm[r + 1:])
+    u = np.asarray(orthogonalize, dtype=float)
     if u.size:
         v = v / np.linalg.norm(v)
         v = v - (u @ v) @ u
         if np.linalg.norm(v) < 1e-3:
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = _ldl_solve(e, dp, np.linspace(1.0, 2.0, n))
-                v = v / np.linalg.norm(v)
-            v = v - (u @ v) @ u
-            v = v - (u @ v) @ u
-            if np.linalg.norm(v) < 1e-8:
+            b = np.linspace(1.0, 2.0, diag.size)
+            for _ in range(3):  # the ramp, then up to two inverse-iteration steps
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v = _ldl_solve(dp, b)
+                    v = v / np.linalg.norm(v)
+                v = v - (u @ v) @ u
+                v = v - (u @ v) @ u
+                nrm = np.linalg.norm(v)
+                if not nrm < 1e-8:
+                    break
+                b = v / nrm
+            else:
                 raise AccuracyError("twisted factorization cannot separate an eigenvector "
                                     "from %d others of its cluster" % u.shape[0])
     nrm = np.linalg.norm(v)
@@ -563,20 +531,21 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     every row once.  GridSolution.passes counts the sweeps over the rows.
     Each eigenvector is y = z / |z|, the twisted vector z of its level's
     last Newton pass (h^2 T(E) z = gamma_r e_r, a scaled column of
-    T(E)^{-1}), with tridiagonal_eigenvector's sign rule, and
+    T(E)^{-1}), signed by _signed (leading significant entry positive), and
     psi = y / (1 - h^2 g / 12).
     That pass is one step, at most 1e-10 |E|, short of the returned E, so
     it mixes a close level into y by up to that step over the gap.  A level
     within 1e-6 relative of an earlier one joins its cluster; it, and a
     level with no z (a bracket closed before any pass), a z whose norm is
     not finite, or a last step above 1e-9 of the gap to the nearest other
-    level, is factorized again at its eigenvalue
-    (tridiagonal_eigenvector; Dhillon and Parlett, Linear Algebra Appl. 387,
-    2004), a cluster level made orthogonal to the cluster there.  Rounding
-    in T(E) and its factorization, about eps |T|, still mixes close levels
-    into a vector by up to eps |T| / gap; wherever that bound passes 1e-10,
-    psi is also made orthogonal to the earlier level under the pencil's
-    weight rho.
+    level, is factorized again at its eigenvalue, in the unit form
+    h^2 T(E) with the Newton passes' pivots (tridiagonal_eigenvector;
+    Dhillon and Parlett, Linear Algebra Appl. 387, 2004), a cluster level
+    made orthogonal to the cluster there.  Rounding in T(E), its scaling by
+    h^2 (exact where h is a power of two) and its factorization, about
+    eps |T|, still mixes close levels into a vector by up to eps |T| / gap;
+    wherever that bound passes 1e-10, psi is also made orthogonal to the
+    earlier level under the pencil's weight rho.
 
     U = potential(x), vectorized.  langer=True (an inverse-square wall at
     x = 0) picks the Langer grid: x = e^t with t uniform of step h on
@@ -644,7 +613,6 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     spacing = np.abs(np.diff(vals, prepend=-math.inf, append=math.inf))
     gaps = np.minimum(spacing[:-1], spacing[1:])  # to the nearest other level
     inv_h2 = 1.0 / (h * h)
-    off = np.full(x.size - 1, -inv_h2)
     diags, ys, vecs = [], [], []
     for i, (_, z, lag) in enumerate(levels):
         prev = [ys[j] for j in range(i)
@@ -655,7 +623,7 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
         diags[i][0] += edge * inv_h2
         nrm = math.nan if z is None else float(np.linalg.norm(z))
         if prev or not math.isfinite(nrm) or abs(lag) > 1e-9 * gaps[i]:
-            ys.append(tridiagonal_eigenvector(diags[i], off, 0.0, orthogonalize=prev))
+            ys.append(tridiagonal_eigenvector(diags[i] * (h * h), orthogonalize=prev))
         else:
             ys.append(_signed(z / nrm))
         v = ys[i] / scale

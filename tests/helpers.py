@@ -134,3 +134,19 @@ def local_relative_deviation(computed, reference):
     local[1:] = np.maximum(local[1:], mags[:-1])
     local = np.maximum(local, 1e-300)
     return float(np.max(np.abs(computed - reference) / local))
+
+
+def ldl_pivots(a, e2, tiny):
+    """Pivots D_i = a_i - e2_{i-1} / D_{i-1} (D_0 = a_0) of the LDL^T
+    factorization of the symmetric tridiagonal matrix with diagonal a and
+    squared off-diagonal e2, each nudged away from zero to +-tiny: an exact
+    +0 pivot becomes +tiny, and the next one turns negative, as in Kahan's
+    IEEE Sturm count.  The bit-for-bit reference of the grid oracle's unit
+    off-diagonal kernels (e2 all ones)."""
+    out = []
+    for i, ai in enumerate(a):
+        q = ai if i == 0 else ai - e2[i - 1] / q
+        if -tiny < q < tiny:
+            q = tiny if q >= 0.0 else -tiny
+        out.append(q)
+    return np.array(out, dtype=float)

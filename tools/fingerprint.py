@@ -25,7 +25,12 @@ The groups:
   until the step bound holds; Rosen-Morse where --levels and the former
   default of 8 give different level counts, since the grid is now sized from
   the requested levels).  Only their --verify runs may differ across that
-  change.
+  change;
+* grid-vectors: oracle.grid_solve's eigenvalues and eigenvectors (or the
+  exception it raises), which no CLI output holds, on models.default_grid of
+  seven model settings (both oscillator parities) and, at h = 1/64, on a
+  double well and a triple well whose close levels take the eigenvector
+  fallback of a cluster.
 
 CLI runs go through perfbench.workloads.call_cli, so a run's exit code,
 stdout and stderr (a traceback included) all enter its hash.
@@ -39,6 +44,8 @@ import itertools
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SEED = 7
 OPERATIONS = {"oracle": 300, "quadrature": 400, "series": 150}
@@ -74,6 +81,49 @@ GRID_FIX_MODELS = [
     ["--model", "rosen-morse", "--A", "0.5", "--B", "-200", "--levels", "9"],
 ]
 
+# (label, triwave.models class, its parameters) of the grid-vectors group.
+GRID_MODELS = [
+    ("ho-even", "HarmonicOscillator", {"a": 1.0}),
+    ("ho-odd", "HarmonicOscillator", {"a": 1.0, "parity": "odd"}),
+    ("osc-inv-sq-0.75", "OscillatorInverseSquare", {"a": 1.0, "b": 0.75}),
+    ("osc-inv-sq-2", "OscillatorInverseSquare", {"a": 1.0, "b": 2.0}),
+    ("morse-6", "GeneralizedMorse", {"A": -6.0, "B": 1.0, "mu_scale": 2.0}),
+    ("morse-9", "GeneralizedMorse", {"A": -9.0, "B": 4.0, "mu_scale": 4.0}),
+    ("rosen-morse", "RosenMorse", {"A": 1.0, "B": -2.0}),
+]
+
+
+def _double_well(x):
+    return (x * x - 3.07 ** 2) ** 2 / 4.0
+
+
+def _triple_well(x):
+    return 4.0 * np.minimum(np.minimum((x + 8.0) ** 2, x * x), (x - 8.0) ** 2)
+
+
+def _grid_runs(workloads):
+    """[(label, thunk giving a grid solve's eigenvalues and eigenvectors in
+    one array, or the exception it raised)]."""
+    from triwave import models, oracle
+
+    def run(solve):
+        def vectors():
+            sol = solve()
+            return np.concatenate([sol.eigenvalues, sol.eigenvectors.ravel()])
+        return workloads._returning_exceptions(vectors)
+
+    def default(name, params):
+        model = getattr(models, name)(**params)
+        return lambda: oracle.grid_solve(model.potential, *models.default_grid(model),
+                                         langer=model.half_line, symmetry=model.symmetry)
+
+    runs = [(label, run(default(name, params))) for label, name, params in GRID_MODELS]
+    runs.append(("double-well-3.07", run(
+        lambda: oracle.grid_solve(_double_well, -9.07, 9.07, 1.0 / 64.0, 4))))
+    runs.append(("triple-well", run(
+        lambda: oracle.grid_solve(_triple_well, -14.0, 14.0, 1.0 / 64.0, 6))))
+    return runs
+
 
 def _groups(workloads):
     """{group: [(label, thunk giving the run's output)]}."""
@@ -101,7 +151,8 @@ def _groups(workloads):
     groups = {name: op_runs(name) for name in OPERATIONS}
     groups.update({"verify": verify, "jmatrix": jmatrix,
                    "spectrum": spectrum(SPECTRUM_MODELS),
-                   "spectrum-grid-fixes": spectrum(GRID_FIX_MODELS)})
+                   "spectrum-grid-fixes": spectrum(GRID_FIX_MODELS),
+                   "grid-vectors": _grid_runs(workloads)})
     return groups
 
 
