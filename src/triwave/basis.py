@@ -242,7 +242,6 @@ _EXTRA_SHIFTS = {
     "y": 1.0,
     "1/y": -1.0,
     "1-y": 1.0,
-    "1+y": 1.0,
 }
 
 
@@ -262,7 +261,7 @@ def _pair_weight(spec: BasisSpec, cmap: CoordinateMap, extra=None):
             expo = 2.0 * spec.alpha - 1.0
         else:
             raise ParameterDomainError("laguerre basis pairs with oscillator or morse maps")
-        if extra in ("1-y", "1+y"):
+        if extra == "1-y":
             raise ParameterDomainError("extra factor %r applies to the jacobi basis" % extra)
         expo += _EXTRA_SHIFTS[extra]
         if not expo > -1.0:
@@ -274,7 +273,7 @@ def _pair_weight(spec: BasisSpec, cmap: CoordinateMap, extra=None):
     if extra in ("y", "1/y"):
         raise ParameterDomainError("extra factor %r applies to the laguerre basis" % extra)
     a_w = 2.0 * spec.beta - 1.0 + (1.0 if extra == "1-y" else 0.0)
-    b_w = 2.0 * spec.alpha - 1.0 + (1.0 if extra == "1+y" else 0.0)
+    b_w = 2.0 * spec.alpha - 1.0
     if not (a_w > -1.0 and b_w > -1.0):
         raise DomainError("overlap weight exponents (%.3g, %.3g) leave the integrable "
                           "range" % (a_w, b_w))
@@ -285,7 +284,7 @@ def overlap_matrix(spec: BasisSpec, cmap: CoordinateMap, nmax: int, extra=None,
                    n_nodes=None):
     """Gram matrix <phi_m | extra | phi_n> for m, n <= nmax under the map's
     measure, by a Gauss rule of the matching weight (exact up to roundoff);
-    extra is one of None, "y", "1/y" (laguerre) or "1-y", "1+y" (jacobi).
+    extra is one of None, "y", "1/y" (laguerre) or "1-y" (jacobi).
 
     With the exponent constraint of the corresponding tridiagonal case, the
     appropriate choice of extra gives the identity: no extra factor for

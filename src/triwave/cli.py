@@ -179,10 +179,8 @@ def cmd_spectrum(args, out):
 
 
 def cmd_wavefunction(args, out):
-    if args.samples < 0:
-        raise ParameterDomainError("--samples = %d must not be negative" % args.samples)
-    if args.samples == 0:
-        raise ParameterDomainError("--samples = 0 must be at least 1")
+    if args.samples < 1:
+        raise ParameterDomainError("--samples = %d must be at least 1" % args.samples)
     model = _build_model(args)
     x = np.linspace(args.x_min, args.x_max, args.samples)
     psi, record = md.wavefunction(model, args.epsilon, args.truncation, x)

@@ -79,7 +79,7 @@ class _Pollaczek(_Model):
     """The oscillator-map Pollaczek route, with and without b / x^2."""
 
     def spectrum(self, n_levels):
-        if not _diagonal_limit(self.a - 1.0):
+        if not operators._diagonal_limit(self.a - 1.0):
             raise ParameterDomainError(
                 "the diagonal closed form needs a = 1 (got a = %.15g)" % self.a)
         return SpectrumResult(levels=[Level(n=n, epsilon=2.0 * (2 * n + self.nu + 1.0), nu=self.nu)
@@ -90,7 +90,7 @@ class _Pollaczek(_Model):
 
     def closed_form(self, epsilon, N):
         """P_n^mu_p((a+1)/(a-1); -eps/4, eps/4), mu_p = (nu+1)/2."""
-        if _diagonal_limit(self.a - 1.0):
+        if operators._diagonal_limit(self.a - 1.0):
             return None
         return _pollaczek_route(0.5 * (self.nu + 1.0), -epsilon / 4.0, epsilon / 4.0,
                                 (self.a + 1.0) / (self.a - 1.0), N)
@@ -250,7 +250,7 @@ class GeneralizedMorse(_Model):
 
     def spectrum(self, n_levels):
         """Every bound level, whatever n_levels."""
-        if not _diagonal_limit(self.b - 0.25):
+        if not operators._diagonal_limit(self.b - 0.25):
             raise ParameterDomainError(
                 "Morse bound states need the diagonal limit b = B/mu_scale^2 = 1/4 "
                 "(got b = %g); choose mu_scale = 2 sqrt(B)" % self.b)
@@ -277,7 +277,7 @@ class GeneralizedMorse(_Model):
         """P_n^mu_p((b+1/4)/(b-1/4); a, -a), mu_p = (2 sqrt(-eps) + 1)/2."""
         if epsilon >= 0.0:
             raise DomainError("Morse expansion needs epsilon < 0")
-        if _diagonal_limit(self.b - 0.25):
+        if operators._diagonal_limit(self.b - 0.25):
             return None
         return _pollaczek_route(0.5 * (2.0 * math.sqrt(-epsilon) + 1.0), self.a, -self.a,
                                 (self.b + 0.25) / (self.b - 0.25), N)
@@ -322,18 +322,16 @@ class RosenMorse(_Model):
         return SpectrumResult(levels=levels, notes=notes)
 
     def _level(self, n):
-        """(mu, nu) of level n, or None: the coupling condition fixes
-        mu + nu = s = 2 sqrt(1/4 - B) - 2(n+1), and the diagonal condition in
-        mu is bisected on (1e-12, sqrt(-U_min)), U_min the least
-        U(y) = A(1-y) + B(1-y^2) on [-1, 1].  Needs mu > 0 and nu > -1."""
+        """(mu, nu) of level n, or None.  The coupling condition fixes
+        mu + nu = s = 2 sqrt(1/4 - B) - 2(n+1), so t = 2n + s does not depend
+        on mu and the diagonal condition 0.5 (s+1)(s+1-2mu) + 2n(n+mu)/t = A
+        is linear in mu.  Its root must lie in (0, sqrt(-U_min)], U_min the
+        least U(y) = A(1-y) + B(1-y^2) on [-1, 1], with nu above -1 by more
+        than 1e-12 (a root rounded onto nu = -1 is none); a condition with
+        no slope in mu has no root."""
         A, B = self.A, self.B
         s = 2.0 * math.sqrt(0.25 - B) - 2.0 * (n + 1.0)
         t = 2 * n + s
-
-        def residual(mu):
-            nu = s - mu
-            return 0.5 * (nu + mu + 1.0) * (nu - mu + 1.0) + 2.0 * n * (n + mu) / t - A
-
         # U at the ends y = 1 and y = -1, and at the vertex where it is inside
         y0 = -A / (2.0 * B) if B != 0.0 else 1.0
         u_min = min(0.0, 2.0 * A,
@@ -342,27 +340,12 @@ class RosenMorse(_Model):
             return None
         if abs(t) < 1e-12:
             raise SingularParameterError("level condition singular (2n+mu+nu = 0)")
-        lo, hi = 1e-12, math.sqrt(-u_min)
-        r_lo, r_hi = residual(lo), residual(hi)
-        if r_lo == 0.0:
-            mu = lo
-        elif r_hi == 0.0:
-            mu = hi
-        elif r_lo * r_hi > 0.0:
+        slope = (s + 1.0) - 2.0 * n / t
+        if slope == 0.0:
             return None
-        else:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                r_mid = residual(mid)
-                if r_mid == 0.0 or hi - lo < 1e-15 * max(1.0, abs(mid)):
-                    break
-                if r_lo * r_mid < 0.0:
-                    hi = mid
-                else:
-                    lo, r_lo = mid, r_mid
-            mu = 0.5 * (lo + hi)
+        mu = (0.5 * (s + 1.0) ** 2 + 2.0 * n * n / t - A) / slope
         nu = s - mu
-        return None if mu <= 0.0 or nu <= -1.0 else (mu, nu)
+        return (mu, nu) if 0.0 < mu <= math.sqrt(-u_min) and nu > -1.0 + 1e-12 else None
 
     def recursion(self, epsilon):
         if epsilon >= 0.0:
@@ -429,12 +412,6 @@ def potential_eval(model, x):
     """V(x) in E0 units (lam = 1)."""
     out = model.potential(np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
-
-
-def _diagonal_limit(coupling):
-    """True where the off-diagonal coupling factor (a - 1 for the oscillator,
-    b - 1/4 for Morse) counts as zero: the diagonal (bound-state) limit."""
-    return abs(coupling) <= 1e-12
 
 
 def morse_bound_count(a):

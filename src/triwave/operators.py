@@ -112,21 +112,29 @@ class CoefficientSeries:
 # Builders (one per developed case)
 # ---------------------------------------------------------------------------
 
+def _diagonal_limit(coupling):
+    """True where the off-diagonal coupling factor (a - 1 for the oscillator,
+    b - 1/4 for Morse) counts as zero: the diagonal (bound-state) limit,
+    where the builders set it to exactly 0."""
+    return abs(coupling) <= 1e-12
+
+
 def build_oscillator_pollaczek(nu, a):
     """Oscillator map, basis exponent 2*alpha = nu + 1/2, potential
     U(y) = a*y + (nu^2 - 1/4)/y:
 
         [(a+1)(2n+nu+1) - eps] d_n - (a-1)[(n+nu) d_{n-1} + (n+1) d_{n+1}] = 0.
 
-    At a = 1 every off-diagonal coefficient vanishes identically.  The basis
-    needs nu >= -1/2.
+    At a = 1 (within _diagonal_limit) every off-diagonal coefficient is 0.
+    The basis needs nu >= -1/2.
     """
     nu, a = float(nu), float(a)
     spec = basis_mod.oscillator_pollaczek_basis(nu)
+    g = 0.0 if _diagonal_limit(a - 1.0) else a - 1.0
     return RecursionCoefficients(
         A=lambda n, eps: (a + 1.0) * (2 * n + nu + 1.0) - eps,
-        B=lambda n, eps: np.where(n == 0, 0.0, -(a - 1.0) * (n + nu)),
-        C=lambda n, eps: -(a - 1.0) * (n + 1.0),
+        B=lambda n, eps: np.where(n == 0, 0.0, -g * (n + nu)),
+        C=lambda n, eps: -g * (n + 1.0),
         spec=spec,
     )
 
@@ -160,14 +168,16 @@ def build_morse(a, b, nu):
             = (b - 1/4)[(n + nu) d_{n-1} + (n + 1) d_{n+1}].
 
     The basis is energy dependent: tridiagonality requires eps = -nu^2/4.
-    b = 1/4 is the diagonal (bound-state) limit.  The basis needs nu >= 0.
+    b = 1/4 (within _diagonal_limit) is the diagonal (bound-state) limit,
+    where every off-diagonal coefficient is 0.  The basis needs nu >= 0.
     """
     a, b, nu = float(a), float(b), float(nu)
     spec = basis_mod.morse_basis(nu)
+    g = 0.0 if _diagonal_limit(b - 0.25) else b - 0.25
     return RecursionCoefficients(
         A=lambda n, eps: 2.0 * ((b + 0.25) * (n + (nu + 1.0) / 2.0) + a / 2.0),
-        B=lambda n, eps: np.where(n == 0, 0.0, -(b - 0.25) * (n + nu)),
-        C=lambda n, eps: -(b - 0.25) * (n + 1.0),
+        B=lambda n, eps: np.where(n == 0, 0.0, -g * (n + nu)),
+        C=lambda n, eps: -g * (n + 1.0),
         spec=spec,
     )
 
@@ -241,8 +251,8 @@ def symmetric_form(rc: RecursionCoefficients, epsilon: float, N: int):
 # Recursion engine
 # ---------------------------------------------------------------------------
 
-# a coupling C_n below _ZERO_TOL times its row scale counts as zero (all
-# couplings below _ZERO_TOL * 1e-3: the diagonal limit)
+# a coupling C_n below _ZERO_TOL times its row scale counts as zero, and so
+# does a diagonal A_n of the diagonal limit
 _ZERO_TOL = 1e-9
 
 
@@ -250,12 +260,12 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int) -> Coeffi
     """Run the three-term recursion with seed d_0 = 1, d_{-1} = 0 up to
     truncation order N.
 
-    Diagonal-limit recursions (all couplings identically zero) return the
-    delta sequence at the level n0 where the diagonal coefficient vanishes.
-    A vanishing C_n with vanishing running combination terminates the series
-    (zero continuation); a vanishing C_n with a nonzero combination is a
-    breakdown and raises, naming n.  ParameterDomainError unless N is an
-    integer >= 1.
+    Diagonal-limit recursions (every B_n and C_n exactly 0, as the builders
+    set them at their diagonal limits) return the delta sequence at the
+    level n0 where the diagonal coefficient vanishes.  A vanishing C_n with
+    vanishing running combination terminates the series (zero
+    continuation); a vanishing C_n with a nonzero combination is a breakdown
+    and raises, naming n.  ParameterDomainError unless N is an integer >= 1.
     """
     N = require_integer("N", N)
     if N < 1:
@@ -265,8 +275,7 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int) -> Coeffi
     A, B, C = rc.A(ns, eps), rc.B(ns, eps), rc.C(ns, eps)
     scales = np.maximum(np.max(np.abs([A, B, C]), axis=0), 1.0)
     d = np.zeros(N)
-    if np.all((np.abs(B) <= _ZERO_TOL * 1e-3 * scales)
-              & (np.abs(C) <= _ZERO_TOL * 1e-3 * scales)):
+    if not (B.any() or C.any()):
         avals = np.abs(A) / scales
         n0 = int(np.argmin(avals))
         if avals[n0] > _ZERO_TOL:

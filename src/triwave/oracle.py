@@ -332,19 +332,20 @@ def tridiagonal_eigenvector(diag, orthogonalize=()):
     found by two cumulative products.
 
     orthogonalize holds earlier unit eigenvectors of the same cluster (levels
-    too close for their twisted vectors to be told apart).  The vector is
-    made orthogonal to them by one Gram-Schmidt step.  Every twisted vector
-    is a column of the inverse, and within a cluster those columns can all
-    lie along the earlier vectors (on a symmetric double well the columns of
-    one well all point the same way), so where the step leaves less than
-    1e-3 of it the vector is instead the solution x of tridiag(-1, diag, -1)
-    x = b, solved with the LDL^T pivots, and gets two Gram-Schmidt steps.  b
-    is the ramp b_i = 1 + i / (n - 1): a symmetric b would have no part
-    along the odd level of a symmetric pair.  Where that leaves less than
-    1e-8 of it (the third level of a three-fold cluster can keep 1e-16), the
-    remainder, normalized, is b for one more such solve, as inverse
+    too close for their twisted vectors to be told apart).  One rule keeps a
+    vector: at least half of it survives its Gram-Schmidt steps, so the
+    rounding those steps leave stays within twice that of the vector.  The
+    twisted vector gets one step.  Every twisted vector is a column of the
+    inverse, and within a cluster those columns can all lie along the
+    earlier vectors (on a symmetric double well the columns of one well all
+    point the same way), so where it is not kept the vector is instead the
+    solution x of tridiag(-1, diag, -1) x = b, solved with the LDL^T pivots,
+    and gets two steps.  b is the ramp b_i = 1 + i / (n - 1): a symmetric b
+    would have no part along the odd level of a symmetric pair.  Where that
+    is not kept (the third level of a three-fold cluster can keep 1e-16 of
+    it), the remainder, normalized, is b for one more such solve, as inverse
     iteration does (LAPACK dstein), and again once more.  AccuracyError if
-    the last leaves less than 1e-8, or if the vector is zero or not finite.
+    the last is not kept, or if the vector is zero or not finite.
     """
     rows = diag.tolist()
     dp, dm = _unit_pivots(rows), _unit_pivots(rows[::-1])[::-1]
@@ -354,7 +355,7 @@ def tridiagonal_eigenvector(diag, orthogonalize=()):
     if u.size:
         v = v / np.linalg.norm(v)
         v = v - (u @ v) @ u
-        if np.linalg.norm(v) < 1e-3:
+        if np.linalg.norm(v) < 0.5:
             b = np.linspace(1.0, 2.0, diag.size)
             for _ in range(3):  # the ramp, then up to two inverse-iteration steps
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -363,7 +364,7 @@ def tridiagonal_eigenvector(diag, orthogonalize=()):
                 v = v - (u @ v) @ u
                 v = v - (u @ v) @ u
                 nrm = np.linalg.norm(v)
-                if not nrm < 1e-8:
+                if not nrm < 0.5:
                     break
                 b = v / nrm
             else:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from triwave import models as md
+from triwave.exceptions import SingularParameterError
 
 
 def laguerre_series(nu, n, x):
@@ -150,3 +151,47 @@ def ldl_pivots(a, e2, tiny):
             q = tiny if q >= 0.0 else -tiny
         out.append(q)
     return np.array(out, dtype=float)
+
+
+def rosen_morse_level_bisection(A, B, n):
+    """(mu, nu) of Rosen-Morse level n, or None, by bisecting its diagonal
+    condition in mu on (1e-12, sqrt(-U_min)) once the coupling condition has
+    fixed mu + nu = s = 2 sqrt(1/4 - B) - 2(n+1); U_min is the least
+    U(y) = A(1-y) + B(1-y^2) on [-1, 1].  Needs mu > 0 and nu > -1.  The
+    reference of RosenMorse._level, which solves the same condition, linear
+    in mu, by one division.  SingularParameterError where 2n + s = 0."""
+    s = 2.0 * math.sqrt(0.25 - B) - 2.0 * (n + 1.0)
+    t = 2 * n + s
+
+    def residual(mu):
+        nu = s - mu
+        return 0.5 * (nu + mu + 1.0) * (nu - mu + 1.0) + 2.0 * n * (n + mu) / t - A
+
+    y0 = -A / (2.0 * B) if B != 0.0 else 1.0
+    u_min = min(0.0, 2.0 * A,
+                A * (1.0 - y0) + B * (1.0 - y0 * y0) if -1.0 < y0 < 1.0 else 0.0)
+    if u_min >= 0.0:
+        return None
+    if abs(t) < 1e-12:
+        raise SingularParameterError("level condition singular (2n+mu+nu = 0)")
+    lo, hi = 1e-12, math.sqrt(-u_min)
+    r_lo, r_hi = residual(lo), residual(hi)
+    if r_lo == 0.0:
+        mu = lo
+    elif r_hi == 0.0:
+        mu = hi
+    elif r_lo * r_hi > 0.0:
+        return None
+    else:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            r_mid = residual(mid)
+            if r_mid == 0.0 or hi - lo < 1e-15 * max(1.0, abs(mid)):
+                break
+            if r_lo * r_mid < 0.0:
+                hi = mid
+            else:
+                lo, r_lo = mid, r_mid
+        mu = 0.5 * (lo + hi)
+    nu = s - mu
+    return None if mu <= 0.0 or nu <= -1.0 else (mu, nu)

@@ -124,6 +124,13 @@ def test_rosen_morse_weighted_delta():
     assert np.max(np.abs(gram - np.eye(21))) < 1e-10
 
 
+def test_overlap_refuses_an_unknown_factor():
+    spec = bs.rosen_morse_basis(0.8, 0.6)
+    with pytest.raises(ParameterDomainError,
+                       match=r"extra factor must be one of \[None, 'y', '1/y', '1-y'\]$"):
+        bs.overlap_matrix(spec, bs.rosen_morse_map(), 4, extra="1+y")
+
+
 def test_overlap_rejects_divergent_weight():
     # nu = 2 alpha = 0 makes the morse measure integral diverge at y = 0
     spec = bs.morse_basis(0.0)

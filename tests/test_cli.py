@@ -88,7 +88,7 @@ def test_non_finite_float_flags_exit_1(capsys, argv, flag):
 
 @pytest.mark.parametrize("argv, message", [
     (("wavefunction", "--model", "ho", "--epsilon", "1", "--samples", "-1"),
-     "--samples = -1 must not be negative"),
+     "--samples = -1 must be at least 1"),
     (("spectrum", "--model", "ho", "--levels", "0", "--verify"),
      "--levels = 0 must be at least 1"),
     (("spectrum", "--model", "ho", "--levels", "-2", "--verify"),
@@ -151,6 +151,15 @@ def test_wavefunction_table(capsys):
     mid = lines[51].split(",")
     assert float(mid[0]) == pytest.approx(0.0)
     assert mid[3] == "true"
+
+
+def test_wavefunction_on_the_diagonal_limit_exits_0(capsys):
+    # a - 1 = 5e-13 lies in the diagonal limit that spectrum takes, so the
+    # series is the delta series of a = 1, not a breakdown at n = 0
+    argv = ("wavefunction", "--model", "ho", "--epsilon", "5", "--samples", "5")
+    code, out, err = run_cli(capsys, *argv, "--a", "1.0000000000005")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, "--a", "1")[1]
 
 
 @pytest.mark.parametrize("argv", [

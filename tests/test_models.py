@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -9,7 +10,12 @@ from triwave import models as md
 from triwave import operators as op
 from triwave import oracle as oc
 from triwave import orthopoly
-from triwave.exceptions import DomainError, EvaluationOverflowError, ParameterDomainError
+from triwave.exceptions import (
+    DomainError,
+    EvaluationOverflowError,
+    ParameterDomainError,
+    SingularParameterError,
+)
 
 import helpers
 
@@ -131,11 +137,16 @@ def test_morse_spectrum_and_counts():
 @pytest.mark.parametrize("model, n, eps", [
     (md.GeneralizedMorse(A=-6.0, B=1.0 + 4e-13, mu_scale=2.0), 0, -6.25),
     (md.HarmonicOscillator(a=1.0 + 4e-13), 1, 5.0),
+    (md.HarmonicOscillator(a=1.0 + 5e-13), 1, 5.0),
+    (md.HarmonicOscillator(a=1.0 + 5e-13), 2, 9.0),
+    (md.GeneralizedMorse(A=-6.0, B=1.0 + 2e-12, mu_scale=2.0), 2, -0.25),
 ])
 def test_diagonal_limit_is_one_rule(model, n, eps):
-    # a coupling factor (b - 1/4, a - 1) of 1e-13: spectrum takes the
-    # diagonal limit, so the closed-form route must refuse it too instead of
-    # running the Pollaczek recurrence at argument ratio ~1e13
+    # a coupling factor (b - 1/4, a - 1) of 1e-13 to 5e-13: spectrum takes
+    # the diagonal limit, so the builders set the couplings to 0 and the
+    # engine returns the delta series (at a - 1 = 5e-13 the coupling of row 1
+    # is 1e-12 of its row scale), and the closed-form route refuses it
+    # instead of running the Pollaczek recurrence at argument ratio ~1e13
     assert md.spectrum(model, 3).epsilons[n] == pytest.approx(eps, abs=1e-11)
     rc, _, _ = md.recursion_for(model, eps)
     np.testing.assert_array_equal(op.solve_recursion(rc, eps, 30).d, np.eye(30)[n])
@@ -167,6 +178,60 @@ def test_rosen_morse_deeper_well_two_levels():
     res = md.spectrum(md.RosenMorse(A=1.0, B=-6.0))
     assert len(res.levels) >= 1
     assert res.epsilons[0] == pytest.approx(-3.0625, rel=1e-10)
+
+
+def _level_or_singular(level, A, B, n):
+    try:
+        return level(A, B, n)
+    except SingularParameterError:
+        return "singular"
+
+
+def test_rosen_morse_level_solves_the_bisected_condition():
+    # the level condition is linear in mu once mu + nu is fixed, so one
+    # division solves it.  Seeded draws, wells with sqrt(1/4 - B) an integer
+    # or a half-integer (where levels meet the boundaries exactly) and
+    # special values must give the bisection's level-or-None decision, except
+    # where the bisection lands on a boundary: mu = 1e-12 on a condition with
+    # no slope, or nu within 1e-12 of -1.  The condition's terms are of size
+    # |A|, so near a flat slope the root (by either route) moves by
+    # eps |A / slope|; (mu, nu) agree within 1e-14 of that scale
+    rng = np.random.default_rng(11)
+    cases = [(float(a), -float(10.0 ** e), int(n)) for a, e, n in zip(
+        rng.uniform(-5.0, 5.0, 2000), rng.uniform(-3.0, 2.5, 2000), rng.integers(0, 10, 2000))]
+    cases += [(a, 0.25 - (k / 2.0) ** 2, n)
+              for k in range(1, 25) for a in np.arange(-10.0, 10.01, 0.5).tolist()
+              for n in range(10)]
+    cases += list(itertools.product((0.0, -0.0, 1e-12, -1e-12), (0.0, 0.25, -0.75), range(8)))
+    levels = 0
+    for A, B, n in cases:
+        want = _level_or_singular(helpers.rosen_morse_level_bisection, A, B, n)
+        got = _level_or_singular(lambda A, B, n: md.RosenMorse(A, B)._level(n), A, B, n)
+        if isinstance(want, tuple) and (want[0] <= 1e-12 or want[1] <= -1.0 + 1e-12):
+            assert got is None, (A, B, n)
+            continue
+        assert type(got) is type(want), (A, B, n)
+        if isinstance(want, tuple):
+            levels += 1
+            s = 2.0 * math.sqrt(0.25 - B) - 2.0 * (n + 1.0)
+            slope = (s + 1.0) - 2.0 * n / (2 * n + s)
+            scale = max(abs(want[0]), abs(want[1]), abs(A / slope))
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-14 * scale, (A, B, n)
+    assert levels > 1000
+
+
+def test_rosen_morse_levels_at_exact_boundaries():
+    # sqrt(1/4 - B) = 2, A = 3/2: the level-1 condition holds for every mu, so
+    # it has no root, not a level at mu = 1e-12
+    assert md.spectrum(md.RosenMorse(A=1.5, B=-3.75), 3).epsilons.tolist() == [-1.0]
+    # a root on nu = -1 is no level, however it rounds: no repeated energy
+    for model in (md.RosenMorse(A=0.0, B=-72.0), md.RosenMorse(A=0.0, B=-6.0),
+                  md.RosenMorse(A=1e-12, B=-6.0)):
+        eps = md.spectrum(model, 8).epsilons
+        assert len(set(eps.tolist())) == eps.size
+    assert md.spectrum(md.RosenMorse(A=0.0, B=-6.0), 2).epsilons.tolist() == [-4.0]
+    # B = 0, n = 0: the condition has no slope in mu
+    assert md.spectrum(md.RosenMorse(A=-1.0, B=0.0), 2).levels == []
 
 
 # ---------------------------------------------------------------------------

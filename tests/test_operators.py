@@ -179,10 +179,7 @@ def _scalar_solve_recursion(rc, epsilon, N, zero_tol=1e-9):
         return max(abs(rc.A(n, eps)), abs(rc.B(n, eps)), abs(rc.C(n, eps)), 1.0)
 
     scales = [coeff_scale(n) for n in range(N)]
-    diagonal_limit = all(
-        abs(rc.B(n, eps)) <= zero_tol * 1e-3 * scales[n]
-        and abs(rc.C(n, eps)) <= zero_tol * 1e-3 * scales[n]
-        for n in range(N))
+    diagonal_limit = all(rc.B(n, eps) == 0.0 and rc.C(n, eps) == 0.0 for n in range(N))
     d = np.zeros(N)
     if diagonal_limit:
         avals = np.array([abs(rc.A(n, eps)) / scales[n] for n in range(N)])

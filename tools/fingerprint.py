@@ -28,9 +28,10 @@ The groups:
   change;
 * grid-vectors: oracle.grid_solve's eigenvalues and eigenvectors (or the
   exception it raises), which no CLI output holds, on models.default_grid of
-  seven model settings (both oscillator parities) and, at h = 1/64, on a
-  double well and a triple well whose close levels take the eigenvector
-  fallback of a cluster.
+  seven model settings (both oscillator parities), at h = 1/64 on a double
+  well and a triple well whose close levels take the eigenvector fallback
+  of a cluster, and on that triple well at h = pi/400, where the fallback
+  takes inverse-iteration steps.
 
 CLI runs go through perfbench.workloads.call_cli, so a run's exit code,
 stdout and stderr (a traceback included) all enter its hash.
@@ -42,6 +43,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -122,6 +124,8 @@ def _grid_runs(workloads):
         lambda: oracle.grid_solve(_double_well, -9.07, 9.07, 1.0 / 64.0, 4))))
     runs.append(("triple-well", run(
         lambda: oracle.grid_solve(_triple_well, -14.0, 14.0, 1.0 / 64.0, 6))))
+    runs.append(("triple-well-pi/400", run(
+        lambda: oracle.grid_solve(_triple_well, -14.0, 14.0, math.pi / 400.0, 6))))
     return runs
 
 
