@@ -181,6 +181,8 @@ def cmd_spectrum(args, out):
 def cmd_wavefunction(args, out):
     if args.samples < 1:
         raise ParameterDomainError("--samples = %d must be at least 1" % args.samples)
+    if args.truncation < 1:
+        raise ParameterDomainError("-N = %d must be at least 1" % args.truncation)
     model = _build_model(args)
     x = np.linspace(args.x_min, args.x_max, args.samples)
     psi, record = md.wavefunction(model, args.epsilon, args.truncation, x)
@@ -193,7 +195,7 @@ def cmd_jmatrix(args, out):
     model = _build_model(args)
     size = args.size
     if not 1 <= size <= 64:
-        raise TriwaveError("size must be between 1 and 64")
+        raise ParameterDomainError("--size = %d must be between 1 and 64" % size)
     rc, spec, cmap = md.recursion_for(model, args.epsilon)
     if args.perturb_alpha:
         spec = spec.perturbed(args.perturb_alpha)

@@ -5,11 +5,12 @@ to a three-term recursion for polynomial-normalized coefficients d_n,
 
     A_n(eps) d_n + B_n(eps) d_{n-1} + C_n(eps) d_{n+1} = 0,
 
-with d_0 = 1.  Builders return the coefficients as functions of (n, eps)
+with d_0 = 1.  Builders return the coefficients as one function of (n, eps)
 vectorized over an index array, with the basis they expand in (exponents
-outside its domain raise its ParameterDomainError); a generic engine solves
-the recursion (including the diagonal and terminating limits used by bound
-states); symmetric_form gives the (diag, off) arrays of the symmetric view; and an
+outside its domain raise its ParameterDomainError), and set the couplings
+that vanish at bound states to exactly 0; a generic engine solves the
+recursion (including the diagonal and terminating limits those zeros
+give); symmetric_form gives the (diag, off) arrays of the symmetric view; and an
 independent quadrature route integrates the block <phi_m | (H - eps) | phi_n>
 directly to verify tridiagonality without using any of the closed forms.
 The level rules of the discrete spectra live in the model classes (models).
@@ -50,49 +51,37 @@ __all__ = [
 # Coefficient containers
 # ---------------------------------------------------------------------------
 
-# t_n of each case's f_n = t_n d_n scaling, the one that makes sum f_n phi_n
-# solve the wave equation, as (sign, power) in t_n = sign^n A_n^power (A_n the
-# basis constants); fixed per case by testing the d-solutions against the
-# quadrature wave-operator rows
-_F_SCALINGS = {
-    "standard": (1.0, 1.0),
-    "inverse": (1.0, -1.0),
-    "alternating": (-1.0, 1.0),
-}
-
-
 @dataclass(frozen=True)
 class RecursionCoefficients:
-    """Coefficients of A_n d_n + B_n d_{n-1} + C_n d_{n+1} = 0 as functions
-    A(n, eps), B(n, eps), C(n, eps), vectorized over an index array n.
+    """Coefficients of A_n d_n + B_n d_{n-1} + C_n d_{n+1} = 0 as one function
+    coefficients(n, eps) -> (A_n, B_n, C_n), vectorized over an index array n.
 
-    B(0) is pinned to zero in every builder: it multiplies d_{-1} = 0 and the
-    wave-operator row 0 has no such entry.
+    solve_recursion reads B_0 as zero: it multiplies d_{-1} = 0 and the
+    wave-operator row 0 has no such entry.  A coupling the builder returns
+    as exactly 0 is a zero of the recursion; the engine decides no zeros of
+    its own.
 
-    Functions of eps rather than matrix snapshots: eps can sit inside
+    A function of eps rather than a matrix snapshot: eps can sit inside
     off-diagonals or inside basis parameters depending on the case, so a
     plain "matrix minus eps*I" view would misrepresent the structure.
     """
 
-    A: Callable[[np.ndarray, float], np.ndarray]
-    B: Callable[[np.ndarray, float], np.ndarray]
-    C: Callable[[np.ndarray, float], np.ndarray]
+    coefficients: Callable[[np.ndarray, float], tuple]
     spec: BasisSpec  # the basis the d_n and f_n expand in
-    f_transform: str = "standard"  # a key of _F_SCALINGS
+    # t_n = f_sign^n A_n^f_power (A_n the basis constants) of the case's
+    # f_n = t_n d_n scaling, the one that makes sum f_n phi_n solve the wave
+    # equation; fixed per case by testing the d-solutions against the
+    # quadrature wave-operator rows
+    f_sign: float = 1.0
+    f_power: float = 1.0
     # the literal <phi_m|(H-eps)|phi_n> rows equal jmatrix_scale times the
     # symmetrized recursion rows (a constant per case, measured and pinned)
     jmatrix_scale: float = 1.0
 
-    def __post_init__(self):
-        if self.f_transform not in _F_SCALINGS:
-            raise ParameterDomainError(
-                "f_transform must be one of %s, got %r" % (list(_F_SCALINGS), self.f_transform))
-
     def f_scaling(self, a_n: np.ndarray) -> np.ndarray:
         """t_0..t_{N-1} of the case's f_n = t_n d_n scaling, from the basis
         constants a_n = A_0..A_{N-1}."""
-        sign, power = _F_SCALINGS[self.f_transform]
-        return sign ** np.arange(a_n.size) * a_n ** power
+        return self.f_sign ** np.arange(a_n.size) * a_n ** self.f_power
 
 
 @dataclass
@@ -132,33 +121,25 @@ def build_oscillator_pollaczek(nu, a):
     spec = basis_mod.oscillator_pollaczek_basis(nu)
     g = 0.0 if _diagonal_limit(a - 1.0) else a - 1.0
     return RecursionCoefficients(
-        A=lambda n, eps: (a + 1.0) * (2 * n + nu + 1.0) - eps,
-        B=lambda n, eps: np.where(n == 0, 0.0, -g * (n + nu)),
-        C=lambda n, eps: -g * (n + 1.0),
+        lambda n, eps: ((a + 1.0) * (2 * n + nu + 1.0) - eps, -g * (n + nu), -g * (n + 1.0)),
         spec=spec,
     )
 
 
 def build_oscillator_dual_hahn(nu, b):
     """Oscillator map, basis exponent 2*alpha = nu + 3/2, potential
-    U(y) = y + b/y.  eps enters all three coefficient functions; a real
-    dual-Hahn representation needs b <= -1/4.  The basis needs nu > -1."""
+    U(y) = y + b/y.  eps enters all three coefficients; a real dual-Hahn
+    representation needs b <= -1/4.  The basis needs nu > -1."""
     nu, b = float(nu), float(b)
     spec = basis_mod.oscillator_dual_hahn_basis(nu)
 
-    def a_fn(n, eps):
-        return ((n + nu + 1.0) * (n + nu / 2.0 + 1.0 - eps / 4.0)
-                + n * (n + nu / 2.0 - eps / 4.0)
-                - ((nu + 1.0) / 2.0) ** 2 + b / 4.0 + 1.0 / 16.0)
+    def coefficients(n, eps):
+        lower = -n * (n + nu / 2.0 - eps / 4.0)
+        upper = -(n + nu + 1.0) * (n + nu / 2.0 + 1.0 - eps / 4.0)
+        return (-(lower + upper) - ((nu + 1.0) / 2.0) ** 2 + b / 4.0 + 1.0 / 16.0,
+                lower, upper)
 
-    return RecursionCoefficients(
-        A=a_fn,
-        B=lambda n, eps: -n * (n + nu / 2.0 - eps / 4.0),
-        C=lambda n, eps: -(n + nu + 1.0) * (n + nu / 2.0 + 1.0 - eps / 4.0),
-        spec=spec,
-        f_transform="inverse",
-        jmatrix_scale=4.0,
-    )
+    return RecursionCoefficients(coefficients, spec=spec, f_power=-1.0, jmatrix_scale=4.0)
 
 
 def build_morse(a, b, nu):
@@ -175,9 +156,8 @@ def build_morse(a, b, nu):
     spec = basis_mod.morse_basis(nu)
     g = 0.0 if _diagonal_limit(b - 0.25) else b - 0.25
     return RecursionCoefficients(
-        A=lambda n, eps: 2.0 * ((b + 0.25) * (n + (nu + 1.0) / 2.0) + a / 2.0),
-        B=lambda n, eps: np.where(n == 0, 0.0, -g * (n + nu)),
-        C=lambda n, eps: -g * (n + 1.0),
+        lambda n, eps: (2.0 * ((b + 0.25) * (n + (nu + 1.0) / 2.0) + a / 2.0),
+                        -g * (n + nu), -g * (n + 1.0)),
         spec=spec,
     )
 
@@ -186,46 +166,36 @@ def build_rosen_morse(A, B, mu, nu):
     """Rosen-Morse map, basis exponents (alpha, beta) = ((nu+1)/2, mu/2),
     potential U(y) = A(1-y) + B(1-y^2); eps = -mu^2 is forced.  The basis
     needs mu >= 0 and nu > -1, so 2n+mu+nu+1 and 2n+mu+nu+2 are positive;
-    only 2n+mu+nu can vanish (at n = 0), and a zero there raises."""
+    only 2n+mu+nu can vanish (at n = 0), and a zero there raises.
+
+    The coupling factor B - 1/4 + t^2/4 (t = 2n+mu+nu, or t + 2 in C_n)
+    vanishes at a level, where C_n and B_{n+1} share it; within 1e-12
+    |B - 1/4| of zero it is set to exactly 0, so the series ends at d_n.
+    """
     A, B, mu, nu = float(A), float(B), float(mu), float(nu)
     spec = basis_mod.rosen_morse_basis(mu, nu)
     s = mu + nu
+    b4 = B - 0.25
 
-    def denominator(n):
+    def factor(t):
+        f = b4 + 0.25 * t * t
+        return np.where(np.abs(f) <= 1e-12 * abs(b4), 0.0, f)
+
+    def coefficients(n, eps):
         t = 2 * n + s
         if np.any(np.abs(t) < 1e-13):
             raise SingularParameterError("rosen-morse coefficient denominator 2n+mu+nu "
                                          "vanished at n=0")
-        return t
-
-    def bracket(t):
-        # B - 1/4 + (1/4) t^2 with t = 2n+mu+nu (+2 for the upper coupling)
-        return B - 0.25 + 0.25 * t * t
-
-    def a_fn(n, eps):
-        t = denominator(n)
-        t2 = 2 * n + s + 2.0
+        t1, t2 = t + 1.0, t + 2.0
+        upper = factor(t2)
         diag = (0.5 * (nu + mu + 1.0) * (nu - mu + 1.0)
                 + 2.0 * n * (n + mu) / t
-                + ((mu * mu - nu * nu) / (t * t2) - 1.0) * bracket(t2))
-        return diag - A
+                + ((mu * mu - nu * nu) / (t * t2) - 1.0) * upper)
+        return (diag - A,
+                2.0 * (n + mu) * (n + nu) / (t * t1) * factor(t),
+                2.0 * (n + 1.0) * (n + s + 1.0) / (t1 * t2) * upper)
 
-    def b_fn(n, eps):
-        t = denominator(n)
-        t1 = 2 * n + s + 1.0
-        return np.where(n == 0, 0.0, 2.0 * (n + mu) * (n + nu) / (t * t1) * bracket(t))
-
-    def c_fn(n, eps):
-        t1 = 2 * n + s + 1.0
-        t2 = 2 * n + s + 2.0
-        return 2.0 * (n + 1.0) * (n + s + 1.0) / (t1 * t2) * bracket(t2)
-
-    return RecursionCoefficients(
-        A=a_fn, B=b_fn, C=c_fn,
-        spec=spec,
-        f_transform="alternating",
-        jmatrix_scale=-1.0,
-    )
+    return RecursionCoefficients(coefficients, spec=spec, f_sign=-1.0, jmatrix_scale=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +210,18 @@ def symmetric_form(rc: RecursionCoefficients, epsilon: float, N: int):
     coupling n and n+1 (n < N-1).  Both representations share their zero
     structure, so diagonalization conditions agree between them.
     """
-    sign, power = _F_SCALINGS[rc.f_transform]
     ns = np.arange(N)
+    A, _, C = rc.coefficients(ns, epsilon)
     norms = basis_mod.normalization(rc.spec, ns)
-    return (rc.A(ns, epsilon) + epsilon,
-            rc.C(ns[:-1], epsilon) * (sign * (norms[:-1] / norms[1:]) ** power))
+    return A + epsilon, C[:-1] * (rc.f_sign * (norms[:-1] / norms[1:]) ** rc.f_power)
 
 
 # ---------------------------------------------------------------------------
 # Recursion engine
 # ---------------------------------------------------------------------------
 
-# a coupling C_n below _ZERO_TOL times its row scale counts as zero, and so
-# does a diagonal A_n of the diagonal limit
+# a diagonal A_n of the diagonal limit below _ZERO_TOL times its row scale
+# counts as zero, and so does the running combination where C_n = 0
 _ZERO_TOL = 1e-9
 
 
@@ -260,19 +229,21 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int) -> Coeffi
     """Run the three-term recursion with seed d_0 = 1, d_{-1} = 0 up to
     truncation order N.
 
-    Diagonal-limit recursions (every B_n and C_n exactly 0, as the builders
-    set them at their diagonal limits) return the delta sequence at the
-    level n0 where the diagonal coefficient vanishes.  A vanishing C_n with
-    vanishing running combination terminates the series (zero
-    continuation); a vanishing C_n with a nonzero combination is a breakdown
-    and raises, naming n.  ParameterDomainError unless N is an integer >= 1.
+    The zeros are the builder's: a coupling is zero only where it is exactly
+    0, and B_0 is read as 0.  Diagonal-limit recursions (every B_n and C_n 0)
+    return the delta sequence at the level n0 where the diagonal coefficient
+    vanishes.  A zero C_n with vanishing running combination terminates the
+    series (zero continuation); a zero C_n with a nonzero combination is a
+    breakdown and raises, naming n.  ParameterDomainError unless N is an
+    integer >= 1.
     """
     N = require_integer("N", N)
     if N < 1:
         raise ParameterDomainError("truncation order must be >= 1")
     eps = float(epsilon)
     ns = np.arange(N)
-    A, B, C = rc.A(ns, eps), rc.B(ns, eps), rc.C(ns, eps)
+    A, B, C = rc.coefficients(ns, eps)
+    B[0] = 0.0  # it multiplies d_{-1} = 0
     scales = np.maximum(np.max(np.abs([A, B, C]), axis=0), 1.0)
     d = np.zeros(N)
     if not (B.any() or C.any()):
@@ -289,7 +260,7 @@ def solve_recursion(rc: RecursionCoefficients, epsilon: float, N: int) -> Coeffi
         for n in range(N - 1):
             running = max(running, abs(d[n]))
             num = A[n] * d[n] + (B[n] * d[n - 1] if n >= 1 else 0.0)
-            if abs(C[n]) <= _ZERO_TOL * scales[n]:
+            if C[n] == 0.0:
                 if abs(num) <= _ZERO_TOL * (scales[n] * running):
                     d[n + 1] = 0.0  # the series terminates here
                 else:

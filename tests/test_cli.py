@@ -99,6 +99,10 @@ def test_non_finite_float_flags_exit_1(capsys, argv, flag):
      "--tol = 0.0 must be positive"),
     (("wavefunction", "--model", "ho", "--epsilon", "1", "--samples", "0"),
      "--samples = 0 must be at least 1"),
+    (("wavefunction", "--model", "ho", "--epsilon", "1", "-N", "0"),
+     "-N = 0 must be at least 1"),
+    (("jmatrix", "--model", "ho", "--epsilon", "1", "--size", "0"),
+     "--size = 0 must be between 1 and 64"),
 ])
 def test_out_of_range_count_and_tolerance_flags_exit_1(capsys, argv, message):
     # a vacuous request (no levels, no samples) or a gate no result can pass
@@ -160,6 +164,18 @@ def test_wavefunction_on_the_diagonal_limit_exits_0(capsys):
     code, out, err = run_cli(capsys, *argv, "--a", "1.0000000000005")
     assert (code, err) == (0, "")
     assert out == run_cli(capsys, *argv, "--a", "1")[1]
+
+
+def test_wavefunction_rosen_morse_ground_level_is_even(capsys):
+    # on the even well A = 0 the ground-level series ends at d_0, so psi is
+    # even and converged
+    code, out, err = run_cli(capsys, "wavefunction", "--model", "rosen-morse", "--A", "0",
+                             "--B", "-2000", "--epsilon", "-1955.77584545237",
+                             "--x-min", "-0.1", "--x-max", "0.1", "--samples", "3")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0][1] == rows[2][1]
+    assert [row[3] for row in rows] == ["true"] * 3
 
 
 @pytest.mark.parametrize("argv", [

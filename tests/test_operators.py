@@ -21,32 +21,31 @@ from triwave.exceptions import (
 
 def test_oscillator_pollaczek_coefficients():
     rc = op.build_oscillator_pollaczek(0.5, 2.0)
-    assert rc.A(0, 0.0) == pytest.approx(4.5)
+    assert rc.coefficients(0, 0.0)[0] == pytest.approx(4.5)
     rc1 = op.build_oscillator_pollaczek(-0.5, 1.0)
     for n in range(12):
-        assert rc1.B(n, 0.3) == 0.0
-        assert rc1.C(n, 0.3) == 0.0
-        assert rc1.A(n, 2.0 * (2 * n + 0.5)) == pytest.approx(0.0, abs=1e-13)
+        assert rc1.coefficients(n, 0.3)[1:] == (0.0, 0.0)
+        assert rc1.coefficients(n, 2.0 * (2 * n + 0.5))[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_oscillator_dual_hahn_coefficients():
     nu, b = 0.0, -0.25
     rc = op.build_oscillator_dual_hahn(nu, b)
-    assert rc.C(0, 2.0) == pytest.approx(-(nu + 1.0) * (nu / 2.0 + 1.0 - 0.5))
-    assert rc.B(0, 2.0) == 0.0
-    assert rc.A(0, 2.0) == pytest.approx(0.25)
+    a0, b0, c0 = rc.coefficients(0, 2.0)
+    assert c0 == pytest.approx(-(nu + 1.0) * (nu / 2.0 + 1.0 - 0.5))
+    assert b0 == 0.0
+    assert a0 == pytest.approx(0.25)
 
 
 def test_morse_coefficients():
     rc = op.build_morse(0.0, 0.25, 1.0)
     for n in range(10):
-        assert rc.B(n, 0.0) == 0.0
-        assert rc.C(n, 0.0) == 0.0
-    rc = op.build_morse(0.0, -0.25, 0.0)
-    assert rc.A(1, 0.0) == pytest.approx(0.0)
+        assert rc.coefficients(n, 0.0)[1:] == (0.0, 0.0)
+    a1, _, c1 = op.build_morse(0.0, -0.25, 0.0).coefficients(1, 0.0)
+    assert a1 == pytest.approx(0.0)
     # with the homogeneous sign convention A d_n + B d_{n-1} + C d_{n+1} = 0,
     # the d_{n+1} coefficient at n=1 is -(b - 1/4)(n+1) = +1
-    assert rc.C(1, 0.0) == pytest.approx(1.0)
+    assert c1 == pytest.approx(1.0)
     for b in (-2.0, -0.5, -1e-3):
         x = (b + 0.25) / (b - 0.25)
         assert -1.0 < x < 1.0
@@ -56,21 +55,16 @@ def test_rosen_morse_coefficients():
     mu = nu = 0.5
     big_b = 0.25 - 0.25 * (mu + nu + 2.0) ** 2
     rc = op.build_rosen_morse(1.0, big_b, mu, nu)
-    assert rc.C(0, 0.0) == pytest.approx(0.0, abs=1e-14)
-    assert rc.B(0, 0.0) == 0.0  # factor n
+    # the coupling factor vanishes in C_0 and B_1 alike, to exactly 0
+    assert rc.coefficients(0, 0.0)[2] == 0.0
+    assert rc.coefficients(1, 0.0)[1] == 0.0
     # the diagonal condition value of A at n=0
     a_match = 0.5 * (nu + mu + 1.0) * (nu - mu + 1.0)
     rc2 = op.build_rosen_morse(a_match, big_b, mu, nu)
-    assert rc2.A(0, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert rc2.coefficients(0, 0.0)[0] == pytest.approx(0.0, abs=1e-14)
     # mu + nu = 0: the denominator 2n+mu+nu vanishes at n = 0
     with pytest.raises(SingularParameterError):
-        op.build_rosen_morse(1.0, -2.0, 0.5, -0.5).A(0, 0.0)
-
-
-def test_recursion_rejects_unknown_f_transform():
-    rc = op.build_morse(0.0, 0.25, 1.0)
-    with pytest.raises(ParameterDomainError, match="^f_transform must be one of"):
-        op.RecursionCoefficients(rc.A, rc.B, rc.C, rc.spec, f_transform="squared")
+        op.build_rosen_morse(1.0, -2.0, 0.5, -0.5).coefficients(0, 0.0)
 
 
 # each builder on (mu, nu), its basis on the same exponents, and that basis's
@@ -127,8 +121,49 @@ def test_solve_recursion_terminating_series():
     mu, nu = md.RosenMorse(1.0, -2.0)._level(0)
     rc = op.build_rosen_morse(1.0, -2.0, mu, nu)
     series = op.solve_recursion(rc, -mu * mu, 10)
-    assert series.d[0] == 1.0
-    assert np.max(np.abs(series.d[1:])) < 1e-9
+    assert np.array_equal(series.d, np.eye(10)[0])
+
+
+def test_rosen_morse_ground_series_ends_exactly():
+    # B_1 shares C_0's vanishing factor; both are exactly 0 at the level, so
+    # no rounding-level B_1 seeds a tail that grows with N
+    rng = np.random.default_rng(28)
+    wells = [(1.0, -2.0), (1.0, -100.0), (0.0, -2000.0)] + [
+        (rng.uniform(-10.0, 10.0), -math.exp(rng.uniform(-3.0, math.log(2e4))))
+        for _ in range(60)]
+    x = np.linspace(-3.0, 3.0, 7)
+    checked = 0
+    for A, B in wells:
+        model = md.RosenMorse(A, B)
+        levels = md.spectrum(model, 1).levels
+        if not levels:
+            continue
+        eps = levels[0].epsilon
+        rc, _, _ = md.recursion_for(model, eps)
+        assert np.array_equal(op.solve_recursion(rc, eps, 1000).d, np.eye(1000)[0]), (A, B)
+        psi, record = md.wavefunction(model, eps, 1000, x)
+        assert record.converged
+        assert np.array_equal(psi, md.wavefunction(model, eps, 1, x)[0]), (A, B)
+        checked += 1
+    assert checked >= 40
+
+
+# near (not inside) the diagonal limit the couplings are small but nonzero,
+# and the series is the closed form's Pollaczek sequence
+_NEAR_DIAGONAL = [
+    (md.HarmonicOscillator(a=1.0 + 1e-10, parity="even"), 5.0),
+    (md.HarmonicOscillator(a=1.0 + 1e-10, parity="odd"), 5.0),
+    (md.OscillatorInverseSquare(a=1.0 + 1e-9, b=0.75), 5.0),
+    (md.GeneralizedMorse(A=-6.0, B=1.0 + 4e-10, mu_scale=2.0), -2.25),
+]
+
+
+@pytest.mark.parametrize("model, eps", _NEAR_DIAGONAL,
+                         ids=["ho-even", "ho-odd", "osc-inv-sq", "morse"])
+def test_solve_recursion_near_the_diagonal_limit_matches_the_closed_form(model, eps):
+    rc, _, _ = md.recursion_for(model, eps)
+    np.testing.assert_allclose(op.solve_recursion(rc, eps, 21).d,
+                               md.closed_form_coefficients(model, eps, 21), rtol=1e-12)
 
 
 def test_solve_recursion_matches_pollaczek():
@@ -165,24 +200,27 @@ def test_coefficient_series_f_image():
 
 def _scalar_f_scaling(rc, n):
     a_n = bs.normalization(rc.spec, n)
-    if rc.f_transform == "standard":
-        return a_n
-    if rc.f_transform == "inverse":
+    if rc.f_power == -1.0:
         return 1.0 / a_n
-    return (-1.0) ** n * a_n
+    if rc.f_sign == -1.0:
+        return (-1.0) ** n * a_n
+    return a_n
 
 
 def _scalar_solve_recursion(rc, epsilon, N, zero_tol=1e-9):
+    # zero_tol decides the diagonal-limit level and a terminating residual;
+    # a coupling is zero only where the builder made it exactly 0
     eps = float(epsilon)
 
-    def coeff_scale(n):
-        return max(abs(rc.A(n, eps)), abs(rc.B(n, eps)), abs(rc.C(n, eps)), 1.0)
+    def coefficients(n):
+        a, b, c = rc.coefficients(n, eps)
+        return a, (b if n >= 1 else 0.0), c
 
-    scales = [coeff_scale(n) for n in range(N)]
-    diagonal_limit = all(rc.B(n, eps) == 0.0 and rc.C(n, eps) == 0.0 for n in range(N))
+    scales = [max(max(abs(v) for v in coefficients(n)), 1.0) for n in range(N)]
+    diagonal_limit = all(coefficients(n)[1:] == (0.0, 0.0) for n in range(N))
     d = np.zeros(N)
     if diagonal_limit:
-        avals = np.array([abs(rc.A(n, eps)) / scales[n] for n in range(N)])
+        avals = np.array([abs(coefficients(n)[0]) / scales[n] for n in range(N)])
         n0 = int(np.argmin(avals))
         if avals[n0] > zero_tol:
             raise RecursionBreakdownError(0, "no diagonal-limit solution")
@@ -190,10 +228,10 @@ def _scalar_solve_recursion(rc, epsilon, N, zero_tol=1e-9):
     else:
         d[0] = 1.0
         for n in range(N - 1):
-            num = rc.A(n, eps) * d[n] + (rc.B(n, eps) * d[n - 1] if n >= 1 else 0.0)
-            c = rc.C(n, eps)
+            a, b, c = coefficients(n)
+            num = a * d[n] + (b * d[n - 1] if n >= 1 else 0.0)
             scale = scales[n] * max(1.0, float(np.max(np.abs(d[: n + 1]))))
-            if abs(c) <= zero_tol * scales[n]:
+            if c == 0.0:
                 if abs(num) <= zero_tol * scale:
                     d[n + 1] = 0.0
                 else:
@@ -242,6 +280,9 @@ def test_solve_recursion_matches_scalar_reference():
     _assert_same_series(op.build_morse(-3.0, 0.25, 5.0), -6.25, 12)
     mu, nu = md.RosenMorse(1.0, -2.0)._level(0)
     _assert_same_series(op.build_rosen_morse(1.0, -2.0, mu, nu), -mu * mu, 10)
+    # couplings under 1e-9 of the row scale that are not 0 are divided by
+    for model, eps in _NEAR_DIAGONAL:
+        _assert_same_series(md.recursion_for(model, eps)[0], eps, 21)
     # breakdowns: no diagonal-limit level, and C_0 = 0 off the level condition
     big_b = 0.25 - 0.25 * (0.5 + 0.5 + 2.0) ** 2
     for rc, eps in ((op.build_oscillator_pollaczek(-0.5, 1.0), 2.1),
@@ -256,9 +297,9 @@ def test_solve_recursion_matches_scalar_reference():
 def test_symmetric_form_matches_scalar_reference(rng):
     def t_ratio(rc, n):
         ratio = bs.normalization(rc.spec, n) / bs.normalization(rc.spec, n + 1)
-        if rc.f_transform == "inverse":
+        if rc.f_power == -1.0:
             return 1.0 / ratio
-        if rc.f_transform == "alternating":
+        if rc.f_sign == -1.0:
             return -ratio
         return ratio
 
@@ -266,8 +307,10 @@ def test_symmetric_form_matches_scalar_reference(rng):
         for N in (1, 2, 64):
             rc, eps = _random_recursion(rng, k)
             diag, off = op.symmetric_form(rc, eps, N)
-            assert np.array_equal(diag, [rc.A(n, eps) + eps for n in range(N)])
-            assert np.array_equal(off, [rc.C(n, eps) * t_ratio(rc, n) for n in range(N - 1)])
+            coefficients = [rc.coefficients(n, eps) for n in range(N)]
+            assert np.array_equal(diag, [a + eps for a, _, _ in coefficients])
+            assert np.array_equal(off, [coefficients[n][2] * t_ratio(rc, n)
+                                        for n in range(N - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +363,8 @@ def test_symmetric_nonsymmetric_consistency(rng):
             b_n = op.symmetric_form(rc, eps, 13)[1][n]
             # the symmetric coupling squares to the product of the one-sided
             # couplings, and shares their zeros
-            assert b_n * b_n == pytest.approx(rc.B(n + 1, eps) * rc.C(n, eps),
+            assert b_n * b_n == pytest.approx(rc.coefficients(n + 1, eps)[1]
+                                              * rc.coefficients(n, eps)[2],
                                               rel=1e-10, abs=1e-12)
 
 
