@@ -29,7 +29,6 @@ from .exceptions import (
     DomainError,
     EvaluationOverflowError,
     ParameterDomainError,
-    QuadratureOrderError,
     RecursionBreakdownError,
     SingularParameterError,
     TriwaveError,

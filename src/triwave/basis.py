@@ -20,7 +20,6 @@ from .exceptions import (
     DomainError,
     EvaluationOverflowError,
     ParameterDomainError,
-    QuadratureOrderError,
     require_degree,
     require_finite,
 )
@@ -280,11 +279,12 @@ def _pair_weight(spec: BasisSpec, cmap: CoordinateMap, extra=None):
     return ("jacobi", a_w, b_w)
 
 
-def overlap_matrix(spec: BasisSpec, cmap: CoordinateMap, nmax: int, extra=None,
-                   n_nodes=None):
+def overlap_matrix(spec: BasisSpec, cmap: CoordinateMap, nmax: int, extra=None):
     """Gram matrix <phi_m | extra | phi_n> for m, n <= nmax under the map's
-    measure, by a Gauss rule of the matching weight (exact up to roundoff);
-    extra is one of None, "y", "1/y" (laguerre) or "1-y" (jacobi).
+    measure, by a Gauss rule of the matching weight; extra is one of None,
+    "y", "1/y" (laguerre) or "1-y" (jacobi).  Every integrand is that weight
+    times a polynomial of degree 2 nmax, so nmax + 2 nodes are exact up to
+    roundoff.
 
     With the exponent constraint of the corresponding tridiagonal case, the
     appropriate choice of extra gives the identity: no extra factor for
@@ -292,14 +292,7 @@ def overlap_matrix(spec: BasisSpec, cmap: CoordinateMap, nmax: int, extra=None,
     "y" for nu = 2*alpha on the morse map, "1-y" on the rosen_morse map.
     """
     nmax = require_degree("nmax", nmax)
-    min_nodes = nmax + 2
-    if n_nodes is None:
-        n_nodes = min_nodes
-    if 2 * n_nodes - 1 < 2 * nmax + 1:
-        raise QuadratureOrderError(
-            "rule with %d nodes cannot integrate degree %d exactly"
-            % (n_nodes, 2 * nmax + 1))
-    rule = oracle.gauss_rule(_pair_weight(spec, cmap, extra), n_nodes)
+    rule = oracle.gauss_rule(_pair_weight(spec, cmap, extra), nmax + 2)
     vals = scaled_polynomials(spec, nmax, rule.nodes)
     weighted = vals * rule.weights[None, :]
     return weighted @ vals.T

@@ -19,7 +19,6 @@ __all__ = [
     "AccuracyError",
     "UnsupportedStructureError",
     "EvaluationOverflowError",
-    "QuadratureOrderError",
 ]
 
 
@@ -65,10 +64,6 @@ class UnsupportedStructureError(TriwaveError, ValueError):
 
 class EvaluationOverflowError(TriwaveError, OverflowError):
     """A value overflowed to a non-finite number in floating point."""
-
-
-class QuadratureOrderError(TriwaveError, ValueError):
-    """The quadrature rule cannot integrate the requested degree exactly."""
 
 
 def require_finite(obj):

@@ -92,8 +92,8 @@ class _Pollaczek(_Model):
         """P_n^mu_p((a+1)/(a-1); -eps/4, eps/4), mu_p = (nu+1)/2."""
         if operators._diagonal_limit(self.a - 1.0):
             return None
-        return _pollaczek_route(0.5 * (self.nu + 1.0), -epsilon / 4.0, epsilon / 4.0,
-                                (self.a + 1.0) / (self.a - 1.0), N)
+        family = orthopoly.PollaczekFamily(0.5 * (self.nu + 1.0), -epsilon / 4.0, epsilon / 4.0)
+        return orthopoly.sequence(family, N - 1, (self.a + 1.0) / (self.a - 1.0))
 
 
 class _InverseSquare(_Model):
@@ -236,6 +236,14 @@ class GeneralizedMorse(_Model):
         require_finite(self)
         if not self.mu_scale > 0.0:
             raise ParameterDomainError("mu_scale must be positive")
+        try:
+            b = self.b
+        except (OverflowError, ZeroDivisionError):  # mu_scale ** 2 leaves the float range
+            b = math.inf
+        if not (math.isfinite(self.a) and math.isfinite(b)):
+            raise ParameterDomainError(
+                "mu_scale = %g leaves a = A/mu_scale or b = B/mu_scale^2 outside the "
+                "float range" % self.mu_scale)
 
     @property
     def a(self):
@@ -279,8 +287,9 @@ class GeneralizedMorse(_Model):
             raise DomainError("Morse expansion needs epsilon < 0")
         if operators._diagonal_limit(self.b - 0.25):
             return None
-        return _pollaczek_route(0.5 * (2.0 * math.sqrt(-epsilon) + 1.0), self.a, -self.a,
-                                (self.b + 0.25) / (self.b - 0.25), N)
+        family = orthopoly.PollaczekFamily(0.5 * (2.0 * math.sqrt(-epsilon) + 1.0),
+                                           self.a, -self.a)
+        return orthopoly.sequence(family, N - 1, (self.b + 0.25) / (self.b - 0.25))
 
     def oracle_grid(self, n_levels):
         # bound levels need B > 0, so the well's bottom exists
@@ -482,18 +491,6 @@ def closed_form_coefficients(model, epsilon, N):
     (diagonal limits, the Rosen-Morse recursion, dual-Hahn parameters
     outside their domain)."""
     return model.closed_form(float(epsilon), N)
-
-
-def _pollaczek_route(mu_p, p, q, ratio, N):
-    """P_0..P_{N-1} of P_n^mu_p(ratio; p, q): the trigonometric family for
-    |ratio| <= 1, the hyperbolic one for ratio > 1, and for ratio < -1 the
-    mirror (-1)^n P_n^mu_p(-ratio; p, -q), which is exact because every
-    recurrence step of the reflection P_n(-x; p, -q) = (-1)^n P_n(x; p, q)
-    only flips signs."""
-    if ratio < -1.0:
-        return (-1.0) ** np.arange(N) * _pollaczek_route(mu_p, p, -q, -ratio, N)
-    variant = "hyperbolic" if ratio > 1.0 else "trigonometric"
-    return orthopoly.sequence(orthopoly.PollaczekFamily(mu_p, p, q, variant), N - 1, ratio)
 
 
 # ---------------------------------------------------------------------------

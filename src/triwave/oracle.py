@@ -46,6 +46,7 @@ import numpy as np
 from .exceptions import (
     AccuracyError,
     DomainError,
+    EvaluationOverflowError,
     ParameterDomainError,
     require_integer,
 )
@@ -685,6 +686,17 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
+def _zeroth_moment(weight_id, log_m0):
+    """e^log_m0, the weight's total mass; EvaluationOverflowError naming the
+    weight when it leaves the float range."""
+    try:
+        return math.exp(log_m0)
+    except OverflowError:
+        raise EvaluationOverflowError(
+            "the zeroth moment of weight %r, e^%.6g, overflows the float range"
+            % (weight_id, log_m0)) from None
+
+
 def _monic_coefficients(weight_id, n):
     """(alpha_k, beta_k, moment0) of the monic recurrence
     p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1} for the classical weights."""
@@ -696,7 +708,7 @@ def _monic_coefficients(weight_id, n):
         ks = np.arange(n, dtype=float)
         alpha = 2.0 * ks + nu + 1.0
         beta = ks * (ks + nu)
-        m0 = math.exp(math.lgamma(nu + 1.0))
+        m0 = _zeroth_moment(weight_id, math.lgamma(nu + 1.0))
         return alpha, beta, m0
     if kind == "jacobi":
         a, b = weight_id[1], weight_id[2]  # weight (1-x)^a (1+x)^b
@@ -713,8 +725,8 @@ def _monic_coefficients(weight_id, n):
         beta[1:2] = 4.0 * (1.0 + a) * (1.0 + b) / ((s + 2.0) ** 2 * (s + 3.0))
         k, t = k[2:], t[2:]
         beta[2:] = 4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t + 1.0) * (t - 1.0))
-        m0 = math.exp((s + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
-                      + math.lgamma(b + 1.0) - math.lgamma(s + 2.0))
+        m0 = _zeroth_moment(weight_id, (s + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                            + math.lgamma(b + 1.0) - math.lgamma(s + 2.0))
         return alpha, beta, m0
     raise ParameterDomainError("unknown weight id %r" % (weight_id,))
 

@@ -4,11 +4,13 @@ Every family is one three-term recurrence p_{n+1} = (a_n x + b_n) p_n -
 c_n p_{n-1}, p_0 = 1 (DLMF 18.9.1): each family only supplies its coefficient
 arrays, and one kernel steps them upward, which is stable at fixed argument in
 the parameter regimes used by the solvable models.  `sequence` and `evaluate`
-run that kernel for any family; laguerre_sequence, jacobi_sequence and
-pollaczek_sequence are further names of sequence, kept for the benchmark.  The
-terminating hypergeometric closed forms are kept as independent cross-checks,
-never as primary evaluators.  Weight densities and the squared modulus of the
-complex gamma function are provided for orthogonality verification.
+run that kernel for any family, at any real x; laguerre_sequence,
+jacobi_sequence and pollaczek_sequence are further names of sequence, kept for
+the benchmark.  The terminating hypergeometric closed forms are kept as
+independent cross-checks, never as primary evaluators.  Weight densities and
+the squared modulus of the complex gamma function are provided for
+orthogonality verification.  The Pollaczek closed form and weight take their
+form from x: trigonometric for |x| < 1, hyperbolic for x > 1.
 """
 
 from __future__ import annotations
@@ -84,25 +86,22 @@ class JacobiFamily:
 class PollaczekFamily:
     """Pollaczek polynomials P_n^mu(x; a, b).
 
-    The trigonometric variant lives on x = cos(theta) in [-1, 1]; the
-    hyperbolic variant is obtained by theta -> i*theta and lives on
-    x = cosh(theta) >= 1.  The recurrence is well defined for any real
-    (a, b) with mu > 0; the classical positivity condition a >= |b| is
-    required only where the trigonometric orthogonality weight is used,
-    and is enforced there rather than at construction.
+    The recurrence defines them at every real x, for any real (a, b) with
+    mu > 0.  Only the closed form and the weight change form with x: the
+    trigonometric form on x = cos(theta) in (-1, 1), and the hyperbolic one,
+    theta -> i*theta, on x = cosh(theta) > 1.  The classical positivity
+    condition a >= |b| is required only where the trigonometric weight is
+    used, and is enforced there rather than at construction.
     """
 
     mu: float
     a: float
     b: float
-    variant: str = "trigonometric"  # or "hyperbolic"
 
     def __post_init__(self):
         require_finite(self)
         if not self.mu > 0.0:
             raise ParameterDomainError("Pollaczek family requires mu > 0, got mu=%g" % self.mu)
-        if self.variant not in ("trigonometric", "hyperbolic"):
-            raise ParameterDomainError("unknown Pollaczek variant %r" % self.variant)
 
     @property
     def orthogonality_valid(self):
@@ -244,24 +243,12 @@ def _recurrence(family, nmax):
     return abc.tolist()
 
 
-def _pollaczek_domain_check(family: PollaczekFamily, x):
-    x = np.asarray(x, dtype=float)
-    if family.variant == "trigonometric":
-        if np.any((x < -1.0) | (x > 1.0)):
-            raise DomainError("trigonometric Pollaczek argument must lie in [-1, 1]")
-    else:
-        if np.any(x < 1.0):
-            raise DomainError("hyperbolic Pollaczek argument must satisfy x >= 1")
-
-
 def _rows(family, nmax: int, x, rows):
     """Step p_0 .. p_nmax of the family at the float array x through its
     recurrence, writing p_n into row n of rows and yielding that row, always
     an array view (also for a 0-d x).  rows is the (nmax+1,) + x.shape table,
     or a ring of 3 rows (row n % 3) for a caller that keeps only the latest
     two; a yielded row stays valid for two more steps."""
-    if isinstance(family, PollaczekFamily):
-        _pollaczek_domain_check(family, x)
     a, b, c = _recurrence(family, nmax)
     p = rows[0, ...]
     p[...] = 1.0
@@ -310,25 +297,28 @@ laguerre_sequence = jacobi_sequence = pollaczek_sequence = sequence
 def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
     """Terminating-hypergeometric cross-check value for P_n (scalar x only).
 
-    Both variants are n+1-term sums chosen per variant for conditioning and
-    summed by math.fsum.  Trigonometric: the conjugate-factor expansion
+    The form follows x, each an n+1-term sum chosen for conditioning and
+    summed by math.fsum; x = +-1 is singular for both, and no form is kept
+    for x < -1.  Trigonometric, |x| < 1: the conjugate-factor expansion
     P_n = sum_k (mu-iy)_k (mu+iy)_{n-k} e^{i(2k-n)theta} / (k! (n-k)!), the
     coefficient form of e^{in theta} 2F1(-n, mu+iy; 2mu; 1-e^{-2i theta}) with
     y = (b + a x)/sin(theta); its imaginary part cancels pairwise.
-    Hyperbolic: the Pfaff-transformed real sum with argument 1 - e^{-2 theta},
-    which avoids the exponentially growing alternating terms of the direct
-    argument 1 - e^{2 theta}.
+    Hyperbolic, x > 1: the Pfaff-transformed real sum with argument
+    1 - e^{-2 theta}, which avoids the exponentially growing alternating terms
+    of the direct argument 1 - e^{2 theta}.
     """
     n = require_degree("n", n)
     x = float(x)
-    _pollaczek_domain_check(family, x)
+    if x < -1.0:
+        raise DomainError("Pollaczek closed form needs x >= -1; below, use "
+                          "P_n(-x; a, -b) = (-1)^n P_n(x; a, b)")
     mu, a, b = family.mu, family.a, family.b
     if n == 0:
         return 1.0
-    if family.variant == "trigonometric":
-        if abs(x) == 1.0:
-            raise SingularParameterError(
-                "closed form undefined at x=+-1 (sin(theta)=0, y diverges)")
+    if abs(x) == 1.0:
+        raise SingularParameterError(
+            "closed form undefined at x=+-1 (sin(theta)=0, y diverges)")
+    if x < 1.0:
         theta = math.acos(x)
         y = (b + a * x) / math.sin(theta)
         poch = [complex(1.0)]
@@ -342,9 +332,6 @@ def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
     # and its Pfaff transform (argument 1 - e^{-2 theta}, coefficient mu-z)
     # are evaluated together and the better-conditioned one wins; each is
     # sign-definite on one half of the z axis, so the pair covers everything.
-    if x == 1.0:
-        raise SingularParameterError(
-            "closed form undefined at x=1 (sinh(theta)=0, z diverges)")
     pref = math.prod((2.0 * mu + j) / (1.0 + j) for j in range(n))  # (2mu)_n / n!
     theta = math.acosh(x)
     z = (b + a * x) / math.sinh(theta)
@@ -392,16 +379,17 @@ def weight_eval(family, x):
     """Orthogonality weight density of the family at x (scalar or array).
 
     Laguerre: x^nu e^{-x} on (0, inf); Jacobi: (1-x)^mu (1+x)^nu on (-1, 1);
-    trigonometric Pollaczek: (1/pi)(2 sin theta)^{2mu-1} e^{(2theta-pi) y}
+    Pollaczek on (-1, 1): (1/pi)(2 sin theta)^{2mu-1} e^{(2theta-pi) y}
     |Gamma(mu+iy)|^2 with y = (b + a x)/sin theta; continuous dual Hahn:
     (1/2pi) |Gamma(mu+ix)Gamma(a+ix)Gamma(b+ix) / (Gamma(mu+a)Gamma(mu+b)
     Gamma(2ix))|^2 on (0, inf).
 
-    The hyperbolic Pollaczek density carries the complex factor
-    (2i sinh theta)^{2mu-1} e^{-i pi z}; its phase is +-1 only where
-    mu - 1/2 - z is an integer, and the value is returned just there
-    (signed); elsewhere a ComplexWeightError is raised.  See the README
-    for why this measure is not used in the orthogonality suite.
+    For x > 1 the Pollaczek density is the hyperbolic one, which carries
+    the complex factor (2i sinh theta)^{2mu-1} e^{-i pi z}; its phase is +-1
+    only where mu - 1/2 - z is an integer, and the value is returned just
+    there (signed); elsewhere a ComplexWeightError is raised.  See the
+    README for why this measure is not used in the orthogonality suite.  A
+    Pollaczek x array must lie wholly in (-1, 1) or wholly above 1.
     """
     if isinstance(family, LaguerreFamily):
         x = np.asarray(x, dtype=float)
@@ -427,12 +415,10 @@ def weight_eval(family, x):
 def _pollaczek_weight(family: PollaczekFamily, x):
     mu, a, b = family.mu, family.a, family.b
     x_arr = np.asarray(x, dtype=float)
-    if family.variant == "trigonometric":
+    if np.all(np.abs(x_arr) < 1.0):
         if not family.orthogonality_valid:
             raise ParameterDomainError(
                 "trigonometric Pollaczek weight needs a >= |b| for a positive measure")
-        if np.any(np.abs(x_arr) >= 1.0):
-            raise SingularParameterError("Pollaczek weight is singular at x = +-1")
         theta = np.arccos(x_arr)
         sin_t = np.sin(theta)
         y = (b + a * x_arr) / sin_t
@@ -441,9 +427,11 @@ def _pollaczek_weight(family: PollaczekFamily, x):
                 + log_gamma_abs_squared(mu, y) - math.log(math.pi))
         val = np.exp(logw)
         return val if val.ndim else float(val)
-    # hyperbolic variant: phase e^{i pi (mu - 1/2 - z)} must be +-1
-    if np.any(x_arr <= 1.0):
-        raise SingularParameterError("hyperbolic Pollaczek weight needs x > 1")
+    # hyperbolic form: phase e^{i pi (mu - 1/2 - z)} must be +-1
+    if not np.all(x_arr > 1.0):
+        raise SingularParameterError(
+            "Pollaczek weight is singular at x = +-1 and takes one form per call: "
+            "every x in (-1, 1) or every x > 1")
     theta = np.arccosh(x_arr)
     z = (b + a * x_arr) / np.sinh(theta)
     phase_arg = mu - 0.5 - z

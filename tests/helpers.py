@@ -42,7 +42,7 @@ def jacobi_series(mu, nu, n, x):
 
 
 def pollaczek_hyperbolic_series(mu, a, b, n, x):
-    """Direct terminating-sum definition of the hyperbolic variant
+    """Direct terminating-sum definition of the hyperbolic form, x > 1
     (prefactor * e^{-n theta} 2F1(-n, mu+z; 2mu; 1-e^{2 theta}))."""
     theta = math.acosh(x)
     z = (b + a * x) / math.sinh(theta)

@@ -9,7 +9,6 @@ from triwave.exceptions import (
     DomainError,
     EvaluationOverflowError,
     ParameterDomainError,
-    QuadratureOrderError,
     TriwaveError,
 )
 
@@ -136,12 +135,6 @@ def test_overlap_rejects_divergent_weight():
     spec = bs.morse_basis(0.0)
     with pytest.raises(DomainError):
         bs.overlap_matrix(spec, bs.morse_map(2.0), 0)
-
-
-def test_overlap_quadrature_order_flag():
-    spec = bs.oscillator_pollaczek_basis(1.0)
-    with pytest.raises(QuadratureOrderError):
-        bs.overlap_matrix(spec, bs.oscillator_map(), 8, n_nodes=4)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,27 @@ def test_spectrum_non_finite_parameters_exit_1(capsys, flags):
     assert "Traceback" not in err
 
 
+_MORSE = ("--model", "morse", "--A", "-6", "--B", "1")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("spectrum",) + _MORSE + ("--mu-scale", "1e300"), "mu_scale = 1e+300"),
+    (("wavefunction",) + _MORSE + ("--mu-scale", "1e-300", "--epsilon", "-1"),
+     "mu_scale = 1e-300"),
+    (("jmatrix",) + _MORSE + ("--mu-scale", "2", "--epsilon", "-8000", "--numeric"),
+     "weight ('laguerre', 176.885"),
+    (("jmatrix", "--model", "ho", "--epsilon", "1", "--numeric", "--perturb-alpha", "100"),
+     "weight ('laguerre', 198.5)"),
+], ids=["morse-mu-scale-huge", "morse-mu-scale-tiny", "morse-numeric-moment",
+        "ho-numeric-moment"])
+def test_float_range_refusals_exit_1(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("wavefunction", "--model", "ho", "--epsilon", "nan"), "--epsilon = nan"),
     (("spectrum", "--model", "ho", "--levels", "2", "--verify", "--tol", "nan"),

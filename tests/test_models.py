@@ -440,28 +440,25 @@ def test_recursion_closed_form_identity_random(rng):
         assert helpers.relative_deviation(d, cf) < 1e-9
 
 
-def _pollaczek_branch(mu_p, p, q, x, N, variant, mirrored):
-    seq = orthopoly.sequence(orthopoly.PollaczekFamily(mu_p, p, q, variant), N - 1, x)
+def _pollaczek_branch(mu_p, p, q, x, N, mirrored):
+    seq = orthopoly.sequence(orthopoly.PollaczekFamily(mu_p, p, q), N - 1, x)
     return (-1.0) ** np.arange(N) * seq if mirrored else seq
 
 
 def test_closed_form_coefficients_match_the_per_branch_families():
-    # one family per coupling range, each written out: ratio > 1 hyperbolic,
-    # ratio < -1 the sign-flipped hyperbolic mirror at -ratio, trigonometric
-    # in between; ratio -1 (a = +-0, Morse b = +-0) took the mirror at 1
+    # one reference per coupling range, each written out: the family at the
+    # ratio itself above 1 and inside (-1, 1), and for ratios at or below -1 the
+    # sign-flipped reflection at -ratio (a = +-0 and Morse b = +-0 give -1)
     N, eps = 200, 2.3
     with np.errstate(over="ignore", invalid="ignore"):
         for a in (0.0, -0.0, 0.5, 0.999999, 1.000001, 2.0, -3.0, -0.5, 1e17, -1e17):
             mu_p = 0.25
             if a > 1.0:
-                want = _pollaczek_branch(mu_p, -eps / 4, eps / 4, (a + 1) / (a - 1), N,
-                                         "hyperbolic", False)
+                want = _pollaczek_branch(mu_p, -eps / 4, eps / 4, (a + 1) / (a - 1), N, False)
             elif a < 0.0:
-                want = _pollaczek_branch(mu_p, -eps / 4, eps / 4, (a + 1) / (a - 1), N,
-                                         "trigonometric", False)
+                want = _pollaczek_branch(mu_p, -eps / 4, eps / 4, (a + 1) / (a - 1), N, False)
             else:
-                want = _pollaczek_branch(mu_p, -eps / 4, -eps / 4, (1 + a) / (1 - a), N,
-                                         "hyperbolic", True)
+                want = _pollaczek_branch(mu_p, -eps / 4, -eps / 4, (1 + a) / (1 - a), N, True)
             got = md.closed_form_coefficients(md.HarmonicOscillator(a=a), eps, N)
             assert np.array_equal(got, want, equal_nan=True), a
         eps = -2.25
@@ -470,14 +467,11 @@ def test_closed_form_coefficients_match_the_per_branch_families():
             model = md.GeneralizedMorse(A=-3.0, B=b, mu_scale=1.0)
             a = model.a
             if b < 0.0:
-                want = _pollaczek_branch(mu_p, a, -a, (b + 0.25) / (b - 0.25), N,
-                                         "trigonometric", False)
+                want = _pollaczek_branch(mu_p, a, -a, (b + 0.25) / (b - 0.25), N, False)
             elif b > 0.25:
-                want = _pollaczek_branch(mu_p, a, -a, (b + 0.25) / (b - 0.25), N,
-                                         "hyperbolic", False)
+                want = _pollaczek_branch(mu_p, a, -a, (b + 0.25) / (b - 0.25), N, False)
             else:
-                want = _pollaczek_branch(mu_p, a, a, (0.25 + b) / (0.25 - b), N,
-                                         "hyperbolic", True)
+                want = _pollaczek_branch(mu_p, a, a, (0.25 + b) / (0.25 - b), N, True)
             got = md.closed_form_coefficients(model, eps, N)
             assert np.array_equal(got, want, equal_nan=True), b
 

@@ -171,8 +171,7 @@ def test_solve_recursion_matches_pollaczek():
     nu, a, eps = 0.5, 3.0, 1.7
     rc = op.build_oscillator_pollaczek(nu, a)
     series = op.solve_recursion(rc, eps, 21)
-    fam = orthopoly.PollaczekFamily(0.5 * (nu + 1.0), -eps / 4.0, eps / 4.0,
-                                    "hyperbolic")
+    fam = orthopoly.PollaczekFamily(0.5 * (nu + 1.0), -eps / 4.0, eps / 4.0)
     x = (a + 1.0) / (a - 1.0)
     want = orthopoly.sequence(fam, 20, x)
     np.testing.assert_allclose(series.d, want, rtol=1e-12)

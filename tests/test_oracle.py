@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -13,7 +14,12 @@ import helpers
 from triwave import models as md
 from triwave import oracle as oc
 from triwave import orthopoly
-from triwave.exceptions import AccuracyError, DomainError, ParameterDomainError
+from triwave.exceptions import (
+    AccuracyError,
+    DomainError,
+    EvaluationOverflowError,
+    ParameterDomainError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1095,6 +1101,15 @@ def test_jacobi_coefficients_match_loop(rng):
 def test_gauss_rule_rejects_non_finite_exponent(weight_id):
     with pytest.raises(ParameterDomainError, match="exponent"):
         oc.gauss_rule(weight_id, 4)
+
+
+@pytest.mark.parametrize("weight_id", [("laguerre", 171.0), ("jacobi", 1100.0, 0.0)])
+def test_gauss_rule_zeroth_moment_overflow_is_named(weight_id):
+    # Gamma(172) and 2^1101 / 1101 pass the float range; the rule one step
+    # inside it is still built
+    with pytest.raises(EvaluationOverflowError, match=re.escape("weight %r" % (weight_id,))):
+        oc.gauss_rule(weight_id, 4)
+    assert np.isfinite(oc.gauss_rule(("laguerre", 170.0), 4).weights).all()
 
 
 @pytest.mark.parametrize("call, name", [

@@ -78,7 +78,7 @@ def test_pollaczek_point_values():
 
 
 def test_pollaczek_hyperbolic_series_value():
-    fam = op.PollaczekFamily(0.75, -0.5, 0.5, "hyperbolic")
+    fam = op.PollaczekFamily(0.75, -0.5, 0.5)
     want = helpers.pollaczek_hyperbolic_series(0.75, -0.5, 0.5, 3, 1.3)
     assert op.evaluate(fam, 3, 1.3) == pytest.approx(want, rel=1e-12)
 
@@ -123,7 +123,7 @@ def test_pollaczek_closed_form_hyperbolic(rng):
         a = rng.uniform(-2.0, 2.0)
         b = rng.uniform(-2.0, 2.0)
         x = rng.uniform(1.001, 3.5)
-        fam = op.PollaczekFamily(mu, a, b, "hyperbolic")
+        fam = op.PollaczekFamily(mu, a, b)
         evals = np.array([op.evaluate(fam, n, x) for n in range(21)])
         closed = np.array([op.pollaczek_closed_form(fam, n, x) for n in range(21)])
         assert helpers.local_relative_deviation(closed, evals) < 1e-9
@@ -131,8 +131,9 @@ def test_pollaczek_closed_form_hyperbolic(rng):
 
 def test_pollaczek_closed_form_singular_endpoint():
     fam = op.PollaczekFamily(1.0, 1.0, 0.0)
-    with pytest.raises(SingularParameterError):
-        op.pollaczek_closed_form(fam, 2, 1.0)
+    for x in (1.0, -1.0):
+        with pytest.raises(SingularParameterError):
+            op.pollaczek_closed_form(fam, 2, x)
     # the recurrence itself is fine at the endpoints
     assert np.isfinite(op.evaluate(fam, 5, 1.0))
     assert np.isfinite(op.evaluate(fam, 5, -1.0))
@@ -140,26 +141,29 @@ def test_pollaczek_closed_form_singular_endpoint():
 
 def test_pollaczek_reflection_is_exact(rng):
     # P_n(-x; a, -b) = (-1)^n P_n(x; a, b) bit for bit: every recurrence step
-    # only flips signs, and the variant changes only the admitted x.  The
-    # closed-form coefficient route of models relies on this at ratio -1.
+    # only flips signs.  The closed-form coefficients of models evaluate the
+    # family at ratios below -1 directly, and so equal the reflection there.
     nmax = 200
     signs = (-1.0) ** np.arange(nmax + 1)[:, None]
 
-    def check(mu, a, b, x, left, right):
-        lhs = op.sequence(op.PollaczekFamily(mu, a, -b, left), nmax, -x)
-        rhs = op.sequence(op.PollaczekFamily(mu, a, b, right), nmax, x)
+    def check(mu, a, b, x):
+        lhs = op.sequence(op.PollaczekFamily(mu, a, -b), nmax, -x)
+        rhs = op.sequence(op.PollaczekFamily(mu, a, b), nmax, x)
         assert np.array_equal(lhs, signs * rhs, equal_nan=True)
 
     one = np.array([1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         for mu, a, b in [(1.0, 1.0, 0.5), (0.3, -2.0, 0.7), (2.5, 1e17, -1e17)]:
-            check(mu, a, b, one, "trigonometric", "trigonometric")
-            check(mu, a, b, one, "trigonometric", "hyperbolic")
-            check(mu, a, b, -one, "hyperbolic", "trigonometric")
+            check(mu, a, b, one)
+            check(mu, a, b, -one)
         for _ in range(50):
             mu = rng.uniform(1e-3, 5.0)
             a, b = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 17.0)
-            check(mu, a, b, rng.uniform(-1.0, 1.0, 16), "trigonometric", "trigonometric")
+            check(mu, a, b, rng.uniform(-1.0, 1.0, 16))
+            # beyond +-1, on both sides, out to the ratios of a coupling near
+            # its diagonal limit
+            outside = 1.0 + 10.0 ** rng.uniform(-9.0, 9.0, 16)
+            check(mu, a, b, outside * rng.choice([-1.0, 1.0], 16))
 
 
 def test_dual_hahn_closed_form(rng):
@@ -214,8 +218,8 @@ def test_recurrence_residuals(rng):
                      -cm * jac[n - 1, j], -cp * jac[n + 1, j])
             assert _residual(terms) < 1e-10
 
-    for variant, xs in (("trigonometric", xs_int), ("hyperbolic", xs_hyp)):
-        fam = op.PollaczekFamily(0.8, 1.5, -0.7, variant)
+    fam = op.PollaczekFamily(0.8, 1.5, -0.7)
+    for xs in (xs_int, xs_hyp):
         seq = op.sequence(fam, 31, xs)
         for n in range(1, 31):
             for j in range(xs.size):
@@ -443,8 +447,11 @@ def test_weight_domain_errors():
         op.weight_eval(op.LaguerreFamily(-0.5), 0.0)
     with pytest.raises(DomainError):
         op.weight_eval(op.JacobiFamily(0.5, 0.5), 1.0)
-    with pytest.raises(SingularParameterError):
-        op.weight_eval(op.PollaczekFamily(1.0, 1.0, 0.0), 1.0)
+    # the Pollaczek weight takes one form per call: x = +-1, x < -1 and an
+    # array spanning (-1, 1) and x > 1 are refused
+    for x in (1.0, -2.0, np.array([0.5, 2.0]), np.array([2.0, -0.5])):
+        with pytest.raises(SingularParameterError, match="every x"):
+            op.weight_eval(op.PollaczekFamily(1.0, 1.0, 0.0), x)
     with pytest.raises(ParameterDomainError):
         # positivity condition a >= |b| enforced on the weight only
         op.weight_eval(op.PollaczekFamily(1.0, 0.5, 2.0), 0.0)
@@ -453,7 +460,7 @@ def test_weight_domain_errors():
 
 def test_hyperbolic_weight_phase_gate():
     # generic parameters leave a complex density
-    fam = op.PollaczekFamily(0.8, 1.0, 0.3, "hyperbolic")
+    fam = op.PollaczekFamily(0.8, 1.0, 0.3)
     with pytest.raises(ComplexWeightError):
         op.weight_eval(fam, 2.0)
     # choosing mu so that mu - 1/2 - z is an integer at this x gives a real
@@ -461,18 +468,18 @@ def test_hyperbolic_weight_phase_gate():
     x = 2.0
     theta = math.acosh(x)
     z = (0.3 + 1.0 * x) / math.sinh(theta)
-    fam = op.PollaczekFamily(z + 0.5, 1.0, 0.3, "hyperbolic")
+    fam = op.PollaczekFamily(z + 0.5, 1.0, 0.3)
     assert np.isfinite(op.weight_eval(fam, x))
 
 
 def test_hyperbolic_weight_gamma_pole_raises():
     # x = 5/4 has sinh(theta) = 3/4 exactly, so mu + z = 0.75 - 1.75 = -1
     # lands on a pole of Gamma while mu - 1/2 - z = 2 keeps the phase real
-    fam = op.PollaczekFamily(0.75, 0.0, -1.75 * 0.75, "hyperbolic")
+    fam = op.PollaczekFamily(0.75, 0.0, -1.75 * 0.75)
     with pytest.raises(SingularParameterError, match="pole at -1"):
         op.weight_eval(fam, 1.25)
     # one real-valued array: a = b = 0 gives z = 0 at every x
-    fam = op.PollaczekFamily(1.5, 0.0, 0.0, "hyperbolic")
+    fam = op.PollaczekFamily(1.5, 0.0, 0.0)
     xs = np.array([[1.5, 2.0], [3.0, 7.0]])
     vals = op.weight_eval(fam, xs)
     assert vals.shape == (2, 2)
@@ -491,8 +498,6 @@ def test_family_validation():
     with pytest.raises(ParameterDomainError):
         op.PollaczekFamily(0.0, 1.0, 0.0)
     with pytest.raises(ParameterDomainError):
-        op.PollaczekFamily(1.0, 1.0, 0.0, "circular")
-    with pytest.raises(ParameterDomainError):
         op.DualHahnFamily(1.0, -0.5, 2.0)
     # complex parameters are refused by name, a conjugate pair included
     for a, b in [(1.0 + 2.0j, 1.0 - 2.0j), (1.0 + 2.0j, 1.0 - 1.9j)]:
@@ -507,7 +512,7 @@ def test_family_validation():
     lambda: op.JacobiFamily(0.5, math.nan),
     lambda: op.PollaczekFamily(math.inf, 1.0, 0.0),
     lambda: op.PollaczekFamily(1.0, math.nan, 0.0),
-    lambda: op.PollaczekFamily(1.0, 1.0, -math.inf, "hyperbolic"),
+    lambda: op.PollaczekFamily(1.0, 1.0, -math.inf),
     lambda: op.DualHahnFamily(1.0, complex(math.inf, 0.0), 1.0),
     lambda: op.DualHahnFamily(1.0, complex(1.0, math.nan), complex(1.0, -2.0)),
     lambda: op.DualHahnFamily(1.0, 1.0, math.inf),
@@ -520,10 +525,9 @@ def test_family_parameters_must_be_finite(make):
 
 
 def test_pollaczek_domain_errors():
-    with pytest.raises(DomainError):
-        op.evaluate(op.PollaczekFamily(1.0, 1.0, 0.0), 3, 1.5)
-    with pytest.raises(DomainError):
-        op.evaluate(op.PollaczekFamily(1.0, 1.0, 0.0, "hyperbolic"), 3, 0.5)
+    # no closed form is kept below -1; the recurrence there is the reflection
+    with pytest.raises(DomainError, match="x >= -1"):
+        op.pollaczek_closed_form(op.PollaczekFamily(1.0, 1.0, 0.0), 3, -1.5)
 
 
 @pytest.mark.parametrize("call", [

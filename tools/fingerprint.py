@@ -31,7 +31,11 @@ The groups:
   seven model settings (both oscillator parities), at h = 1/64 on a double
   well and a triple well whose close levels take the eigenvector fallback
   of a cluster, and on that triple well at h = pi/400, where the fallback
-  takes inverse-iteration steps.
+  takes inverse-iteration steps;
+* closed-forms: models.closed_form_coefficients at N = 200 for HO (both
+  parities), osc-inv-sq and Morse couplings whose Pollaczek ratio lies
+  below -1, at -1, inside (-1, 1) and above 1 (no other group sees this
+  route: the series workload only checks against it).
 
 CLI runs go through perfbench.workloads.call_cli, so a run's exit code,
 stdout and stderr (a traceback included) all enter its hash.
@@ -95,6 +99,19 @@ GRID_MODELS = [
 ]
 
 
+# (triwave.models class, its parameters, epsilon) of the closed-forms group.
+# The oscillator ratio (a+1)/(a-1) and the Morse ratio (b+1/4)/(b-1/4), with
+# b = B/mu_scale^2, each lie inside (-1, 1), at -1, below -1 and above 1.
+_RATIO_A = (-3.0, -0.5, 0.0, 0.5, 0.999, 1.001, 2.0)
+CLOSED_FORM_MODELS = (
+    [("HarmonicOscillator", {"a": a}, 1.3) for a in _RATIO_A]
+    + [("HarmonicOscillator", {"a": a, "parity": "odd"}, 1.3) for a in _RATIO_A]
+    + [("OscillatorInverseSquare", {"a": a, "b": 0.75}, 1.3) for a in _RATIO_A]
+    + [("GeneralizedMorse", {"A": -6.0, "B": 4.0 * b, "mu_scale": 2.0}, -0.36)
+       for b in (-1.0, 0.0, 0.1, 0.2499, 0.2501, 0.5)])
+CLOSED_FORM_N = 200
+
+
 def _double_well(x):
     return (x * x - 3.07 ** 2) ** 2 / 4.0
 
@@ -129,6 +146,22 @@ def _grid_runs(workloads):
     return runs
 
 
+def _closed_form_runs(workloads):
+    """[(label, thunk giving the closed-form coefficients, or the exception
+    they raised)]."""
+    from triwave import models
+
+    def run(name, params, eps):
+        def coefficients():
+            with np.errstate(over="ignore", invalid="ignore"):
+                model = getattr(models, name)(**params)
+                return models.closed_form_coefficients(model, eps, CLOSED_FORM_N)
+        return workloads._returning_exceptions(coefficients)
+
+    return [("%s %s eps=%g" % (name, json.dumps(params, sort_keys=True), eps),
+             run(name, params, eps)) for name, params, eps in CLOSED_FORM_MODELS]
+
+
 def _groups(workloads):
     """{group: [(label, thunk giving the run's output)]}."""
     def op_runs(name):
@@ -156,7 +189,8 @@ def _groups(workloads):
     groups.update({"verify": verify, "jmatrix": jmatrix,
                    "spectrum": spectrum(SPECTRUM_MODELS),
                    "spectrum-grid-fixes": spectrum(GRID_FIX_MODELS),
-                   "grid-vectors": _grid_runs(workloads)})
+                   "grid-vectors": _grid_runs(workloads),
+                   "closed-forms": _closed_form_runs(workloads)})
     return groups
 
 
