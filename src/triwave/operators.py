@@ -27,6 +27,7 @@ from . import basis as basis_mod
 from . import oracle
 from .basis import BasisSpec, CoordinateMap
 from .exceptions import (
+    EvaluationOverflowError,
     ParameterDomainError,
     RecursionBreakdownError,
     SingularParameterError,
@@ -286,20 +287,26 @@ def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
     block.  Basis derivatives come from the polynomial differential
     equations, never from finite differences, and the envelope factors are
     cancelled against the quadrature weight analytically so no exp(+y)
-    ratios are formed.  For the constrained exponent choices the integrand
-    is weight * polynomial and the result is exact to roundoff; for
-    perturbed exponents (negative controls) the rule still converges well
-    enough to expose the broken structure.  n_nodes defaults to
-    max(64, size + 2); fewer than size + 2 nodes cannot integrate the top
-    entry exactly.  The weight is basis._pair_weight(spec, cmap), which
-    raises DomainError where the measure's integral diverges.  The potential
-    comes from model.jmatrix_potential() as (map kind, c1, c2):
+    ratios are formed.  For the constrained exponent choices every entry is
+    the rule weight times a polynomial of degree at most 2 size + 1 (the
+    action on phi_n has degree n + 2 at most, and on the laguerre maps one
+    factor y moves from the rule weight into the integrand), so the default
+    n_nodes = size + 2, exact through degree 2 size + 3, gives the block to
+    roundoff; fewer nodes cannot integrate the top entry exactly and raise.
+    Perturbed exponents (negative controls) keep that form, except on the
+    oscillator map where the pair weight's exponent is at most 0: no factor
+    y can leave the rule weight there, the 1/y pieces stay, and n_nodes
+    remains for such integrands that are no polynomial.  The weight is
+    basis._pair_weight(spec, cmap), which raises DomainError where the
+    measure's integral diverges; EvaluationOverflowError, naming the first
+    such (m, n) and that weight, where an entry leaves the float range.
+    The potential comes from model.jmatrix_potential() as (map kind, c1, c2):
     U = c1 y + c2 / y (oscillator), c1 y + c2 y^2 (morse) or
     c1 (1 - y) + c2 (1 - y^2) (rosen_morse); UnsupportedStructureError where
     that kind is not cmap's.
     """
     if n_nodes is None:
-        n_nodes = max(64, size + 2)
+        n_nodes = size + 2
     if n_nodes < size + 2:
         raise ParameterDomainError("n_nodes too small for these indices")
     weight = basis_mod._pair_weight(spec, cmap)
@@ -308,7 +315,15 @@ def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
         raise UnsupportedStructureError("model does not map to the %s form" % cmap.kind)
     assemble = {"oscillator": _jmatrix_laguerre_oscillator, "morse": _jmatrix_laguerre_morse,
                 "rosen_morse": _jmatrix_jacobi}[kind]
-    return assemble(spec, weight, c1, c2, float(epsilon), size, n_nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = assemble(spec, weight, c1, c2, float(epsilon), size, n_nodes)
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        raise EvaluationOverflowError(
+            "J-matrix entry (m, n) = (%d, %d) over weight %r is not finite (the "
+            "rule weights or basis values overflow the float range)"
+            % (bad[0][0], bad[0][1], weight))
+    return block
 
 
 def _lowered(spec, vals):

@@ -743,31 +743,37 @@ def _gauss_rule_cached(weight_id, n):
     # each node a few eps |T| off.  det(x - J_n) is proportional to p_n, so
     # one more step, unscaled, gives t ~ p_n and dt ~ p'_n, and the Newton
     # step -t / dt brings each node within a fraction of eps |T|; K + step K'
-    # is K at the refined node to first order.  The p_k overflow at the
-    # outer nodes of large rules, so p and p' are rescaled by 1/s and K, K'
-    # by 1/s^2 whenever s = max|p| passes 1e100, and log s is carried apart.
-    p_prev, p = np.zeros(n), np.ones(n)
-    dp_prev, dp = np.zeros(n), np.zeros(n)
-    total, slope = np.ones(n), np.zeros(n)
+    # is K at the refined node to first order.
+    # The rows (p_k, p'_k) step as one (2, n) array, and (K, K'/2) accumulate
+    # as one from p_k (p_k, p'_k); K' = 2 (K'/2) is formed once at the end,
+    # exact in binary.  The p_k overflow at the outer nodes of large rules,
+    # so both rows are rescaled by 1/s and the sums by 1/s^2 wherever
+    # s = |p_k| passes 1e100, and log s is carried apart.  |p_k| alone
+    # decides: p_{k-1} passed the same test a step earlier, so it is at most
+    # 1e100 and max(|p_k|, |p_{k-1}|) exceeds 1e100 exactly where |p_k| does.
+    prev, cur = np.zeros((2, n)), np.zeros((2, n))
+    cur[0] = 1.0
+    sums = np.zeros((2, n))
+    sums[0] = 1.0
     log_scale = np.zeros(n)
     for k in range(n):
-        t = (x - alpha[k]) * p - root_beta[k] * p_prev
-        dt = (x - alpha[k]) * dp + p - root_beta[k] * dp_prev
+        nxt = (x - alpha[k]) * cur
+        nxt[1] += cur[0]
+        nxt -= root_beta[k] * prev
         if k == n - 1:
             break
-        p_prev, p = p, t / root_beta[k + 1]
-        dp_prev, dp = dp, dt / root_beta[k + 1]
-        total += p * p
-        slope += 2.0 * p * dp
-        s = np.maximum(np.abs(p), np.abs(p_prev))
+        prev, cur = cur, nxt / root_beta[k + 1]
+        sums += cur[0] * cur
+        s = np.abs(cur[0])
         big = s > 1e100
         if big.any():
             s = np.where(big, s, 1.0)
-            p, p_prev, dp, dp_prev = p / s, p_prev / s, dp / s, dp_prev / s
-            total, slope = total / (s * s), slope / (s * s)
+            cur, prev = cur / s, prev / s
+            sums = sums / (s * s)
             log_scale += 2.0 * np.log(s)
+    t, dt = nxt
     step = -t / dt
-    weights = m0 / (total + step * slope) * np.exp(-log_scale)
+    weights = m0 / (sums[0] + step * (2.0 * sums[1])) * np.exp(-log_scale)
     return QuadratureRule(nodes=x + step, weights=weights, weight_id=weight_id)
 
 

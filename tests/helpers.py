@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from triwave import models as md
+from triwave import oracle as oc
 from triwave.exceptions import SingularParameterError
 
 
@@ -135,6 +136,43 @@ def local_relative_deviation(computed, reference):
     local[1:] = np.maximum(local[1:], mags[:-1])
     local = np.maximum(local, 1e-300)
     return float(np.max(np.abs(computed - reference) / local))
+
+
+def gauss_rule_reference(weight_id, n):
+    """(nodes, weights, rescaled) of the n-node Gauss rule for weight_id,
+    from the same eigenvalues and the same Christoffel recurrence as
+    oracle.gauss_rule, stepped one array at a time: p_k, p'_k, their
+    predecessors, K = sum p_k^2 and K' = sum 2 p_k p'_k each on its own, and
+    the overflow test reading max(|p_k|, |p_{k-1}|).  rescaled is True where
+    that test fired.  The bit-for-bit reference of the rule's stacked pass."""
+    alpha, beta, m0 = oc._monic_coefficients(weight_id, n)
+    root_beta = np.sqrt(beta)
+    x = oc.tridiagonal_eigenvalues(alpha, root_beta[1:])
+    p_prev, p = np.zeros(n), np.ones(n)
+    dp_prev, dp = np.zeros(n), np.zeros(n)
+    total, slope = np.ones(n), np.zeros(n)
+    log_scale = np.zeros(n)
+    rescaled = False
+    for k in range(n):
+        t = (x - alpha[k]) * p - root_beta[k] * p_prev
+        dt = (x - alpha[k]) * dp + p - root_beta[k] * dp_prev
+        if k == n - 1:
+            break
+        p_prev, p = p, t / root_beta[k + 1]
+        dp_prev, dp = dp, dt / root_beta[k + 1]
+        total += p * p
+        slope += 2.0 * p * dp
+        s = np.maximum(np.abs(p), np.abs(p_prev))
+        big = s > 1e100
+        if big.any():
+            rescaled = True
+            s = np.where(big, s, 1.0)
+            p, p_prev, dp, dp_prev = p / s, p_prev / s, dp / s, dp_prev / s
+            total, slope = total / (s * s), slope / (s * s)
+            log_scale += 2.0 * np.log(s)
+    step = -t / dt
+    weights = m0 / (total + step * slope) * np.exp(-log_scale)
+    return x + step, weights, rescaled
 
 
 def ldl_pivots(a, e2, tiny):

@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -83,10 +84,15 @@ _MORSE = ("--model", "morse", "--A", "-6", "--B", "1")
      "weight ('laguerre', 176.885"),
     (("jmatrix", "--model", "ho", "--epsilon", "1", "--numeric", "--perturb-alpha", "100"),
      "weight ('laguerre', 198.5)"),
+    (("jmatrix", "--model", "ho", "--epsilon", "1", "--numeric", "--perturb-alpha", "80"),
+     "(m, n) = (6, 7) over weight ('laguerre', 159.5)"),
 ], ids=["morse-mu-scale-huge", "morse-mu-scale-tiny", "morse-numeric-moment",
-        "ho-numeric-moment"])
+        "ho-numeric-moment", "ho-numeric-entry"])
 def test_float_range_refusals_exit_1(capsys, argv, name):
-    code, out, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert [w.message for w in caught] == []
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and name in err

@@ -428,6 +428,38 @@ def test_numeric_matches_symmetric_coefficients(name, model, eps):
                 rc.jmatrix_scale * off[n], rel=1e-10, abs=1e-10)
 
 
+def _analytic_jmatrix(rc, eps, size):
+    """The size x size J-matrix from the symmetric recursion coefficients."""
+    diag, off = op.symmetric_form(rc, eps, size)
+    J = np.zeros((size, size))
+    idx = np.arange(size)
+    J[idx, idx] = rc.jmatrix_scale * (diag - eps)
+    J[idx[:-1], idx[1:]] = J[idx[1:], idx[:-1]] = rc.jmatrix_scale * off
+    return J
+
+
+@pytest.mark.parametrize("name,model,eps", _CASES, ids=[c[0] for c in _CASES])
+def test_default_jmatrix_rule_is_exact(name, model, eps):
+    # the default size + 2 nodes integrate every entry exactly: 40 more
+    # nodes change the block by roundoff only (8.5e-15 of max|J| at worst),
+    # and at --size 64 the block meets the analytic entries to ~1e-13
+    # (1.1e-13 for rosen-morse, 5.4e-14 at most for the laguerre cases)
+    rc, spec, cmap = md.recursion_for(model, eps)
+    for size in (1, 8, 24, 64):
+        J = op.numeric_jmatrix(model, spec, cmap, eps, size)
+        wide = op.numeric_jmatrix(model, spec, cmap, eps, size, n_nodes=size + 40)
+        assert np.max(np.abs(J - wide)) <= 1e-13 * np.max(np.abs(wide)), size
+    analytic = _analytic_jmatrix(rc, eps, 64)
+    assert np.max(np.abs(J - analytic)) <= 2e-13 * np.max(np.abs(analytic))
+
+
+def test_numeric_jmatrix_needs_size_plus_2_nodes():
+    model = md.RosenMorse(A=1.0, B=-2.0)
+    rc, spec, cmap = md.recursion_for(model, -0.64)
+    with pytest.raises(ParameterDomainError):
+        op.numeric_jmatrix(model, spec, cmap, -0.64, 8, n_nodes=9)
+
+
 _BOUNDED_CASES = [
     # oscillatory-coefficient regimes, so off-band roundoff times the
     # coefficient tail cannot swamp the early rows

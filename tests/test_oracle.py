@@ -1283,6 +1283,24 @@ def test_gauss_rule_exact_for_large_rules(weight_id, n_nodes):
     assert np.max(np.abs(gram - np.eye(n_nodes))) < 1e-10
 
 
+def test_gauss_rule_stacked_pass_keeps_its_bits():
+    # the stacked (p, p') pass gives the nodes and weights of the per-array
+    # loop bit for bit, its rescale branch included (the Laguerre rules
+    # from 128 nodes take it)
+    rescaled = []
+    for weight_id in [("laguerre", -0.5), ("laguerre", 0.0), ("laguerre", 0.7),
+                      ("laguerre", 5.0), ("jacobi", 0.3, 1.2), ("jacobi", -0.5, -0.5)]:
+        for n in (1, 2, 3, 16, 64, 128, 200, 300):
+            oc._gauss_rule_cached.cache_clear()
+            rule = oc.gauss_rule(weight_id, n)
+            nodes, weights, took_rescale = helpers.gauss_rule_reference(weight_id, n)
+            assert np.array_equal(rule.nodes, nodes), (weight_id, n)
+            assert np.array_equal(rule.weights, weights), (weight_id, n)
+            rescaled.append(took_rescale)
+    oc._gauss_rule_cached.cache_clear()
+    assert any(rescaled)
+
+
 def test_gauss_weights_finite_at_400_nodes():
     # the orthonormal values overflow at the outer nodes of this rule
     rule = oc.gauss_rule(("laguerre", 0.0), 400)

@@ -35,7 +35,12 @@ The groups:
 * closed-forms: models.closed_form_coefficients at N = 200 for HO (both
   parities), osc-inv-sq and Morse couplings whose Pollaczek ratio lies
   below -1, at -1, inside (-1, 1) and above 1 (no other group sees this
-  route: the series workload only checks against it).
+  route: the series workload only checks against it);
+* gauss-rules: oracle.gauss_rule's nodes and weights for Laguerre nu in
+  {-0.5, 0, 0.7, 5} and Jacobi (0.3, 1.2), (-0.5, -0.5) at n in {1, 16, 64,
+  128, 200}, each rule built afresh: the rules above 64 nodes, and the
+  rescale branch of the Christoffel pass that the Laguerre ones from 128
+  nodes take, which no other group reaches.
 
 CLI runs go through perfbench.workloads.call_cli, so a run's exit code,
 stdout and stderr (a traceback included) all enter its hash.
@@ -111,6 +116,11 @@ CLOSED_FORM_MODELS = (
        for b in (-1.0, 0.0, 0.1, 0.2499, 0.2501, 0.5)])
 CLOSED_FORM_N = 200
 
+# (weight ids, node counts) of the gauss-rules group.
+GAUSS_WEIGHTS = [("laguerre", -0.5), ("laguerre", 0.0), ("laguerre", 0.7), ("laguerre", 5.0),
+                 ("jacobi", 0.3, 1.2), ("jacobi", -0.5, -0.5)]
+GAUSS_NODES = (1, 16, 64, 128, 200)
+
 
 def _double_well(x):
     return (x * x - 3.07 ** 2) ** 2 / 4.0
@@ -162,6 +172,21 @@ def _closed_form_runs(workloads):
              run(name, params, eps)) for name, params, eps in CLOSED_FORM_MODELS]
 
 
+def _gauss_rule_runs(workloads):
+    """[(label, thunk giving a Gauss rule's nodes and weights in one array,
+    or the exception it raised)]."""
+    from triwave import oracle
+
+    def run(weight_id, n):
+        def rule():
+            r = oracle.gauss_rule(weight_id, n)
+            return np.concatenate([r.nodes, r.weights])
+        return workloads._returning_exceptions(rule)
+
+    return [("%r n=%d" % (weight_id, n), run(weight_id, n))
+            for weight_id in GAUSS_WEIGHTS for n in GAUSS_NODES]
+
+
 def _groups(workloads):
     """{group: [(label, thunk giving the run's output)]}."""
     def op_runs(name):
@@ -190,7 +215,8 @@ def _groups(workloads):
                    "spectrum": spectrum(SPECTRUM_MODELS),
                    "spectrum-grid-fixes": spectrum(GRID_FIX_MODELS),
                    "grid-vectors": _grid_runs(workloads),
-                   "closed-forms": _closed_form_runs(workloads)})
+                   "closed-forms": _closed_form_runs(workloads),
+                   "gauss-rules": _gauss_rule_runs(workloads)})
     return groups
 
 
