@@ -40,9 +40,11 @@ from .models import (
     Level,
     OscillatorInverseSquare,
     RosenMorse,
+    SpectrumCheck,
     SpectrumResult,
     SupercriticalInverseSquare,
     WavefunctionSeries,
+    check_spectrum,
     closed_form_coefficients,
     default_grid,
     morse_bound_count,

@@ -125,22 +125,8 @@ def _build_model(args):
     return md.RosenMorse(A=args.big_a, B=args.big_b)
 
 
-@lru_cache(maxsize=16)
-def _grid_solve_cached(model, x_min, x_max, h, k):
-    return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line,
-                         symmetry=model.symmetry)
-
-
-def _oracle_levels(model, n_levels):
-    """(grid-oracle levels in the model's level order, their GridSolution)."""
-    sol = _grid_solve_cached(model, *md.default_grid(model, n_levels))
-    return sol.eigenvalues[:n_levels], sol
-
-
-def _rel_dev(oracle_vals, epsilons):
-    """|oracle - closed form| / |closed form| per level, as spectrum
-    --verify reports it and the spectrum-oracle suite checks it."""
-    return np.abs(oracle_vals - epsilons) / np.maximum(np.abs(epsilons), 1e-30)
+# no caller: perfbench/workloads.py clears it; it goes with ROADMAP item 1's benchmark change
+_grid_solve_cached = lru_cache(maxsize=16)(oc.grid_solve)
 
 
 # ---------------------------------------------------------------------------
@@ -153,27 +139,27 @@ def cmd_spectrum(args, out):
     if not args.tol > 0.0:
         raise ParameterDomainError("--tol = %r must be positive" % args.tol)
     model = _build_model(args)
-    res = md.spectrum(model, n_levels=args.levels)
     unit = 0.5 if args.hbar_omega else 1.0
-    eps = res.epsilons * unit
     ora = rel = None
+    if args.verify:
+        check = md.check_spectrum(model, args.levels)
+        res, ora, rel = check.result, check.oracle * unit, check.rel_dev
+    else:
+        res = md.spectrum(model, n_levels=args.levels)
     meta = {"notes": res.notes}
-    if args.verify and res.levels:
-        ora, sol = _oracle_levels(model, len(res.levels))
-        ora = ora * unit
-        rel = _rel_dev(ora, eps)
-        meta["oracle"] = {"rows": sol.x.size, "passes": sol.passes}
+    if args.verify and check.rows is not None:
+        meta["oracle"] = {"rows": check.rows, "passes": check.passes}
     levels = res.levels
     _emit(_SPECTRUM_COLUMNS,
-          [[lv.n for lv in levels], eps, [lv.nu for lv in levels], [lv.mu for lv in levels],
-           [lv.epsilon_alt for lv in levels], ora, rel],
+          [[lv.n for lv in levels], res.epsilons * unit, [lv.nu for lv in levels],
+           [lv.mu for lv in levels], [lv.epsilon_alt for lv in levels], ora, rel],
           args, out, extra_meta=meta)
     if res.notes and args.format == "csv":
         for note in res.notes:
             print("# note: %s" % note, file=sys.stderr)
-    if rel is not None and rel.max() > args.tol:
+    if args.verify and check.worst > args.tol:
         print("verification failed: worst relative deviation %.3g > %.3g"
-              % (rel.max(), args.tol), file=sys.stderr)
+              % (check.worst, args.tol), file=sys.stderr)
         return 2
     return 0
 
@@ -328,10 +314,7 @@ def _suite_spectrum_oracle():
         ("morse", md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), 3),
         ("rosen-morse", md.RosenMorse(A=1.0, B=-2.0), 1),
     ]:
-        res = md.spectrum(model, n_levels=n_levels)
-        ora = _oracle_levels(model, len(res.levels))[0]
-        dev = float(np.max(_rel_dev(ora, res.epsilons)))
-        checks.append(("spectrum-oracle/" + name, dev, 1e-3))
+        checks.append(("spectrum-oracle/" + name, md.check_spectrum(model, n_levels).worst, 1e-3))
     return checks
 
 

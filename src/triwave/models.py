@@ -43,9 +43,11 @@ __all__ = [
     "RosenMorse",
     "Level",
     "SpectrumResult",
+    "SpectrumCheck",
     "WavefunctionSeries",
     "potential_eval",
     "spectrum",
+    "check_spectrum",
     "wavefunction",
     "morse_bound_count",
     "morse_alternative_bound_count",
@@ -206,8 +208,9 @@ class SupercriticalInverseSquare(_InverseSquare):
 
     def spectrum(self, n_levels):
         return SpectrumResult(levels=[], notes=[
-            "no diagonalization route exists for supercritical coupling; the "
-            "dual-Hahn expansion covers the continuum representation only"])
+            "no closed-form levels for supercritical coupling: V = x^2 + b/x^2 "
+            "confines, but its levels depend on a self-adjoint extension at x = 0 "
+            "that this model does not fix"])
 
     def recursion(self, epsilon):
         return operators.build_oscillator_dual_hahn(self.nu, self.b), basis_mod.oscillator_map()
@@ -400,6 +403,26 @@ class SpectrumResult:
         return np.array([lv.epsilon for lv in self.levels])
 
 
+@dataclass(frozen=True)
+class SpectrumCheck:
+    """check_spectrum's record: the closed-form result, per level the grid
+    oracle's value and rel_dev = |oracle - closed| / max(|closed|, 1e-30)
+    (E0 units), and the rows and passes of the grid solve (None where there
+    was no level to solve for)."""
+
+    result: SpectrumResult
+    oracle: np.ndarray
+    rel_dev: np.ndarray
+    rows: int = None
+    passes: int = None
+
+    @property
+    def worst(self):
+        """The largest rel_dev (0 with no levels), the number a verification
+        gate compares with its tolerance."""
+        return float(self.rel_dev.max(initial=0.0))
+
+
 @dataclass
 class WavefunctionSeries:
     """Truncated expansion sum_{n<N} f_n phi_n with its convergence record.
@@ -471,6 +494,23 @@ def spectrum(model, n_levels=8):
     vanishes at the level index.  The level rules are the model's.
     ParameterDomainError, naming n_levels, unless it is an integer >= 0."""
     return model.spectrum(require_degree("n_levels", n_levels))
+
+
+def check_spectrum(model, n_levels):
+    """spectrum(model, n_levels) checked against the independent grid
+    oracle: one grid_solve on default_grid for its k closed-form levels,
+    whose k lowest eigenvalues pair with them in order.  With no closed-form
+    level nothing is solved."""
+    res = spectrum(model, n_levels)
+    k = len(res.levels)
+    if not k:
+        return SpectrumCheck(result=res, oracle=np.empty(0), rel_dev=np.empty(0))
+    sol = oracle.grid_solve(model.potential, *default_grid(model, k), langer=model.half_line,
+                            symmetry=model.symmetry)
+    ora, eps = sol.eigenvalues[:k], res.epsilons
+    return SpectrumCheck(result=res, oracle=ora,
+                         rel_dev=np.abs(ora - eps) / np.maximum(np.abs(eps), 1e-30),
+                         rows=sol.x.size, passes=sol.passes)
 
 
 def recursion_for(model, epsilon):
@@ -574,13 +614,13 @@ def _well_grid(model, n_levels, h, bottom):
 
 
 def default_grid(model, n_levels=None):
-    """Grid-oracle settings (x_min, x_max, h, k) for verifying the model's
-    closed-form levels: the model's k lowest levels, of its own parity on the
-    half line x >= 0 where it has a symmetry, each edge where the WKB
-    exponent of the top level reaches WKB_EXPONENT, and h = 1/32 (1/16 for
-    Rosen-Morse) halved until oracle.step_margin < STEP_BOUND on the rows
-    grid_solve builds.  With a wall at x = 0 (half_line) edges and h are in
-    t = ln x (Langer grid)."""
+    """Grid-oracle settings (x_min, x_max, h, k) with which check_spectrum
+    verifies the model's closed-form levels: the model's k lowest levels,
+    of its own parity on the half line x >= 0 where it has a symmetry, each
+    edge where the WKB exponent of the top level reaches WKB_EXPONENT, and
+    h = 1/32 (1/16 for Rosen-Morse) halved until oracle.step_margin <
+    STEP_BOUND on the rows grid_solve builds.  With a wall at x = 0
+    (half_line) edges and h are in t = ln x (Langer grid)."""
     x_min, x_max, h, k = model.oracle_grid(n_levels)
     while oracle.step_margin(model.potential, x_min, x_max, h, langer=model.half_line,
                              symmetry=model.symmetry) >= oracle.STEP_BOUND:

@@ -27,6 +27,7 @@ from . import basis as basis_mod
 from . import oracle
 from .basis import BasisSpec, CoordinateMap
 from .exceptions import (
+    DomainError,
     EvaluationOverflowError,
     ParameterDomainError,
     RecursionBreakdownError,
@@ -293,13 +294,13 @@ def numeric_jmatrix(model, spec: BasisSpec, cmap: CoordinateMap, epsilon: float,
     factor y moves from the rule weight into the integrand), so the default
     n_nodes = size + 2, exact through degree 2 size + 3, gives the block to
     roundoff; fewer nodes cannot integrate the top entry exactly and raise.
-    Perturbed exponents (negative controls) keep that form, except on the
-    oscillator map where the pair weight's exponent is at most 0: no factor
-    y can leave the rule weight there, the 1/y pieces stay, and n_nodes
-    remains for such integrands that are no polynomial.  The weight is
-    basis._pair_weight(spec, cmap), which raises DomainError where the
-    measure's integral diverges; EvaluationOverflowError, naming the first
-    such (m, n) and that weight, where an entry leaves the float range.
+    Perturbed exponents (negative controls) keep that form, except that on
+    the oscillator map a pair-weight exponent at most 0 leaves no factor y
+    to take from the rule weight: the 1/y piece a perturbed exponent leaves
+    in the action then diverges, and DomainError names the weight.  The
+    weight is basis._pair_weight(spec, cmap), which raises DomainError where
+    the measure's integral diverges; EvaluationOverflowError, naming the
+    first such (m, n) and that weight, where an entry leaves the float range.
     The potential comes from model.jmatrix_potential() as (map kind, c1, c2):
     U = c1 y + c2 / y (oscillator), c1 y + c2 y^2 (morse) or
     c1 (1 - y) + c2 (1 - y^2) (rosen_morse); UnsupportedStructureError where
@@ -366,6 +367,13 @@ def _jmatrix_laguerre_oscillator(spec, weight, u1, um1, eps, size, n_nodes):
     y, w, vals, y_dln = _laguerre_blocks(spec, weight, size, n_nodes)
     ns = np.arange(size)[:, None]
     c_inv = um1 - 2.0 * al * (2.0 * al - 1.0)
+    # c_inv vanishes on the constrained exponents, up to the rounding of
+    # nu^2 - 1/4 (1e-17 on the minus branch); the L/y piece a perturbed
+    # exponent leaves diverges where the rule weight has no y to give it
+    if abs(c_inv) > 1e-12 * max(1.0, abs(um1)) and not weight[1] > 0.0:
+        raise DomainError(
+            "the J-matrix over weight %r diverges: its L/y piece (coefficient %.3g) "
+            "needs a pair-weight exponent above 0" % (weight, c_inv))
     c_l = 4.0 * al + 1.0 + 4.0 * ns - eps
     c_lp = 4.0 * (spec.nu + 1.0) - (8.0 * al + 2.0)
     action = (c_inv * vals / y + c_l * vals + c_lp * y_dln / y

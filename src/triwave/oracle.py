@@ -553,7 +553,8 @@ def grid_solve(potential, x_min, x_max, h, k, langer=False, check_boundaries="bo
     x = 0) picks the Langer grid: x = e^t with t uniform of step h on
     [ln x_min, ln x_max] and psi = e^{t/2} phi, which gives the same kind of
     problem in t, -phi'' + (x^2 U + 1/4) phi = E x^2 phi, with rho = x^2 and
-    no wall.  models.default_grid gives the settings the CLI uses: h = 1/32
+    no wall.  models.default_grid gives the settings with which
+    models.check_spectrum verifies closed-form levels: h = 1/32
     (1/16 for Rosen-Morse, halved until the step bound holds) and each edge
     where the top level's WKB exponent int sqrt(U - E_top) dx (dt on the
     Langer grid) reaches 16.

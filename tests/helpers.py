@@ -13,6 +13,15 @@ from triwave import models as md
 from triwave import oracle as oc
 from triwave.exceptions import SingularParameterError
 
+# (name, model, n_levels) of the spectrum-oracle suite's cases
+SPECTRUM_ORACLE_CASES = [
+    ("ho-even", md.HarmonicOscillator(a=1.0, parity="even"), 4),
+    ("ho-odd", md.HarmonicOscillator(a=1.0, parity="odd"), 4),
+    ("osc-inv-sq", md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
+    ("morse", md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), 3),
+    ("rosen-morse", md.RosenMorse(A=1.0, B=-2.0), 1),
+]
+
 
 def laguerre_series(nu, n, x):
     """L_n^nu(x) from the confluent-hypergeometric series

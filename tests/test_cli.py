@@ -14,6 +14,8 @@ from triwave import cli
 from triwave import models as md
 from triwave import oracle as oc
 
+import helpers
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -86,8 +88,10 @@ _MORSE = ("--model", "morse", "--A", "-6", "--B", "1")
      "weight ('laguerre', 198.5)"),
     (("jmatrix", "--model", "ho", "--epsilon", "1", "--numeric", "--perturb-alpha", "80"),
      "(m, n) = (6, 7) over weight ('laguerre', 159.5)"),
+    (("jmatrix", "--model", "ho", "--epsilon", "1.3", "--numeric", "--perturb-alpha", "0.1",
+      "--size", "2"), "weight ('laguerre', -0.3) diverges"),
 ], ids=["morse-mu-scale-huge", "morse-mu-scale-tiny", "morse-numeric-moment",
-        "ho-numeric-moment", "ho-numeric-entry"])
+        "ho-numeric-moment", "ho-numeric-entry", "ho-numeric-divergent"])
 def test_float_range_refusals_exit_1(capsys, argv, name):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -348,6 +352,16 @@ def test_verify_spectrum_oracle(capsys):
     assert {"spectrum-oracle/ho-even", "spectrum-oracle/ho-odd",
             "spectrum-oracle/osc-inv-sq", "spectrum-oracle/morse",
             "spectrum-oracle/rosen-morse"} <= names
+
+
+def test_spectrum_oracle_suite_reports_the_check_spectrum_worst(capsys):
+    # the suite formats models.check_spectrum's record: its measured value
+    # is the record's worst for every case
+    code, out, _ = run_cli(capsys, "verify", "--suite", "spectrum-oracle", "--epoch", "0")
+    assert code == 0
+    measured = {c["name"]: c["measured"] for c in json.loads(out)["checks"]}
+    assert measured == {"spectrum-oracle/" + name: md.check_spectrum(model, n_levels).worst
+                        for name, model, n_levels in helpers.SPECTRUM_ORACLE_CASES}
 
 
 def test_help_documents_columns(capsys):

@@ -116,6 +116,9 @@ def test_supercritical_spectrum_empty():
     res = md.spectrum(md.SupercriticalInverseSquare(b=-0.5))
     assert res.levels == []
     assert res.notes
+    # V = x^2 + b/x^2 confines: no continuum, levels await a self-adjoint extension
+    assert not any("continuum" in note for note in res.notes)
+    assert any("self-adjoint extension" in note for note in res.notes)
 
 
 def test_morse_spectrum_and_counts():
@@ -550,6 +553,45 @@ def test_series_node_counts():
     for n, eps in enumerate([-6.25, -2.25, -0.25]):
         psi, _ = md.wavefunction(mm, eps, 30, xm)
         assert oc.node_count(psi) == n
+
+
+@pytest.mark.parametrize("name, model, n_levels", helpers.SPECTRUM_ORACLE_CASES,
+                         ids=[c[0] for c in helpers.SPECTRUM_ORACLE_CASES])
+def test_check_spectrum_record(monkeypatch, name, model, n_levels):
+    # one grid solve, reached through the oracle module's attribute (the
+    # traced layer), on default_grid for the k closed-form levels
+    solves = []
+    grid_solve = oc.grid_solve
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return grid_solve(*args, **kwargs)
+
+    monkeypatch.setattr(oc, "grid_solve", counted)
+    check = md.check_spectrum(model, n_levels)
+    monkeypatch.undo()
+    res = md.spectrum(model, n_levels)
+    k = len(res.levels)
+    assert len(solves) == 1 and k == n_levels
+    np.testing.assert_array_equal(check.result.epsilons, res.epsilons)
+    sol = oc.grid_solve(model.potential, *md.default_grid(model, k), langer=model.half_line,
+                        symmetry=model.symmetry)
+    assert (check.rows, check.passes) == (sol.x.size, sol.passes)
+    np.testing.assert_array_equal(check.oracle, sol.eigenvalues[:k])
+    np.testing.assert_array_equal(
+        check.rel_dev, np.abs(sol.eigenvalues[:k] - res.epsilons) / np.abs(res.epsilons))
+    assert check.worst == check.rel_dev.max() <= 1e-3
+
+
+def test_check_spectrum_without_levels_solves_nothing(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("no level, no grid solve")
+
+    monkeypatch.setattr(oc, "grid_solve", refused)
+    check = md.check_spectrum(md.SupercriticalInverseSquare(b=-0.5), 4)
+    assert check.result.levels == [] and check.result.notes
+    assert (check.rows, check.passes, check.worst) == (None, None, 0.0)
+    assert check.oracle.size == check.rel_dev.size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from triwave import models as md
 from triwave import operators as op
 from triwave import oracle, orthopoly
 from triwave.exceptions import (
+    DomainError,
     ParameterDomainError,
     RecursionBreakdownError,
     SingularParameterError,
@@ -399,6 +400,8 @@ def test_numeric_jmatrix_values():
 
 _CASES = [
     ("osc-pollaczek", md.OscillatorInverseSquare(a=2.0, b=0.75), 0.7),
+    # pair weight ('laguerre', nu < 0), and its L/y coefficient rounds to -1.4e-17
+    ("osc-pollaczek-minus", md.OscillatorInverseSquare(a=2.0, b=-0.1, branch="-"), 0.7),
     ("osc-dual-hahn", md.SupercriticalInverseSquare(b=-0.5, nu=0.5), 1.3),
     ("morse", md.GeneralizedMorse(A=-6.0, B=-4.0, mu_scale=2.0), -0.36),
     ("rosen-morse", md.RosenMorse(A=1.0, B=-2.0), -0.64),
@@ -482,6 +485,17 @@ def test_jmatrix_rows_annihilate_the_series(name, model, eps):
     residual = np.abs(J[1:13] @ series.f)
     scale = np.abs(J[1:13]) @ np.abs(series.f)
     assert np.max(residual / scale) < 1e-10
+
+
+def test_perturbed_jmatrix_refuses_a_divergent_weight():
+    # the even HO basis has pair weight ('laguerre', -0.5) and no L/y piece;
+    # alpha + 0.1 leaves one over ('laguerre', -0.3), whose integral diverges:
+    # quadrature entries would grow with n_nodes without bound
+    model = md.HarmonicOscillator(a=2.0)
+    rc, spec, cmap = md.recursion_for(model, 1.3)
+    assert op.numeric_jmatrix(model, spec, cmap, 1.3, 8).shape == (8, 8)
+    with pytest.raises(DomainError, match=r"weight \('laguerre', -0\.3\) diverges"):
+        op.numeric_jmatrix(model, spec.perturbed(0.1), cmap, 1.3, 8)
 
 
 def test_perturbed_exponent_detected():

@@ -59,3 +59,13 @@ def test_no_module_tests_model_types():
                          for n in ast.walk(node.args[1])
                          if isinstance(n, (ast.Name, ast.Attribute))}
                 assert not named & classes, (path.name, node.lineno)
+
+
+def test_cli_solves_no_grid_of_its_own():
+    # spectrum verification is models.check_spectrum's record; cli only
+    # formats it and gates on its worst deviation
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+              for node in ast.walk(_tree("cli"))
+              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))}
+    assert "check_spectrum" in called
+    assert not called & {"grid_solve", "default_grid", "_grid_solve_cached"}

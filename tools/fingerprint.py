@@ -40,7 +40,13 @@ The groups:
   {-0.5, 0, 0.7, 5} and Jacobi (0.3, 1.2), (-0.5, -0.5) at n in {1, 16, 64,
   128, 200}, each rule built afresh: the rules above 64 nodes, and the
   rescale branch of the Christoffel pass that the Laguerre ones from 128
-  nodes take, which no other group reaches.
+  nodes take, which no other group reaches;
+* spectrum-gate: `spectrum --verify --tol 1e-12`, as CSV and as JSON, for
+  the spectrum-oracle suite's settings and the oscillator in hbar*omega
+  units: a tolerance no oracle deviation meets, so each run takes the
+  failing side of the gate (exit 2 and its "verification failed: worst
+  relative deviation ..." line), which the spectrum group, at the default
+  tolerance, never reaches.
 
 CLI runs go through perfbench.workloads.call_cli, so a run's exit code,
 stdout and stderr (a traceback included) all enter its hash.
@@ -90,6 +96,14 @@ GRID_FIX_MODELS = [
     ["--model", "osc-inv-sq", "--b", "-0.1", "--levels", "6"],
     ["--model", "rosen-morse", "--A", "0.5", "--B", "-12", "--levels", "2"],
     ["--model", "rosen-morse", "--A", "0.5", "--B", "-200", "--levels", "9"],
+]
+GATE_MODELS = [
+    ["--model", "ho", "--levels", "4"],
+    ["--model", "ho", "--parity", "odd", "--levels", "4"],
+    ["--model", "ho", "--levels", "8", "--hbar-omega"],
+    ["--model", "osc-inv-sq", "--b", "0.75", "--levels", "3"],
+    ["--model", "morse", "--A", "-6", "--B", "1", "--mu-scale", "2"],
+    ["--model", "rosen-morse", "--A", "1", "--B", "-2", "--levels", "1"],
 ]
 
 # (label, triwave.models class, its parameters) of the grid-vectors group.
@@ -216,7 +230,10 @@ def _groups(workloads):
                    "spectrum-grid-fixes": spectrum(GRID_FIX_MODELS),
                    "grid-vectors": _grid_runs(workloads),
                    "closed-forms": _closed_form_runs(workloads),
-                   "gauss-rules": _gauss_rule_runs(workloads)})
+                   "gauss-rules": _gauss_rule_runs(workloads),
+                   "spectrum-gate": [cli_run(["spectrum"] + model + fmt
+                                             + ["--verify", "--tol", "1e-12"])
+                                     for model in GATE_MODELS for fmt in ([], _JSON)]})
     return groups
 
 
