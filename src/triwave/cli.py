@@ -45,8 +45,10 @@ def _fmt(value):
 
 
 def _start_output(out):
-    """Empty an --output file just before its first write (see _open_output)."""
-    if out is not sys.stdout:
+    """Empty an --output file just before its first write (see _open_output).
+    Opened for appending, a file starts at its end; a FIFO cannot seek and a
+    device starts at 0, so neither is truncated (ftruncate refuses both)."""
+    if out is not sys.stdout and out.seekable() and out.tell():
         out.truncate(0)
 
 
@@ -393,16 +395,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _open_output(path):
-    """The --output stream, opened before any work runs so an unwritable
-    path fails at once.  A file is opened for appending and emptied only when
-    the report is written, so a command that fails first leaves it as it was."""
-    if path is None:
-        return sys.stdout
-    try:
-        return open(path, "a")
-    except OSError as exc:
-        raise TriwaveError("cannot write --output %s: %s"
-                           % (path, exc.strerror or exc)) from None
+    """(stream, created) of --output path, opened before any work runs so an
+    unwritable path fails at once.  A file is opened for appending and emptied
+    only when the report is written, so a command that fails first leaves it
+    as it was, or removes it (main) where created says this run made it."""
+    created = not os.path.lexists(path)
+    return open(path, "a"), created
 
 
 def _is_number(token):
@@ -508,19 +506,25 @@ def _parser(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    created = False
     try:
         args = _parser(argv).parse_args(_attach_negative_values(argv))
         _require_finite_flags(args)
-        out = _open_output(args.output)
-        try:
-            code = args.func(args, out)
+        if args.output is None:
+            code = args.func(args, sys.stdout)
             sys.stdout.flush()  # a closed pipe raises here, not at exit
             return code
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        try:
+            out, created = _open_output(args.output)
+            with out:  # a write error may surface at the flush on close
+                return args.func(args, out)
+        except OSError as exc:
+            raise TriwaveError("cannot write --output %s: %s"
+                               % (args.output, exc.strerror or exc)) from None
     except TriwaveError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        if created:
+            os.remove(args.output)
         return 1
     except BrokenPipeError:
         # the reader closed stdout; devnull takes what is still buffered so

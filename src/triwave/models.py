@@ -63,9 +63,9 @@ __all__ = [
 
 class _Model:
     """Defaults of the rules every model states: potential, spectrum, recursion,
-    closed_form, oracle_grid (default_grid before h is fitted), symmetry (the
-    parity the oracle solves on the half line x >= 0, or None),
-    jmatrix_potential, half_line, parity_sign."""
+    closed_form, oracle_grid(eps_top) (x_min, x_max and h for a top level at
+    eps_top, before h is fitted), symmetry (the parity the oracle solves on
+    the half line x >= 0, or None), jmatrix_potential, half_line, parity_sign."""
 
     half_line = False  # a wall at x = 0: series on x > 0, Langer oracle grid
     symmetry = None
@@ -144,10 +144,8 @@ class HarmonicOscillator(_Pollaczek):
     def symmetry(self):
         return self.parity
 
-    def oracle_grid(self, n_levels):  # its own parity on the half line x >= 0
-        k = n_levels or 4
-        eps_top = spectrum(self, k).levels[-1].epsilon
-        return 0.0, _wkb_edge(lambda x: potential_eval(self, x) - eps_top, 0.0, 1), 1.0 / 32.0, k
+    def oracle_grid(self, eps_top):  # its own parity on the half line x >= 0
+        return 0.0, _wkb_edge(lambda x: potential_eval(self, x) - eps_top, 0.0, 1), 1.0 / 32.0
 
 
 @dataclass(frozen=True)
@@ -175,20 +173,18 @@ class OscillatorInverseSquare(_Pollaczek, _InverseSquare):
         root = math.sqrt(0.25 + self.b)
         return root if self.branch == "+" else -root
 
-    def oracle_grid(self, n_levels):  # edges and h in t = ln x
+    def oracle_grid(self, eps_top):  # edges and h in t = ln x
         if self.branch == "-":
             raise UnsupportedStructureError(
                 "the grid oracle imposes the regular x^(1/2+nu) behaviour at the "
                 "wall, so it cannot verify the minus branch nu = -sqrt(b + 1/4)")
-        k = n_levels or 3
-        eps_top = spectrum(self, n_levels=k).levels[-1].epsilon
 
         def g(t):  # x^2 (U - E_top) + 1/4 at x = e^t
             x = np.exp(t)
             return x * x * (potential_eval(self, x) - eps_top) + 0.25
 
         t0 = 0.5 * math.log(eps_top / (2.0 * self.a))  # bottom of g
-        return math.exp(_wkb_edge(g, t0, -1)), math.exp(_wkb_edge(g, t0, 1)), 1.0 / 32.0, k
+        return math.exp(_wkb_edge(g, t0, -1)), math.exp(_wkb_edge(g, t0, 1)), 1.0 / 32.0
 
 
 @dataclass(frozen=True)
@@ -221,9 +217,6 @@ class SupercriticalInverseSquare(_InverseSquare):
         fam = orthopoly.DualHahnFamily(0.5 * (self.nu + 1.0),
                                        0.5 * (self.nu + 1.0), (2.0 - epsilon) / 4.0)
         return orthopoly.sequence(fam, N - 1, -(4.0 * self.b + 1.0) / 16.0)
-
-    def oracle_grid(self, n_levels):
-        raise UnsupportedStructureError("no oracle defaults for %r" % (self,))
 
 
 @dataclass(frozen=True)
@@ -294,10 +287,9 @@ class GeneralizedMorse(_Model):
                                            self.a, -self.a)
         return orthopoly.sequence(family, N - 1, (self.b + 0.25) / (self.b - 0.25))
 
-    def oracle_grid(self, n_levels):
+    def oracle_grid(self, eps_top):
         # bound levels need B > 0, so the well's bottom exists
-        return _well_grid(self, n_levels, 1.0 / 32.0,
-                          lambda: -math.log(-self.A / (2.0 * self.B)))
+        return (*_well_edges(self, eps_top, -math.log(-self.A / (2.0 * self.B))), 1.0 / 32.0)
 
     def jmatrix_potential(self):
         return "morse", self.a, self.b
@@ -370,12 +362,10 @@ class RosenMorse(_Model):
                       (math.sqrt(-epsilon), math.sqrt(2.0 * self.A - epsilon) - 1.0))
         return operators.build_rosen_morse(self.A, self.B, mu, nu), basis_mod.rosen_morse_map()
 
-    def oracle_grid(self, n_levels):
-        def bottom():  # 0 where U has no minimum; the edge search then refuses by name
-            y0 = -self.A / (2.0 * self.B)
-            return math.atanh(y0) if abs(y0) < 1.0 else 0.0
-
-        return _well_grid(self, n_levels, 1.0 / 16.0, bottom)
+    def oracle_grid(self, eps_top):
+        y0 = -self.A / (2.0 * self.B)  # bound levels need B != 0
+        x0 = math.atanh(y0) if abs(y0) < 1.0 else 0.0  # no minimum: the edge search refuses
+        return (*_well_edges(self, eps_top, x0), 1.0 / 16.0)
 
     def jmatrix_potential(self):
         return "rosen_morse", self.A, self.B
@@ -498,15 +488,15 @@ def spectrum(model, n_levels=8):
 
 def check_spectrum(model, n_levels):
     """spectrum(model, n_levels) checked against the independent grid
-    oracle: one grid_solve on default_grid for its k closed-form levels,
-    whose k lowest eigenvalues pair with them in order.  With no closed-form
-    level nothing is solved."""
+    oracle: one grid_solve on default_grid's grid for its k closed-form
+    levels, whose k lowest eigenvalues pair with them in order.  With no
+    closed-form level nothing is solved."""
     res = spectrum(model, n_levels)
     k = len(res.levels)
     if not k:
         return SpectrumCheck(result=res, oracle=np.empty(0), rel_dev=np.empty(0))
-    sol = oracle.grid_solve(model.potential, *default_grid(model, k), langer=model.half_line,
-                            symmetry=model.symmetry)
+    sol = oracle.grid_solve(model.potential, *_fitted_grid(model, res.levels[-1].epsilon), k,
+                            langer=model.half_line, symmetry=model.symmetry)
     ora, eps = sol.eigenvalues[:k], res.epsilons
     return SpectrumCheck(result=res, oracle=ora,
                          rel_dev=np.abs(ora - eps) / np.maximum(np.abs(eps), 1e-30),
@@ -553,9 +543,9 @@ def wavefunction(model, epsilon, N, x):
     finite = np.isfinite(x_arr)
     if not finite.all():
         raise ParameterDomainError("x = %r must be finite" % float(x_arr[~finite].flat[0]))
-    series = operators.solve_recursion(rc, float(epsilon), N)
     if model.half_line and np.any(x_arr < 0.0):
         raise DomainError("inverse-square models evaluate on x > 0")
+    series = operators.solve_recursion(rc, float(epsilon), N)
     # no warnings: an overflow here is refused below, or, where coefficients
     # are not finite, solve_recursion has already warned
     with np.errstate(over="ignore", invalid="ignore"):
@@ -601,28 +591,30 @@ def _wkb_edge(u, x0, direction):
         "well; no oracle grid" % WKB_EXPONENT)
 
 
-def _well_grid(model, n_levels, h, bottom):
-    """(x_min, x_max, h, k) of a well's levels (n_levels, default 8, at most)
-    with edges searched from bottom(), called once the well has levels."""
-    res = spectrum(model, n_levels or 8)
-    if not res.levels:
-        raise UnsupportedStructureError("no bound levels to verify")
-    eps_top, x0 = res.levels[-1].epsilon, bottom()
-    x_min, x_max = (_wkb_edge(lambda x: potential_eval(model, x) - eps_top, x0, side)
-                    for side in (-1, 1))
-    return x_min, x_max, h, len(res.levels)
+def _well_edges(model, eps_top, x0):
+    """(x_min, x_max) of a well with top level eps_top, searched from its bottom x0."""
+    return tuple(_wkb_edge(lambda x: potential_eval(model, x) - eps_top, x0, side)
+                 for side in (-1, 1))
 
 
-def default_grid(model, n_levels=None):
-    """Grid-oracle settings (x_min, x_max, h, k) with which check_spectrum
-    verifies the model's closed-form levels: the model's k lowest levels,
-    of its own parity on the half line x >= 0 where it has a symmetry, each
-    edge where the WKB exponent of the top level reaches WKB_EXPONENT, and
-    h = 1/32 (1/16 for Rosen-Morse) halved until oracle.step_margin <
-    STEP_BOUND on the rows grid_solve builds.  With a wall at x = 0
-    (half_line) edges and h are in t = ln x (Langer grid)."""
-    x_min, x_max, h, k = model.oracle_grid(n_levels)
+def _fitted_grid(model, eps_top):
+    """model.oracle_grid(eps_top) with h fitted as default_grid states."""
+    x_min, x_max, h = model.oracle_grid(eps_top)
     while oracle.step_margin(model.potential, x_min, x_max, h, langer=model.half_line,
                              symmetry=model.symmetry) >= oracle.STEP_BOUND:
         h /= 2.0
-    return x_min, x_max, h, k
+    return x_min, x_max, h
+
+
+def default_grid(model, n_levels):
+    """Grid-oracle settings (x_min, x_max, h, k) with which check_spectrum
+    verifies the k levels of spectrum(model, n_levels), refusing k = 0: of
+    the model's own parity on the half line x >= 0 where it has a symmetry,
+    each edge where the WKB exponent of the top level reaches WKB_EXPONENT,
+    and h = 1/32 (1/16 for Rosen-Morse) halved until oracle.step_margin <
+    STEP_BOUND on the rows grid_solve builds.  With a wall at x = 0
+    (half_line) edges and h are in t = ln x (Langer grid)."""
+    res = spectrum(model, n_levels)
+    if not res.levels:
+        raise UnsupportedStructureError("no bound levels to verify")
+    return (*_fitted_grid(model, res.levels[-1].epsilon), len(res.levels))

@@ -303,9 +303,9 @@ def pollaczek_closed_form(family: PollaczekFamily, n: int, x: float) -> float:
     P_n = sum_k (mu-iy)_k (mu+iy)_{n-k} e^{i(2k-n)theta} / (k! (n-k)!), the
     coefficient form of e^{in theta} 2F1(-n, mu+iy; 2mu; 1-e^{-2i theta}) with
     y = (b + a x)/sin(theta); its imaginary part cancels pairwise.
-    Hyperbolic, x > 1: the Pfaff-transformed real sum with argument
-    1 - e^{-2 theta}, which avoids the exponentially growing alternating terms
-    of the direct argument 1 - e^{2 theta}.
+    Hyperbolic, x > 1: the direct real sum, argument 1 - e^{2 theta}, and its
+    Pfaff transform, argument 1 - e^{-2 theta}, both evaluated and the one of
+    smaller condition number sum |term| / |sum| kept.
     """
     n = require_degree("n", n)
     x = float(x)

@@ -6,7 +6,7 @@ from triwave import models as md
 from triwave import oracle as oc
 
 
-def _solve(model, n_levels=None, **overrides):
+def _solve(model, n_levels, **overrides):
     x_min, x_max, h, k = md.default_grid(model, n_levels)
     x_min = overrides.get("x_min", x_min)
     h = overrides.get("h", h)
@@ -47,25 +47,25 @@ def oscinv_b2_oracle():
 
 @pytest.fixture(scope="session")
 def morse_a3_oracle():
-    return _solve(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0))
+    return _solve(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), n_levels=8)
 
 
 @pytest.fixture(scope="session")
 def morse_a3_oracle_extra():
     """Same Morse well but with one extra state, to expose the continuum edge."""
     model = md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0)
-    x_min, x_max, h, k = md.default_grid(model)
+    x_min, x_max, h, k = md.default_grid(model, 8)
     return oc.grid_solve(model.potential, x_min, x_max, h, k + 1, check_boundaries="none")
 
 
 @pytest.fixture(scope="session")
 def morse_a12_oracle():
-    return _solve(md.GeneralizedMorse(A=-2.4, B=1.0, mu_scale=2.0))
+    return _solve(md.GeneralizedMorse(A=-2.4, B=1.0, mu_scale=2.0), n_levels=8)
 
 
 @pytest.fixture(scope="session")
 def rosen_morse_oracle():
-    return _solve(md.RosenMorse(A=1.0, B=-2.0))
+    return _solve(md.RosenMorse(A=1.0, B=-2.0), n_levels=8)
 
 
 @pytest.fixture()

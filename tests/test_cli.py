@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_spectrum_verify_json_reports_the_oracle_solve(capsys):
     # meta names the rows and passes of the grid solve behind the oracle
     # column; CSV output has no meta and stays as it was
     model = md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0)
-    sol = oc.grid_solve(model.potential, *md.default_grid(model))
+    sol = oc.grid_solve(model.potential, *md.default_grid(model, 8))
     base = ("spectrum", "--model", "morse", "--A", "-6", "--B", "1", "--mu-scale", "2")
     code, out, _ = run_cli(capsys, *base, "--verify", "--format", "json", "--epoch", "0")
     assert code == 0
@@ -533,6 +534,35 @@ def test_failed_command_leaves_the_output_file(capsys, tmp_path):
                            "--mu-scale", "2", "--output", str(path))
     assert code == 1 and "1/4" in err
     assert path.read_text() == "earlier run\n"
+    # a file this run would have made is not left behind
+    new = tmp_path / "new.csv"
+    code, _, err = run_cli(capsys, "spectrum", "--model", "ho", "--a", "2", "--output", str(new))
+    assert code == 1 and "a = 1" in err
+    assert not new.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_output_to_a_fifo(capsys, tmp_path):
+    # a FIFO has no content to empty: the report goes through unchanged
+    fifo = tmp_path / "report"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, out, err = run_cli(capsys, "spectrum", "--model", "ho", "--levels", "2",
+                             "--output", str(fifo))
+    reader.join(timeout=60)
+    assert (code, out, err) == (0, "", "")
+    assert received == ["n,epsilon,nu,mu,epsilon_alt,oracle,rel_dev\n0,1,-0.5,,,,\n1,5,-0.5,,,,\n"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_output_write_error_exit_1(capsys):
+    # the write fails at the flush on close (ENOSPC): one error line, no traceback
+    code, out, err = run_cli(capsys, "spectrum", "--model", "ho", "--output", "/dev/full")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write --output /dev/full: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_minus_branch_is_not_verifiable(capsys):

@@ -15,6 +15,7 @@ from triwave.exceptions import (
     EvaluationOverflowError,
     ParameterDomainError,
     SingularParameterError,
+    UnsupportedStructureError,
 )
 
 import helpers
@@ -259,6 +260,17 @@ def test_ho_odd_wavefunction_sign():
     psi_p, _ = md.wavefunction(model, 3.0, 10, np.array([1.0]))
     psi_m, _ = md.wavefunction(model, 3.0, 10, np.array([-1.0]))
     assert psi_m[0] == pytest.approx(-psi_p[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [md.OscillatorInverseSquare(a=1.0, b=0.75),
+                                   md.SupercriticalInverseSquare(b=-0.5, nu=0.5)])
+def test_half_line_wavefunction_refuses_negative_x_before_solving(monkeypatch, model):
+    def unsolved(*args, **kwargs):
+        raise AssertionError("x < 0 is refused before the recursion is solved")
+
+    monkeypatch.setattr(op, "solve_recursion", unsolved)
+    with pytest.raises(DomainError, match="x > 0"):
+        md.wavefunction(model, 1.3, 20, np.array([-1.0, 1.0]))
 
 
 def test_morse_bound_state_single_term():
@@ -559,20 +571,25 @@ def test_series_node_counts():
                          ids=[c[0] for c in helpers.SPECTRUM_ORACLE_CASES])
 def test_check_spectrum_record(monkeypatch, name, model, n_levels):
     # one grid solve, reached through the oracle module's attribute (the
-    # traced layer), on default_grid for the k closed-form levels
-    solves = []
-    grid_solve = oc.grid_solve
+    # traced layer), on default_grid for the k closed-form levels, and one
+    # spectrum call: the grid is sized from the levels the check holds
+    solves, spectra = [], []
+    grid_solve, spectrum = oc.grid_solve, md.spectrum
 
-    def counted(*args, **kwargs):
-        solves.append(args)
-        return grid_solve(*args, **kwargs)
+    def counting(calls, f):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return f(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(oc, "grid_solve", counted)
+    monkeypatch.setattr(oc, "grid_solve", counting(solves, grid_solve))
+    monkeypatch.setattr(md, "spectrum", counting(spectra, spectrum))
     check = md.check_spectrum(model, n_levels)
     monkeypatch.undo()
     res = md.spectrum(model, n_levels)
     k = len(res.levels)
     assert len(solves) == 1 and k == n_levels
+    assert spectra == [(model, n_levels)]
     np.testing.assert_array_equal(check.result.epsilons, res.epsilons)
     sol = oc.grid_solve(model.potential, *md.default_grid(model, k), langer=model.half_line,
                         symmetry=model.symmetry)
@@ -618,13 +635,25 @@ def test_oscillator_oracle_grid_is_its_own_parity_on_the_half_line(parity):
     # sized from its own top level; no other model has a symmetry
     model = md.HarmonicOscillator(a=1.0, parity=parity)
     assert model.symmetry == parity
-    assert md.default_grid(model)[3] == 4
     x_min, x_max, h, k = md.default_grid(model, 3)
     assert (x_min, h, k) == (0.0, 1.0 / 32.0, 3)
     sol = oc.grid_solve(model.potential, x_min, x_max, h, k, symmetry=model.symmetry)
     assert sol.x[0] == h / 2
     np.testing.assert_allclose(sol.eigenvalues, md.spectrum(model, 3).epsilons, rtol=1e-6)
     assert md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0).symmetry is None
+
+
+@pytest.mark.parametrize("model, n_levels", [
+    (md.HarmonicOscillator(a=1.0), 0),
+    (md.OscillatorInverseSquare(a=1.0, b=0.75), 0),
+    (md.SupercriticalInverseSquare(b=-0.5), 4),
+    (md.RosenMorse(A=1.0, B=0.0), 4),
+], ids=["ho-0", "osc-inv-sq-0", "osc-inv-sq-super", "rosen-morse-B0"])
+def test_default_grid_refuses_a_model_without_levels(model, n_levels):
+    # n_levels = 0 asks for no level; it is not a default count
+    assert md.spectrum(model, n_levels).levels == []
+    with pytest.raises(UnsupportedStructureError, match="no bound levels to verify"):
+        md.default_grid(model, n_levels)
 
 
 def test_default_grid_sizes_rosen_morse_from_the_requested_levels():

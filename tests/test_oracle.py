@@ -543,10 +543,10 @@ def test_numerov_sweep_count_on_default_grids():
     # passes: its step feels every state above the level, so it crept.  The
     # oscillator is solved on the full line, both parities interleaved
     cases = [(md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
-             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
-             (md.RosenMorse(A=1.0, B=-2.0), None),
+             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), 8),
+             (md.RosenMorse(A=1.0, B=-2.0), 8),
              (md.GeneralizedMorse(A=-5.078472251771057, B=1.3204407989787743,
-                                  mu_scale=2.298208692855176), None)]
+                                  mu_scale=2.298208692855176), 8)]
     grids = [(model, md.default_grid(model, n_levels)) for model, n_levels in cases]
     grids.append((md.HarmonicOscillator(a=1.0), helpers.ho_full_line_grid(4)))
     for model, (x_min, x_max, h, k) in grids:
@@ -755,13 +755,15 @@ def test_newton_pass_cap_raises_with_the_bracket(monkeypatch):
     assert lo < want[0] < hi
 
 
-_ISOLATED = [md.HarmonicOscillator(a=1.0), md.OscillatorInverseSquare(a=1.0, b=0.75),
-             md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0),
-             md.GeneralizedMorse(A=-9.0, B=4.0, mu_scale=4.0), md.RosenMorse(A=1.0, B=-2.0)]
+# (model, n_levels)
+_ISOLATED = [(md.HarmonicOscillator(a=1.0), 4), (md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
+             (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), 8),
+             (md.GeneralizedMorse(A=-9.0, B=4.0, mu_scale=4.0), 8),
+             (md.RosenMorse(A=1.0, B=-2.0), 8)]
 
 
-def _default_solve(model):
-    x_min, x_max, h, k = md.default_grid(model)
+def _default_solve(model, n_levels):
+    x_min, x_max, h, k = md.default_grid(model, n_levels)
     return oc.grid_solve(model.potential, x_min, x_max, h, k, langer=model.half_line,
                          symmetry=model.symmetry)
 
@@ -800,8 +802,8 @@ def _count_eigenvector_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("solve, want", [
-    (lambda: oc.grid_solve(_ISOLATED[0].potential, *helpers.ho_full_line_grid(4)), []),
-    (lambda: _default_solve(_ISOLATED[2]), []),
+    (lambda: oc.grid_solve(_ISOLATED[0][0].potential, *helpers.ho_full_line_grid(4)), []),
+    (lambda: _default_solve(*_ISOLATED[2]), []),
     (lambda: oc.grid_solve(_triple_well, -14.0, 14.0, 1.0 / 64.0, 6), [0, 1, 2, 1, 2]),
     (lambda: oc.grid_solve(_double_well(3.07), -9.07, 9.07, 1.0 / 64.0, 4), [0, 1, 0]),
 ], ids=["ho", "morse", "triple-well", "double-well-3.07"])
@@ -818,15 +820,15 @@ def test_only_clusters_are_factorized_again(monkeypatch, solve, want):
     assert calls == want
 
 
-@pytest.mark.parametrize("model", _ISOLATED, ids=["ho", "osc-inv-sq", "morse-6", "morse-9",
-                                                  "rosen-morse"])
-def test_newton_vectors_match_a_fresh_factorization(model):
+@pytest.mark.parametrize("model, n_levels", _ISOLATED,
+                         ids=["ho", "osc-inv-sq", "morse-6", "morse-9", "rosen-morse"])
+def test_newton_vectors_match_a_fresh_factorization(model, n_levels):
     # Newton's last pass is one step (at most 1e-10 |E|) short of the
     # returned E, so its z differs from the eigenvector there by about that
     # step over the gap to the next level: 3.6e-11 at most on these grids
-    sol = _default_solve(model)
-    want = _refactorized_vectors(model.potential, md.default_grid(model)[:3], sol.eigenvalues,
-                                 model.half_line, model.symmetry)
+    sol = _default_solve(model, n_levels)
+    want = _refactorized_vectors(model.potential, md.default_grid(model, n_levels)[:3],
+                                 sol.eigenvalues, model.half_line, model.symmetry)
     np.testing.assert_allclose(sol.eigenvectors, want, rtol=0, atol=1e-9)
 
 
@@ -843,7 +845,7 @@ def test_close_pair_levels_match_a_fresh_factorization():
 
 def test_non_finite_newton_vectors_fall_back_to_a_fresh_factorization(monkeypatch):
     model = md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0)
-    want = _default_solve(model).eigenvalues
+    want = _default_solve(model, 8).eigenvalues
     step = oc._twisted_step
 
     def overflowed_step(alpha, beta, edge, energy, twist=None):
@@ -852,11 +854,11 @@ def test_non_finite_newton_vectors_fall_back_to_a_fresh_factorization(monkeypatc
 
     monkeypatch.setattr(oc, "_twisted_step", overflowed_step)
     calls = _count_eigenvector_calls(monkeypatch)
-    sol = _default_solve(model)
+    sol = _default_solve(model, 8)
     np.testing.assert_array_equal(sol.eigenvalues, want)
     assert calls == [0] * want.size
     np.testing.assert_array_equal(sol.eigenvectors, _refactorized_vectors(
-        model.potential, md.default_grid(model)[:3], want, model.half_line))
+        model.potential, md.default_grid(model, 8)[:3], want, model.half_line))
 
 
 @pytest.mark.parametrize("A, B, mu_scale, levels, want", [
@@ -926,8 +928,8 @@ def test_upper_bracket_matches_the_window_scan_on_grids(monkeypatch):
     for model, n_levels in [(md.HarmonicOscillator(a=1.0), 4),
                             (md.OscillatorInverseSquare(a=1.0, b=0.75), 3),
                             (md.OscillatorInverseSquare(a=1.0, b=2.0), 3),
-                            (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), None),
-                            (md.RosenMorse(A=1.0, B=-2.0), None)]:
+                            (md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), 8),
+                            (md.RosenMorse(A=1.0, B=-2.0), 8)]:
         oc.grid_solve(model.potential, *md.default_grid(model, n_levels),
                       langer=model.half_line, symmetry=model.symmetry)
     oc.grid_solve(md.SupercriticalInverseSquare(b=-0.5).potential, 0.3, 3.0, 1.0 / 32.0, 3,

@@ -61,11 +61,38 @@ def test_no_module_tests_model_types():
                 assert not named & classes, (path.name, node.lineno)
 
 
+def _called(tree):
+    """The names that the calls in tree call, as functions or attributes."""
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))}
+
+
 def test_cli_solves_no_grid_of_its_own():
     # spectrum verification is models.check_spectrum's record; cli only
     # formats it and gates on its worst deviation
-    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
-              for node in ast.walk(_tree("cli"))
-              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))}
+    called = _called(_tree("cli"))
     assert "check_spectrum" in called
     assert not called & {"grid_solve", "default_grid", "_grid_solve_cached"}
+
+
+
+def test_oracle_grids_are_sized_from_the_levels_they_are_given():
+    # a model's oracle_grid takes the top level's energy and asks for no
+    # spectrum; the one path to it fits h, for default_grid (which asks for
+    # the spectrum) and check_spectrum (which holds it already)
+    functions = [fn for path in sorted(_PACKAGE_DIR.glob("*.py"))
+                 for fn in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(fn, ast.FunctionDef)]
+    named = {fn.name: fn for fn in functions}  # each name looked up below is defined once
+    grids = [fn for fn in functions if fn.name == "oracle_grid"]
+    assert len(grids) == 4
+    for fn in grids:
+        assert [a.arg for a in fn.args.args] == ["self", "eps_top"]
+        assert "spectrum" not in _called(fn)
+    assert [a.arg for a in named["default_grid"].args.args] == ["model", "n_levels"]
+    assert named["default_grid"].args.defaults == []  # no hidden level count
+    assert [fn.name for fn in functions if "oracle_grid" in _called(fn)] == ["_fitted_grid"]
+    assert "spectrum" not in _called(named["_fitted_grid"])
+    assert sorted(fn.name for fn in functions if "_fitted_grid" in _called(fn)) == [
+        "check_spectrum", "default_grid"]

@@ -106,15 +106,16 @@ GATE_MODELS = [
     ["--model", "rosen-morse", "--A", "1", "--B", "-2", "--levels", "1"],
 ]
 
-# (label, triwave.models class, its parameters) of the grid-vectors group.
+# (label, triwave.models class, its parameters, n_levels) of the grid-vectors
+# group: each count is the one default_grid took when none was given.
 GRID_MODELS = [
-    ("ho-even", "HarmonicOscillator", {"a": 1.0}),
-    ("ho-odd", "HarmonicOscillator", {"a": 1.0, "parity": "odd"}),
-    ("osc-inv-sq-0.75", "OscillatorInverseSquare", {"a": 1.0, "b": 0.75}),
-    ("osc-inv-sq-2", "OscillatorInverseSquare", {"a": 1.0, "b": 2.0}),
-    ("morse-6", "GeneralizedMorse", {"A": -6.0, "B": 1.0, "mu_scale": 2.0}),
-    ("morse-9", "GeneralizedMorse", {"A": -9.0, "B": 4.0, "mu_scale": 4.0}),
-    ("rosen-morse", "RosenMorse", {"A": 1.0, "B": -2.0}),
+    ("ho-even", "HarmonicOscillator", {"a": 1.0}, 4),
+    ("ho-odd", "HarmonicOscillator", {"a": 1.0, "parity": "odd"}, 4),
+    ("osc-inv-sq-0.75", "OscillatorInverseSquare", {"a": 1.0, "b": 0.75}, 3),
+    ("osc-inv-sq-2", "OscillatorInverseSquare", {"a": 1.0, "b": 2.0}, 3),
+    ("morse-6", "GeneralizedMorse", {"A": -6.0, "B": 1.0, "mu_scale": 2.0}, 8),
+    ("morse-9", "GeneralizedMorse", {"A": -9.0, "B": 4.0, "mu_scale": 4.0}, 8),
+    ("rosen-morse", "RosenMorse", {"A": 1.0, "B": -2.0}, 8),
 ]
 
 
@@ -155,12 +156,12 @@ def _grid_runs(workloads):
             return np.concatenate([sol.eigenvalues, sol.eigenvectors.ravel()])
         return workloads._returning_exceptions(vectors)
 
-    def default(name, params):
+    def default(name, params, n_levels):
         model = getattr(models, name)(**params)
-        return lambda: oracle.grid_solve(model.potential, *models.default_grid(model),
+        return lambda: oracle.grid_solve(model.potential, *models.default_grid(model, n_levels),
                                          langer=model.half_line, symmetry=model.symmetry)
 
-    runs = [(label, run(default(name, params))) for label, name, params in GRID_MODELS]
+    runs = [(label, run(default(*row))) for label, *row in GRID_MODELS]
     runs.append(("double-well-3.07", run(
         lambda: oracle.grid_solve(_double_well, -9.07, 9.07, 1.0 / 64.0, 4))))
     runs.append(("triple-well", run(
