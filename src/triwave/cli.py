@@ -3,11 +3,11 @@ the verification suites, with deterministic CSV/JSON output.
 
 Exit codes: 0 success, 1 invalid parameters or unsupported request (the
 message names the violated invariant; command-line usage errors and an
-unwritable --output path included), 2 verification failure beyond
-tolerance.  A reader that closes stdout early (triwave ... | head) ends
-the run with exit 1 and no traceback.  All numbers are printed with %.15g;
-identical configurations produce byte-identical output (pass --epoch to pin
-the JSON timestamp).
+--output path or a stdout that cannot be written included), 2 verification
+failure beyond tolerance.  A reader that closes stdout early (triwave ... |
+head) ends the run with exit 1, no message and no traceback.  All numbers
+are printed with %.15g; identical configurations produce byte-identical
+output (pass --epoch to pin the JSON timestamp).
 """
 
 from __future__ import annotations
@@ -511,9 +511,17 @@ def main(argv=None):
         args = _parser(argv).parse_args(_attach_negative_values(argv))
         _require_finite_flags(args)
         if args.output is None:
-            code = args.func(args, sys.stdout)
-            sys.stdout.flush()  # a closed pipe raises here, not at exit
-            return code
+            try:
+                code = args.func(args, sys.stdout)
+                sys.stdout.flush()  # a closed pipe or a full device raises here, not at exit
+                return code
+            except OSError as exc:
+                # devnull takes what is still buffered so the flush at exit
+                # does not raise again (Python docs, signal module)
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                if isinstance(exc, BrokenPipeError):
+                    return 1  # the reader closed stdout (triwave ... | head)
+                raise TriwaveError("cannot write stdout: %s" % (exc.strerror or exc)) from None
         try:
             out, created = _open_output(args.output)
             with out:  # a write error may surface at the flush on close
@@ -525,11 +533,6 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         if created:
             os.remove(args.output)
-        return 1
-    except BrokenPipeError:
-        # the reader closed stdout; devnull takes what is still buffered so
-        # the flush at exit does not raise again (Python docs, signal module)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

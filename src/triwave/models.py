@@ -356,10 +356,8 @@ class RosenMorse(_Model):
             raise DomainError("Rosen-Morse expansion needs epsilon < 0")
         if epsilon >= 2.0 * self.A:
             raise DomainError("epsilon must lie below the left continuum threshold 2A")
-        # at a bound level the envelope exponents coincide with the level solve
-        mu, nu = next(((lv.mu, lv.nu) for lv in spectrum(self, n_levels=32).levels
-                       if abs(lv.epsilon - epsilon) <= 1e-9 * max(1.0, abs(epsilon))),
-                      (math.sqrt(-epsilon), math.sqrt(2.0 * self.A - epsilon) - 1.0))
+        # the envelope decays as e^(-mu x) at +inf and e^((nu+1) x) at -inf
+        mu, nu = math.sqrt(-epsilon), math.sqrt(2.0 * self.A - epsilon) - 1.0
         return operators.build_rosen_morse(self.A, self.B, mu, nu), basis_mod.rosen_morse_map()
 
     def oracle_grid(self, eps_top):
@@ -445,10 +443,10 @@ def morse_bound_count(a):
     limit = -a - 0.5
     if limit <= 0.0:
         return 0
-    count = int(math.ceil(limit))
-    if count - 1 >= limit - 1e-12:  # strict inequality at integer boundaries
-        count = int(math.floor(limit - 1e-12)) + 1
-    return max(count, 0)
+    # n <= limit - 1e-12, so n < limit at integer boundaries; from limit =
+    # 2^14 up the margin can round away, and ceil keeps the inequality strict
+    below = limit - 1e-12
+    return math.floor(below) + 1 if below < limit else math.ceil(limit)
 
 
 def morse_alternative_bound_count(a):

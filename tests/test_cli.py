@@ -254,6 +254,26 @@ def test_closed_stdout_exits_1_without_traceback():
     assert err == ""  # no BrokenPipeError traceback
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "ho"],
+    # more than one buffer: the write fails inside the command, not at the flush
+    ["wavefunction", "--model", "ho", "--epsilon", "1", "--samples", "2000"],
+], ids=["spectrum", "wavefunction-2000"])
+def test_full_stdout_exits_1_with_one_error_line(argv):
+    # ENOSPC on stdout: one error line, and the flush at exit does not raise
+    # again ("Exception ignored", exit 120)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "triwave"] + argv,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_wavefunction_non_finite_coefficients_still_print(capsys):
     # the recursion's own coefficients overflow to NaN here (the open series
     # defect); that output stays as it was, flagged unconverged

@@ -138,6 +138,23 @@ def test_morse_spectrum_and_counts():
         md.spectrum(md.GeneralizedMorse(A=-6.0, B=2.0, mu_scale=2.0))
 
 
+@pytest.mark.parametrize("L", [1, 2, 7, 200])
+@pytest.mark.parametrize("d, extra", [
+    (-1e-11, 0), (-1e-13, 0), (0.0, 0), (1e-13, 0), (9e-13, 0),
+    (1.1e-12, 1), (2e-12, 1), (1e-11, 1), (0.25, 1),
+])
+def test_morse_bound_count_margin_at_integer_boundaries(L, d, extra):
+    # n < -a - 1/2, strictly: a limit within 1e-12 above the integer L
+    # counts L levels, one further above counts L + 1
+    assert md.morse_bound_count(-L - 0.5 - d) == L + extra
+
+
+def test_morse_bound_count_stays_strict_where_the_margin_rounds_away():
+    # limit - 1e-12 rounds back to the limit 100000: no level with nu = 0
+    assert md.morse_bound_count(-100000.5) == 100000
+    assert md.morse_bound_count(-100000.5 - 1e-6) == 100001
+
+
 @pytest.mark.parametrize("model, n, eps", [
     (md.GeneralizedMorse(A=-6.0, B=1.0 + 4e-13, mu_scale=2.0), 0, -6.25),
     (md.HarmonicOscillator(a=1.0 + 4e-13), 1, 5.0),
@@ -238,6 +255,30 @@ def test_rosen_morse_levels_at_exact_boundaries():
     assert md.spectrum(md.RosenMorse(A=-1.0, B=0.0), 2).levels == []
 
 
+@pytest.mark.parametrize("A, B", [(1.0, -2.0), (1.0, -6.0), (0.5, -12.0), (0.0, -2000.0)])
+def test_rosen_morse_recursion_takes_its_exponents_from_epsilon(A, B):
+    # eps = -mu^2 and nu + 1 = sqrt(2A - eps), the decay at +inf and -inf, at
+    # any energy; at the ground level they are the level's own exponents
+    model = md.RosenMorse(A=A, B=B)
+    levels = md.spectrum(model, 8).levels
+    for eps in [lv.epsilon for lv in levels] + [levels[0].epsilon * 0.7]:
+        _, spec, _ = md.recursion_for(model, eps)
+        assert (spec.mu, spec.nu) == (math.sqrt(-eps), math.sqrt(2.0 * A - eps) - 1.0)
+    _, spec, _ = md.recursion_for(model, levels[0].epsilon)
+    assert spec.mu == pytest.approx(levels[0].mu, rel=1e-12)
+    assert spec.nu == pytest.approx(levels[0].nu, rel=1e-12, abs=1e-12)
+
+
+def test_rosen_morse_excited_level_series_is_the_generic_one():
+    # level 1 of (0.5, -12) is one of the wrong excited levels (roadmap-3):
+    # its series is the generic one at that energy, unconverged, not a
+    # breakdown of the level's own exponents
+    model = md.RosenMorse(A=0.5, B=-12.0)
+    eps = md.spectrum(model, 2).levels[1].epsilon
+    psi, record = md.wavefunction(model, eps, 50, np.linspace(-5.0, 5.0, 11))
+    assert np.isfinite(psi).all() and not record.converged
+
+
 # ---------------------------------------------------------------------------
 # Wavefunctions
 # ---------------------------------------------------------------------------
@@ -310,6 +351,8 @@ def test_supercritical_series_coefficients_and_flag():
     # series must carry an explicit non-convergence flag rather than fail
     assert record.coeffs.tail_estimate > 1e-10
     assert record.converged is False
+    # from eps = 2 the dual-Hahn parameter (2 - eps)/4 leaves its positive domain
+    assert md.closed_form_coefficients(md.SupercriticalInverseSquare(b=-0.5), 2.5, 5) is None
 
 
 def _table_wavefunction(model, epsilon, N, x):
@@ -406,6 +449,9 @@ def test_wavefunction_domain_errors():
         md.wavefunction(md.GeneralizedMorse(A=-6.0, B=1.0, mu_scale=2.0), 0.5, 10, 1.0)
     with pytest.raises(DomainError):
         md.wavefunction(md.RosenMorse(A=1.0, B=-2.0), 2.5, 10, 0.0)
+    # 2A <= eps < 0: nu + 1 = sqrt(2A - eps) has no real value
+    with pytest.raises(DomainError, match="threshold 2A"):
+        md.wavefunction(md.RosenMorse(A=-1.0, B=-2.0), -1.5, 10, 0.0)
     with pytest.raises(DomainError):
         md.wavefunction(md.OscillatorInverseSquare(a=1.0, b=0.75), 4.0, 10, -1.0)
 
@@ -668,3 +714,10 @@ def test_morse_spectrum_and_grid_keep_every_bound_level():
     model = md.GeneralizedMorse(A=-9.0, B=1.0, mu_scale=2.0)
     assert len(md.spectrum(model, 1).levels) == 4
     assert md.default_grid(model, 1)[3] == 4
+
+
+def test_wkb_edge_refuses_a_top_level_that_never_decays():
+    # u = U - E_top never turns positive: no edge within 256 length units
+    with pytest.raises(UnsupportedStructureError,
+                       match=r"does not decay by e\^-16 within 256 length units"):
+        md._wkb_edge(lambda x: -np.ones_like(x), 0.0, 1)

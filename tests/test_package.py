@@ -96,3 +96,17 @@ def test_oracle_grids_are_sized_from_the_levels_they_are_given():
     assert "spectrum" not in _called(named["_fitted_grid"])
     assert sorted(fn.name for fn in functions if "_fitted_grid" in _called(fn)) == [
         "check_spectrum", "default_grid"]
+
+
+def test_recursions_read_only_the_model_and_epsilon():
+    # each model's recursion(epsilon) takes its basis exponents from the
+    # energy it is given, never from a spectrum scan
+    functions = [fn for fn in ast.walk(_tree("models")) if isinstance(fn, ast.FunctionDef)]
+    recursions = [fn for fn in functions if fn.name == "recursion"]
+    assert len(recursions) == 4
+    for fn in recursions:
+        assert [a.arg for a in fn.args.args] == ["self", "epsilon"]
+        assert "spectrum" not in _called(fn)
+    (recursion_for,) = [fn for fn in functions if fn.name == "recursion_for"]
+    assert "recursion" in _called(recursion_for)
+    assert "spectrum" not in _called(recursion_for)

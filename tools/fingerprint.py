@@ -46,7 +46,12 @@ The groups:
   units: a tolerance no oracle deviation meets, so each run takes the
   failing side of the gate (exit 2 and its "verification failed: worst
   relative deviation ..." line), which the spectrum group, at the default
-  tolerance, never reaches.
+  tolerance, never reaches;
+* level-series: `wavefunction --format csv` at each level that
+  models.spectrum lists for HO (both parities), osc-inv-sq (1, 0.75), Morse
+  (-6, 1, 2) and Rosen-Morse (1, -2), (1, -6), (0.5, -12) and (0, -2000):
+  no other group runs a recursion at a listed level, where the bases of
+  the energy-dependent models meet their level's exponents.
 
 CLI runs go through perfbench.workloads.call_cli, so a run's exit code,
 stdout and stderr (a traceback included) all enter its hash.
@@ -105,6 +110,19 @@ GATE_MODELS = [
     ["--model", "morse", "--A", "-6", "--B", "1", "--mu-scale", "2"],
     ["--model", "rosen-morse", "--A", "1", "--B", "-2", "--levels", "1"],
 ]
+
+# (CLI model flags, triwave.models class, its parameters, n_levels) of the
+# level-series group; osc-inv-sq evaluates on x > 0.
+LEVEL_SERIES_MODELS = [
+    (["--model", "ho"], "HarmonicOscillator", {"a": 1.0}, 4),
+    (["--model", "ho", "--parity", "odd"], "HarmonicOscillator", {"a": 1.0, "parity": "odd"}, 4),
+    (["--model", "osc-inv-sq", "--b", "0.75", "--x-min", "0.05"],
+     "OscillatorInverseSquare", {"a": 1.0, "b": 0.75}, 3),
+    (["--model", "morse", "--A", "-6", "--B", "1", "--mu-scale", "2"],
+     "GeneralizedMorse", {"A": -6.0, "B": 1.0, "mu_scale": 2.0}, 8),
+] + [(["--model", "rosen-morse", "--A", "%g" % A, "--B", "%g" % B],
+      "RosenMorse", {"A": A, "B": B}, 8)
+     for A, B in ((1.0, -2.0), (1.0, -6.0), (0.5, -12.0), (0.0, -2000.0))]
 
 # (label, triwave.models class, its parameters, n_levels) of the grid-vectors
 # group: each count is the one default_grid took when none was given.
@@ -204,6 +222,8 @@ def _gauss_rule_runs(workloads):
 
 def _groups(workloads):
     """{group: [(label, thunk giving the run's output)]}."""
+    from triwave import models
+
     def op_runs(name):
         ops = itertools.islice(workloads.operations(name, SEED), OPERATIONS[name])
         return [("%d %s %s" % (op.index, op.kind,
@@ -234,7 +254,13 @@ def _groups(workloads):
                    "gauss-rules": _gauss_rule_runs(workloads),
                    "spectrum-gate": [cli_run(["spectrum"] + model + fmt
                                              + ["--verify", "--tol", "1e-12"])
-                                     for model in GATE_MODELS for fmt in ([], _JSON)]})
+                                     for model in GATE_MODELS for fmt in ([], _JSON)],
+                   "level-series": [
+                       cli_run(["wavefunction", "--format", "csv",
+                                "--epsilon=%r" % lv.epsilon] + flags)
+                       for flags, name, params, n_levels in LEVEL_SERIES_MODELS
+                       for lv in models.spectrum(getattr(models, name)(**params),
+                                                 n_levels).levels]})
     return groups
 
 
