@@ -256,23 +256,20 @@ def _suite_orthogonality():
         dev = float(np.max(np.abs(gram - np.eye(11))))
         checks.append(("orthogonality/basis-" + name, dev, 1e-10))
 
+    # the Gram entries m <= n <= 3 of a Pollaczek weight, no Gauss rule of
+    # its own: all ten integrands on one adaptive mesh
     fam = orthopoly.PollaczekFamily(1.0, 1.0, 0.0)
+    rows, cols = np.array([(n, m) for n in range(4) for m in range(n + 1)]).T
 
-    def entry(n, m):
-        def f(th):
-            x = np.cos(th)
-            seq = orthopoly.sequence(fam, 3, x)
-            return orthopoly.weight_eval(fam, x) * seq[n] * seq[m] * np.sin(th)
-        return oc.adaptive_quad(f, 1e-6, np.pi - 1e-6, tol=1e-7)[0]
+    def entries(th):
+        x = np.cos(th)
+        seq = orthopoly.sequence(fam, 3, x)
+        return orthopoly.weight_eval(fam, x) * seq[rows] * seq[cols] * np.sin(th)
 
-    dev = 0.0
-    for n in range(4):
-        for m in range(n + 1):
-            val = entry(n, m)
-            ref = math.exp(math.lgamma(n + 2.0) - math.lgamma(n + 1.0)) / (n + 2.0) \
-                if n == m else 0.0
-            dev = max(dev, abs(val - ref))
-    checks.append(("orthogonality/pollaczek-weight", dev, 1e-5))
+    vals = oc.adaptive_quad(entries, 1e-6, np.pi - 1e-6, tol=1e-7)[0]
+    refs = [math.exp(math.lgamma(n + 2.0) - math.lgamma(n + 1.0)) / (n + 2.0)
+            if n == m else 0.0 for n, m in zip(rows, cols)]
+    checks.append(("orthogonality/pollaczek-weight", float(np.max(np.abs(vals - refs))), 1e-5))
     return checks
 
 
@@ -393,6 +390,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
+    def _print_message(self, message, file=None):
+        """argparse's, but --help's text on stdout is flushed and a failed
+        write raises (argparse drops it), so main reports it like any
+        command's output."""
+        if file is sys.stdout and message:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
 
 def _open_output(path):
     """(stream, created) of --output path, opened before any work runs so an
@@ -508,20 +515,20 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     created = False
     try:
-        args = _parser(argv).parse_args(_attach_negative_values(argv))
-        _require_finite_flags(args)
-        if args.output is None:
-            try:
+        try:
+            args = _parser(argv).parse_args(_attach_negative_values(argv))  # --help writes here
+            _require_finite_flags(args)
+            if args.output is None:
                 code = args.func(args, sys.stdout)
                 sys.stdout.flush()  # a closed pipe or a full device raises here, not at exit
                 return code
-            except OSError as exc:
-                # devnull takes what is still buffered so the flush at exit
-                # does not raise again (Python docs, signal module)
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                if isinstance(exc, BrokenPipeError):
-                    return 1  # the reader closed stdout (triwave ... | head)
-                raise TriwaveError("cannot write stdout: %s" % (exc.strerror or exc)) from None
+        except OSError as exc:
+            # devnull takes what is still buffered so the flush at exit
+            # does not raise again (Python docs, signal module)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 1  # the reader closed stdout (triwave ... | head)
+            raise TriwaveError("cannot write stdout: %s" % (exc.strerror or exc)) from None
         try:
             out, created = _open_output(args.output)
             with out:  # a write error may surface at the flush on close

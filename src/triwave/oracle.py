@@ -828,6 +828,15 @@ _GAUSS_WEIGHTS = np.array([
 _MAX_LEVEL = 48
 
 
+def _real(name, value):
+    """value as a float: ParameterDomainError naming the argument unless
+    float() takes it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterDomainError("%s must be a real number, got %r" % (name, value)) from None
+
+
 def _within_rounding(x, fx, err):
     """Whether the error estimate of each panel (row of nodes x and values
     fx) is within what the rounding of its nodes can cause.
@@ -839,33 +848,69 @@ def _within_rounding(x, fx, err):
     float resolution of x) count as within.
     """
     reach = (x[:, -1] - x[:, 0]) * 4.4e-16 * np.max(np.abs(x), axis=1)
-    return np.any(err[:, None] * np.diff(x, axis=1)
-                  <= reach[:, None] * np.abs(np.diff(fx, axis=1)), axis=1)
+    return np.any(err[:, None] * (x[:, 1:] - x[:, :-1])
+                  <= reach[:, None] * np.abs(fx[:, 1:] - fx[:, :-1]), axis=1)
+
+
+def _can_be_within_rounding(err_min, h_min, x_max, f_max):
+    """False only where _within_rounding passes none of a level's failing
+    panels, given the least error estimate err_min and half-width h_min of
+    those panels, and bounds x_max >= |x| and f_max >= |f| on their nodes.
+
+    A panel passes if err * dx <= reach * |df| at some pair of adjacent
+    nodes.  The K15 nodes are at least 0.0423 half-widths h apart and a
+    computed node is off by at most 2 eps x_max, so dx >= 0.04 h - 1e-15
+    x_max; reach <= 2.1 h * 4.5e-16 x_max; and |df| <= 2 f_max.  So a panel
+    can pass only if
+
+        err * (0.04 h - 1e-15 x_max) <= 2.1 h * 4.5e-16 x_max * 2 f_max.
+
+    Divided by h, the right side is a constant and the left side grows with
+    err and h, so the inequality at (err_min, h_min) follows from the one at
+    any failing panel.  A non-positive gap 0.04 h_min - 1e-15 x_max makes
+    the left side non-positive, so the test is never skipped there.  The
+    margins over 0.0423, 4.4e-16 and 2 cover the rounding of these products
+    for floats in the normal range; with a factor outside [1e-100, 1e100]
+    (or NaN) the test is always run.
+    """
+    if not (1e-100 < err_min and 1e-100 < h_min and x_max < 1e100 and f_max < 1e100):
+        return True
+    return not (err_min * (0.04 * h_min - 1e-15 * x_max)
+                > 2.1 * h_min * 4.5e-16 * x_max * 2.0 * f_max)
 
 
 def adaptive_quad(f, a, b, tol=1e-10, max_eval=400_000):
     """Global adaptive Gauss-Kronrod (G7-K15) on (a, b) for a vectorized
-    integrand.
+    integrand, or for m integrands on one mesh.
 
     The panels are refined level by level, starting from (a, b).  Each level
     evaluates the 15 Kronrod nodes of every open panel in one call f(x), with
-    x ascending, and takes |K15 - G7| as each panel's error estimate.  A
-    panel is accepted when err <= tol * (width / (b - a)) * max(1, |K15|),
-    so tol is an absolute target on the whole integral (suits the near-zero
-    integrals of orthogonality checks), and halved otherwise.  A panel is
-    not split when it is 2^-48 of the interval wide, or when its error is
-    within what the rounding of its nodes can cause (steep integrands, such
-    as near an integrable singularity); such a panel is accepted if its
-    error is at most 1e3 * tol, and otherwise the quadrature stalls.  Returns
+    x 1-D and ascending within each panel, and takes |K15 - G7| as each
+    panel's error estimate.  A panel is accepted when
+    err <= tol * (width / (b - a)) * max(1, |K15|), so tol is an absolute
+    target on the whole integral (suits the near-zero integrals of
+    orthogonality checks), and halved otherwise.  A panel is not split when
+    it is 2^-48 of the interval wide, or when its error is within what the
+    rounding of its nodes can cause (steep integrands, such as near an
+    integrable singularity); such a panel is accepted if its error is at
+    most 1e3 * tol, and otherwise the quadrature stalls.  Returns
     (value, error_estimate), the sums of the accepted K15 values and error
     estimates in panel order, so the result is deterministic.
 
+    f(x) returns either x.shape values or (m,) + x.shape, m integrands on
+    the same nodes.  Then a panel is split while any component misses the
+    rule above, the rounding and stall rules apply to each component, and
+    value and error_estimate are arrays of shape (m,); a single component
+    gives the scalar call's numbers bit for bit.
+
     Raises ParameterDomainError unless a < b are finite, tol is positive and
-    finite and max_eval >= 15; DomainError at the first non-finite f(x); and
-    AccuracyError when it stalls or the next level would take more than
-    max_eval integrand values.
+    finite, max_eval >= 15 and f(x) has one of the two shapes;
+    DomainError at the first non-finite f(x); and AccuracyError when it
+    stalls or the next level would take more than max_eval integrand values
+    (max_eval counts nodes, whatever m is).
     """
-    a, b = float(a), float(b)
+    a, b = _real("a", a), _real("b", b)
+    tol, max_eval = _real("tol", tol), _real("max_eval", max_eval)
     if not (a < b and math.isfinite(b - a)):
         raise ParameterDomainError(
             "integration limits must be finite with a < b, got (%r, %r)" % (a, b))
@@ -874,48 +919,74 @@ def adaptive_quad(f, a, b, tol=1e-10, max_eval=400_000):
     if not max_eval >= _KRONROD_NODES.size:
         raise ParameterDomainError("max_eval must allow one 15-point panel, got %r"
                                    % max_eval)
+    x_max = max(abs(a), abs(b))
     lo, hi = np.array([a]), np.array([b])
-    open_val = open_err = np.zeros(0)
-    done_lo, done_val, done_err = [], [], []
+    lead = ()  # () for a scalar integrand, (m,) for m components
+    levels = []  # (lo, kronrod, err, accepted) of each level
     n_eval = 0
     for level in range(_MAX_LEVEL + 1):
         if n_eval + _KRONROD_NODES.size * lo.size > max_eval:
-            raise AccuracyError(
-                "adaptive quadrature exceeded its evaluation budget",
-                estimates=(float(np.sum(np.concatenate(done_val + [open_val]))),
-                           float(np.sum(np.concatenate(done_err + [open_err])))))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            # the accepted panels, then the parents of the open ones
+            parents = levels[-1][:3] + (~levels[-1][3],)
+            val, err = (np.sum(_accepted(levels + [parents], i), axis=-1) for i in (1, 2))
+            raise AccuracyError("adaptive quadrature exceeded its evaluation budget",
+                                estimates=(val, err) if lead else (float(val), float(err)))
+        width = hi - lo
+        mid, half = 0.5 * (lo + hi), 0.5 * width
         x = mid[:, None] + half[:, None] * _KRONROD_NODES
-        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        y = np.asarray(f(x.ravel()), dtype=float)
+        if level == 0 and y.ndim == 2 and y.shape[1] == x.size and y.size:
+            lead = y.shape[:1]
+        if y.shape != lead + (x.size,):
+            raise ParameterDomainError(
+                "f must return x.shape or (m,) + x.shape values, got shape %r for x "
+                "of shape %r" % (y.shape, (x.size,)))
+        fx = y.reshape(lead + x.shape)
         n_eval += x.size
         finite = np.isfinite(fx)
         if not finite.all():
             i = int(np.argmin(finite))
             raise DomainError("f(x) = %r is not finite at x = %.15g"
-                              % (float(fx.flat[i]), x.flat[i]))
+                              % (float(fx.flat[i]), x.flat[i % x.size]))
         kronrod = half * (fx @ _KRONROD_WEIGHTS)
-        gauss = half * (fx[:, 1::2] @ _GAUSS_WEIGHTS)
+        gauss = half * (fx[..., 1::2] @ _GAUSS_WEIGHTS)
         err = np.abs(kronrod - gauss)
-        ok = err <= tol * ((hi - lo) / (b - a)) * np.maximum(1.0, np.abs(kronrod))
-        final = np.flatnonzero(~ok)
+        ok = err <= tol * (width / (b - a)) * np.maximum(1.0, np.abs(kronrod))
+        if ok.all():
+            levels.append((lo, kronrod, err, np.full(lo.size, True)))
+            break
+        final = fail = np.nonzero(~ok)  # (component, panel) or (panel,) index arrays
         if level < _MAX_LEVEL:
-            final = final[_within_rounding(x[final], fx[final], err[final])]
-        if final.size:
-            worst = final[np.argmax(err[final])]
+            final = None
+            fail_err, fail_fx = err[fail], fx[fail]
+            if _can_be_within_rounding(fail_err.min(), half.min(), x_max,
+                                       np.abs(fail_fx).max()):
+                within = _within_rounding(x[fail[-1]], fail_fx, fail_err)
+                final = tuple(i[within] for i in fail)
+        if final is not None and final[0].size:
+            w = np.argmax(err[final])
+            worst = tuple(i[w] for i in final)
             if err[worst] > 1e3 * tol:
                 raise AccuracyError(
-                    "adaptive quadrature stalled on (%.15g, %.15g)" % (lo[worst], hi[worst]),
+                    "adaptive quadrature stalled on (%.15g, %.15g)"
+                    % (lo[worst[-1]], hi[worst[-1]]),
                     estimates=(float(gauss[worst]), float(kronrod[worst])))
             ok[final] = True
-        done_lo.append(lo[ok])
-        done_val.append(kronrod[ok])
-        done_err.append(err[ok])
-        split = ~ok
+        accepted = ok.all(axis=0) if lead else ok
+        levels.append((lo, kronrod, err, accepted))
+        split = ~accepted
         if not split.any():
             break
-        open_val, open_err = kronrod[split], err[split]
-        lo = np.column_stack((lo[split], mid[split])).ravel()
-        hi = np.column_stack((mid[split], hi[split])).ravel()
-    order = np.argsort(np.concatenate(done_lo), kind="stable")
-    return (float(np.sum(np.concatenate(done_val)[order])),
-            float(np.sum(np.concatenate(done_err)[order])))
+        lo_s, mid_s, hi_s = lo[split], mid[split], hi[split]
+        lo, hi = np.empty(2 * lo_s.size), np.empty(2 * lo_s.size)
+        lo[0::2], lo[1::2] = lo_s, mid_s
+        hi[0::2], hi[1::2] = mid_s, hi_s
+    order = np.argsort(_accepted(levels, 0), kind="stable")
+    val, err = (np.sum(_accepted(levels, i)[..., order], axis=-1) for i in (1, 2))
+    return (val, err) if lead else (float(val), float(err))
+
+
+def _accepted(levels, i):
+    """Field i (lo, K15 value, error estimate) of the accepted panels, level
+    by level in panel order."""
+    return np.concatenate([level[i][..., level[3]] for level in levels], axis=-1)

@@ -11,7 +11,7 @@ import numpy as np
 
 from triwave import models as md
 from triwave import oracle as oc
-from triwave.exceptions import SingularParameterError
+from triwave.exceptions import AccuracyError, DomainError, SingularParameterError
 
 # (name, model, n_levels) of the spectrum-oracle suite's cases
 SPECTRUM_ORACLE_CASES = [
@@ -242,3 +242,65 @@ def rosen_morse_level_bisection(A, B, n):
         mu = 0.5 * (lo + hi)
     nu = s - mu
     return None if mu <= 0.0 or nu <= -1.0 else (mu, nu)
+
+
+def _within_rounding_reference(x, fx, err):
+    reach = (x[:, -1] - x[:, 0]) * 4.4e-16 * np.max(np.abs(x), axis=1)
+    return np.any(err[:, None] * np.diff(x, axis=1)
+                  <= reach[:, None] * np.abs(np.diff(fx, axis=1)), axis=1)
+
+
+def adaptive_quad_reference(f, a, b, tol=1e-10, max_eval=400_000):
+    """oracle.adaptive_quad for a scalar integrand in its plain form: the
+    same G7-K15 levels, acceptance, rounding and stall rules, with the
+    np.diff rounding test run on every level below the last (no pre-test),
+    np.column_stack splits and boolean gathers on every level.
+    The bit-for-bit reference of the library loop: (value, error), or the
+    same AccuracyError or DomainError with the same message and estimates.
+    Takes valid arguments only."""
+    a, b = float(a), float(b)
+    lo, hi = np.array([a]), np.array([b])
+    open_val = open_err = np.zeros(0)
+    done_lo, done_val, done_err = [], [], []
+    n_eval = 0
+    for level in range(oc._MAX_LEVEL + 1):
+        if n_eval + oc._KRONROD_NODES.size * lo.size > max_eval:
+            raise AccuracyError(
+                "adaptive quadrature exceeded its evaluation budget",
+                estimates=(float(np.sum(np.concatenate(done_val + [open_val]))),
+                           float(np.sum(np.concatenate(done_err + [open_err])))))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = mid[:, None] + half[:, None] * oc._KRONROD_NODES
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        n_eval += x.size
+        finite = np.isfinite(fx)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DomainError("f(x) = %r is not finite at x = %.15g"
+                              % (float(fx.flat[i]), x.flat[i]))
+        kronrod = half * (fx @ oc._KRONROD_WEIGHTS)
+        gauss = half * (fx[:, 1::2] @ oc._GAUSS_WEIGHTS)
+        err = np.abs(kronrod - gauss)
+        ok = err <= tol * ((hi - lo) / (b - a)) * np.maximum(1.0, np.abs(kronrod))
+        final = np.flatnonzero(~ok)
+        if level < oc._MAX_LEVEL:
+            final = final[_within_rounding_reference(x[final], fx[final], err[final])]
+        if final.size:
+            worst = final[np.argmax(err[final])]
+            if err[worst] > 1e3 * tol:
+                raise AccuracyError(
+                    "adaptive quadrature stalled on (%.15g, %.15g)" % (lo[worst], hi[worst]),
+                    estimates=(float(gauss[worst]), float(kronrod[worst])))
+            ok[final] = True
+        done_lo.append(lo[ok])
+        done_val.append(kronrod[ok])
+        done_err.append(err[ok])
+        split = ~ok
+        if not split.any():
+            break
+        open_val, open_err = kronrod[split], err[split]
+        lo = np.column_stack((lo[split], mid[split])).ravel()
+        hi = np.column_stack((mid[split], hi[split])).ravel()
+    order = np.argsort(np.concatenate(done_lo), kind="stable")
+    return (float(np.sum(np.concatenate(done_val)[order])),
+            float(np.sum(np.concatenate(done_err)[order])))

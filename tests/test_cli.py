@@ -259,7 +259,10 @@ def test_closed_stdout_exits_1_without_traceback():
     ["spectrum", "--model", "ho"],
     # more than one buffer: the write fails inside the command, not at the flush
     ["wavefunction", "--model", "ho", "--epsilon", "1", "--samples", "2000"],
-], ids=["spectrum", "wavefunction-2000"])
+    # argparse writes the help and exits; its own writer drops the error
+    ["--help"],
+    ["spectrum", "--help"],
+], ids=["spectrum", "wavefunction-2000", "help", "spectrum-help"])
 def test_full_stdout_exits_1_with_one_error_line(argv):
     # ENOSPC on stdout: one error line, and the flush at exit does not raise
     # again ("Exception ignored", exit 120)

@@ -1369,22 +1369,37 @@ def test_adaptive_quad_is_deterministic():
     assert first[0] == pytest.approx(want, rel=1e-10)
 
 
+# the Gram entries m <= n <= 3 of the Pollaczek checks, as index arrays
+_GRAM_ROWS, _GRAM_COLS = np.array([(n, m) for n in range(4) for m in range(n + 1)]).T
+
+
+def _pollaczek_integrand(mu, a, b, n, m):
+    """The Pollaczek weight's Gram entry (n, m) as an integrand in
+    theta = arccos x on (0, pi); n and m may be index arrays, one integrand
+    each."""
+    fam = orthopoly.PollaczekFamily(mu, a, b)
+
+    def f(theta):
+        x = np.cos(theta)
+        seq = orthopoly.sequence(fam, 3, x)
+        return orthopoly.weight_eval(fam, x) * seq[n] * seq[m] * np.sin(theta)
+    return f
+
+
+def _pollaczek_norms(mu, a, n, m):
+    """The closed form of the Gram entries (n, m) (index arrays)."""
+    norms = [math.exp(math.lgamma(k + 2.0 * mu) - math.lgamma(k + 1.0)) / (k + mu + a)
+             for k in range(4)]
+    return np.where(n == m, np.take(norms, n), 0.0)
+
+
 def _pollaczek_gram_deviation(mu, a, b, tol):
     """Largest deviation of the Pollaczek weight's Gram entries m <= n <= 3,
-    integrated by adaptive_quad in theta = arccos x, from the closed form."""
-    fam = orthopoly.PollaczekFamily(mu, a, b)
-    dev = 0.0
-    for n in range(4):
-        for m in range(n + 1):
-            def f(theta):
-                x = np.cos(theta)
-                seq = orthopoly.sequence(fam, 3, x)
-                return orthopoly.weight_eval(fam, x) * seq[n] * seq[m] * np.sin(theta)
-            val = oc.adaptive_quad(f, 1e-6, math.pi - 1e-6, tol=tol)[0]
-            want = (math.exp(math.lgamma(n + 2.0 * mu) - math.lgamma(n + 1.0))
-                    / (n + mu + a)) if n == m else 0.0
-            dev = max(dev, abs(val - want))
-    return dev
+    each integrated by adaptive_quad in theta = arccos x, from the closed
+    form."""
+    vals = [oc.adaptive_quad(_pollaczek_integrand(mu, a, b, n, m), 1e-6, math.pi - 1e-6,
+                             tol=tol)[0] for n, m in zip(_GRAM_ROWS, _GRAM_COLS)]
+    return float(np.max(np.abs(vals - _pollaczek_norms(mu, a, _GRAM_ROWS, _GRAM_COLS))))
 
 
 def test_adaptive_quad_no_early_accept():
@@ -1400,14 +1415,114 @@ def test_adaptive_quad_pollaczek_gram_property(mu, a, ratio):
     assert _pollaczek_gram_deviation(mu, a, a * ratio, 1e-7) < 1e-5
 
 
-@pytest.mark.parametrize("a,b,kwargs", [
-    (0.0, math.inf, {}), (-math.inf, 0.0, {}), (math.nan, 1.0, {}), (1.0, 1.0, {}),
-    (1.0, 0.0, {}), (0.0, 1.0, {"tol": math.nan}), (0.0, 1.0, {"tol": -1.0}),
-    (0.0, 1.0, {"tol": 0.0}), (0.0, 1.0, {"tol": math.inf}),
-    (0.0, 1.0, {"max_eval": 14})])
-def test_adaptive_quad_input_contract(a, b, kwargs):
-    with pytest.raises(ParameterDomainError):
-        oc.adaptive_quad(np.sin, a, b, **kwargs)
+@pytest.mark.parametrize("f,a,b,kwargs,match", [
+    (np.sin, 0.0, math.inf, {}, "limits"), (np.sin, -math.inf, 0.0, {}, "limits"),
+    (np.sin, math.nan, 1.0, {}, "limits"), (np.sin, 1.0, 1.0, {}, "limits"),
+    (np.sin, 1.0, 0.0, {}, "limits"), (np.sin, 0.0, 1.0, {"tol": math.nan}, "^tol"),
+    (np.sin, 0.0, 1.0, {"tol": -1.0}, "^tol"), (np.sin, 0.0, 1.0, {"tol": 0.0}, "^tol"),
+    (np.sin, 0.0, 1.0, {"tol": math.inf}, "^tol"),
+    (np.sin, 0.0, 1.0, {"max_eval": 14}, "^max_eval"),
+    (np.sin, 1j, 1.0, {}, "^a must be a real number"),
+    (np.sin, "a", 1.0, {}, "^a must be a real number"),
+    (np.sin, 0.0, None, {}, "^b must be a real number"),
+    (np.sin, 0.0, 1.0, {"tol": "x"}, "^tol must be a real number"),
+    (np.sin, 0.0, 1.0, {"max_eval": None}, "^max_eval must be a real number"),
+    (lambda x: 1.0, 0.0, 1.0, {}, r"^f must return .* got shape \(\) for x of shape \(15,\)"),
+    (lambda x: x[:-1], 0.0, 1.0, {}, r"got shape \(14,\)"),
+    (lambda x: np.zeros((0, x.size)), 0.0, 1.0, {}, r"got shape \(0, 15\)"),
+    (lambda x: np.zeros((2, 3, x.size)), 0.0, 1.0, {}, r"got shape \(2, 3, 15\)"),
+    (lambda x: np.sin(50.0 * x)[None] if x.size == 15 else np.sin(50.0 * x),
+     0.0, 1.0, {}, r"got shape \(30,\) for x of shape \(30,\)"),
+], ids=["0.0-inf-kwargs0", "-inf-0.0-kwargs1", "nan-1.0-kwargs2", "1.0-1.0-kwargs3",
+        "1.0-0.0-kwargs4", "0.0-1.0-kwargs5", "0.0-1.0-kwargs6", "0.0-1.0-kwargs7",
+        "0.0-1.0-kwargs8", "0.0-1.0-kwargs9", "a-complex", "a-str", "b-none", "tol-str",
+        "max-eval-none", "f-scalar", "f-short", "f-no-components", "f-3d",
+        "f-shape-changes"])
+def test_adaptive_quad_input_contract(f, a, b, kwargs, match):
+    with pytest.raises(ParameterDomainError, match=match):
+        oc.adaptive_quad(f, a, b, **kwargs)
+
+
+def _outcome(integrate, *args, **kwargs):
+    """(value, error) of the quadrature, or (exception type, message,
+    estimates) of the error it raised."""
+    try:
+        with np.errstate(divide="ignore"):
+            return integrate(*args, **kwargs)
+    except (AccuracyError, DomainError) as exc:
+        return type(exc), str(exc), exc.estimates if isinstance(exc, AccuracyError) else None
+
+
+def _reference_cases():
+    rng = np.random.default_rng(20261021)
+    cases = []
+    for k in range(16):
+        mu, a = rng.uniform(0.5, 2.0, 2)
+        n = int(rng.integers(4))
+        m = int(rng.integers(n + 1))
+        f = _pollaczek_integrand(mu, a, a * rng.uniform(-0.9, 0.9), n, m)
+        for tol in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            cases.append(pytest.param(f, 1e-6, math.pi - 1e-6, {"tol": tol},
+                                      id="pollaczek-%d-tol%g" % (k, tol)))
+    cases += [
+        pytest.param(lambda x: np.abs(x - 0.3) ** -0.98, 0.0, 1.0, {"tol": 1e-10}, id="stall"),
+        pytest.param(lambda x: np.abs(x - 0.3) ** -0.98, 0.0, 1.0,
+                     {"tol": 1e-10, "max_eval": 20000}, id="stall-budget"),
+        pytest.param(lambda x: np.abs(x - 0.3) ** -0.5, 0.0, 1.0, {"tol": 1e-8},
+                     id="interior-singularity"),
+        pytest.param(lambda x: x ** -0.999, 1e-300, 1.0, {"tol": 1e-10}, id="x^-0.999"),
+        pytest.param(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, {"tol": 1e-10}, id="1/sqrt(x)"),
+        pytest.param(lambda x: np.sin(50.0 * x), 0.0, 100.0, {"tol": 1e-10, "max_eval": 200},
+                     id="budget"),
+        pytest.param(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, {}, id="non-finite"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("f,a,b,kwargs", _reference_cases())
+def test_adaptive_quad_matches_reference_bit_for_bit(f, a, b, kwargs):
+    # the rewritten level loop, and its rounding pre-test, change no bit of
+    # the value, error estimate, exception, message or estimates
+    want = _outcome(helpers.adaptive_quad_reference, f, a, b, **kwargs)
+    assert _outcome(oc.adaptive_quad, f, a, b, **kwargs) == want
+    if isinstance(want[0], float):
+        # one component on one mesh: the scalar call's bits, as arrays
+        val, err = oc.adaptive_quad(lambda x: f(x)[None], a, b, **kwargs)
+        assert val.shape == err.shape == (1,)
+        assert (val[0], err[0]) == want
+
+
+def test_adaptive_quad_vector_pollaczek_gram_on_one_mesh():
+    # the 10 Gram entries m <= n <= 3 in one call, over the benchmark
+    # workload's ranges
+    rng = np.random.default_rng(1037)
+    for _ in range(40):
+        mu, a = rng.uniform(0.5, 2.0, 2)
+        f = _pollaczek_integrand(mu, a, a * rng.uniform(-0.9, 0.9), _GRAM_ROWS, _GRAM_COLS)
+        val, err = oc.adaptive_quad(f, 1e-6, math.pi - 1e-6, tol=1e-9)
+        assert val.shape == err.shape == (10,)
+        dev = np.max(np.abs(val - _pollaczek_norms(mu, a, _GRAM_ROWS, _GRAM_COLS)))
+        assert dev < 1e-10, (mu, a, dev)
+
+
+def test_adaptive_quad_vector_rules_per_component():
+    # each component keeps its own stall rule and its own error estimate
+    def pair(x):
+        return np.array([np.sin(x), np.abs(x - 0.3) ** -0.98])
+
+    with pytest.raises(AccuracyError, match="stalled"):
+        oc.adaptive_quad(pair, 0.0, 1.0, tol=1e-10)
+    val, err = oc.adaptive_quad(lambda x: np.array([np.sin(x), np.cos(x)]), 0.0, math.pi,
+                                tol=1e-12)
+    assert val == pytest.approx([2.0, 0.0], abs=1e-11)
+    assert np.all(err >= 0.0) and err.shape == (2,)
+    with pytest.raises(AccuracyError, match="evaluation budget") as info:
+        oc.adaptive_quad(lambda x: np.array([np.sin(50.0 * x)] * 3), 0.0, 100.0,
+                         tol=1e-10, max_eval=200)
+    assert [e.shape for e in info.value.estimates] == [(3,), (3,)]
+    with pytest.raises(DomainError, match=r"f\(x\) = inf is not finite at x = 0.5$"):
+        with np.errstate(divide="ignore"):
+            oc.adaptive_quad(lambda x: np.array([x, 1.0 / (x - 0.5)]), 0.0, 1.0)
 
 
 def test_adaptive_quad_non_finite_integrand():

@@ -51,7 +51,15 @@ The groups:
   models.spectrum lists for HO (both parities), osc-inv-sq (1, 0.75), Morse
   (-6, 1, 2) and Rosen-Morse (1, -2), (1, -6), (0.5, -12) and (0, -2000):
   no other group runs a recursion at a listed level, where the bases of
-  the energy-dependent models meet their level's exponents.
+  the energy-dependent models meet their level's exponents;
+* adaptive-quad: oracle.adaptive_quad's value and error estimate (or the
+  exception it raises, with its message and estimates) on a smooth
+  integrand, two endpoint singularities at the rounding floor, a stall, a
+  spent evaluation budget, a non-finite integrand, the Pollaczek Gram
+  entry (1, 1) of perfbench's adaptive-quad-early-accept weight at tol
+  1e-7, and that weight's ten Gram entries as one vector integrand on one
+  mesh at tol 1e-7 and 1e-9: no other group reaches the stall, budget or
+  rounding-floor paths.
 
 CLI runs go through perfbench.workloads.call_cli, so a run's exit code,
 stdout and stderr (a traceback included) all enter its hash.
@@ -220,6 +228,49 @@ def _gauss_rule_runs(workloads):
             for weight_id in GAUSS_WEIGHTS for n in GAUSS_NODES]
 
 
+def _adaptive_quad_runs(workloads):
+    """[(label, thunk giving adaptive_quad's value and error estimate in one
+    array, or the exception it raised as (type, message, estimates))]."""
+    from triwave import oracle, orthopoly
+
+    def run(f, a, b, **kwargs):
+        def integrate():
+            try:
+                with np.errstate(divide="ignore"):
+                    return np.concatenate(
+                        [np.ravel(v) for v in oracle.adaptive_quad(f, a, b, **kwargs)])
+            except Exception as exc:  # noqa: BLE001 - an older checkout may raise anything
+                estimates = getattr(exc, "estimates", None)
+                return (type(exc).__name__, str(exc),
+                        None if estimates is None else np.ravel(estimates).tolist())
+        return integrate
+
+    fam = orthopoly.PollaczekFamily(*workloads._EARLY_ACCEPT)
+    rows, cols = np.array([(n, m) for n in range(4) for m in range(n + 1)]).T
+
+    def gram(th, rows=rows, cols=cols):
+        x = np.cos(th)
+        seq = orthopoly.pollaczek_sequence(fam, 3, x)
+        return orthopoly.weight_eval(fam, x) * seq[rows] * seq[cols] * np.sin(th)
+
+    theta = (1e-6, math.pi - 1e-6)
+    return [
+        ("smooth sin(x) on (0, pi) tol=1e-12", run(np.sin, 0.0, math.pi, tol=1e-12)),
+        ("endpoint x^-0.5 on (1e-300, 1) tol=1e-10",
+         run(lambda x: x ** -0.5, 1e-300, 1.0, tol=1e-10)),
+        ("endpoint x^-0.999 on (1e-300, 1) tol=1e-10",
+         run(lambda x: x ** -0.999, 1e-300, 1.0, tol=1e-10)),
+        ("stall |x-0.3|^-0.98 on (0, 1) tol=1e-10",
+         run(lambda x: np.abs(x - 0.3) ** -0.98, 0.0, 1.0, tol=1e-10)),
+        ("budget sin(50x) on (0, 100) tol=1e-10 max_eval=200",
+         run(lambda x: np.sin(50.0 * x), 0.0, 100.0, tol=1e-10, max_eval=200)),
+        ("non-finite 1/(x-0.5) on (0, 1)", run(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)),
+        ("early-accept pollaczek entry (1, 1) tol=1e-7",
+         run(lambda th: gram(th, 1, 1), *theta, tol=1e-7)),
+    ] + [("early-accept pollaczek gram on one mesh tol=%g" % tol, run(gram, *theta, tol=tol))
+         for tol in (1e-7, 1e-9)]
+
+
 def _groups(workloads):
     """{group: [(label, thunk giving the run's output)]}."""
     from triwave import models
@@ -260,7 +311,8 @@ def _groups(workloads):
                                 "--epsilon=%r" % lv.epsilon] + flags)
                        for flags, name, params, n_levels in LEVEL_SERIES_MODELS
                        for lv in models.spectrum(getattr(models, name)(**params),
-                                                 n_levels).levels]})
+                                                 n_levels).levels],
+                   "adaptive-quad": _adaptive_quad_runs(workloads)})
     return groups
 
 
